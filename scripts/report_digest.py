@@ -1,0 +1,106 @@
+#!/usr/bin/env python3
+"""Print a sha256 digest and the exit code of every JSON report on the
+corpus, so two versions of the package can be compared with one diff.
+
+The reports are made through `cli.main`, as a user would get them:
+
+- `analyze --format json` on every fixture of `oracle.fixtures()`;
+- `analyze --format json` on the acceptance suite's 200-map batch over Q_11
+  (`random.Random(20260823)`, the degree list of tests/test_acceptance.py),
+  drawn by `random_split_map` from tests/conftest.py;
+- `tree --format json` on every fixture.
+
+Every call uses the acceptance suite's budget, `--n-max 24 --k-max 4`.
+Usage, from the root of a checkout (it analyses the package under `src/`
+next to this script):
+
+    python3 scripts/report_digest.py > digest.txt
+
+Each output line reads `<input> exit=<code> <sha256 of standard output>`.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import importlib.util
+import io
+import os
+import random
+import sys
+import tempfile
+from contextlib import redirect_stderr
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path.insert(0, os.path.join(ROOT, "src"))
+sys.path.insert(0, os.path.join(ROOT, "tests"))
+
+from berklocus import cli, oracle  # noqa: E402
+
+BUDGET = ["--n-max", "24", "--k-max", "4"]
+BATCH_SEED = 20260823
+BATCH_P = 11
+
+
+def _load_module(name, path):
+    spec = importlib.util.spec_from_file_location(name, path)
+    mod = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mod)
+    return mod
+
+
+def batch_specs():
+    """(p, num, den) of the acceptance batch, in order: random_split_map is
+    run as written, with its map constructor wrapped to record the rational
+    coefficients it is given."""
+    conftest = _load_module("conftest", os.path.join(ROOT, "tests",
+                                                     "conftest.py"))
+    acceptance = _load_module("test_acceptance", os.path.join(
+        ROOT, "tests", "test_acceptance.py"))
+    build = conftest.mk
+    seen = []
+
+    def recording_mk(p, num, den, n=1, k=1):
+        seen.append((p, tuple(num), tuple(den)))
+        return build(p, num, den, n, k)
+    conftest.mk = recording_mk
+    rng = random.Random(BATCH_SEED)
+    specs = []
+    for d in acceptance.BATCH_DEGREES:
+        conftest.random_split_map(rng, BATCH_P, d)
+        specs.append(seen[-1])  # the accepted draw is the last one built
+    return specs
+
+
+def digest(argv):
+    out = io.StringIO()
+    with redirect_stderr(io.StringIO()):
+        code = cli.main(argv, out)
+    return code, hashlib.sha256(out.getvalue().encode()).hexdigest()
+
+
+def write_map(path, p, num, den):
+    with open(path, "w") as fh:
+        fh.write(f"p = {p}\nnum = {', '.join(str(c) for c in num)}\n"
+                 f"den = {', '.join(str(c) for c in den)}\n")
+
+
+def main():
+    inputs = [(f"fixture:{fxt.name}", fxt.p, fxt.num, fxt.den)
+              for fxt in oracle.fixtures()]
+    batch = [(f"batch:{i:03d}", p, num, den)
+             for i, (p, num, den) in enumerate(batch_specs())]
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = {}
+        for name, p, num, den in inputs + batch:
+            paths[name] = os.path.join(tmp, name.replace(":", "_") + ".map")
+            write_map(paths[name], p, num, den)
+        runs = [("analyze", name) for name, *_ in inputs + batch] + \
+               [("tree", name) for name, *_ in inputs]
+        for sub, name in runs:
+            code, sha = digest([sub, "--input", paths[name], "--format",
+                                "json"] + BUDGET)
+            print(f"{sub}:{name} exit={code} {sha}", flush=True)
+
+
+if __name__ == "__main__":
+    main()

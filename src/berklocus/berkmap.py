@@ -35,7 +35,7 @@ from .errors import (
     NotFixed,
     ZeroDenominator,
 )
-from .field import INF, FieldElement, PrimeContext
+from .field import INF, NEG_INF, FieldElement, PrimeContext
 from .residue import (
     INF_POINT,
     FqElement,
@@ -54,8 +54,6 @@ from .residue import (
 )
 
 DirectionKey = tuple
-
-NEG_INF = -INF  # sentinel for unbounded ray ends
 
 NOT_FIXED = "not-fixed"
 ID_INDIFFERENT = "id-indifferent"
@@ -212,9 +210,6 @@ class TypeIIPoint:
         return f"zeta({self.center!r}, s={self.s})"
 
 
-GAUSS = None  # set per-context; use gauss_point(ctx)
-
-
 def gauss_point(ctx: PrimeContext) -> TypeIIPoint:
     return TypeIIPoint(ctx.zero, Fraction(0))
 
@@ -257,13 +252,18 @@ def _require_integral_s(ctx: PrimeContext, s: Fraction):
     return s
 
 
-def reduce_at(f: RationalMapK, x: TypeIIPoint) -> LocalData:
-    """Reduction of f at the disk point x, with full direction data."""
+def _conjugate_to_gauss(f: RationalMapK, x: TypeIIPoint) -> RationalMapK:
+    """f in the coordinate w with z = center + pi^(s n) w, in which the disk
+    point x is the Gauss point."""
     ctx = f.ctx
     s = _require_integral_s(ctx, x.s)
-    u = ctx.pi_pow(int(s * ctx.n))
-    g = f.conjugate_affine(u, x.center)
-    F = ctx.residue_field
+    return f.conjugate_affine(ctx.pi_pow(int(s * ctx.n)), x.center)
+
+
+def reduce_at(f: RationalMapK, x: TypeIIPoint) -> LocalData:
+    """Reduction of f at the disk point x, with full direction data."""
+    g = _conjugate_to_gauss(f, x)
+    F = f.ctx.residue_field
     rnum = _trim([c.residue() for c in g.num])
     rden = _trim([c.residue() for c in g.den])
     assert rnum or rden, "normalized map cannot reduce to 0/0"
@@ -274,7 +274,7 @@ def reduce_at(f: RationalMapK, x: TypeIIPoint) -> LocalData:
         gcd_poly = poly_monic(F, rnum or rden)
     cnum = poly_divmod(F, rnum, gcd_poly)[0] if rnum else ()
     cden = poly_divmod(F, rden, gcd_poly)[0] if rden else ()
-    surplus = _surplus_table(f, x, g, F, rnum, rden, gcd_poly)
+    surplus = _surplus_table(g, F, gcd_poly)
     if not cnum or not cden:
         # constant 0 or constant infinity
         return LocalData(point=x, is_fixed=False, reduced_map=None,
@@ -309,10 +309,10 @@ def reduce_at(f: RationalMapK, x: TypeIIPoint) -> LocalData:
                      gcd_poly=gcd_poly)
 
 
-def _surplus_table(f, x, g, F, rnum, rden, gcd_poly):
-    """Per-direction cancelled multiplicities, with the infinity direction
-    computed through the flip so a single finite-direction code path serves
-    both cases."""
+def _surplus_table(g, F, gcd_poly):
+    """Per-direction cancelled multiplicities of the conjugated map g, with
+    the infinity direction computed through the flip of g so a single
+    finite-direction code path serves both cases."""
     table: Dict[DirectionKey, int] = {}
     for q, mult in rf.factor(F, gcd_poly) if poly_deg(gcd_poly) > 0 else []:
         if poly_deg(q) == 1:
@@ -320,18 +320,17 @@ def _surplus_table(f, x, g, F, rnum, rden, gcd_poly):
         else:
             key = ("orbit", rf._poly_key(q))
         table[key] = table.get(key, 0) + mult * poly_deg(q)
-    inf_s = _infinity_surplus(f, x)
+    inf_s = _infinity_surplus(g)
     if inf_s:
         table[("inf",)] = inf_s
     return table
 
 
-def _infinity_surplus(f: RationalMapK, x: TypeIIPoint) -> int:
-    ctx = f.ctx
-    s = Fraction(x.s)
-    u = ctx.pi_pow(int(s * ctx.n))
-    g = f.conjugate_affine(u, x.center).flip()
-    F = ctx.residue_field
+def _infinity_surplus(g: RationalMapK) -> int:
+    """Cancelled multiplicity into the infinity direction of the Gauss point
+    for a map g already conjugated there."""
+    g = g.flip()
+    F = g.ctx.residue_field
     rnum = _trim([c.residue() for c in g.num])
     rden = _trim([c.residue() for c in g.den])
     if rnum and rden:
@@ -346,7 +345,8 @@ def surplus(f: RationalMapK, x: TypeIIPoint, v) -> int:
     """Cancelled multiplicity into a single direction (residue-field point or
     INF_POINT)."""
     if isinstance(v, Infinity):
-        return _infinity_surplus(f, x)
+        # conjugates afresh, independently of reduce_at's surplus table
+        return _infinity_surplus(_conjugate_to_gauss(f, x))
     local = reduce_at(f, x)
     gcd_poly = local.gcd_poly
     if poly_deg(gcd_poly) <= 0:
@@ -458,9 +458,21 @@ class RaySegment:
 
 @dataclass
 class RayBreakpoint:
+    """The point zeta(center, s) of a ray at a support change of the lower
+    envelope.  `local` is None at a radius outside the value group.
+
+    On a skeleton ray (`fixlocus.gamma_fix`) a point shared by several rays
+    is reduced once: `local` is the LocalData of the first reduction of the
+    point, taken in the coordinate of the first ray reaching it, so
+    `local.point` may carry another center than this ray, and `cid` indexes
+    the point in `SkeletonGraph.vertex_points`.  Fixedness, class and local
+    degree do not depend on the center; direction data must be read in the
+    coordinate of `local.point`."""
+
     s: Fraction
     local: Optional[LocalData]
     needs_extension: Optional[str] = None
+    cid: Optional[int] = None
 
 
 @dataclass

@@ -9,8 +9,12 @@ Subcommands operate on a map described by a small declarative input file:
     num = 0, 1, 1  # coefficients, constant term first, rationals allowed
     den = 1
 
-Exit codes: 0 success, 1 malformed input, 2 the computation needs a field
-extension beyond the configured budget, 3 internal error.
+Exit codes: 0 success; 1 malformed input (including the identity map); 2 the
+exploration budget was not enough -- the computation needs a field extension
+beyond it, a ray has more breakpoints than the ray budget, or `analyze`,
+`weights` or `verify` printed a certificate that is not complete (weight
+total below degree - 1), after printing it; 3 internal error, or a failed
+`verify` check on a complete certificate.
 """
 
 from __future__ import annotations
@@ -23,8 +27,15 @@ from fractions import Fraction
 
 from . import fixlocus as fx
 from .berkmap import RationalMapK, TypeIIPoint, normalize, reduce_at
-from .errors import BerklocusError, IdentityMap, NeedsExtension, ParseError
-from .field import INF, PrimeContext
+from .errors import (
+    BerklocusError,
+    CheckFailed,
+    ExplorationIncomplete,
+    IdentityMap,
+    NeedsExtension,
+    ParseError,
+)
+from .field import INF, NEG_INF, PrimeContext
 from .residue import Infinity
 
 SCHEMA = "berklocus-report/1"
@@ -128,7 +139,7 @@ def _config_from_args(args) -> fx.ExploreConfig:
 def _s_str(s) -> str:
     if s is INF:
         return "+inf"
-    if s is fx.NEG_INF:
+    if s is NEG_INF:
         return "-inf"
     return str(s)
 
@@ -246,7 +257,7 @@ def cmd_analyze(args, out) -> int:
         out.write("\n")
     else:
         _print_analysis_text(a, out)
-    return 0
+    return 0 if a.complete_rigorous else 2
 
 
 def _point_from_args(ctx, args) -> TypeIIPoint:
@@ -391,7 +402,7 @@ def cmd_weights(args, out) -> int:
             print(f"  {cp.point!r}  weight {cp.weight}", file=out)
         print(f"total: {a.weight_total}   degree - 1 = {a.map.degree - 1}",
               file=out)
-    return 0
+    return 0 if a.complete_rigorous else 2
 
 
 def cmd_verify(args, out) -> int:
@@ -406,7 +417,7 @@ def cmd_verify(args, out) -> int:
             try:
                 fx.theorem_a_count(c)
                 checks.append((f"component {i} counting formula", True))
-            except AssertionError:
+            except CheckFailed:
                 checks.append((f"component {i} counting formula", False))
         if c.kind == fx.KIND_HYPERBOLIC:
             checks.append((f"component {i} hyperbolic structure",
@@ -418,7 +429,7 @@ def cmd_verify(args, out) -> int:
         try:
             fx.connectedness_check(f, config)
             checks.append(("connectedness criterion", True))
-        except AssertionError:
+        except CheckFailed:
             checks.append(("connectedness criterion", False))
         checks.append(("repelling-vertex sum rule",
                        fx.alpha_sum_check(f, config)))
@@ -426,6 +437,8 @@ def cmd_verify(args, out) -> int:
     for name, passed in checks:
         print(f"[{'ok' if passed else 'FAIL'}] {name}", file=out)
         ok = ok and passed
+    if not a.complete_rigorous:
+        return 2
     return 0 if ok else 3
 
 
@@ -496,7 +509,7 @@ def main(argv=None, out=None) -> int:
         print("error: the identity map fixes the whole line; "
               "there is nothing to analyze", file=sys.stderr)
         return 1
-    except NeedsExtension as e:
+    except (NeedsExtension, ExplorationIncomplete) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     except BerklocusError as e:

@@ -3,6 +3,9 @@
 Every error that a caller may want to branch on gets its own class; anything
 raised from here signals a *usage* or *capability* problem, never a bug in the
 arithmetic (internal invariant violations raise AssertionError instead).
+CheckFailed is the one exception: a certificate check raises it when the
+computed structure contradicts a theorem, so that the check still fails
+under `python -O`, which drops asserts.
 """
 
 
@@ -65,6 +68,11 @@ class NeedsExtension(BerklocusError):
 
 class ExplorationIncomplete(BerklocusError):
     """Exploration exceeded its configured budget; results are partial."""
+
+
+class CheckFailed(BerklocusError):
+    """A certificate check found the computed structure inconsistent with a
+    theorem it must satisfy."""
 
 
 class ArcNotFixed(BerklocusError):

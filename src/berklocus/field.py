@@ -17,6 +17,7 @@ from . import residue as rf
 from .errors import NegativeValuation
 
 INF = Fraction(10 ** 9)  # sentinel for val(0); compares above any real valuation
+NEG_INF = -INF  # sentinel for unbounded ray ends; compared with `is`
 
 
 def _is_prime(m: int) -> bool:

@@ -4,7 +4,12 @@ and the global structure checks.
 
 The skeleton is built from exact pairwise distances between classical fixed
 points (an ultrametric join tree), with every edge decomposed by the tropical
-ray analysis and every vertex annotated by reduction.  Components of the fixed
+ray analysis and every vertex annotated by reduction.  Rays share their ends
+and junctions, so each distinct disk point is reduced exactly once: the first
+ray to reach it reduces it in its own coordinate, and every later breakpoint
+at that point holds the same LocalData and canonical id.  Fixedness, class
+and local degree do not depend on the coordinate; direction data is read in
+the coordinate of that first reduction.  Components of the fixed
 locus are then read off as connected groups of fixed atoms (vertices, edge
 segments, classical leaves).  Completeness of the certificate rests on a
 structural fact: at a fixed point whose tangent map is not the identity, every
@@ -27,7 +32,6 @@ from .berkmap import (
     ADD_INDIFFERENT,
     ID_INDIFFERENT,
     MULT_INDIFFERENT,
-    NEG_INF,
     NOT_FIXED,
     REPELLING,
     LocalData,
@@ -41,6 +45,7 @@ from .berkmap import (
 )
 from .epoly import count_roots_in_disk, epoly, poly_shift
 from .errors import (
+    CheckFailed,
     ClassicalComponent,
     ExplorationIncomplete,
     IdentityMap,
@@ -50,7 +55,7 @@ from .errors import (
     NotIndifferent,
     PreconditionViolated,
 )
-from .field import INF, FieldElement, PrimeContext
+from .field import INF, NEG_INF, FieldElement, PrimeContext
 from .residue import (
     INF_POINT,
     FqElement,
@@ -256,6 +261,13 @@ class SkeletonGraph:
     weight point sits on the hull of the classical fixed points.  Since paths
     in the Berkovich line are unique geodesics, component connectivity is
     also decided entirely on this tree.
+
+    `vertex_points` holds every distinct disk point among the integral ray
+    breakpoints, once, in the order the rays first reach it, with the one
+    reduction taken there; a breakpoint's `cid` indexes this list and its
+    `local` is the same LocalData object.  That reduction is in the
+    coordinate of the first center that reached the point, and direction
+    data (`_leaf_directions`, the surplus keys) is read in that coordinate.
     """
 
     leaves: List[ClassicalFixedPoint]
@@ -264,11 +276,6 @@ class SkeletonGraph:
     aux_leaves: List[Union[RootHandle, ClusterStub]]
     rays: List[ScaffoldRay]
     vertex_points: List[Tuple[TypeIIPoint, LocalData]]  # join/branch points
-
-    def all_breakpoints(self):
-        for ray in self.rays:
-            for bp in ray.breakpoints:
-                yield ray, bp
 
 
 def _binom(n, k):
@@ -322,7 +329,11 @@ def _ray_lines_at(f: RationalMapK, anchor):
             num_lines + den_lines]
 
 
-def _annotate_ray(f: RationalMapK, ray: ScaffoldRay, config: ExploreConfig):
+def _annotate_ray(f: RationalMapK, ray: ScaffoldRay, config: ExploreConfig,
+                  vertex_points: List[Tuple[TypeIIPoint, LocalData]]):
+    """Decompose the ray into segments and breakpoints.  An integral
+    breakpoint already in `vertex_points` (the same disk point under any
+    center) reuses that reduction; a new one is reduced and appended."""
     ctx = f.ctx
     lines = _ray_lines_at(f, ray.anchor)
     one = ctx.residue_field.one
@@ -346,9 +357,15 @@ def _annotate_ray(f: RationalMapK, ray: ScaffoldRay, config: ExploreConfig):
             # degree 1, weight 0, no reduction to take; recorded bare so the
             # assembly can pass fixedness through it by closure
             ray.breakpoints.append(RayBreakpoint(s, None))
-        else:
-            ray.breakpoints.append(
-                RayBreakpoint(s, reduce_at(f, TypeIIPoint(center, s))))
+            continue
+        pt = TypeIIPoint(center, s)
+        cid = next((i for i, (p, _) in enumerate(vertex_points)
+                    if pt.same_point(p)), None)
+        if cid is None:
+            cid = len(vertex_points)
+            vertex_points.append((pt, reduce_at(f, pt)))
+        ray.breakpoints.append(RayBreakpoint(s, vertex_points[cid][1],
+                                             cid=cid))
 
 
 def _critical_point_handles(f: RationalMapK,
@@ -480,20 +497,9 @@ def gamma_fix(f: RationalMapK,
         rays.append(ScaffoldRay(next(ray_id), anchors[top_rep][0], NEG_INF,
                                 top_node[1], leaf_idx=None, to_infinity=True))
 
+    vertex_points: List[Tuple[TypeIIPoint, LocalData]] = []
     for ray in rays:
-        _annotate_ray(f, ray, config)
-
-    # vertex points: breakpoints at ray junction levels
-    vertex_points = []
-    seen = []
-    for ray in rays:
-        for bp in ray.breakpoints:
-            if bp.local is None:
-                continue
-            pt = bp.local.point
-            if not any(pt.same_point(p) for p, _ in seen):
-                seen.append((pt, bp.local))
-    vertex_points = seen
+        _annotate_ray(f, ray, config, vertex_points)
     return SkeletonGraph(leaves=leaves, aux_leaves=aux, rays=rays,
                          vertex_points=vertex_points)
 
@@ -563,25 +569,12 @@ class _UnionFind:
 
 
 def _canonical_breakpoints(skeleton: SkeletonGraph):
-    """Group breakpoints that denote the same type-II point; returns
-    (canon map (ray_id, s) -> canonical id, list of (id, point, LocalData))."""
-    canon = {}
-    points = []  # (point, local)
-    for ray in skeleton.rays:
-        for bp in ray.breakpoints:
-            if bp.local is None:
-                continue
-            pt = bp.local.point
-            cid = None
-            for idx, (p, _) in enumerate(points):
-                if pt.same_point(p):
-                    cid = idx
-                    break
-            if cid is None:
-                cid = len(points)
-                points.append((pt, bp.local))
-            canon[(ray.ray_id, bp.s)] = cid
-    return canon, points
+    """The grouping of breakpoints by type-II point that `gamma_fix` made;
+    returns (canon map (ray_id, s) -> canonical id, list of (point,
+    LocalData) indexed by canonical id)."""
+    canon = {(ray.ray_id, bp.s): bp.cid for ray in skeleton.rays
+             for bp in ray.breakpoints if bp.local is not None}
+    return canon, skeleton.vertex_points
 
 
 def explore_components(f: RationalMapK,
@@ -803,14 +796,15 @@ def verify_weight_formula(f: RationalMapK,
 # ---------------------------------------------------------------------------
 
 def theorem_a_count(c: Component) -> int:
-    """2 + alpha(X) for a non-classical component, asserted against the
-    directly counted classical multiplicity inside."""
+    """2 + alpha(X) for a non-classical component, checked against the
+    directly counted classical multiplicity inside (CheckFailed when they
+    differ)."""
     if c.kind == KIND_CLASSICAL:
         raise ClassicalComponent("count applies to non-classical components")
     count = 2 + c.alpha
-    assert count == c.classical_multiplicity, \
-        f"counting formula gives {count}, component holds " \
-        f"{c.classical_multiplicity}"
+    if count != c.classical_multiplicity:
+        raise CheckFailed(f"counting formula gives {count}, component holds "
+                          f"{c.classical_multiplicity}")
     return count
 
 
@@ -823,8 +817,9 @@ def connectedness_check(f: RationalMapK,
                 for _, ld in _all_fixed_vertices(a)
                 if ld.indifference_class != ID_INDIFFERENT)
     result = sigma == f.degree - 1
-    assert result == (len(a.components) == 1), \
-        "connectedness criterion disagrees with the component count"
+    if result != (len(a.components) == 1):
+        raise CheckFailed("connectedness criterion disagrees with the "
+                          f"component count {len(a.components)}")
     return result
 
 

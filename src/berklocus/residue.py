@@ -12,6 +12,7 @@ trailing zeros (the zero polynomial is the empty tuple).
 
 from __future__ import annotations
 
+import functools
 import random
 from dataclasses import dataclass
 from typing import Optional, Union
@@ -532,9 +533,11 @@ def is_irreducible(field, f) -> bool:
     return len(facs) == 1 and facs[0][1] == 1 and poly_deg(facs[0][0]) == poly_deg(f)
 
 
+@functools.lru_cache(maxsize=None)
 def find_irreducible(p: int, k: int) -> tuple:
     """Smallest monic degree-k integer polynomial irreducible mod p
-    (deterministic search by coefficient order)."""
+    (deterministic search by coefficient order; memoized, since every tower
+    E(p, n, k) built during an analysis asks again for the same pair)."""
     field = Fq(p)
     import itertools
     for tail in itertools.product(range(p), repeat=k):

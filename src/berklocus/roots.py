@@ -24,7 +24,7 @@ from . import residue as rf
 from .epoly import count_roots_in_disk, epoly, newton_polygon, poly_shift, \
     poly_scale_arg
 from .errors import NeedsExtension
-from .field import INF, FieldElement, PrimeContext
+from .field import INF, NEG_INF, FieldElement, PrimeContext
 from .residue import (
     INF_POINT,
     Infinity,
@@ -252,8 +252,6 @@ def _min_nonlinear_degree(F, h) -> int:
 # ---------------------------------------------------------------------------
 # Isolation
 # ---------------------------------------------------------------------------
-
-NEG_INF = -INF
 
 
 @dataclass

@@ -6,8 +6,10 @@ from fractions import Fraction
 import pytest
 from hypothesis import settings
 
+from berklocus import fixlocus as fx
 from berklocus.berkmap import RationalMapK, normalize
 from berklocus.field import PrimeContext
+from berklocus.oracle import fixture
 
 settings.register_profile("default", deadline=None)
 settings.load_profile("default")
@@ -62,3 +64,15 @@ def random_split_map(rng: random.Random, p: int, d: int) -> RationalMapK:
         f = mk(p, num, den)
         if f.degree == d:
             return f
+
+
+@pytest.fixture(scope="session")
+def shared_point_analyses():
+    """Analyses (acceptance budget) of maps whose skeleton rays share
+    breakpoints: three fixtures certified only after extension retries, and
+    a degree-5 map over Q_11 with split fixed points."""
+    config = fx.ExploreConfig(n_max=24, k_max=4)
+    maps = {name: fixture(name).build()
+            for name in ("segment-p5-d6", "wild-p3-d6", "power-4")}
+    maps["split-q11-d5"] = random_split_map(random.Random(16), 11, 5)
+    return {name: fx.analyze(f, config) for name, f in maps.items()}

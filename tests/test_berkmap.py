@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from berklocus import berkmap, field, roots
 from berklocus.berkmap import (
     ADD_INDIFFERENT,
     ID_INDIFFERENT,
@@ -134,6 +135,8 @@ def test_fractional_radius_needs_extension():
     with pytest.raises(NeedsExtension) as exc:
         reduce_at(f, TypeIIPoint(f.ctx.zero, Fraction(1, 2)))
     assert exc.value.n == 2
+    with pytest.raises(NeedsExtension):
+        surplus(f, TypeIIPoint(f.ctx.zero, Fraction(1, 2)), INF_POINT)
     # the same point is representable after a ramified extension
     ctx2 = f.ctx.extend(n=2)
     f2 = embed_map(f, ctx2)
@@ -244,3 +247,16 @@ def test_embed_map_preserves_reduction():
     assert l1.is_fixed == l2.is_fixed
     assert l1.local_degree == l2.local_degree
     assert l1.indifference_class == l2.indifference_class
+
+
+def test_surplus_table_infinity_matches_standalone(shared_point_analyses):
+    """reduce_at takes the infinity surplus from the flip of the map it has
+    already conjugated; the public surplus() conjugates afresh."""
+    for name, a in shared_point_analyses.items():
+        for pt, local in a.skeleton.vertex_points:
+            assert local.surplus.get(("inf",), 0) == \
+                surplus(a.map, pt, INF_POINT), (name, pt)
+
+
+def test_neg_inf_is_one_sentinel():
+    assert roots.NEG_INF is berkmap.NEG_INF is field.NEG_INF

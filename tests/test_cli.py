@@ -8,6 +8,7 @@ import pytest
 
 from berklocus.cli import SCHEMA, main, parse_map_file
 from berklocus.errors import ParseError
+from berklocus.oracle import fixture
 
 
 def write(tmp_path, name, text):
@@ -162,3 +163,30 @@ def test_tower_parameters_from_file(tmp_path):
     doc = json.loads(text)
     assert doc["field"]["n"] == 2
     assert doc["weight_total"] == 1
+
+
+def test_exit_code_2_on_ray_budget(tmp_path):
+    fxt = fixture("segment-p5-d6")
+    path = write(tmp_path, "segment.map",
+                 f"p = {fxt.p}\nnum = {', '.join(map(str, fxt.num))}\n"
+                 f"den = {', '.join(map(str, fxt.den))}\n")
+    code, text = run(["analyze", "--input", path, "--ray-budget", "0"])
+    assert code == 2 and text == ""
+
+
+def test_exit_code_2_on_incomplete_certificate(tmp_path):
+    # p = 2: an unsplit critical cluster under n_max = 24, k_max = 4 leaves
+    # the weight total below degree - 1
+    path = write(tmp_path, "wild.map",
+                 "p = 2\nnum = 3, -5, -8\nden = -4, 5, 7\n")
+    budget = ["--n-max", "24", "--k-max", "4"]
+    code, text = run(["analyze", "--input", path, "--format", "json"]
+                     + budget)
+    doc = json.loads(text)
+    assert code == 2
+    assert doc["complete_rigorous"] is False and doc["weight_total"] == 0
+    code, text = run(["weights", "--input", path, "--format", "json"]
+                     + budget)
+    assert code == 2 and json.loads(text)["total"] == 0
+    code, text = run(["verify", "--input", path] + budget)
+    assert code == 2 and "[FAIL] weight formula" in text

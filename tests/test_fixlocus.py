@@ -1,6 +1,10 @@
 """Global structure: classical fixed points, skeleton, components, weights,
 and the structure checks, on the small fixtures."""
 
+import dataclasses
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -8,6 +12,7 @@ import pytest
 from berklocus import fixlocus as fx
 from berklocus.berkmap import TypeIIPoint, gauss_point
 from berklocus.errors import (
+    CheckFailed,
     ClassicalComponent,
     IdentityMap,
     NoTotallyRamifiedFixedPoint,
@@ -181,3 +186,66 @@ def test_explore_components_matches_analyze():
     comps = fx.explore_components(f)
     a = fx.analyze(f)
     assert len(comps) == len(a.components)
+
+
+def test_one_reduction_per_skeleton_point(shared_point_analyses, monkeypatch):
+    calls = []
+    reduce_at = fx.reduce_at
+
+    def counting(f, x):
+        calls.append(x)
+        return reduce_at(f, x)
+    monkeypatch.setattr(fx, "reduce_at", counting)
+    for name, a in shared_point_analyses.items():
+        calls.clear()
+        sk = fx.gamma_fix(a.map, a.config)
+        shared = sum(bp.local is not None for ray in sk.rays
+                     for bp in ray.breakpoints)
+        assert shared > len(sk.vertex_points), name  # rays do share points
+        assert len(calls) == len(sk.vertex_points), name
+        for i, (pt, _) in enumerate(sk.vertex_points):
+            assert not any(pt.same_point(q) for q, _ in sk.vertex_points[:i])
+
+
+def test_breakpoints_hold_the_canonical_reduction(shared_point_analyses):
+    for name, a in shared_point_analyses.items():
+        sk = a.skeleton
+        for ray in sk.rays:
+            for bp in ray.breakpoints:
+                if bp.local is None:
+                    assert bp.cid is None
+                    continue
+                pt, local = sk.vertex_points[bp.cid]
+                assert bp.local is local, name
+                here = TypeIIPoint(ray.segments[0].center, bp.s)
+                assert pt.same_point(here), name
+
+
+def test_theorem_a_count_fails_on_doctored_component():
+    a = fx.analyze(fixture("power-2").build())
+    peaked = next(c for c in a.components if c.kind == fx.KIND_PEAKED)
+    assert fx.theorem_a_count(peaked) == peaked.classical_multiplicity
+    with pytest.raises(CheckFailed):
+        fx.theorem_a_count(dataclasses.replace(peaked, alpha=peaked.alpha + 1))
+
+
+def test_theorem_a_count_fails_under_optimize():
+    code = (
+        "import dataclasses\n"
+        "from berklocus import fixlocus as fx\n"
+        "from berklocus.errors import CheckFailed\n"
+        "from berklocus.oracle import fixture\n"
+        "assert False, 'asserts must be off'\n"
+        "a = fx.analyze(fixture('power-2').build())\n"
+        "c = next(c for c in a.components if c.kind == fx.KIND_PEAKED)\n"
+        "try:\n"
+        "    fx.theorem_a_count(dataclasses.replace(c, alpha=c.alpha + 1))\n"
+        "except CheckFailed:\n"
+        "    print('FAIL reported')\n")
+    src = os.path.join(os.path.dirname(__file__), "..", "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "FAIL reported"

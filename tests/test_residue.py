@@ -79,6 +79,13 @@ def test_find_irreducible():
         assert is_irreducible(F, q)
 
 
+def test_find_irreducible_is_memoized():
+    first = find_irreducible(7, 3)
+    hits = find_irreducible.cache_info().hits
+    assert find_irreducible(7, 3) == first
+    assert find_irreducible.cache_info().hits == hits + 1
+
+
 def test_trace_to_base():
     F = Fq(5)
     ext = ext_field(5, 2)
