@@ -8,7 +8,10 @@ The reports are made through `cli.main`, as a user would get them:
 - `analyze --format json` on the acceptance suite's 200-map batch over Q_11
   (`random.Random(20260823)`, the degree list of tests/test_acceptance.py),
   drawn by `random_split_map` from tests/conftest.py;
-- `tree --format json` on every fixture.
+- `tree --format json` on every fixture;
+- `analyze --format json` and `tree --format json` on the benchmark's wild
+  draw: the first 60 maps over p = 2, 3 of `random.Random(1)`, drawn by
+  `wild_map_spec` from perfbench/workloads.py, map 47 included.
 
 Every call uses the acceptance suite's budget, `--n-max 24 --k-max 4`.
 Usage, from the root of a checkout (it analyses the package under `src/`
@@ -71,6 +74,16 @@ def batch_specs():
     return specs
 
 
+def wild_specs():
+    """(p, num, den) of the benchmark's wild draw, in order; the workload
+    module is imported by path and only read."""
+    workloads = _load_module("workloads", os.path.join(ROOT, "perfbench",
+                                                       "workloads.py"))
+    rng = random.Random(workloads.WILD_DRAW_SEED)
+    specs = [workloads.wild_map_spec(rng) for _ in range(workloads.WILD_MAPS)]
+    return [(p, num, den) for p, _, num, den in specs]
+
+
 def digest(argv):
     out = io.StringIO()
     with redirect_stderr(io.StringIO()):
@@ -89,13 +102,16 @@ def main():
               for fxt in oracle.fixtures()]
     batch = [(f"batch:{i:03d}", p, num, den)
              for i, (p, num, den) in enumerate(batch_specs())]
+    wild = [(f"wild:{i:02d}", p, num, den)
+            for i, (p, num, den) in enumerate(wild_specs())]
     with tempfile.TemporaryDirectory() as tmp:
         paths = {}
-        for name, p, num, den in inputs + batch:
+        for name, p, num, den in inputs + batch + wild:
             paths[name] = os.path.join(tmp, name.replace(":", "_") + ".map")
             write_map(paths[name], p, num, den)
         runs = [("analyze", name) for name, *_ in inputs + batch] + \
-               [("tree", name) for name, *_ in inputs]
+               [("tree", name) for name, *_ in inputs] + \
+               [(sub, name) for name, *_ in wild for sub in ("analyze", "tree")]
         for sub, name in runs:
             code, sha = digest([sub, "--input", paths[name], "--format",
                                 "json"] + BUDGET)

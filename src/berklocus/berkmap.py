@@ -131,8 +131,8 @@ class RationalMapK:
         """The map z -> u^(-1) * (f(u*z + a) - a)."""
         assert not u.is_zero()
         ctx = self.ctx
-        num_s = poly_shift(ctx, self.num, a) if not a.is_zero() else self.num
-        den_s = poly_shift(ctx, self.den, a) if not a.is_zero() else self.den
+        num_s = poly_shift(ctx, self.num, a)
+        den_s = poly_shift(ctx, self.den, a)
         num_s = poly_sub(ctx, num_s, poly_scale(ctx, den_s, a))
         num_u = poly_scale_arg(ctx, num_s, u)
         den_u = poly_scale_arg(ctx, den_s, u)
@@ -499,8 +499,8 @@ def _ray_lines(f: RationalMapK, a: FieldElement):
     val alpha_i), denominator coefficient j gives (slope j + 1, val beta_j);
     returns (num_lines, den_lines, residues) keyed by index."""
     ctx = f.ctx
-    num_s = poly_shift(ctx, f.num, a) if not a.is_zero() else f.num
-    den_s = poly_shift(ctx, f.den, a) if not a.is_zero() else f.den
+    num_s = poly_shift(ctx, f.num, a)
+    den_s = poly_shift(ctx, f.den, a)
     num_s = poly_sub(ctx, num_s, poly_scale(ctx, den_s, a))
     num_lines = []
     for i, c in enumerate(num_s):

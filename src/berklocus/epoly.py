@@ -20,7 +20,6 @@ from .field import INF, FieldElement, PrimeContext
 from .residue import (
     _trim,
     poly_add,
-    poly_compose,
     poly_deg,
     poly_deriv,
     poly_divmod,
@@ -114,8 +113,22 @@ def root_valuations(ctx: PrimeContext, f) -> List[Fraction]:
 
 
 def poly_shift(ctx: PrimeContext, f, c: FieldElement):
-    """Taylor shift: the polynomial z -> f(z + c)."""
-    return poly_compose(ctx, f, (c, ctx.one))
+    """Taylor shift: the polynomial z -> f(z + c), whose coefficient i is
+    the i-th Taylor coefficient of f at c (the constant term is f(c)).
+
+    Synthetic division in place (von zur Gathen & Gerhard, ISSAC 1997):
+    pass i folds c into the coefficients above i, so a degree-d input takes
+    d(d+1)/2 products with c and none with one.  At c = 0 the input is
+    returned unchanged.
+    """
+    if c.is_zero():
+        return f
+    a = list(f)
+    d = len(a) - 1
+    for i in range(d):
+        for j in range(d - 1, i - 1, -1):
+            a[j] = a[j] + c * a[j + 1]
+    return tuple(a)
 
 
 def poly_scale_arg(ctx: PrimeContext, f, u: FieldElement):
@@ -142,8 +155,7 @@ def count_roots_in_disk(ctx: PrimeContext, f, center: FieldElement,
     if not f:
         raise ZeroPolynomial("root counting needs a nonzero polynomial")
     assert mode in ("open", "closed")
-    shifted = poly_shift(ctx, f, center) if not center.is_zero() else f
-    np_ = newton_polygon(ctx, shifted)
+    np_ = newton_polygon(ctx, poly_shift(ctx, f, center))
     count = np_.vanishing_order  # the center itself, val = INF
     for slope, length in np_.segments:
         v = -slope

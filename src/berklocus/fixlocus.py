@@ -43,7 +43,7 @@ from .berkmap import (
     reduce_at,
     segments_from_lines,
 )
-from .epoly import count_roots_in_disk, epoly, poly_shift
+from .epoly import epoly, poly_shift
 from .errors import (
     CheckFailed,
     ClassicalComponent,
@@ -147,26 +147,6 @@ def _multiplier_polys(f: RationalMapK):
     return N, D
 
 
-def root_satisfies(h: RootHandle, q) -> bool:
-    """Whether the handle's root is a root of q."""
-    ctx = h.ctx
-    if not q:
-        return True
-    if h.is_exact:
-        return poly_eval(ctx, q, h.center).is_zero()
-    G = poly_gcd(ctx, h.g, q)
-    if poly_deg(G) <= 0:
-        return False
-    return count_roots_in_disk(ctx, G, h.center, h.prec, "closed") >= 1
-
-
-def val_at_root(h: RootHandle, q) -> Fraction:
-    """val(q(root)), INF when q vanishes at the root."""
-    if root_satisfies(h, q):
-        return INF
-    return h.val_at(q)
-
-
 def classical_fixed_points(f: RationalMapK) -> List[ClassicalFixedPoint]:
     if f.is_identity():
         raise IdentityMap("every point is fixed")
@@ -192,12 +172,12 @@ def _finite_entry(ctx, h: RootHandle, mult, N, D) -> ClassicalFixedPoint:
     if mult >= 2:
         # multiple fixed point forces multiplier exactly 1
         return ClassicalFixedPoint(h, mult, Fraction(0), F.one, INDIFFERENT)
-    if root_satisfies(h, N):
+    lead_n = h.lead_at(N)
+    if lead_n is None:
         return ClassicalFixedPoint(h, mult, INF, None, ATTRACTING)
-    v = h.val_at(N) - h.val_at(D)
-    res = None
-    if v == 0:
-        res = h.unit_residue_at(N) / h.unit_residue_at(D)
+    lead_d = h.lead_at(D)
+    v = lead_n[0] - lead_d[0]
+    res = lead_n[1] / lead_d[1] if v == 0 else None
     klass = ATTRACTING if v > 0 else (REPELLING_CLASS if v < 0 else INDIFFERENT)
     return ClassicalFixedPoint(h, mult, v, res, klass)
 
@@ -306,12 +286,11 @@ def _tail_lines(f: RationalMapK, h: RootHandle):
             ds = _trim([den[j] * ctx.from_rational(_binom(j, i))
                         for j in range(i, dd + 1)])
         ai = poly_sub(ctx, ns, poly_mul(ctx, (ctx.zero, ctx.one), ds))
-        if ai and not root_satisfies(h, ai):
-            lines.append((Fraction(i), h.val_at(ai), ("n", i),
-                          h.unit_residue_at(ai)))
-        if ds and not root_satisfies(h, ds):
-            lines.append((Fraction(i + 1), h.val_at(ds), ("d", i),
-                          h.unit_residue_at(ds)))
+        for slope, key, q in ((Fraction(i), ("n", i), ai),
+                              (Fraction(i + 1), ("d", i), ds)):
+            lead = h.lead_at(q)
+            if lead is not None:
+                lines.append((slope, lead[0], key, lead[1]))
     return lines
 
 

@@ -387,14 +387,6 @@ def poly_pow_mod(field, f, e: int, m):
     return result
 
 
-def poly_compose(field, f, g):
-    """f(g(w))."""
-    result = ()
-    for c in reversed(f):
-        result = poly_add(field, poly_mul(field, result, g), (c,))
-    return result
-
-
 def poly_shift_coeffs(field, f, new_field: Fq):
     """Map coefficients into an extension field."""
     return _trim(tuple(new_field.embed(c) for c in f))
@@ -537,13 +529,24 @@ def is_irreducible(field, f) -> bool:
 def find_irreducible(p: int, k: int) -> tuple:
     """Smallest monic degree-k integer polynomial irreducible mod p
     (deterministic search by coefficient order; memoized, since every tower
-    E(p, n, k) built during an analysis asks again for the same pair)."""
+    E(p, n, k) built during an analysis asks again for the same pair).
+
+    Each candidate f is tested by Ben-Or's criterion (FOCS 1981): f is
+    irreducible iff gcd(f, w^(p^i) - w) = 1 for every i <= k/2, i.e. it has
+    no factor of degree dividing some i <= k/2; a reducible f fails at the
+    degree of its smallest factor, usually early."""
     field = Fq(p)
+    w = (field.zero, field.one)
     import itertools
     for tail in itertools.product(range(p), repeat=k):
         coeffs = list(tail) + [1]
         f = poly(field, coeffs)
-        if poly_deg(f) == k and is_irreducible(field, f):
+        frob = w
+        for _ in range(k // 2):
+            frob = poly_pow_mod(field, frob, p, f)
+            if poly_deg(poly_gcd(field, f, poly_sub(field, frob, w))) > 0:
+                break
+        else:
             return tuple(coeffs)
     raise AssertionError("unreachable: irreducible polynomials exist in every degree")
 

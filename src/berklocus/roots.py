@@ -10,6 +10,12 @@ valuation or residue of a polynomial evaluated at it, the direction it
 occupies at a disk point -- reduces to a finite refinement followed by an
 exact computation, with a rigorous stopping criterion in each case.
 
+A polynomial q at a root takes one exact query, `RootHandle.lead_at`: the
+valuation and leading residue digit of q(root) together, or None when q
+vanishes there.  The perturbation bound from one Taylor shift of q at the
+center decides; the gcd with the root's polynomial runs only as the fallback
+when the bound cannot.
+
 Rational-coefficient polynomials are pre-split over the rationals (sympy) so
 rational roots come out exact; everything else stays a handle.
 """
@@ -18,7 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
-from typing import List, Optional, Union
+from typing import List, Optional, Tuple, Union
 
 from . import residue as rf
 from .epoly import count_roots_in_disk, epoly, newton_polygon, poly_shift, \
@@ -164,41 +170,41 @@ class RootHandle:
             self.refine()
         raise AssertionError("distance to point did not stabilize")
 
-    def val_at(self, q) -> Fraction:
-        """val(q(root)), exact; q must not vanish at the root."""
+    def lead_at(self, q) -> Optional[Tuple[Fraction, rf.FqElement]]:
+        """(val, unit residue) of q(root), exact; None when q vanishes at
+        the root.
+
+        One Taylor shift of q at the center gives q(center) and the bound
+        on val(q(root) - q(center)); a nonzero q(center) below the bound
+        decides both values.  Only when it cannot decide does the gcd test
+        run, once, before the first refinement."""
         ctx = self.ctx
         if not q:
-            return INF
+            return None
         if self.is_exact:
             v = poly_eval(ctx, q, self.center)
-            return INF if v.is_zero() else v.val()
-        for _ in range(_MAX_REFINE):
-            qc = poly_eval(ctx, q, self.center)
-            bound = self._perturbation_bound(q)
-            if not qc.is_zero() and qc.val() < bound:
-                return qc.val()
+            return None if v.is_zero() else (v.val(), v.unit_residue())
+        for step in range(_MAX_REFINE):
+            shifted = poly_shift(ctx, q, self.center)
+            qc = shifted[0]
+            if not qc.is_zero() and qc.val() < self._perturbation_bound(shifted):
+                return qc.val(), qc.unit_residue()
+            if step == 0 and self._vanishes(q):
+                return None
             self.refine()
-        raise AssertionError(
-            "valuation at root did not stabilize (does q vanish there?)")
+        raise AssertionError("value at root did not stabilize")
 
-    def unit_residue_at(self, q) -> rf.FqElement:
-        """Residue of q(root) / pi^(n * val), exact."""
-        ctx = self.ctx
-        if self.is_exact:
-            return poly_eval(ctx, q, self.center).unit_residue()
-        for _ in range(_MAX_REFINE):
-            qc = poly_eval(ctx, q, self.center)
-            bound = self._perturbation_bound(q)
-            if not qc.is_zero() and qc.val() < bound:
-                return qc.unit_residue()
-            self.refine()
-        raise AssertionError("residue at root did not stabilize")
+    def _vanishes(self, q) -> bool:
+        """Whether q(root) = 0: a common factor of g and q with a root in
+        the handle's isolating disk."""
+        G = poly_gcd(self.ctx, self.g, q)
+        return poly_deg(G) > 0 and count_roots_in_disk(
+            self.ctx, G, self.center, self.prec, "closed") >= 1
 
-    def _perturbation_bound(self, q) -> Fraction:
+    def _perturbation_bound(self, shifted) -> Fraction:
         """Lower bound on val(q(root) - q(center)): min over i >= 1 of
-        val(q_i~) + i*prec for the Taylor coefficients q~ of q at center."""
-        ctx = self.ctx
-        shifted = poly_shift(ctx, q, self.center)
+        val(q_i~) + i*prec for the Taylor coefficients q~ = `shifted` of q
+        at the center."""
         best = INF
         for i, c in enumerate(shifted):
             if i == 0 or c.is_zero():
@@ -223,8 +229,7 @@ class RootHandle:
         if d > s:
             return ctx.residue_field.zero
         # d == s: genuine nonzero residue digit
-        num = self.unit_residue_at(diff_poly)
-        return num
+        return self.lead_at(diff_poly)[1]
 
     def _is_point(self, c: FieldElement) -> bool:
         return self.is_exact and self.center == c

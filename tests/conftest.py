@@ -8,6 +8,7 @@ from hypothesis import settings
 
 from berklocus import fixlocus as fx
 from berklocus.berkmap import RationalMapK, normalize
+from berklocus.errors import BerklocusError
 from berklocus.field import PrimeContext
 from berklocus.oracle import fixture
 
@@ -63,6 +64,22 @@ def random_split_map(rng: random.Random, p: int, d: int) -> RationalMapK:
             num.pop()
         f = mk(p, num, den)
         if f.degree == d:
+            return f
+
+
+def random_wild_map(rng: random.Random) -> RationalMapK:
+    """A map over Q_2 or Q_3 of degree 2 or 3 with integer coefficients in
+    [-9, 9]; draws whose reduced map drops in degree, is constant or is the
+    identity are drawn again."""
+    while True:
+        p, d = rng.choice([2, 3]), rng.randint(2, 3)
+        num = [rng.randint(-9, 9) for _ in range(d + 1)]
+        den = [rng.randint(-9, 9) for _ in range(d + 1)]
+        try:
+            f = mk(p, num, den)
+        except BerklocusError:
+            continue
+        if f.degree == d and not f.is_identity():
             return f
 
 

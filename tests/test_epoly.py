@@ -3,7 +3,7 @@ field."""
 
 from fractions import Fraction
 
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from berklocus.epoly import (
@@ -18,7 +18,7 @@ from berklocus.epoly import (
     value_char_poly,
 )
 from berklocus.field import INF, PrimeContext
-from berklocus.residue import poly_eval, poly_mul, poly_sub
+from berklocus.residue import poly_add, poly_eval, poly_mul, poly_sub
 
 
 def _prod_linear(ctx, roots):
@@ -86,6 +86,33 @@ def test_poly_shift_and_reverse():
     assert rev == epoly(ctx, [1, 0, 3])
     scaled = poly_scale_arg(ctx, f, ctx.from_rational(7))
     assert scaled == epoly(ctx, [3, 0, 49])
+
+
+def _horner_shift(ctx, f, c):
+    """f(z + c) by Horner composition with the linear polynomial (c, 1)."""
+    out = ()
+    for coeff in reversed(f):
+        out = poly_add(ctx, poly_mul(ctx, out, (c, ctx.one)), (coeff,))
+    return out
+
+
+_small = st.fractions(min_value=-4, max_value=4, max_denominator=3)
+_element = st.lists(st.lists(_small, min_size=3, max_size=3),
+                    min_size=2, max_size=2)
+
+
+@given(st.sampled_from([2, 3, 5]), st.integers(1, 3), st.integers(1, 2),
+       st.lists(_element, max_size=5), _element)
+@example(5, 2, 1, [], [[1, 0, 0], [0, 0, 0]])  # the zero polynomial
+@example(3, 1, 2, [[[2, 0, 0], [1, 0, 0]]], [[1, 1, 0], [1, 0, 0]])  # constant
+@example(2, 3, 2, [[[1, 0, 0], [0, 1, 0]]] * 3, [[0] * 3] * 2)  # c = 0
+def test_poly_shift_is_horner_composition(p, n, k, coeffs, c):
+    ctx = PrimeContext(p, n, k)
+    f = epoly(ctx, [ctx.element(e) for e in coeffs])
+    c = ctx.element(c)
+    assert poly_shift(ctx, f, c) == _horner_shift(ctx, f, c)
+    if c.is_zero():
+        assert poly_shift(ctx, f, c) is f
 
 
 def test_resultant_product_of_differences():

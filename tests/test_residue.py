@@ -1,6 +1,8 @@
 """Finite-field layer: element arithmetic, polynomial factorization, and
 rational maps over residue fields."""
 
+import itertools
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -77,6 +79,20 @@ def test_find_irreducible():
         q = poly(F, find_irreducible(p, k))
         assert poly_deg(q) == k
         assert is_irreducible(F, q)
+
+
+def test_find_irreducible_matches_factor_based_search():
+    # the search by full factorization that Ben-Or's criterion replaced:
+    # the first candidate in coefficient order that `factor` leaves whole
+    def by_factoring(p, k):
+        F = Fq(p)
+        for tail in itertools.product(range(p), repeat=k):
+            if is_irreducible(F, poly(F, list(tail) + [1])):
+                return tuple(tail) + (1,)
+
+    for p in (2, 3, 5, 7, 11):
+        for k in (2, 3, 4):
+            assert find_irreducible.__wrapped__(p, k) == by_factoring(p, k)
 
 
 def test_find_irreducible_is_memoized():

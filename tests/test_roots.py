@@ -1,13 +1,18 @@
 """Root isolation: exact rational roots, refinable handles, and unsplittable
 cluster stubs."""
 
+import copy
 from fractions import Fraction
 
 import pytest
 
+from berklocus import fixlocus as fx
+from berklocus import roots
 from berklocus.epoly import epoly
 from berklocus.errors import NeedsExtension
 from berklocus.field import INF, PrimeContext
+from berklocus.oracle import fixture
+from berklocus.residue import poly_eval, poly_mul
 from berklocus.roots import ClusterStub, RootHandle, isolate_roots
 
 
@@ -112,3 +117,80 @@ def test_direction_at_separating_level():
     # the two roots reduce to the two square roots of 2 mod 7 (3 and 4)
     assert d1 != d2
     assert {repr(d1), repr(d2)} == {"3", "4"}
+
+
+# -- one exact query per polynomial at a root ---------------------------------
+
+@pytest.fixture(scope="module", params=["wild-p3-d4", "wild-p3-d6"])
+def wild_handles(request):
+    """A fixture's map in the tower that certifies it, with fresh handles of
+    its non-exact classical fixed points."""
+    f = fx.analyze(fixture(request.param).build(),
+                   fx.ExploreConfig(n_max=24, k_max=4)).map
+    ctx = f.ctx
+    handles = [h for g, m in fx._squarefree_parts(
+        ctx, f.fixed_point_polynomial()) for h in isolate_roots(ctx, g, m)
+        if not h.is_exact]
+    assert handles
+    return f, handles
+
+
+@pytest.fixture
+def recorded_lead_at(monkeypatch):
+    """Every `lead_at` call as (handle, q, result, gcd runs, refinements)."""
+    calls = []
+    gcds = []
+    refines = []
+    lead_at, gcd, refine = RootHandle.lead_at, roots.poly_gcd, RootHandle.refine
+
+    def counted_gcd(*a):
+        gcds.append(1)
+        return gcd(*a)
+
+    def counted_refine(self):
+        refines.append(1)
+        return refine(self)
+
+    def recorded(self, q):
+        g0, r0 = len(gcds), len(refines)
+        out = lead_at(self, q)
+        calls.append((self, q, out, len(gcds) - g0, len(refines) - r0))
+        return out
+
+    monkeypatch.setattr(roots, "poly_gcd", counted_gcd)
+    monkeypatch.setattr(RootHandle, "refine", counted_refine)
+    monkeypatch.setattr(RootHandle, "lead_at", recorded)
+    return calls
+
+
+def test_lead_at_is_none_on_a_multiple_of_the_root_polynomial(
+        wild_handles, recorded_lead_at):
+    f, handles = wild_handles
+    ctx = f.ctx
+    r = epoly(ctx, [1, 1])
+    for h in handles:
+        assert h.lead_at(poly_mul(ctx, h.g, r)) is None
+    # the perturbation bound never decides a vanishing value, so each call
+    # falls back to the gcd, once, and refines nothing
+    assert [c[3:] for c in recorded_lead_at] == [(1, 0)] * len(handles)
+
+
+def test_lead_at_agrees_with_a_deeper_center(wild_handles, recorded_lead_at):
+    f, handles = wild_handles
+    ctx = f.ctx
+    for h in handles:
+        fx._tail_lines(f, h)
+    decided = [c for c in recorded_lead_at if c[2] is not None]
+    assert decided and len(decided) < len(recorded_lead_at)
+    for h, q, out, gcd_runs, refinements in recorded_lead_at:
+        assert gcd_runs <= 1
+        if out is None:
+            continue
+        if refinements == 0:
+            assert gcd_runs == 0  # the first check decided
+        val, residue = out
+        deep = copy.copy(h)
+        deep.ensure(val + 10)
+        qc = poly_eval(ctx, q, deep.center)
+        assert qc.val() == val
+        assert qc.unit_residue() == residue

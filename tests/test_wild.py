@@ -1,0 +1,97 @@
+"""Seeded differential batch in the wild regime (p <= d): 60 maps over Q_2
+and Q_3 of degree 2 or 3, certified at the acceptance budget and compared
+with the independent oracle `brute_is_fixed`.
+
+The seed and the batch size were fixed by runtime (about 20 s) before any
+outcome was seen, and no map is filtered out: maps whose certificate needs
+an extension beyond the budget stay in the batch, and the test asserts that
+outcome by index.
+"""
+
+import random
+from fractions import Fraction
+
+import pytest
+
+from berklocus import fixlocus as fx
+from berklocus.berkmap import NOT_FIXED, TypeIIPoint, embed_map, reduce_at
+from berklocus.errors import NeedsExtension
+from berklocus.field import INF, NEG_INF
+from berklocus.oracle import brute_is_fixed
+
+from conftest import random_wild_map
+
+SEED = 2026
+SIZE = 60
+# index -> ramification the certificate asks for: a cluster of classical
+# fixed points over Q_2 at a radius with 32 in its denominator, beyond
+# n_max = 24
+NEEDS_EXTENSION = {12: 32, 13: 32, 14: 32, 32: 32}
+
+
+def _inner_radius(lo, hi):
+    """A radius strictly inside the segment (lo, hi): the midpoint, or one
+    step in from the bounded end of an unbounded segment."""
+    if lo is NEG_INF and hi is INF:
+        return Fraction(0)
+    if lo is NEG_INF:
+        return hi - 1
+    if hi is INF:
+        return lo + 1
+    return (lo + hi) / 2
+
+
+def _in_value_group(f, center, s):
+    """The map and center over a ramified extension in which the radius s
+    is a valuation."""
+    ctx = f.ctx
+    step = (s * ctx.n).denominator
+    if step == 1:
+        return f, center
+    ctx2 = ctx.extend(n=ctx.n * step)
+    return embed_map(f, ctx2), ctx2.embed(center)
+
+
+@pytest.fixture(scope="module")
+def outcomes():
+    rng = random.Random(SEED)
+    out = []
+    for _ in range(SIZE):
+        f = random_wild_map(rng)
+        try:
+            out.append((f, fx.analyze(f, fx.ExploreConfig(n_max=24, k_max=4))))
+        except NeedsExtension as exc:
+            out.append((f, exc))
+    return out
+
+
+def test_needs_extension_outcomes_by_index(outcomes):
+    failed = {i: a.n for i, (_, a) in enumerate(outcomes)
+              if isinstance(a, NeedsExtension)}
+    assert failed == NEEDS_EXTENSION
+
+
+def test_certified_maps_check_against_oracle(outcomes):
+    certified = 0
+    for i, (f, a) in enumerate(outcomes):
+        if isinstance(a, NeedsExtension):
+            continue
+        certified += 1
+        g = a.map
+        assert a.complete_rigorous, i
+        assert a.weight_total == f.degree - 1, i
+        for comp in a.components:
+            if comp.kind != fx.KIND_CLASSICAL:
+                held = sum(cp.multiplicity for cp in comp.classical_points)
+                assert held == 2 + comp.alpha, (i, comp.kind)
+        for pt, local in a.skeleton.vertex_points:
+            assert brute_is_fixed(g, pt) == local.is_fixed, (i, pt)
+        for ray in a.skeleton.rays:
+            for seg in ray.segments:
+                s = _inner_radius(seg.s_lo, seg.s_hi)
+                h, c = _in_value_group(g, seg.center, s)
+                pt = TypeIIPoint(c, s)
+                fixed = brute_is_fixed(h, pt)
+                assert reduce_at(h, pt).is_fixed == fixed, (i, seg)
+                assert (seg.behavior != NOT_FIXED) == fixed, (i, seg)
+    assert certified == SIZE - len(NEEDS_EXTENSION)
