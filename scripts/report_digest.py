@@ -11,7 +11,10 @@ The reports are made through `cli.main`, as a user would get them:
 - `tree --format json` on every fixture;
 - `analyze --format json` and `tree --format json` on the benchmark's wild
   draw: the first 60 maps over p = 2, 3 of `random.Random(1)`, drawn by
-  `wild_map_spec` from perfbench/workloads.py, map 47 included.
+  `wild_map_spec` from perfbench/workloads.py, map 47 included;
+- `reduce-at --format json` at the 900 points of the benchmark's
+  point-queries draw (`random.Random(QUERY_DRAW_SEED)`: 45 maps drawn by
+  `query_map_spec` with 20 points each, as in perfbench/workloads.py).
 
 Every call uses the acceptance suite's budget, `--n-max 24 --k-max 4`.
 Usage, from the root of a checkout (it analyses the package under `src/`
@@ -32,6 +35,7 @@ import random
 import sys
 import tempfile
 from contextlib import redirect_stderr
+from fractions import Fraction
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(ROOT, "src"))
@@ -74,14 +78,38 @@ def batch_specs():
     return specs
 
 
+def _workloads():
+    """perfbench/workloads.py, imported by path and only read."""
+    return _load_module("workloads", os.path.join(ROOT, "perfbench",
+                                                  "workloads.py"))
+
+
 def wild_specs():
-    """(p, num, den) of the benchmark's wild draw, in order; the workload
-    module is imported by path and only read."""
-    workloads = _load_module("workloads", os.path.join(ROOT, "perfbench",
-                                                       "workloads.py"))
+    """(p, num, den) of the benchmark's wild draw, in order."""
+    workloads = _workloads()
     rng = random.Random(workloads.WILD_DRAW_SEED)
     specs = [workloads.wild_map_spec(rng) for _ in range(workloads.WILD_MAPS)]
     return [(p, num, den) for p, _, num, den in specs]
+
+
+def query_specs():
+    """[((p, num, den), [(center, s)] * QUERY_POINTS)] of the benchmark's
+    point-queries draw, in order: the loop of `workloads.query_ops` without
+    its shuffle."""
+    workloads = _workloads()
+    rng = random.Random(workloads.QUERY_DRAW_SEED)
+    out = []
+    for p in workloads.QUERY_PRIMES:
+        for d in workloads.QUERY_DEGREES:
+            for _ in range(workloads.QUERY_MAPS):
+                num, den = workloads.query_map_spec(rng, p, d)
+                points = []
+                for _ in range(workloads.QUERY_POINTS):
+                    a = Fraction(rng.randint(-12, 12),
+                                 rng.choice([1, 1, 1, p]))
+                    points.append((a, Fraction(rng.randint(-2, 3))))
+                out.append(((p, num, den), points))
+    return out
 
 
 def digest(argv):
@@ -104,9 +132,12 @@ def main():
              for i, (p, num, den) in enumerate(batch_specs())]
     wild = [(f"wild:{i:02d}", p, num, den)
             for i, (p, num, den) in enumerate(wild_specs())]
+    queries = query_specs()
+    query_maps = [(f"query:{m:02d}", *spec)
+                  for m, (spec, _) in enumerate(queries)]
     with tempfile.TemporaryDirectory() as tmp:
         paths = {}
-        for name, p, num, den in inputs + batch + wild:
+        for name, p, num, den in inputs + batch + wild + query_maps:
             paths[name] = os.path.join(tmp, name.replace(":", "_") + ".map")
             write_map(paths[name], p, num, den)
         runs = [("analyze", name) for name, *_ in inputs + batch] + \
@@ -116,6 +147,13 @@ def main():
             code, sha = digest([sub, "--input", paths[name], "--format",
                                 "json"] + BUDGET)
             print(f"{sub}:{name} exit={code} {sha}", flush=True)
+        for m, (_, points) in enumerate(queries):
+            for i, (a, s) in enumerate(points):
+                code, sha = digest(["reduce-at", "--input",
+                                    paths[f"query:{m:02d}"], f"--center={a}",
+                                    f"--s={s}", "--format", "json"] + BUDGET)
+                print(f"reduce-at:query:{m:02d}:{i:02d} exit={code} {sha}",
+                      flush=True)
 
 
 if __name__ == "__main__":

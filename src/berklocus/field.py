@@ -321,32 +321,28 @@ class FieldElement:
         return best
 
     def _unram_val(self, unram_coeffs) -> Fraction:
-        """Valuation of an element of the unramified part, via the norm:
-        v(a) = v_p(Norm(a)) / k.  Cross-checked against the coefficient
-        minimum, which is equal because the monomial basis is integral."""
+        """Valuation of an element a of the unramified part: the minimum v
+        of its coefficients' valuations, since the monomial basis is
+        integral.  Cross-checked against the norm, mod p: v_p(Norm(a)) = k v
+        iff Norm(a / p^v) is a p-unit, i.e. iff the multiplication matrix of
+        a / p^v has a nonzero determinant mod p."""
         ctx = self.ctx
-        if all(c == 0 for c in unram_coeffs):
-            return INF
-        k, p = ctx.k, ctx.p
-        if k == 1:
-            return vp(unram_coeffs[0], p)
-        # norm = determinant of multiplication matrix in the x-power basis
+        p = ctx.p
+        vals = [vp(c, p) for c in unram_coeffs]
+        v = min(vals)
+        if v is INF or ctx.k == 1:
+            return v
+        # a / p^v mod p in the x-power basis, times x^0, ..., x^(k-1)
         mp = ctx.unram_min_poly
+        col = [_unit_mod_p(c, p) if vc == v else 0
+               for c, vc in zip(unram_coeffs, vals)]
         cols = []
-        col = list(unram_coeffs)
-        for _ in range(k):
-            cols.append(list(col))
-            # multiply by x
+        for _ in range(ctx.k):
+            cols.append(col)
             lead = col[-1]
-            col = [Fraction(0)] + col[:-1]
-            if lead:
-                for t in range(k):
-                    col[t] -= lead * mp[t]
-        norm = _det_exact([[cols[c][r] for c in range(k)] for r in range(k)])
-        v = vp(norm, p) / k
-        assert v == min(vp(c, p) for c in unram_coeffs), \
+            col = [(c - lead * m) % p for c, m in zip([0] + col[:-1], mp)]
+        assert _det_mod_p(cols, p) != 0, \
             "norm valuation disagrees with integral-basis minimum"
-        assert v.denominator == 1, "unramified valuation must be an integer"
         return v
 
     def residue(self) -> rf.FqElement:
@@ -455,26 +451,36 @@ def _basis_elem(ctx: PrimeContext, i: int, j: int) -> FieldElement:
     return FieldElement(ctx, tuple(tuple(r) for r in coeffs))
 
 
-def _det_exact(mat) -> Fraction:
-    """Determinant by fraction-free-ish Gaussian elimination over Q."""
-    m = [list(row) for row in mat]
+def _unit_mod_p(c: Fraction, p: int) -> int:
+    """c / p^vp(c) mod p, for c != 0."""
+    num, den = c.numerator, c.denominator
+    while num % p == 0:
+        num //= p
+    while den % p == 0:
+        den //= p
+    return num * pow(den, -1, p) % p
+
+
+def _det_mod_p(rows, p: int) -> int:
+    """Determinant mod p of a square int matrix, by Gaussian elimination."""
+    m = [list(r) for r in rows]
     size = len(m)
-    det = Fraction(1)
+    det = 1
     for col in range(size):
-        pivot = next((r for r in range(col, size) if m[r][col] != 0), None)
+        pivot = next((r for r in range(col, size) if m[r][col] % p), None)
         if pivot is None:
-            return Fraction(0)
+            return 0
         if pivot != col:
             m[col], m[pivot] = m[pivot], m[col]
             det = -det
-        det *= m[col][col]
-        inv = 1 / m[col][col]
+        det = det * m[col][col] % p
+        inv = pow(m[col][col], -1, p)
         for r in range(col + 1, size):
-            if m[r][col]:
-                factor = m[r][col] * inv
+            f = m[r][col] * inv % p
+            if f:
                 for c in range(col, size):
-                    m[r][c] -= factor * m[col][c]
-    return det
+                    m[r][c] = (m[r][c] - f * m[col][c]) % p
+    return det % p
 
 
 def _solve_exact(mat, rhs):

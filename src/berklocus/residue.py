@@ -8,11 +8,28 @@ defines.  Elements are immutable; all operations are pure.
 
 Polynomials over a field are tuples of elements, low degree first, with no
 trailing zeros (the zero polynomial is the empty tuple).
+
+Factorization (`factor`, Cantor-Zassenhaus) and the Ben-Or steps of
+`find_irreducible` run on a flat kernel of ints instead: elements are
+converted at the boundary, and a polynomial is a list of element
+encodings.  `factor` accepts the prime field and its one-level extensions
+F_p[w]/(m), which is what every `PrimeContext.residue_field` is; over a
+tower it raises ValueError.  The element encoding:
+
+- over F_p, a nonzero element is its value in [1, p);
+- over F_p[w]/(m), a nonzero element is the tuple of its k coordinates in
+  [0, p), and a product is a k x k convolution reduced by m;
+- zero is ZERO (-1) in both.
+
+The kernel stores nothing per field element, so its cost does not depend
+on the size of the field, and it serves every p^k.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
+import operator
 import random
 from dataclasses import dataclass
 from typing import Optional, Union
@@ -117,7 +134,6 @@ class Fq:
             for c in range(self.p):
                 yield FqElement(self, c)
         else:
-            import itertools
             base_elems = list(self.base.elements())
             for combo in itertools.product(base_elems, repeat=self.deg_over_base):
                 yield FqElement(self, tuple(combo))
@@ -376,140 +392,378 @@ def poly_deriv(field, f):
     return _trim(out)
 
 
-def poly_pow_mod(field, f, e: int, m):
-    result = (field.one,)
-    base = poly_mod(field, f, m)
-    while e:
-        if e & 1:
-            result = poly_mod(field, poly_mul(field, result, base), m)
-        base = poly_mod(field, poly_mul(field, base, base), m)
-        e >>= 1
-    return result
-
-
 def poly_shift_coeffs(field, f, new_field: Fq):
     """Map coefficients into an extension field."""
     return _trim(tuple(new_field.embed(c) for c in f))
 
 
 # ---------------------------------------------------------------------------
-# Factorization
+# Factorization on the flat kernel
 # ---------------------------------------------------------------------------
 
-def _pth_root(field: Fq, a: FqElement) -> FqElement:
-    # Frobenius is an automorphism, so the p-th root is a^(q/p).
-    return a ** (field.order // field.p)
+ZERO = -1  # the kernels' encoding of the field element 0
 
 
-def squarefree_decomposition(field, f):
-    """Return [(g, m)] with f = lc * prod g^m, each g monic squarefree,
-    pairwise coprime, m distinct."""
-    if not f:
-        raise ZeroPolynomial("cannot decompose the zero polynomial")
-    f = poly_monic(field, f)
-    if poly_deg(f) == 0:
-        return []
-    p = field.p
-    out = {}
+class _Kernel:
+    """Polynomial arithmetic and factorization over one field F_q, q = p^k,
+    on ints.  A polynomial is a list of element encodings, low degree first,
+    with no trailing ZERO.
 
-    def absorb(g, mult):
-        if poly_deg(g) > 0:
-            out[mult] = poly_mul(field, out.get(mult, (field.one,)), g)
+    A subclass fixes the encoding of the nonzero elements: its attributes p,
+    k, q, one and neg_one (the encodings of 1 and -1); its element
+    operations on nonzero operands, `_mul`, `_inv` and `_pow`; the fused
+    `_axpy(out, off, c, terms)`: out[off + j] += c * b for every (j, b) in
+    terms, in place; and `_from_int` (the image of an int), `_random`,
+    `_encode` (an FqElement) and `_decode`, which map ZERO too."""
 
-    def decompose(f, scale):
-        df = poly_deriv(field, f)
-        if not df:
-            # f = h(w^p) = (pth-root coeffs of h)(w)^p
-            root_coeffs = tuple(_pth_root(field, f[i]) for i in range(0, len(f), p))
-            decompose(_trim(root_coeffs), scale * p)
-            return
-        c = poly_gcd(field, f, df)
-        w = poly_divmod(field, f, c)[0]
-        i = 1
-        while poly_deg(w) > 0:
-            y = poly_gcd(field, w, c)
-            fac = poly_divmod(field, w, y)[0]
-            absorb(fac, i * scale)
-            w = y
-            c = poly_divmod(field, c, y)[0]
-            i += 1
-        if poly_deg(c) > 0:
-            decompose(c, scale)
+    # -- boundary ---------------------------------------------------------
 
-    decompose(f, 1)
-    return sorted(((g, m) for m, g in out.items()), key=lambda t: t[1])
+    def encode(self, f) -> list:
+        """A polynomial over the field, as a trimmed list of encodings."""
+        return _ktrim([self._encode(c) for c in f])
+
+    def decode(self, field: Fq, f) -> tuple:
+        """A list of encodings as a polynomial over `field`."""
+        return tuple(self._decode(field, a) for a in f)
+
+    # -- polynomial arithmetic --------------------------------------------
+
+    def add(self, f, g, c) -> list:
+        """f + c * g (c = neg_one subtracts)."""
+        out = list(f) + [ZERO] * (len(g) - len(f))
+        self._axpy(out, 0, c, [(j, b) for j, b in enumerate(g) if b != ZERO])
+        return _ktrim(out)
+
+    def sub(self, f, g) -> list:
+        return self.add(f, g, self.neg_one)
+
+    def mul(self, f, g) -> list:
+        if not f or not g:
+            return []
+        terms = [(j, b) for j, b in enumerate(g) if b != ZERO]
+        out = [ZERO] * (len(f) + len(g) - 1)
+        for i, a in enumerate(f):
+            if a != ZERO:
+                self._axpy(out, i, a, terms)
+        return out  # the leading product is nonzero
+
+    def divmod(self, f, g):
+        if not g:
+            raise ZeroDivisionError("polynomial division by zero")
+        dg = len(g) - 1
+        if len(f) <= dg:
+            return [], list(f)
+        inv = self._inv(g[-1])
+        neg = self._mul(inv, self.neg_one)
+        terms = [(j, self._mul(b, neg)) for j, b in enumerate(g[:-1])
+                 if b != ZERO]  # -g_j / lead(g)
+        r = list(f)
+        quo = [ZERO] * (len(f) - dg)
+        for top in range(len(f) - 1, dg - 1, -1):
+            c = r[top]
+            if c != ZERO:
+                quo[top - dg] = self._mul(c, inv)
+                self._axpy(r, top - dg, c, terms)
+        return quo, _ktrim(r[:dg])
+
+    def rem(self, f, g) -> list:
+        return self.divmod(f, g)[1]
+
+    def monic(self, f) -> list:
+        if not f:
+            return f
+        inv = self._inv(f[-1])
+        return [ZERO if a == ZERO else self._mul(a, inv) for a in f]
+
+    def gcd(self, f, g) -> list:
+        while g:
+            f, g = g, self.rem(f, g)
+        return self.monic(f)
+
+    def powmod(self, a, e: int, m) -> list:
+        result = [self.one]
+        base = self.rem(a, m)
+        while e:
+            if e & 1:
+                result = self.rem(self.mul(result, base), m)
+            e >>= 1
+            if e:
+                base = self.rem(self.mul(base, base), m)
+        return result
+
+    def deriv(self, f) -> list:
+        return _ktrim([ZERO if a == ZERO or i % self.p == 0
+                       else self._mul(a, self._from_int(i))
+                       for i, a in enumerate(f)][1:])
+
+    # -- factorization ----------------------------------------------------
+
+    def squarefree(self, f):
+        """f monic of degree >= 1 -> [(g, m)], f = prod g^m, each g monic
+        squarefree, pairwise coprime, m distinct, sorted by m."""
+        p, root = self.p, self.q // self.p
+        out = {}
+
+        def decompose(f, scale):
+            df = self.deriv(f)
+            if not df:
+                # f = h(w^p) = (h with p-th roots of its coefficients)(w)^p,
+                # and Frobenius is an automorphism: a^(1/p) = a^(q/p)
+                decompose([ZERO if a == ZERO else self._pow(a, root)
+                           for a in f[::p]], scale * p)
+                return
+            c = self.gcd(f, df)
+            w = self.divmod(f, c)[0]
+            i = 1
+            while len(w) > 1:
+                y = self.gcd(w, c)
+                fac = self.divmod(w, y)[0]
+                if len(fac) > 1:
+                    out[i * scale] = self.mul(out.get(i * scale, [self.one]),
+                                              fac)
+                w = y
+                c = self.divmod(c, y)[0]
+                i += 1
+            if len(c) > 1:
+                decompose(c, scale)
+
+        decompose(f, 1)
+        return sorted(((g, m) for m, g in out.items()), key=lambda t: t[1])
+
+    def distinct_degree(self, f):
+        """f monic squarefree -> [(product of its irreducible factors of
+        degree d, d)]."""
+        x = [ZERO, self.one]
+        out = []
+        h, g, d = x, f, 0
+        while len(g) > 1:
+            d += 1
+            if 2 * d > len(g) - 1:
+                out.append((g, len(g) - 1))
+                break
+            h = self.powmod(h, self.q, g)
+            gd = self.gcd(g, self.sub(h, x))
+            if len(gd) > 1:
+                out.append((gd, d))
+                g = self.divmod(g, gd)[0]
+                h = self.rem(h, g)
+        return out
+
+    def equal_degree(self, f, d: int, rng) -> list:
+        """Cantor-Zassenhaus: f monic squarefree, every factor of degree d."""
+        n = len(f) - 1
+        if n == d:
+            return [f]
+        while True:
+            r = _ktrim([self._random(rng) for _ in range(n)])
+            if len(r) < 2:
+                continue
+            if self.p == 2:
+                # the trace of r from GF(2^(k d)) down to GF(2)
+                t = acc = r
+                for _ in range(self.k * d - 1):
+                    t = self.rem(self.mul(t, t), f)
+                    acc = self.add(acc, t, self.one)
+                g = self.gcd(acc, f)
+            else:
+                rp = self.powmod(r, (self.q ** d - 1) // 2, f)
+                g = self.gcd(self.sub(rp, [self.one]), f)
+            if 1 < len(g) <= n:
+                return self.equal_degree(g, d, rng) + \
+                    self.equal_degree(self.divmod(f, g)[0], d, rng)
 
 
-def distinct_degree_split(field, f):
-    """f monic squarefree -> [(product of irreducibles of degree d, d)]."""
-    q = field.order
-    out = []
-    h = (field.zero, field.one)  # w
-    g = f
-    d = 0
-    while poly_deg(g) > 0:
-        d += 1
-        if 2 * d > poly_deg(g):
-            out.append((g, poly_deg(g)))
-            break
-        h = poly_pow_mod(field, h, q, g)
-        gd = poly_gcd(field, g, poly_sub(field, h, (field.zero, field.one)))
-        if poly_deg(gd) > 0:
-            out.append((gd, d))
-            g = poly_divmod(field, g, gd)[0]
-            h = poly_mod(field, h, g)
-    return out
+class _PrimeKernel(_Kernel):
+    """F_p: a nonzero element is its value in [1, p)."""
+
+    def __init__(self, p: int):
+        self.p, self.k, self.q = p, 1, p
+        self.one, self.neg_one = 1, p - 1
+
+    def _mul(self, a, b):
+        return a * b % self.p
+
+    def _inv(self, a):
+        return pow(a, -1, self.p)
+
+    def _pow(self, a, e):
+        return pow(a, e, self.p)
+
+    def _from_int(self, i):
+        return i % self.p or ZERO
+
+    def _random(self, rng):
+        return rng.randrange(self.p) or ZERO
+
+    def _encode(self, c):
+        return c.rep or ZERO
+
+    def _decode(self, field, a):
+        return FqElement(field, 0 if a == ZERO else a)
+
+    def _axpy(self, out, off, c, terms):
+        p = self.p
+        for j, b in terms:
+            i = off + j
+            t = c * b % p
+            s = out[i]
+            out[i] = t if s == ZERO else ((s + t) % p or ZERO)
 
 
-def equal_degree_split(field, f, d, rng):
-    """Cantor-Zassenhaus: f monic squarefree, all factors of degree d."""
-    n = poly_deg(f)
-    if n == d:
-        return [f]
-    q = field.order
-    while True:
-        r = _trim(tuple(_random_element(field, rng) for _ in range(n)))
-        if poly_deg(r) < 1:
-            continue
-        if field.p == 2:
-            # trace map over GF(2^(deg*d))
-            t = r
-            acc = r
-            for _ in range(field.degree * d - 1):
-                t = poly_mod(field, poly_mul(field, t, t), f)
-                acc = poly_add(field, acc, t)
-            g = poly_gcd(field, acc, f)
-        else:
-            e = (q ** d - 1) // 2
-            rp = poly_pow_mod(field, r, e, f)
-            g = poly_gcd(field, poly_sub(field, rp, (field.one,)), f)
-        if 0 < poly_deg(g) < n:
-            other = poly_divmod(field, f, g)[0]
-            return equal_degree_split(field, g, d, rng) + \
-                equal_degree_split(field, other, d, rng)
+class _CoordKernel(_Kernel):
+    """F_p[w]/(modulus), for a monic integer `modulus` of degree k >= 2,
+    irreducible mod p: a nonzero element is the tuple of its k coordinates
+    in the basis 1, w, ..., w^(k-1), each in [0, p).  A product costs O(k^2)
+    int operations, and nothing is stored per field element."""
+
+    def __init__(self, p: int, modulus: tuple):
+        k = len(modulus) - 1
+        self.p, self.k, self.q = p, k, p ** k
+        self.modulus = modulus
+        self.one = (1,) + (0,) * (k - 1)
+        self.neg_one = (p - 1,) + (0,) * (k - 1)
+
+    def _rows(self, a):
+        """The matrix of b -> a b: row t holds coordinate t of a w^i for
+        i < k, so coordinate t of a b is sum_i row_t[i] b_i (mod p)."""
+        p, m = self.p, self.modulus
+        col, cols = list(a), []
+        for _ in range(self.k):
+            cols.append(col)
+            top = col[-1]
+            col = [0] + col[:-1]
+            if top:
+                col = [(c - top * mi) % p for c, mi in zip(col, m)]
+        return list(zip(*cols))
+
+    def _mul(self, a, b):
+        """The convolution of the coordinates, reduced by the modulus."""
+        p, k, m = self.p, self.k, self.modulus
+        prod = [0] * (2 * k - 1)
+        for i, x in enumerate(a):
+            if x:
+                for j, y in enumerate(b):
+                    prod[i + j] += x * y
+        for t in range(2 * k - 2, k - 1, -1):
+            c = prod[t] % p
+            if c:
+                for i in range(k):
+                    prod[t - k + i] -= m[i] * c
+        return tuple(c % p for c in prod[:k])
+
+    def _inv(self, a):
+        """Extended Euclid on (modulus, a) over F_p."""
+        p = self.p
+        r0, r1 = list(self.modulus), _dtrim(list(a))
+        s0, s1 = [], [1]
+        while len(r1) > 1:
+            quo, rem = _digit_divmod(r0, r1, p)
+            s = s0 + [0] * (len(quo) + len(s1) - 1 - len(s0))
+            for i, x in enumerate(quo):
+                for j, y in enumerate(s1):
+                    s[i + j] -= x * y
+            r0, r1 = r1, rem
+            s0, s1 = s1, _dtrim([x % p for x in s])
+        c = pow(r1[0], -1, p)
+        return tuple([x * c % p for x in s1] + [0] * (self.k - len(s1)))
+
+    def _pow(self, a, e):
+        result = self.one
+        while e:
+            if e & 1:
+                result = self._mul(result, a)
+            a = self._mul(a, a)
+            e >>= 1
+        return result
+
+    def _from_int(self, i):
+        return (i % self.p,) + self.one[1:] if i % self.p else ZERO
+
+    def _random(self, rng):
+        a = tuple(rng.randrange(self.p) for _ in range(self.k))
+        return a if any(a) else ZERO
+
+    def _encode(self, c):
+        a = tuple(d.rep for d in c.rep)
+        return a if any(a) else ZERO
+
+    def _decode(self, field, a):
+        digits = (0,) * self.k if a == ZERO else a
+        return FqElement(field, tuple(FqElement(field.base, d)
+                                      for d in digits))
+
+    def _axpy(self, out, off, c, terms):
+        p = self.p
+        rows = self._rows(c)
+        for j, b in terms:
+            i = off + j
+            s = out[i]
+            if s == ZERO:
+                out[i] = tuple(sum(map(operator.mul, row, b)) % p
+                               for row in rows)
+            else:
+                t = tuple((x + sum(map(operator.mul, row, b))) % p
+                          for x, row in zip(s, rows))
+                out[i] = t if any(t) else ZERO
 
 
-def _random_element(field: Fq, rng) -> FqElement:
+def _ktrim(f: list) -> list:
+    while f and f[-1] == ZERO:
+        f.pop()
+    return f
+
+
+def _dtrim(f: list) -> list:
+    while f and not f[-1]:
+        f.pop()
+    return f
+
+
+def _digit_divmod(f, g, p):
+    """(quotient, remainder) of coordinate lists over F_p, g trimmed."""
+    inv = pow(g[-1], -1, p)
+    r = list(f)
+    quo = [0] * (len(f) - len(g) + 1)
+    for top in range(len(f) - 1, len(g) - 2, -1):
+        c = r[top] % p * inv % p
+        if c:
+            off = top - len(g) + 1
+            quo[off] = c
+            for j, b in enumerate(g):
+                r[off + j] -= c * b
+    return quo, _dtrim([x % p for x in r[:len(g) - 1]])
+
+
+def _kernel_of(field: Fq) -> _Kernel:
+    """The kernel of F_p or of a one-level extension F_p[w]/(m)."""
     if field.base is None:
-        return FqElement(field, rng.randrange(field.p))
-    return FqElement(field, tuple(_random_element(field.base, rng)
-                                  for _ in range(field.deg_over_base)))
+        return _PrimeKernel(field.p)
+    if field.base.base is not None:
+        raise ValueError(f"{field!r} is a tower; factor works over the prime "
+                         "field and its one-level extensions")
+    return _CoordKernel(field.p, tuple(c.rep for c in field.modulus))
 
 
 def factor(field, f, seed: int = 0x5eed):
-    """Full factorization: [(monic irreducible, multiplicity)].
+    """Full factorization: [(monic irreducible, multiplicity)], sorted by
+    degree, then by the coefficient reps.
 
-    The random choices in equal-degree splitting use a deterministic seed so
-    test logs are reproducible; correctness does not depend on the seed.
+    `field` is a prime field or a one-level extension of one (a tower raises
+    ValueError).  The random choices in equal-degree splitting use a
+    deterministic seed so test logs are reproducible; the result does not
+    depend on the seed, since the factorization is unique.
     """
-    if not f:
+    K = _kernel_of(field)
+    g = K.encode(f)
+    if not g:
         raise ZeroPolynomial("cannot factor the zero polynomial")
     rng = random.Random(seed)
     result = []
-    for g, mult in squarefree_decomposition(field, f):
-        for h, d in distinct_degree_split(field, g):
-            for irr in equal_degree_split(field, h, d, rng):
-                result.append((poly_monic(field, irr), mult))
+    if len(g) > 1:
+        for h, mult in K.squarefree(K.monic(g)):
+            for part, d in K.distinct_degree(h):
+                for irr in K.equal_degree(part, d, rng):
+                    result.append((K.decode(field, irr), mult))
     result.sort(key=lambda t: (poly_deg(t[0]), _poly_key(t[0])))
     return result
 
@@ -534,22 +788,20 @@ def find_irreducible(p: int, k: int) -> tuple:
     Each candidate f is tested by Ben-Or's criterion (FOCS 1981): f is
     irreducible iff gcd(f, w^(p^i) - w) = 1 for every i <= k/2, i.e. it has
     no factor of degree dividing some i <= k/2; a reducible f fails at the
-    degree of its smallest factor, usually early."""
-    field = Fq(p)
-    w = (field.zero, field.one)
-    import itertools
+    degree of its smallest factor, usually early.  The steps run on the
+    kernel of F_p."""
+    K = _PrimeKernel(p)
+    w = [ZERO, K.one]
     for tail in itertools.product(range(p), repeat=k):
-        coeffs = list(tail) + [1]
-        f = poly(field, coeffs)
+        f = [K._from_int(c) for c in tail] + [K.one]
         frob = w
         for _ in range(k // 2):
-            frob = poly_pow_mod(field, frob, p, f)
-            if poly_deg(poly_gcd(field, f, poly_sub(field, frob, w))) > 0:
+            frob = K.powmod(frob, p, f)
+            if len(K.gcd(f, K.sub(frob, w))) > 1:
                 break
         else:
-            return tuple(coeffs)
+            return tuple(tail) + (1,)
     raise AssertionError("unreachable: irreducible polynomials exist in every degree")
-
 
 def trace_to_base(elem: FqElement, base: Fq) -> FqElement:
     """Relative trace from elem's field down to `base` (a subfield)."""

@@ -1,5 +1,6 @@
 """Arithmetic in the working field tower: exactness, valuations, residues."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -117,3 +118,41 @@ def test_unit_residue():
     a = ctx.from_rational(Fraction(21))  # 3 * 7
     assert a.val() == 1
     assert a.unit_residue() == ctx.residue_field.from_int(3)
+
+
+def _det(m):
+    """Laplace expansion along the first row."""
+    if len(m) == 1:
+        return m[0][0]
+    return sum((-1) ** c * m[0][c] * _det([r[:c] + r[c + 1:] for r in m[1:]])
+               for c in range(len(m)) if m[0][c])
+
+
+@pytest.mark.parametrize("p,n,k", [(2, 1, 2), (3, 2, 2), (2, 2, 3),
+                                   (5, 1, 3), (3, 1, 4), (7, 2, 4)])
+def test_val_is_the_norm_valuation(p, n, k):
+    # val(a) = min over j of vp(det M_j) / k + j / n, where M_j is the
+    # Fraction matrix of multiplication by the coefficient a_j of pi^j in the
+    # x-power basis, an element of the unramified part
+    ctx = PrimeContext(p, n, k)
+    mp = ctx.unram_min_poly
+    rng = random.Random(100 * p + 10 * n + k)
+    for _ in range(30):
+        coeffs = [[Fraction(rng.randint(-40, 40) * p ** rng.randint(0, 2),
+                            rng.choice([1, p, 2 * p + 1]))
+                   if rng.random() < 0.7 else Fraction(0) for _ in range(n)]
+                  for _ in range(k)]
+        expected = INF
+        for j in range(n):
+            col = [coeffs[i][j] for i in range(k)]
+            if not any(col):
+                continue
+            cols = []
+            for _ in range(k):
+                cols.append(col)
+                lead = col[-1]
+                col = [c - lead * m for c, m in zip([Fraction(0)] + col[:-1],
+                                                    mp)]
+            det = _det([[cols[c][r] for c in range(k)] for r in range(k)])
+            expected = min(expected, vp(det, p) / k + Fraction(j, n))
+        assert ctx.element(coeffs).val() == expected

@@ -181,6 +181,18 @@ def test_analysis_retries_with_extension():
     assert a.weight_total == f.degree - 1
 
 
+def test_analysis_retries_with_a_large_residue_extension():
+    # z^2 + 1 has good reduction over Q_1031, and its fixed-point polynomial
+    # z^2 - z + 1 is irreducible mod 1031 (-3 is a non-residue), so the
+    # directions at the Gauss point need GF(1031^2), a field of more than
+    # a million elements
+    f = mk(1031, [1, 0, 1], [1])
+    a = fx.analyze(f, fx.ExploreConfig(k_max=2))
+    assert (a.map.ctx.n, a.map.ctx.k) == (1, 2)
+    assert a.complete_rigorous
+    assert a.weight_total == f.degree - 1
+
+
 def test_explore_components_matches_analyze():
     f = fixture("power-2").build()
     comps = fx.explore_components(f)

@@ -2,14 +2,17 @@
 rational maps over residue fields."""
 
 import itertools
+import random
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from berklocus import residue
 from berklocus.errors import IdentityMap, MultiplierOne
 from berklocus.residue import (
     Fq,
+    FqElement,
     FqRationalMap,
     INF_POINT,
     factor,
@@ -19,8 +22,10 @@ from berklocus.residue import (
     poly_deg,
     poly_eval,
     poly_gcd,
+    poly_mod,
     poly_monic,
     poly_mul,
+    poly_sub,
     trace_to_base,
 )
 
@@ -170,3 +175,153 @@ def test_gcd_normalization():
     g = poly_gcd(F, poly_mul(F, a, b), poly_mul(F, a, a))
     assert poly_monic(F, g) == poly_monic(F, a)
     assert poly_eval(F, g, F.from_int(4)).is_zero()
+
+
+# -- factorization against the generic FqElement helpers --------------------
+
+FIELDS = [(p, k) for p in (2, 3, 5, 7, 11, 13) for k in (1, 2, 3, 4)]
+
+
+def field_of(p, k):
+    return Fq(p) if k == 1 else ext_field(p, k)
+
+
+def elem(F, digits):
+    if F.base is None:
+        return FqElement(F, digits[0])
+    return FqElement(F, tuple(FqElement(F.base, d) for d in digits))
+
+
+def random_poly(F, rng, deg):
+    k = F.degree
+    f = [elem(F, [rng.randrange(F.p) for _ in range(k)]) for _ in range(deg)]
+    lead = [rng.randrange(F.p) for _ in range(k)]
+    lead[0] = lead[0] or 1
+    return tuple(f) + (elem(F, lead),)
+
+
+def poly_pow(F, f, e):
+    out = (F.one,)
+    for _ in range(e):
+        out = poly_mul(F, out, f)
+    return out
+
+
+def ben_or_irreducible(F, f):
+    """f of degree n >= 1 is irreducible over F_q iff
+    gcd(f, w^(q^i) - w) = 1 for every i <= n/2."""
+    w = (F.zero, F.one)
+    h = w
+    for _ in range(poly_deg(f) // 2):
+        e, base, h = F.order, h, (F.one,)
+        while e:  # h <- base^q mod f
+            if e & 1:
+                h = poly_mod(F, poly_mul(F, h, base), f)
+            base = poly_mod(F, poly_mul(F, base, base), f)
+            e >>= 1
+        if poly_deg(poly_gcd(F, f, poly_sub(F, h, w))) > 0:
+            return False
+    return True
+
+
+def rep_key(c):
+    return c.rep if c.field.base is None else tuple(d.rep for d in c.rep)
+
+
+def inputs(F, rng):
+    """A random f, one with repeated factors (one of multiplicity p), one
+    of the form h(w^p), and w^q - w on fields of at most 16 elements."""
+    p = F.p
+    g, h, u = (random_poly(F, rng, rng.randint(1, 2)) for _ in range(3))
+    yield random_poly(F, rng, rng.randint(1, 6))
+    yield poly_mul(F, poly_mul(F, poly_pow(F, g, 2), poly_pow(F, h, 3)),
+                   poly_pow(F, u, p) if p <= 5 else u)
+    stretched = [F.zero] * (p * poly_deg(h) + 1)
+    for i, c in enumerate(h):
+        stretched[p * i] = c
+    yield tuple(stretched)
+    if F.order <= 16:
+        yield poly_sub(F, (F.zero,) * F.order + (F.one,), (F.zero, F.one))
+
+
+@pytest.mark.parametrize("p,k", FIELDS)
+def test_factor_against_generic_helpers(p, k):
+    F = field_of(p, k)
+    rng = random.Random(1000 * p + k)
+    for f in inputs(F, rng):
+        parts = factor(F, f)
+        prod = (F.one,)
+        for q, mult in parts:
+            assert q[-1] == F.one
+            assert ben_or_irreducible(F, q)
+            prod = poly_mul(F, prod, poly_pow(F, q, mult))
+        assert prod == poly_monic(F, f)
+        keys = [(poly_deg(q), tuple(rep_key(c) for c in q)) for q, _ in parts]
+        assert keys == sorted(set(keys))
+        if F.order <= 729:
+            roots = {rep_key(a) for a in F.elements()
+                     if poly_eval(F, f, a).is_zero()}
+            assert roots == {rep_key(-q[0]) for q, _ in parts
+                             if poly_deg(q) == 1}
+
+
+# -- the kernel's arithmetic and its contract ------------------------------
+
+def test_factor_over_a_large_prime_field():
+    F = Fq(2 ** 31 - 1)
+    f = poly_mul(F, poly(F, [-1, 1]), poly_mul(F, poly(F, [1, 0, 1]),
+                                               poly(F, [-2, 1])))
+    assert [q for q, _ in factor(F, f)] == \
+        [poly(F, [-2, 1]), poly(F, [-1, 1]), poly(F, [1, 0, 1])]
+
+
+def test_factor_over_a_large_extension_field():
+    # GF(1031^2) has more than a million elements; nothing is built per
+    # element, so it factors like a small field
+    F = ext_field(1031, 2)
+    rng = random.Random(1031)
+    a, b, c = (random_poly(F, rng, d) for d in (1, 1, 2))
+    f = poly_mul(F, poly_mul(F, a, a), poly_mul(F, b, c))
+    parts = factor(F, f)
+    prod = (F.one,)
+    for q, mult in parts:
+        assert ben_or_irreducible(F, q)
+        prod = poly_mul(F, prod, poly_pow(F, q, mult))
+    assert prod == poly_monic(F, f)
+    assert (poly_monic(F, a), 2) in parts
+
+
+@pytest.mark.parametrize("p,k", [(p, k) for p, k in FIELDS if k > 1])
+def test_kernel_arithmetic_matches_fq_elements(p, k):
+    F = field_of(p, k)
+    K = residue._kernel_of(F)
+    rng = random.Random(100 * p + k)
+    elems = [F.zero, F.one, -F.one, F.gen] + \
+        [elem(F, [rng.randrange(p) for _ in range(k)]) for _ in range(40)]
+    enc = [K._encode(a) for a in elems]
+    assert [K._decode(F, e) for e in enc] == elems
+    assert K._encode(F.one) == K.one and K._encode(-F.one) == K.neg_one
+    assert K._decode(F, K._from_int(p + 3)) == F.from_int(3)
+    for a, ea in zip(elems, enc):
+        if a.is_zero():
+            continue
+        assert K._decode(F, K._inv(ea)) == a.inverse()
+        assert K._decode(F, K._pow(ea, p)) == a.frobenius()
+        for b, eb in zip(elems[:12], enc[:12]):
+            if not b.is_zero():
+                assert K._decode(F, K._mul(ea, eb)) == a * b
+        # out[i] += a * b, with sums that cancel to zero
+        terms = [(j, eb) for j, eb in enumerate(enc) if eb != residue.ZERO]
+        out = [K._encode(-(a * elems[j])) if j % 2 else ea
+               for j, _ in terms]
+        want = [elems[j] * a - a * elems[j] if j % 2 else a + a * elems[j]
+                for j, _ in terms]
+        K._axpy(out, 0, ea, [(n, eb) for n, (_, eb) in enumerate(terms)])
+        assert [K._decode(F, x) for x in out] == want
+
+
+def test_factor_over_a_tower_raises():
+    F = ext_field(3, 2)
+    tower = Fq(3, modulus=poly(F, find_irreducible(3, 2)), base=F)
+    with pytest.raises(ValueError):
+        factor(tower, (tower.zero, tower.one))
