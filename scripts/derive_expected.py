@@ -20,10 +20,17 @@ from fractions import Fraction
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
-from berklocus.epoly import epoly, poly_deg, poly_mul, poly_sub, root_valuations
+from berklocus.epoly import epoly, root_valuations
 from berklocus.field import INF, PrimeContext, vp
 from berklocus.oracle import fixtures
-from berklocus.residue import Fq, FqRationalMap, Infinity
+from berklocus.residue import (
+    Fq,
+    FqRationalMap,
+    Infinity,
+    poly_deg,
+    poly_mul,
+    poly_sub,
+)
 
 OUT = os.path.join(os.path.dirname(os.path.abspath(__file__)),
                    "expected_values.json")

@@ -7,18 +7,20 @@ reduce mod the maximal ideal.  The point is fixed exactly when that reduction
 is nonconstant, and the reduced map is the tangent map, whose fixed directions,
 multipliers, and cancelled-factor multiplicities drive everything downstream.
 
-`ray_analysis` is the tropical engine: along a ray of disk points with a fixed
-center, every conjugated coefficient valuation is an affine function of the
-radius parameter s, so the reduction's support -- hence fixedness and the
-indifference class -- is constant between breakpoints of a lower envelope of
-finitely many lines.  No sampling is used to find structure.
+Along a ray of disk points with a fixed center, every conjugated coefficient
+valuation is an affine function of the radius parameter s (`_ray_lines`), so
+the reduction's support -- hence fixedness and the indifference class -- is
+constant between breakpoints of a lower envelope of finitely many lines
+(`segments_from_lines`).  `fixlocus._annotate_ray` is the one place that
+turns those lines into a ray's segments and reduced breakpoints.  No sampling
+is used to find structure.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, List, Optional
 
 from . import residue as rf
 from .epoly import (
@@ -28,7 +30,6 @@ from .epoly import (
     poly_shift,
 )
 from .errors import (
-    ArcNotFixed,
     ConstantMap,
     IdentityTangentMap,
     NeedsExtension,
@@ -471,57 +472,37 @@ class RayBreakpoint:
 
     s: Fraction
     local: Optional[LocalData]
-    needs_extension: Optional[str] = None
     cid: Optional[int] = None
-
-
-@dataclass
-class RayAnalysis:
-    center: FieldElement
-    segments: List[RaySegment]
-    breakpoints: List[RayBreakpoint]
-
-    def behavior_at(self, s: Fraction) -> str:
-        for bp in self.breakpoints:
-            if bp.s == s:
-                if bp.local is not None:
-                    return bp.local.indifference_class
-                return "needs-extension"
-        for seg in self.segments:
-            if seg.s_lo < s < seg.s_hi:
-                return seg.behavior
-        raise ValueError(f"s = {s} outside the analyzed range")
 
 
 def _ray_lines(f: RationalMapK, a: FieldElement):
     """Affine valuation functions of the conjugated coefficients along the
     ray centered at a: numerator coefficient i gives (slope i, intercept
     val alpha_i), denominator coefficient j gives (slope j + 1, val beta_j);
-    returns (num_lines, den_lines, residues) keyed by index."""
+    returns the lines as (slope, intercept, ("n", i) or ("d", j),
+    unit residue), numerator first."""
     ctx = f.ctx
     num_s = poly_shift(ctx, f.num, a)
     den_s = poly_shift(ctx, f.den, a)
     num_s = poly_sub(ctx, num_s, poly_scale(ctx, den_s, a))
-    num_lines = []
-    for i, c in enumerate(num_s):
-        if not c.is_zero():
-            num_lines.append((Fraction(i), c.val(), ("n", i), c))
-    den_lines = []
-    for j, c in enumerate(den_s):
-        if not c.is_zero():
-            den_lines.append((Fraction(j + 1), c.val(), ("d", j), c))
-    return num_lines, den_lines
+    lines = []
+    for key, shift, coeffs in (("n", 0, num_s), ("d", 1, den_s)):
+        for i, c in enumerate(coeffs):
+            if not c.is_zero():
+                lines.append((Fraction(i + shift), c.val(), (key, i),
+                              c.unit_residue()))
+    return lines
 
 
-def segments_from_lines(one: FqElement, center: FieldElement, lines,
-                        s_lo, s_hi) -> Tuple[List[RaySegment], List[Fraction]]:
+def segments_from_lines(one: FqElement, lines, s_lo, s_hi):
     """Decompose the lower envelope of valuation lines into constant-support
     segments on [s_lo, s_hi] (either bound may be the +/-INF sentinel).
 
     Each line is (slope, intercept, family-key, unit-residue), with family
     keys ("n", i) for numerator and ("d", j) for denominator coefficients.
-    Returns the classified segments and the sorted finite breakpoint values
-    (support changes plus finite endpoints).
+    Returns the classified segments as (s_lo, s_hi, behavior, multiplier)
+    and the sorted finite breakpoint values (support changes plus finite
+    endpoints).
     """
     cands = set()
     for i in range(len(lines)):
@@ -580,91 +561,10 @@ def segments_from_lines(one: FqElement, center: FieldElement, lines,
         if nkeys and dkeys:
             lam = line_res[nkeys[0]] / line_res[dkeys[0]]
             behavior = ID_INDIFFERENT if lam == one else MULT_INDIFFERENT
-            segments.append(RaySegment(center, lo, hi, behavior, lam))
+            segments.append((lo, hi, behavior, lam))
         else:
-            segments.append(RaySegment(center, lo, hi, NOT_FIXED, None))
+            segments.append((lo, hi, NOT_FIXED, None))
     return segments, sorted(breaks)
-
-
-def ray_analysis(f: RationalMapK, a: FieldElement, s_lo: Fraction,
-                 s_hi: Fraction) -> RayAnalysis:
-    """Exact piecewise decomposition of the ray {zeta(a, s) : s in
-    [s_lo, s_hi]} into constant-behavior intervals and breakpoints."""
-    s_lo, s_hi = Fraction(s_lo), Fraction(s_hi)
-    assert s_lo < s_hi
-    num_lines, den_lines = _ray_lines(f, a)
-    lines = [(m, b, key, c.unit_residue())
-             for m, b, key, c in num_lines + den_lines]
-    segments, breaks = segments_from_lines(f.ctx.residue_field.one, a, lines,
-                                           s_lo, s_hi)
-    breakpoints = []
-    for s in breaks:
-        try:
-            _require_integral_s(f.ctx, s)
-        except NeedsExtension as e:
-            breakpoints.append(RayBreakpoint(s, None, str(e)))
-            continue
-        breakpoints.append(RayBreakpoint(s, reduce_at(f, TypeIIPoint(a, s))))
-    return RayAnalysis(center=a, segments=segments, breakpoints=breakpoints)
-
-
-# ---------------------------------------------------------------------------
-# Multiplier reciprocity along an indifferent arc
-# ---------------------------------------------------------------------------
-
-def _direction_multiplier(local: LocalData, toward_zero: bool) -> FqElement:
-    """Multiplier of the tangent-map fixed direction along the ray: the 0
-    direction (deeper) or the infinity direction (shallower)."""
-    if not local.is_fixed:
-        raise ArcNotFixed(f"endpoint {local.point} is not fixed")
-    if local.indifference_class == ID_INDIFFERENT:
-        return local.point.center.ctx.residue_field.one
-    F = local.reduced_map.field
-    for t in local.directions:
-        if toward_zero and not isinstance(t.location, Infinity) \
-                and t.orbit_size == 1 and t.location == F.zero:
-            return rf._project_to_base(t.multiplier, F) if t.field != F else t.multiplier
-        if not toward_zero and isinstance(t.location, Infinity):
-            return t.multiplier
-    raise ArcNotFixed("facing direction along the arc is not fixed")
-
-
-def multiplier_reciprocity_check(f: RationalMapK, x1: TypeIIPoint,
-                                 x2: TypeIIPoint) -> bool:
-    """Verify the two facing-direction multipliers at the endpoints of a
-    fixed indifferent arc multiply to 1 in the residue field."""
-    ctx = f.ctx
-    one = ctx.residue_field.one
-    if x1.contains(x2) or x2.contains(x1):
-        outer, inner = (x1, x2) if x1.contains(x2) else (x2, x1)
-        ra = ray_analysis(f, inner.center, outer.s, inner.s)
-        _require_arc_indifferent(ra, outer.s, inner.s)
-        lam_outer = _direction_multiplier(
-            reduce_at(f, TypeIIPoint(inner.center, outer.s)), toward_zero=True)
-        lam_inner = _direction_multiplier(reduce_at(f, inner), toward_zero=False)
-        return lam_outer * lam_inner == one
-    # path bends at the join point
-    sj = (x1.center - x2.center).val()
-    assert sj < min(x1.s, x2.s)
-    ra1 = ray_analysis(f, x1.center, sj, x1.s)
-    ra2 = ray_analysis(f, x2.center, sj, x2.s)
-    _require_arc_indifferent(ra1, sj, x1.s)
-    _require_arc_indifferent(ra2, sj, x2.s)
-    lam1 = _direction_multiplier(reduce_at(f, x1), toward_zero=False)
-    lam2 = _direction_multiplier(reduce_at(f, x2), toward_zero=False)
-    return lam1 * lam2 == one
-
-
-def _require_arc_indifferent(ra: RayAnalysis, s_lo, s_hi):
-    for seg in ra.segments:
-        if seg.behavior == NOT_FIXED:
-            raise ArcNotFixed(f"ray interval ({seg.s_lo}, {seg.s_hi}) not fixed")
-    for bp in ra.breakpoints:
-        if bp.local is None:
-            continue
-        if s_lo < bp.s < s_hi:
-            if not bp.local.is_fixed or bp.local.indifference_class == REPELLING:
-                raise ArcNotFixed(f"interior point at s = {bp.s} not indifferent")
 
 
 def _epoly_str(f):

@@ -9,12 +9,17 @@ Subcommands operate on a map described by a small declarative input file:
     num = 0, 1, 1  # coefficients, constant term first, rationals allowed
     den = 1
 
-Exit codes: 0 success; 1 malformed input (including the identity map); 2 the
-exploration budget was not enough -- the computation needs a field extension
-beyond it, a ray has more breakpoints than the ray budget, or `analyze`,
-`weights` or `verify` printed a certificate that is not complete (weight
-total below degree - 1), after printing it; 3 internal error, or a failed
-`verify` check on a complete certificate.
+`analyze`, `tree`, `weights` and `verify` run `fixlocus.analyze` once per
+call; what they print, and every check `verify` makes, is read off that one
+analysis.  `reduce-at` and `tangent` reduce at one point.
+
+Exit codes: 0 success; 1 malformed input (including the identity map and a
+command-line usage error); 2 the exploration budget was not enough -- the
+computation needs a field extension beyond it, a ray has more breakpoints
+than the ray budget, or `analyze`, `weights` or `verify` printed a
+certificate that is not complete (weight total below degree - 1), after
+printing it; 3 internal error, or a failed `verify` check on a complete
+certificate.
 """
 
 from __future__ import annotations
@@ -26,7 +31,7 @@ import sys
 from fractions import Fraction
 
 from . import fixlocus as fx
-from .berkmap import RationalMapK, TypeIIPoint, normalize, reduce_at
+from .berkmap import TypeIIPoint, normalize, reduce_at
 from .errors import (
     BerklocusError,
     CheckFailed,
@@ -114,7 +119,7 @@ def _load_env_config(config: fx.ExploreConfig):
                 raise ParseError("expected 'key = value'", line=ln)
             key, val = (part.strip() for part in text.split("=", 1))
             key = key.replace("-", "_")
-            if key not in ("n_max", "k_max", "ray_budget", "seed"):
+            if key not in ("n_max", "k_max", "ray_budget"):
                 raise ParseError(f"unknown config key {key!r}", line=ln)
             try:
                 setattr(config, key, int(val, 0))
@@ -125,7 +130,7 @@ def _load_env_config(config: fx.ExploreConfig):
 
 def _config_from_args(args) -> fx.ExploreConfig:
     config = _load_env_config(fx.ExploreConfig())
-    for attr in ("n_max", "k_max", "ray_budget", "seed"):
+    for attr in ("n_max", "k_max", "ray_budget"):
         v = getattr(args, attr, None)
         if v is not None:
             setattr(config, attr, v)
@@ -310,7 +315,7 @@ def cmd_tangent(args, out) -> int:
 
 
 def _tree_data(f, config):
-    skeleton = fx.gamma_fix(f, config)
+    skeleton = fx.analyze(f, config).skeleton
     canon, canon_points = fx._canonical_breakpoints(skeleton)
     nodes = {}
     for cid, (pt, local) in enumerate(canon_points):
@@ -407,8 +412,7 @@ def cmd_weights(args, out) -> int:
 
 def cmd_verify(args, out) -> int:
     _, f = parse_map_file(args.input)
-    config = _config_from_args(args)
-    a = fx.analyze(f, config)
+    a = fx.analyze(f, _config_from_args(args))
     checks = []
     checks.append(("weight formula (total == degree - 1)",
                    a.weight_total == f.degree - 1))
@@ -427,12 +431,11 @@ def cmd_verify(args, out) -> int:
                            fx.indifferent_checks(c)))
     if f.degree >= 2:
         try:
-            fx.connectedness_check(f, config)
+            fx.connectedness_check(a)
             checks.append(("connectedness criterion", True))
         except CheckFailed:
             checks.append(("connectedness criterion", False))
-        checks.append(("repelling-vertex sum rule",
-                       fx.alpha_sum_check(f, config)))
+        checks.append(("repelling-vertex sum rule", fx.alpha_sum_check(a)))
     ok = True
     for name, passed in checks:
         print(f"[{'ok' if passed else 'FAIL'}] {name}", file=out)
@@ -446,8 +449,17 @@ def cmd_verify(args, out) -> int:
 # Entry point
 # ---------------------------------------------------------------------------
 
+class _Parser(argparse.ArgumentParser):
+    """A usage error is malformed input: exit 1, not argparse's 2, which the
+    exit-code contract keeps for the budget.  Subparsers inherit the class."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="berklocus",
         description="Exact fixed-locus certificates for rational maps over "
                     "p-adic fields on the Berkovich projective line.")
@@ -458,7 +470,6 @@ def _build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--n-max", type=int, dest="n_max")
         sp.add_argument("--k-max", type=int, dest="k_max")
         sp.add_argument("--ray-budget", type=int, dest="ray_budget")
-        sp.add_argument("--seed", type=int, dest="seed")
         if point:
             sp.add_argument("--center", required=True,
                             help="rational center of the disk point")

@@ -1,5 +1,5 @@
 """Polynomials over the working field: Newton polygons, disk-localized root
-counting, Taylor shifts, and resultants.
+counting, and Taylor shifts.
 
 Polynomials reuse the tuple-of-coefficients convention (low degree first,
 trimmed); the generic ring helpers from the residue module work verbatim
@@ -17,26 +17,11 @@ from typing import List, Tuple
 
 from .errors import ZeroPolynomial
 from .field import INF, FieldElement, PrimeContext
-from .residue import (
-    _trim,
-    poly_add,
-    poly_deg,
-    poly_deriv,
-    poly_divmod,
-    poly_eval,
-    poly_gcd,
-    poly_mod,
-    poly_monic,
-    poly_mul,
-    poly_neg,
-    poly_scale,
-    poly_sub,
-)
+from .residue import _trim, poly_deg
 
 __all__ = [
     "NewtonPolygon", "epoly", "newton_polygon", "count_roots_in_disk",
     "root_valuations", "poly_shift", "poly_scale_arg", "poly_reverse",
-    "resultant", "value_char_poly",
 ]
 
 
@@ -162,62 +147,3 @@ def count_roots_in_disk(ctx: PrimeContext, f, center: FieldElement,
         if v > s or (mode == "closed" and v == s):
             count += length
     return count
-
-
-# ---------------------------------------------------------------------------
-# Resultants
-# ---------------------------------------------------------------------------
-
-def resultant(ctx: PrimeContext, f, g) -> FieldElement:
-    """Res(f, g) = lc(f)^deg(g) * product of g over the roots of f."""
-    if not f or not g:
-        return ctx.zero
-    res = ctx.one
-    sign = ctx.one
-    while poly_deg(g) > 0:
-        r = poly_mod(ctx, f, g)
-        if not r:
-            return ctx.zero
-        df, dg, dr = poly_deg(f), poly_deg(g), poly_deg(r)
-        res = res * g[-1] ** (df - dr)
-        if (df * dg) % 2 == 1:
-            sign = -sign
-        f, g = g, r
-    return sign * res * g[0] ** poly_deg(f)
-
-
-def value_char_poly(ctx: PrimeContext, q, num, den):
-    """For q monic with roots r_i (an algebraic closure), the monic-up-to-
-    constant polynomial whose roots are num(r_i)/den(r_i):
-
-        C(w) = Res_z(q(z), num(z) - w*den(z)) = prod_i (num(r_i) - w*den(r_i)).
-
-    Computed by interpolation at deg(q) + 1 rational sample values of w.
-    Requires den nonvanishing at every root of q (checked via Res(q, den)).
-    """
-    assert q and q[-1] == ctx.one, "q must be monic"
-    m = poly_deg(q)
-    if resultant(ctx, q, den).is_zero():
-        raise ZeroPolynomial("denominator vanishes at a root of q")
-    samples = []
-    for t in range(m + 1):
-        w = ctx.from_rational(t)
-        h = poly_sub(ctx, num, poly_scale(ctx, den, w))
-        samples.append((w, resultant(ctx, q, h) if h else ctx.zero))
-    return _lagrange(ctx, samples)
-
-
-def _lagrange(ctx: PrimeContext, samples):
-    """Exact Lagrange interpolation over the working field."""
-    result = ()
-    for i, (xi, yi) in enumerate(samples):
-        basis = (ctx.one,)
-        denom = ctx.one
-        for j, (xj, _) in enumerate(samples):
-            if i == j:
-                continue
-            basis = poly_mul(ctx, basis, (-xj, ctx.one))
-            denom = denom * (xi - xj)
-        term = poly_scale(ctx, basis, yi / denom)
-        result = poly_add(ctx, result, term)
-    return result

@@ -17,6 +17,9 @@ fixed tangent direction has positive fixed-point multiplicity, hence contains
 a classical fixed point, hence points along the skeleton -- so nothing with
 positive weight hides off the tree outside id-indifferent regions, and the
 weight total provides an end-to-end cross-check either way.
+
+The global structure checks are functions of one `Analysis`: they read the
+certificate `analyze` returned and never run the pipeline again.
 """
 
 from __future__ import annotations
@@ -43,8 +46,9 @@ from .berkmap import (
     reduce_at,
     segments_from_lines,
 )
-from .epoly import epoly, poly_shift
+from .epoly import poly_shift
 from .errors import (
+    ArcNotFixed,
     CheckFailed,
     ClassicalComponent,
     ExplorationIncomplete,
@@ -55,7 +59,7 @@ from .errors import (
     NotIndifferent,
     PreconditionViolated,
 )
-from .field import INF, NEG_INF, FieldElement, PrimeContext
+from .field import INF, NEG_INF, FieldElement
 from .residue import (
     INF_POINT,
     FqElement,
@@ -86,7 +90,6 @@ class ExploreConfig:
     n_max: int = 6
     k_max: int = 3
     ray_budget: int = 64
-    seed: int = 0x5EED
 
 
 @dataclass
@@ -303,28 +306,26 @@ def _ray_lines_at(f: RationalMapK, anchor):
         return _tail_lines(f, anchor)
     a = anchor.center if isinstance(anchor, (RootHandle, ClusterStub)) \
         else anchor
-    num_lines, den_lines = bk._ray_lines(f, a)
-    return [(m, b, key, c.unit_residue()) for m, b, key, c in
-            num_lines + den_lines]
+    return bk._ray_lines(f, a)
 
 
 def _annotate_ray(f: RationalMapK, ray: ScaffoldRay, config: ExploreConfig,
                   vertex_points: List[Tuple[TypeIIPoint, LocalData]]):
-    """Decompose the ray into segments and breakpoints.  An integral
-    breakpoint already in `vertex_points` (the same disk point under any
-    center) reuses that reduction; a new one is reduced and appended."""
+    """Decompose the ray into segments and breakpoints: the one path from
+    valuation lines to segments and reduced breakpoints, for skeleton rays
+    and checked arcs alike.  An integral breakpoint already in
+    `vertex_points` (the same disk point under any center) reuses that
+    reduction; a new one is reduced and appended."""
     ctx = f.ctx
     lines = _ray_lines_at(f, ray.anchor)
     one = ctx.residue_field.one
     # center element used for segment records and reductions
     max_s = ray.s_hi if ray.s_hi is not INF else Fraction(0)
-    segments, breaks = segments_from_lines(one, ctx.zero, lines,
-                                           ray.s_lo, ray.s_hi)
+    segments, breaks = segments_from_lines(one, lines, ray.s_lo, ray.s_hi)
     if breaks:
         max_s = max(max_s, max(breaks))
     center = ray.center_elem(max_s + 1)
-    ray.segments = [RaySegment(center, s.s_lo, s.s_hi, s.behavior,
-                               s.multiplier) for s in segments]
+    ray.segments = [RaySegment(center, *seg) for seg in segments]
     if len(breaks) > config.ray_budget:
         raise ExplorationIncomplete(
             f"ray at {center!r} has {len(breaks)} breakpoints "
@@ -556,15 +557,8 @@ def _canonical_breakpoints(skeleton: SkeletonGraph):
     return canon, skeleton.vertex_points
 
 
-def explore_components(f: RationalMapK,
-                       config: Optional[ExploreConfig] = None,
-                       skeleton: Optional[SkeletonGraph] = None
-                       ) -> List[Component]:
-    return analyze(f, config, skeleton).components
-
-
-def _assemble(f: RationalMapK, skeleton: SkeletonGraph,
-              config: ExploreConfig) -> Tuple[List[Component], list, list]:
+def _assemble(f: RationalMapK,
+              skeleton: SkeletonGraph) -> Tuple[List[Component], list]:
     canon, canon_points = _canonical_breakpoints(skeleton)
     uf = _UnionFind()
     atoms: Dict[tuple, dict] = {}
@@ -651,7 +645,7 @@ def _assemble(f: RationalMapK, skeleton: SkeletonGraph,
                                    for a in aids if a[0] == "bp"})
         components.append(comp)
     components.sort(key=lambda c: (c.kind, -c.classical_multiplicity))
-    return components, canon_points, atoms
+    return components, canon_points
 
 
 def _leaf_directions(skeleton: SkeletonGraph, pt: TypeIIPoint):
@@ -705,18 +699,14 @@ def crucial_weights_from(skeleton: SkeletonGraph,
 # Top-level analysis with extension retries
 # ---------------------------------------------------------------------------
 
-def analyze(f: RationalMapK, config: Optional[ExploreConfig] = None,
-            skeleton: Optional[SkeletonGraph] = None) -> Analysis:
+def analyze(f: RationalMapK,
+            config: Optional[ExploreConfig] = None) -> Analysis:
     config = config or ExploreConfig()
-    attempts = 0
+    # no attempt cap: each retry grows n strictly or moves k once from 1
     while True:
         try:
-            return _analyze_once(f, config, skeleton)
+            return _analyze_once(f, config)
         except NeedsExtension as e:
-            attempts += 1
-            skeleton = None
-            if attempts > 6:
-                raise
             ctx = f.ctx
             import math
             new_n = ctx.n if e.n is None else (ctx.n * e.n
@@ -732,11 +722,9 @@ def analyze(f: RationalMapK, config: Optional[ExploreConfig] = None,
             f = embed_map(f, new_ctx)
 
 
-def _analyze_once(f: RationalMapK, config: ExploreConfig,
-                  skeleton: Optional[SkeletonGraph]) -> Analysis:
-    if skeleton is None:
-        skeleton = gamma_fix(f, config)
-    components, canon_points, atoms = _assemble(f, skeleton, config)
+def _analyze_once(f: RationalMapK, config: ExploreConfig) -> Analysis:
+    skeleton = gamma_fix(f, config)
+    components, canon_points = _assemble(f, skeleton)
     crucial, total = crucial_weights_from(skeleton, canon_points)
     diagnostics = []
     d = f.degree
@@ -757,19 +745,6 @@ def _analyze_once(f: RationalMapK, config: ExploreConfig,
                     complete_rigorous=complete, diagnostics=diagnostics)
 
 
-def crucial_weights(f: RationalMapK,
-                    config: Optional[ExploreConfig] = None
-                    ) -> Tuple[List[CrucialPoint], int]:
-    a = analyze(f, config)
-    return a.crucial_points, a.weight_total
-
-
-def verify_weight_formula(f: RationalMapK,
-                          config: Optional[ExploreConfig] = None) -> bool:
-    a = analyze(f, config)
-    return a.weight_total == f.degree - 1
-
-
 # ---------------------------------------------------------------------------
 # Theorem checks
 # ---------------------------------------------------------------------------
@@ -787,15 +762,14 @@ def theorem_a_count(c: Component) -> int:
     return count
 
 
-def connectedness_check(f: RationalMapK,
-                        config: Optional[ExploreConfig] = None) -> bool:
-    if f.degree < 2:
+def connectedness_check(a: Analysis) -> bool:
+    d = a.map.degree
+    if d < 2:
         raise PreconditionViolated("degree >= 2 required")
-    a = analyze(f, config)
     sigma = sum((ld.local_degree - 1 - ld.n_cf)
                 for _, ld in _all_fixed_vertices(a)
                 if ld.indifference_class != ID_INDIFFERENT)
-    result = sigma == f.degree - 1
+    result = sigma == d - 1
     if result != (len(a.components) == 1):
         raise CheckFailed("connectedness criterion disagrees with the "
                           f"component count {len(a.components)}")
@@ -835,14 +809,12 @@ def hyperbolic_checks(c: Component) -> bool:
     return True
 
 
-def theorem_b_check(f: RationalMapK,
-                    config: Optional[ExploreConfig] = None) -> bool:
-    p = f.ctx.p
-    d = f.degree
+def theorem_b_check(a: Analysis) -> bool:
+    p = a.map.ctx.p
+    d = a.map.degree
     if p <= d:
         raise PreconditionViolated(f"requires residue characteristic {p} > "
                                    f"degree {d}")
-    a = analyze(f, config)
     if any(c.kind == KIND_HYPERBOLIC for c in a.components):
         return False
     return len(a.components) <= d + 1
@@ -876,15 +848,74 @@ def indifferent_checks(c: Component) -> bool:
     return True
 
 
-def totally_ramified_fixed_point(f: RationalMapK):
+def _direction_multiplier(local: LocalData, toward_zero: bool) -> FqElement:
+    """Multiplier of the tangent-map fixed direction along the ray: the 0
+    direction (deeper) or the infinity direction (shallower)."""
+    if not local.is_fixed:
+        raise ArcNotFixed(f"endpoint {local.point} is not fixed")
+    if local.indifference_class == ID_INDIFFERENT:
+        return local.point.center.ctx.residue_field.one
+    F = local.reduced_map.field
+    for t in local.directions:
+        if toward_zero and not isinstance(t.location, Infinity) \
+                and t.orbit_size == 1 and t.location == F.zero:
+            return rf._project_to_base(t.multiplier, F) if t.field != F else t.multiplier
+        if not toward_zero and isinstance(t.location, Infinity):
+            return t.multiplier
+    raise ArcNotFixed("facing direction along the arc is not fixed")
+
+
+def multiplier_reciprocity_check(f: RationalMapK, x1: TypeIIPoint,
+                                 x2: TypeIIPoint) -> bool:
+    """Verify the two facing-direction multipliers at the endpoints of a
+    fixed indifferent arc multiply to 1 in the residue field."""
+    ctx = f.ctx
+    one = ctx.residue_field.one
+    if x1.contains(x2) or x2.contains(x1):
+        outer, inner = (x1, x2) if x1.contains(x2) else (x2, x1)
+        _require_arc_indifferent(f, inner.center, outer.s, inner.s)
+        lam_outer = _direction_multiplier(
+            reduce_at(f, TypeIIPoint(inner.center, outer.s)), toward_zero=True)
+        lam_inner = _direction_multiplier(reduce_at(f, inner), toward_zero=False)
+        return lam_outer * lam_inner == one
+    # path bends at the join point
+    sj = (x1.center - x2.center).val()
+    assert sj < min(x1.s, x2.s)
+    _require_arc_indifferent(f, x1.center, sj, x1.s)
+    _require_arc_indifferent(f, x2.center, sj, x2.s)
+    lam1 = _direction_multiplier(reduce_at(f, x1), toward_zero=False)
+    lam2 = _direction_multiplier(reduce_at(f, x2), toward_zero=False)
+    return lam1 * lam2 == one
+
+
+def _require_arc_indifferent(f: RationalMapK, center: FieldElement,
+                             s_lo, s_hi):
+    """Annotate the arc {zeta(center, s) : s in [s_lo, s_hi]} as a skeleton
+    ray and require it fixed, with no repelling point inside."""
+    ray = ScaffoldRay(0, center, Fraction(s_lo), Fraction(s_hi),
+                      leaf_idx=None, to_infinity=False)
+    _annotate_ray(f, ray, ExploreConfig(), [])
+    for seg in ray.segments:
+        if seg.behavior == NOT_FIXED:
+            raise ArcNotFixed(f"ray interval ({seg.s_lo}, {seg.s_hi}) not fixed")
+    for bp in ray.breakpoints:
+        if bp.local is None:
+            continue
+        if s_lo < bp.s < s_hi:
+            if not bp.local.is_fixed or bp.local.indifference_class == REPELLING:
+                raise ArcNotFixed(f"interior point at s = {bp.s} not indifferent")
+
+
+def totally_ramified_fixed_point(a: Analysis):
     """A totally ramified classical fixed point, when one is visible:
     infinity for a polynomial, or an exact finite fixed point where the map
     has local degree equal to its degree."""
+    f = a.map
     ctx = f.ctx
     d = f.degree
     if poly_deg(f.den) == 0 and poly_deg(f.num) == d:
         return INF_POINT
-    for cp in classical_fixed_points(f):
+    for cp in a.classical_points:
         if cp.is_infinity() or not cp.value.is_exact:
             continue
         r = cp.value.center
@@ -900,26 +931,21 @@ def totally_ramified_fixed_point(f: RationalMapK):
     return None
 
 
-def totally_ramified_corollary_check(f: RationalMapK,
-                                     config: Optional[ExploreConfig] = None
-                                     ) -> bool:
-    if f.degree < 2:
+def totally_ramified_corollary_check(a: Analysis) -> bool:
+    if a.map.degree < 2:
         raise PreconditionViolated("degree >= 2 required")
-    if totally_ramified_fixed_point(f) is None:
+    if totally_ramified_fixed_point(a) is None:
         raise NoTotallyRamifiedFixedPoint("no totally ramified fixed point")
-    a = analyze(f, config)
     return not any(c.kind == KIND_INDIFFERENT for c in a.components)
 
 
-def alpha_sum_check(f: RationalMapK,
-                    config: Optional[ExploreConfig] = None) -> bool:
-    a = analyze(f, config)
+def alpha_sum_check(a: Analysis) -> bool:
     non_classical = [c for c in a.components if c.kind != KIND_CLASSICAL]
     n = len(non_classical)
     c_count = sum(cp.multiplicity for cp in a.classical_points
                   if cp.klass in (ATTRACTING, REPELLING_CLASS))
     lhs = sum(c.alpha for c in non_classical)
-    return lhs == f.degree + 1 - c_count - 2 * n
+    return lhs == a.map.degree + 1 - c_count - 2 * n
 
 
 def closest_point(skeleton: SkeletonGraph, y) -> TypeIIPoint:

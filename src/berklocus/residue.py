@@ -744,20 +744,20 @@ def _kernel_of(field: Fq) -> _Kernel:
     return _CoordKernel(field.p, tuple(c.rep for c in field.modulus))
 
 
-def factor(field, f, seed: int = 0x5eed):
+def factor(field, f):
     """Full factorization: [(monic irreducible, multiplicity)], sorted by
     degree, then by the coefficient reps.
 
     `field` is a prime field or a one-level extension of one (a tower raises
-    ValueError).  The random choices in equal-degree splitting use a
-    deterministic seed so test logs are reproducible; the result does not
-    depend on the seed, since the factorization is unique.
+    ValueError).  The random choices in equal-degree splitting use a fixed
+    seed so test logs are reproducible; the result does not depend on it,
+    since the factorization is unique.
     """
     K = _kernel_of(field)
     g = K.encode(f)
     if not g:
         raise ZeroPolynomial("cannot factor the zero polynomial")
-    rng = random.Random(seed)
+    rng = random.Random(0x5eed)
     result = []
     if len(g) > 1:
         for h, mult in K.squarefree(K.monic(g)):
@@ -929,7 +929,7 @@ class FqRationalMap:
         F = self.field
         return poly_sub(F, self.num, poly_mul(F, (F.zero, F.one), self.den))
 
-    def fixed_points(self, seed: int = 0x5eed):
+    def fixed_points(self):
         """All fixed points over the algebraic closure, grouped by Galois
         orbit, with multiplicities summing to degree + 1."""
         if self.is_identity():
@@ -938,7 +938,7 @@ class FqRationalMap:
         P = self.fixed_point_polynomial()
         out = []
         if P:
-            for q, mult in factor(F, P, seed=seed):
+            for q, mult in factor(F, P):
                 m = poly_deg(q)
                 if m == 1:
                     loc_field = F
@@ -995,7 +995,7 @@ class FqRationalMap:
         lam, _ = m._multiplier_and_critical(fp, F, 1)
         return lam
 
-    def holomorphic_index_check(self, seed: int = 0x5eed) -> bool:
+    def holomorphic_index_check(self) -> bool:
         """Verify sum of 1/(1 - lambda) over all fixed points equals 1.
 
         Requires every multiplier to differ from 1 (equivalently, all fixed
@@ -1004,7 +1004,7 @@ class FqRationalMap:
         if self.is_identity():
             raise IdentityMap("index sum undefined for the identity")
         total = self.field.zero
-        for t in self.fixed_points(seed=seed):
+        for t in self.fixed_points():
             one = t.field.one
             if t.multiplier == one:
                 raise MultiplierOne("fixed point with multiplier 1")

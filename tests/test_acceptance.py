@@ -21,13 +21,11 @@ from berklocus.berkmap import (
     embed_map,
     gauss_point,
     identification_check,
-    multiplier_reciprocity_check,
     reduce_at,
 )
 from berklocus.errors import (
     BerklocusError,
     ConstantMap,
-    IdentityMap,
     MultiplierOne,
     ZeroDenominator,
 )
@@ -196,7 +194,7 @@ def test_criterion_4_indifferent_structure(fixture_analyses):
     f = fixture("moebius-scaling-unit-nontrivial").build()
     x1 = TypeIIPoint(f.ctx.zero, Fraction(-1))
     x2 = TypeIIPoint(f.ctx.zero, Fraction(2))
-    assert multiplier_reciprocity_check(f, x1, x2)
+    assert fx.multiplier_reciprocity_check(f, x1, x2)
     # interior points of the quadratic indifferent arc are indifferent
     fq = fixture_analyses["quadratic-repelling"][0]
     cls = reduce_at(fq, gauss_point(fq.ctx)).indifference_class
@@ -226,8 +224,8 @@ def test_criterion_5_hyperbolic_structure(fixture_analyses, random_batch):
     for f, a in random_batch:
         assert all(c.kind != fx.KIND_HYPERBOLIC for c in a.components), repr(f)
     rng = random.Random(7)
-    for f, _ in rng.sample(random_batch, 10):
-        assert fx.theorem_b_check(f, CONFIG)
+    for _, a in rng.sample(random_batch, 10):
+        assert fx.theorem_b_check(a)
     print(f"\n[criterion 5] PASS: {n_hyp} hyperbolic components verified; "
           f"{len(random_batch)} tame random maps produced none")
 
@@ -252,8 +250,8 @@ def test_criterion_6_component_bounds(fixture_analyses, random_batch):
                     if ld.indifference_class != ID_INDIFFERENT)
         assert (sigma == d - 1) == (len(a.components) == 1), repr(f)
     # the public check agrees (it re-asserts the biconditional internally)
-    for f, a in pool[:5] + random_batch[:5]:
-        fx.connectedness_check(f, CONFIG)
+    for _, a in pool[:5] + random_batch[:5]:
+        fx.connectedness_check(a)
     print(f"\n[criterion 6] PASS: bounds and connectedness criterion hold on "
           f"{len(pool)} analyzed maps")
 

@@ -5,31 +5,27 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from berklocus import berkmap, field, roots
+from berklocus import fixlocus as fx
 from berklocus.berkmap import (
     ADD_INDIFFERENT,
     ID_INDIFFERENT,
     MULT_INDIFFERENT,
     NOT_FIXED,
     REPELLING,
-    RationalMapK,
     TypeIIPoint,
     classical_count_in_direction,
     embed_map,
     gauss_point,
     identification_check,
-    multiplier_reciprocity_check,
     normalize,
-    ray_analysis,
     reduce_at,
     surplus,
 )
 from berklocus.errors import ConstantMap, NeedsExtension, ZeroDenominator
 from berklocus.field import PrimeContext
-from berklocus.residue import INF_POINT, Infinity
+from berklocus.residue import INF_POINT
 
 from conftest import mk
 
@@ -144,13 +140,29 @@ def test_fractional_radius_needs_extension():
     assert not local.is_fixed
 
 
+def _zero_ray(f, s_lo, s_hi):
+    """The ray {zeta(0, s) : s in [s_lo, s_hi]}, annotated as a skeleton ray."""
+    ray = fx.ScaffoldRay(0, f.ctx.zero, Fraction(s_lo), Fraction(s_hi),
+                         leaf_idx=None, to_infinity=False)
+    fx._annotate_ray(f, ray, fx.ExploreConfig(), [])
+    return ray
+
+
+def _behavior_at(ray, s):
+    bp = next((bp for bp in ray.breakpoints if bp.s == s), None)
+    if bp is not None:
+        return bp.local.indifference_class
+    return next(seg.behavior for seg in ray.segments
+                if seg.s_lo < s < seg.s_hi)
+
+
 def test_ray_analysis_segments_power_map():
     f = mk(5, [0, 0, 1], [1])
-    ra = ray_analysis(f, f.ctx.zero, Fraction(-3), Fraction(3))
+    ra = _zero_ray(f, -3, 3)
     # along the 0-ray of z^2: fixed only at s = 0 (the Gauss point)
-    assert ra.behavior_at(Fraction(0)) == REPELLING
-    assert ra.behavior_at(Fraction(1)) == NOT_FIXED
-    assert ra.behavior_at(Fraction(-1)) == NOT_FIXED
+    assert _behavior_at(ra, Fraction(0)) == REPELLING
+    assert _behavior_at(ra, Fraction(1)) == NOT_FIXED
+    assert _behavior_at(ra, Fraction(-1)) == NOT_FIXED
     # sample five interior points of each constant-behavior interval
     for seg in ra.segments:
         lo = seg.s_lo if seg.s_lo > Fraction(-3) else Fraction(-3)
@@ -166,7 +178,7 @@ def test_ray_analysis_segments_power_map():
 
 def test_ray_analysis_scaling_map_everywhere_fixed():
     f = mk(5, [0, 2], [1])
-    ra = ray_analysis(f, f.ctx.zero, Fraction(-2), Fraction(2))
+    ra = _zero_ray(f, -2, 2)
     for seg in ra.segments:
         assert seg.behavior == MULT_INDIFFERENT
     for bp in ra.breakpoints:
@@ -179,7 +191,7 @@ def test_multiplier_reciprocity_on_arc():
     ctx = f.ctx
     x1 = TypeIIPoint(ctx.zero, Fraction(-1))
     x2 = TypeIIPoint(ctx.zero, Fraction(2))
-    assert multiplier_reciprocity_check(f, x1, x2)
+    assert fx.multiplier_reciprocity_check(f, x1, x2)
 
 
 def test_classical_count_in_direction_power_map():

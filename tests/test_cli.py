@@ -6,15 +6,25 @@ import json
 
 import pytest
 
+from berklocus import fixlocus as fx
 from berklocus.cli import SCHEMA, main, parse_map_file
 from berklocus.errors import ParseError
-from berklocus.oracle import fixture
+from berklocus.oracle import MOEBIUS_IDENTITY, fixture, fixtures
+
+# the acceptance suite's budget, under which analyze certifies every fixture
+BUDGET = ["--n-max", "24", "--k-max", "4"]
 
 
 def write(tmp_path, name, text):
     path = tmp_path / name
     path.write_text(text)
     return str(path)
+
+
+def write_fixture(tmp_path, fxt):
+    return write(tmp_path, f"{fxt.name}.map",
+                 f"p = {fxt.p}\nnum = {', '.join(map(str, fxt.num))}\n"
+                 f"den = {', '.join(map(str, fxt.den))}\n")
 
 
 @pytest.fixture
@@ -143,7 +153,7 @@ def test_exit_code_1_on_identity_map(tmp_path):
 
 
 def test_env_config_pickup(tmp_path, square_map, monkeypatch):
-    cfg = write(tmp_path, "berklocus.cfg", "n_max = 8\nk_max = 3\nseed = 1\n")
+    cfg = write(tmp_path, "berklocus.cfg", "n_max = 8\nk_max = 3\n")
     monkeypatch.setenv("BERKLOCUS_CONFIG", cfg)
     code, text = run(["analyze", "--input", square_map])
     assert code == 0
@@ -166,10 +176,7 @@ def test_tower_parameters_from_file(tmp_path):
 
 
 def test_exit_code_2_on_ray_budget(tmp_path):
-    fxt = fixture("segment-p5-d6")
-    path = write(tmp_path, "segment.map",
-                 f"p = {fxt.p}\nnum = {', '.join(map(str, fxt.num))}\n"
-                 f"den = {', '.join(map(str, fxt.den))}\n")
+    path = write_fixture(tmp_path, fixture("segment-p5-d6"))
     code, text = run(["analyze", "--input", path, "--ray-budget", "0"])
     assert code == 2 and text == ""
 
@@ -190,3 +197,42 @@ def test_exit_code_2_on_incomplete_certificate(tmp_path):
     assert code == 2 and json.loads(text)["total"] == 0
     code, text = run(["verify", "--input", path] + budget)
     assert code == 2 and "[FAIL] weight formula" in text
+
+
+def test_usage_errors_exit_1(square_map):
+    # a malformed command line is bad input (1), never the budget code 2
+    for argv in (["analyze", "--input", square_map, "--bogus"],
+                 ["analyze"],
+                 ["analyze", "--input", square_map, "--n-max", "x"],
+                 ["analyze", "--input", square_map, "--seed", "1"]):
+        with pytest.raises(SystemExit) as exc:
+            run(argv)
+        assert exc.value.code == 1, argv
+
+
+def test_tree_on_every_fixture(tmp_path):
+    """tree works on every map analyze handles: it exits 0 wherever analyze
+    does, in every format, and 1 on the identity, like analyze."""
+    for fxt in fixtures():
+        path = write_fixture(tmp_path, fxt)
+        want = 1 if fxt.expected.get("case") == MOEBIUS_IDENTITY else 0
+        code, _ = run(["analyze", "--input", path] + BUDGET)
+        assert code == want, fxt.name
+        for fmt in ("text", "json", "dot"):
+            code, _ = run(["tree", "--input", path, "--format", fmt]
+                          + BUDGET)
+            assert code == want, (fxt.name, fmt)
+
+
+def test_verify_analyses_once(tmp_path, monkeypatch):
+    calls = []
+    analyze = fx.analyze
+
+    def spy(*args, **kwargs):
+        calls.append(args[0])
+        return analyze(*args, **kwargs)
+    monkeypatch.setattr(fx, "analyze", spy)
+    path = write_fixture(tmp_path, fixture("segment-p3-d4"))
+    code, text = run(["verify", "--input", path])
+    assert code == 0 and "[ok] connectedness criterion" in text
+    assert len(calls) == 1

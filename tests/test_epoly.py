@@ -1,4 +1,4 @@
-"""Newton polygons, disk root counting, and resultants over the working
+"""Newton polygons, disk root counting, and Taylor shifts over the working
 field."""
 
 from fractions import Fraction
@@ -13,12 +13,10 @@ from berklocus.epoly import (
     poly_reverse,
     poly_scale_arg,
     poly_shift,
-    resultant,
     root_valuations,
-    value_char_poly,
 )
 from berklocus.field import INF, PrimeContext
-from berklocus.residue import poly_add, poly_eval, poly_mul, poly_sub
+from berklocus.residue import poly_add, poly_eval, poly_mul
 
 
 def _prod_linear(ctx, roots):
@@ -113,34 +111,6 @@ def test_poly_shift_is_horner_composition(p, n, k, coeffs, c):
     assert poly_shift(ctx, f, c) == _horner_shift(ctx, f, c)
     if c.is_zero():
         assert poly_shift(ctx, f, c) is f
-
-
-def test_resultant_product_of_differences():
-    ctx = PrimeContext(5)
-    f = _prod_linear(ctx, [1, 2])
-    g = _prod_linear(ctx, [3, 4])
-    # prod over roots: (1-3)(1-4)(2-3)(2-4)
-    expect = Fraction((1 - 3) * (1 - 4) * (2 - 3) * (2 - 4))
-    assert resultant(ctx, f, g) == ctx.from_rational(expect)
-
-
-def test_resultant_common_root_is_zero():
-    ctx = PrimeContext(5)
-    f = _prod_linear(ctx, [1, 2])
-    g = _prod_linear(ctx, [2, 7])
-    assert resultant(ctx, f, g).is_zero()
-
-
-def test_value_char_poly_pushforward():
-    ctx = PrimeContext(3)
-    # q has roots 1 and 2; num/den = z^2 maps them to 1 and 4
-    q = _prod_linear(ctx, [1, 2])
-    num = epoly(ctx, [0, 0, 1])
-    den = epoly(ctx, [1])
-    C = value_char_poly(ctx, q, num, den)
-    # roots of C are 1 and 4
-    assert poly_eval(ctx, C, ctx.from_rational(1)).is_zero()
-    assert poly_eval(ctx, C, ctx.from_rational(4)).is_zero()
 
 
 def test_newton_polygon_in_ramified_tower():

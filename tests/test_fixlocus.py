@@ -20,7 +20,6 @@ from berklocus.errors import (
     NotIndifferent,
     PreconditionViolated,
 )
-from berklocus.field import INF, PrimeContext
 from berklocus.oracle import fixture
 
 from conftest import mk
@@ -107,18 +106,18 @@ def test_component_kind_errors():
 
 def test_connectedness_criterion_matches_component_count():
     # z^2 over Q_5 has three components, and the criterion agrees
-    assert fx.connectedness_check(fixture("power-2").build()) is False
+    assert fx.connectedness_check(fx.analyze(fixture("power-2").build())) \
+        is False
     # the doubled quadratic branch is connected
-    assert fx.connectedness_check(fixture("quadratic-doubled").build()) is True
+    assert fx.connectedness_check(
+        fx.analyze(fixture("quadratic-doubled").build())) is True
 
 
 def test_weight_formula_on_segment_fixture():
-    f = fixture("segment-p3-d4").build()
-    assert fx.verify_weight_formula(f)
-    crucial, total = fx.crucial_weights(f)
-    assert total == 3
-    assert sum(cp.weight for cp in crucial) == total
-    assert all(cp.weight > 0 for cp in crucial)
+    a = fx.analyze(fixture("segment-p3-d4").build())
+    assert a.weight_total == a.map.degree - 1 == 3
+    assert sum(cp.weight for cp in a.crucial_points) == a.weight_total
+    assert all(cp.weight > 0 for cp in a.crucial_points)
 
 
 def test_segment_fixture_two_repelling_vertices():
@@ -131,24 +130,24 @@ def test_segment_fixture_two_repelling_vertices():
 
 
 def test_theorem_b_small_degree_large_p():
-    f = mk(11, [0, 0, 1], [1])
-    assert fx.theorem_b_check(f)
+    assert fx.theorem_b_check(fx.analyze(mk(11, [0, 0, 1], [1])))
     with pytest.raises(PreconditionViolated):
-        fx.theorem_b_check(mk(3, [0, 0, 0, 1], [1]))
+        fx.theorem_b_check(fx.analyze(mk(3, [0, 0, 0, 1], [1])))
 
 
 def test_totally_ramified_corollary():
     # z^2 is a polynomial, oo is totally ramified: no indifferent components
-    assert fx.totally_ramified_corollary_check(fixture("power-2").build())
-    f = fixture("quadratic-indifferent").build()
+    assert fx.totally_ramified_corollary_check(
+        fx.analyze(fixture("power-2").build()))
+    a = fx.analyze(fixture("quadratic-indifferent").build())
     with pytest.raises(NoTotallyRamifiedFixedPoint):
-        fx.totally_ramified_corollary_check(f)
+        fx.totally_ramified_corollary_check(a)
 
 
 def test_alpha_sum_check_fixtures():
     for name in ("power-2", "power-3", "wild-p3-d3", "quadratic-repelling",
                  "segment-p3-d4"):
-        assert fx.alpha_sum_check(fixture(name).build()), name
+        assert fx.alpha_sum_check(fx.analyze(fixture(name).build())), name
 
 
 def test_gamma_fix_contains_classical_points():
@@ -191,13 +190,6 @@ def test_analysis_retries_with_a_large_residue_extension():
     assert (a.map.ctx.n, a.map.ctx.k) == (1, 2)
     assert a.complete_rigorous
     assert a.weight_total == f.degree - 1
-
-
-def test_explore_components_matches_analyze():
-    f = fixture("power-2").build()
-    comps = fx.explore_components(f)
-    a = fx.analyze(f)
-    assert len(comps) == len(a.components)
 
 
 def test_one_reduction_per_skeleton_point(shared_point_analyses, monkeypatch):
