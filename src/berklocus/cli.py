@@ -102,6 +102,8 @@ def parse_map_file(path: str):
                        for tok in val.split(",")]
     try:
         return ctx, normalize(ctx, coeffs["num"], coeffs["den"])
+    except CheckFailed:
+        raise
     except BerklocusError as e:
         raise ParseError(str(e))
 
@@ -523,6 +525,9 @@ def main(argv=None, out=None) -> int:
     except (NeedsExtension, ExplorationIncomplete) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
+    except CheckFailed as e:  # an exactness check of the engine failed
+        print(f"internal error: {e!r}", file=sys.stderr)
+        return 3
     except BerklocusError as e:
         print(f"error: {e}", file=sys.stderr)
         return 1

@@ -4,8 +4,9 @@ Every error that a caller may want to branch on gets its own class; anything
 raised from here signals a *usage* or *capability* problem, never a bug in the
 arithmetic (internal invariant violations raise AssertionError instead).
 CheckFailed is the one exception: a certificate check raises it when the
-computed structure contradicts a theorem, so that the check still fails
-under `python -O`, which drops asserts.
+computed structure contradicts a theorem, and an exactness check of the field
+arithmetic when a result fails its cross-check, so that the check still fails
+under `python -O`, which drops asserts.  The CLI exits 3 on it.
 """
 
 

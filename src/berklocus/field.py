@@ -2,19 +2,25 @@
 ramified generator pi (pi^n = p) and an unramified generator x of degree k
 adjoined.
 
-Elements are stored as exact rational coefficients c_{ij} of the monomials
-x^i * pi^j (0 <= i < k, 0 <= j < n), so every computation is symbolic and the
-valuation is an exact rational in (1/n)*Z.  Nothing here is approximate.
+An element is the rational combination of the monomials x^i * pi^j
+(0 <= i < k, 0 <= j < n) whose coefficients are nums[i * n + j] / den: one
+flat tuple of n * k ints over one positive common denominator.  A product is
+an integer convolution reduced by the integer minimal polynomial of x, and an
+inverse solves the integer multiplication matrix by fraction-free (Bareiss)
+elimination, so every operation normalises by a single gcd instead of one per
+coefficient.  The valuation is an exact rational in (1/n)*Z.  Nothing here is
+approximate, and the exactness checks raise CheckFailed, so they still run
+under `python -O`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
 from fractions import Fraction
-from typing import Optional, Sequence, Tuple
+from typing import Optional, Sequence
 
 from . import residue as rf
-from .errors import NegativeValuation
+from .errors import CheckFailed, NegativeValuation
 
 INF = Fraction(10 ** 9)  # sentinel for val(0); compares above any real valuation
 NEG_INF = -INF  # sentinel for unbounded ray ends; compared with `is`
@@ -31,20 +37,21 @@ def _is_prime(m: int) -> bool:
     return True
 
 
+def _vp(c: int, p: int) -> int:
+    """p-adic valuation of a nonzero int."""
+    v = 0
+    while c % p == 0:
+        c //= p
+        v += 1
+    return v
+
+
 def vp(q: Fraction, p: int) -> Fraction:
     """p-adic valuation of a rational number (INF for 0)."""
     q = Fraction(q)
     if q == 0:
         return INF
-    v = 0
-    num, den = q.numerator, q.denominator
-    while num % p == 0:
-        num //= p
-        v += 1
-    while den % p == 0:
-        den //= p
-        v -= 1
-    return Fraction(v)
+    return Fraction(_vp(q.numerator, p) - _vp(q.denominator, p))
 
 
 class PrimeContext:
@@ -80,7 +87,7 @@ class PrimeContext:
 
     @property
     def zero(self) -> "FieldElement":
-        return FieldElement(self, ((Fraction(0),) * self.n,) * self.k)
+        return FieldElement(self, (0,) * (self.n * self.k))
 
     @property
     def one(self) -> "FieldElement":
@@ -92,18 +99,19 @@ class PrimeContext:
 
     @property
     def x_gen(self) -> "FieldElement":
-        coeffs = [[Fraction(0)] * self.n for _ in range(self.k)]
+        nums = [0] * (self.n * self.k)
         if self.k == 1:
             # the generator of a trivial extension is a root of w - c
-            coeffs[0][0] = Fraction(-self.unram_min_poly[0])
+            nums[0] = -self.unram_min_poly[0]
         else:
-            coeffs[1][0] = Fraction(1)
-        return FieldElement(self, tuple(tuple(r) for r in coeffs))
+            nums[self.n] = 1
+        return FieldElement(self, nums)
 
     def from_rational(self, q) -> "FieldElement":
-        coeffs = [[Fraction(0)] * self.n for _ in range(self.k)]
-        coeffs[0][0] = Fraction(q)
-        return FieldElement(self, tuple(tuple(r) for r in coeffs))
+        q = Fraction(q)
+        nums = [0] * (self.n * self.k)
+        nums[0] = q.numerator
+        return FieldElement(self, nums, q.denominator)
 
     # alias so the generic polynomial helpers accept a PrimeContext wherever
     # they accept a finite field
@@ -113,35 +121,38 @@ class PrimeContext:
     def pi_pow(self, m: int) -> "FieldElement":
         """pi^m for any integer m (negative powers divide by p)."""
         q, r = divmod(m, self.n)
-        coeffs = [[Fraction(0)] * self.n for _ in range(self.k)]
-        coeffs[0][r] = Fraction(self.p) ** q
-        return FieldElement(self, tuple(tuple(r_) for r_ in coeffs))
+        nums = [0] * (self.n * self.k)
+        nums[r] = self.p ** max(q, 0)
+        return FieldElement(self, nums, self.p ** max(-q, 0))
 
     def element(self, coeffs) -> "FieldElement":
         """Build from coeffs[i][j] (rationals), i < k indexing x, j < n
         indexing pi."""
-        rows = []
-        for i in range(self.k):
-            row = coeffs[i] if i < len(coeffs) else ()
-            rows.append(tuple(Fraction(row[j]) if j < len(row) else Fraction(0)
-                              for j in range(self.n)))
-        return FieldElement(self, tuple(rows))
+        qs = [Fraction(0)] * (self.n * self.k)
+        for i, row in enumerate(coeffs[:self.k]):
+            for j, c in enumerate(row[:self.n]):
+                qs[i * self.n + j] = Fraction(c)
+        den = math.lcm(*(q.denominator for q in qs))
+        return FieldElement(self, [q.numerator * (den // q.denominator)
+                                   for q in qs], den)
 
     def lift(self, e: rf.FqElement) -> "FieldElement":
         """Teichmueller-free lift of a residue-field element (coefficients
         lifted to integers)."""
         assert e.field == self.residue_field
-        coeffs = [[Fraction(0)] * self.n for _ in range(self.k)]
+        nums = [0] * (self.n * self.k)
         if self.k == 1:
-            coeffs[0][0] = Fraction(e.rep)
+            nums[0] = e.rep
         else:
             for i, c in enumerate(e.rep):
-                coeffs[i][0] = Fraction(c.rep)
-        return FieldElement(self, tuple(tuple(r) for r in coeffs))
+                nums[i * self.n] = c.rep
+        return FieldElement(self, nums)
 
     # -- structural --------------------------------------------------------
 
     def __eq__(self, other):
+        if self is other:
+            return True
         if not isinstance(other, PrimeContext):
             return NotImplemented
         return (self.p, self.n, self.k, self.unram_min_poly) == \
@@ -183,31 +194,38 @@ class PrimeContext:
         assert src.k == self.k and src.unram_min_poly == self.unram_min_poly \
             or src.k == 1
         step = self.n // src.n
-        coeffs = [[Fraction(0)] * self.n for _ in range(self.k)]
-        for i in range(src.k):
-            for j in range(src.n):
-                c = e.coeffs[i][j]
-                if c:
-                    if src.k == 1 and self.k > 1:
-                        # constants embed on the i = 0 row
-                        coeffs[0][j * step] += c
-                    else:
-                        coeffs[i][j * step] += c
-        return FieldElement(self, tuple(tuple(r) for r in coeffs))
+        nums = [0] * (self.n * self.k)
+        for idx, c in enumerate(e.nums):
+            # constants of a k = 1 source land on the i = 0 row
+            i, j = divmod(idx, src.n)
+            nums[i * self.n + j * step] = c
+        return FieldElement(self, nums, e.den)
 
 
 class FieldElement:
-    """An element of E(p, n, k); immutable, exact."""
+    """An element of E(p, n, k); immutable, exact.
 
-    __slots__ = ("ctx", "coeffs", "_val")
+    `nums` is a tuple of n * k ints, the numerator of the coefficient of
+    x^i * pi^j sitting at index i * n + j, and `den` is their common
+    denominator, always > 0.  The constructor divides out gcd(den, *nums)
+    (so zero is nums = (0, ...), den = 1), which makes the representation
+    unique: equal elements have equal nums and den, and so equal hashes.
+    """
 
-    def __init__(self, ctx: PrimeContext, coeffs: Tuple[Tuple[Fraction, ...], ...]):
+    __slots__ = ("ctx", "nums", "den", "_val")
+
+    def __init__(self, ctx: PrimeContext, nums: Sequence[int], den: int = 1):
+        g = math.gcd(den, *nums)
+        if g != 1:
+            nums = [c // g for c in nums]
+            den //= g
         self.ctx = ctx
-        self.coeffs = coeffs
+        self.nums = tuple(nums)
+        self.den = den
         self._val = None
 
     def is_zero(self) -> bool:
-        return all(c == 0 for row in self.coeffs for c in row)
+        return not any(self.nums)
 
     # -- ring operations ---------------------------------------------------
 
@@ -217,57 +235,34 @@ class FieldElement:
 
     def __add__(self, other):
         self._check(other)
-        return FieldElement(self.ctx, tuple(
-            tuple(a + b for a, b in zip(r1, r2))
-            for r1, r2 in zip(self.coeffs, other.coeffs)))
+        a, b = self.den, other.den
+        if a == b:
+            return FieldElement(self.ctx, [x + y for x, y in
+                                           zip(self.nums, other.nums)], a)
+        return FieldElement(self.ctx, [x * b + y * a for x, y in
+                                       zip(self.nums, other.nums)], a * b)
 
     def __sub__(self, other):
         self._check(other)
-        return FieldElement(self.ctx, tuple(
-            tuple(a - b for a, b in zip(r1, r2))
-            for r1, r2 in zip(self.coeffs, other.coeffs)))
+        a, b = self.den, other.den
+        if a == b:
+            return FieldElement(self.ctx, [x - y for x, y in
+                                           zip(self.nums, other.nums)], a)
+        return FieldElement(self.ctx, [x * b - y * a for x, y in
+                                       zip(self.nums, other.nums)], a * b)
 
     def __neg__(self):
-        return FieldElement(self.ctx, tuple(
-            tuple(-a for a in r) for r in self.coeffs))
+        return FieldElement(self.ctx, [-c for c in self.nums], self.den)
 
     def __mul__(self, other):
         self._check(other)
-        ctx = self.ctx
-        n, k, p = ctx.n, ctx.k, ctx.p
-        # multiply as polynomials in x over Q[pi]/(pi^n - p)
-        prod = [[Fraction(0)] * n for _ in range(2 * k - 1)]
-        for i1, r1 in enumerate(self.coeffs):
-            for j1, c1 in enumerate(r1):
-                if not c1:
-                    continue
-                for i2, r2 in enumerate(other.coeffs):
-                    for j2, c2 in enumerate(r2):
-                        if not c2:
-                            continue
-                        j = j1 + j2
-                        c = c1 * c2
-                        if j >= n:
-                            j -= n
-                            c *= p
-                        prod[i1 + i2][j] += c
-        # reduce x-degree by the minimal polynomial
-        mp = ctx.unram_min_poly
-        for i in range(2 * k - 2, k - 1, -1):
-            row = prod[i]
-            if all(c == 0 for c in row):
-                continue
-            for t in range(k):
-                if mp[t]:
-                    for j in range(n):
-                        prod[i - k + t][j] -= mp[t] * row[j]
-            prod[i] = [Fraction(0)] * n
-        return FieldElement(ctx, tuple(tuple(r) for r in prod[:k]))
+        return FieldElement(self.ctx, _product(self.ctx, self.nums, other.nums),
+                            self.den * other.den)
 
     def scale(self, q) -> "FieldElement":
         q = Fraction(q)
-        return FieldElement(self.ctx, tuple(
-            tuple(q * a for a in r) for r in self.coeffs))
+        return FieldElement(self.ctx, [q.numerator * c for c in self.nums],
+                            q.denominator * self.den)
 
     def __pow__(self, e: int):
         if e < 0:
@@ -285,17 +280,17 @@ class FieldElement:
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero")
         ctx = self.ctx
-        n, k = ctx.n, ctx.k
-        dim = n * k
-        basis = [_basis_elem(ctx, i, j) for i in range(k) for j in range(n)]
-        # columns of the multiplication-by-self matrix
-        cols = [self * b for b in basis]
-        mat = [[cols[c].coeffs[idx // n][idx % n] for c in range(dim)]
-               for idx in range(dim)]
-        rhs = [Fraction(1)] + [Fraction(0)] * (dim - 1)
-        sol = _solve_exact(mat, rhs)
-        coeffs = [[sol[i * n + j] for j in range(n)] for i in range(k)]
-        return FieldElement(ctx, tuple(tuple(r) for r in coeffs))
+        dim = ctx.n * ctx.k
+        # columns of the multiplication-by-nums matrix; self * y = 1 is
+        # nums * y = den * (1, 0, ..., 0)
+        cols = [_product(ctx, self.nums, [int(r == c) for r in range(dim)])
+                for c in range(dim)]
+        rows = [[col[r] for col in cols] + [self.den if r == 0 else 0]
+                for r in range(dim)]
+        sol, det = _bareiss_solve(rows)
+        if det < 0:
+            sol, det = [-s for s in sol], -det
+        return FieldElement(ctx, sol, det)
 
     def __truediv__(self, other):
         return self * other.inverse()
@@ -309,40 +304,42 @@ class FieldElement:
         return self._val
 
     def _compute_val(self) -> Fraction:
-        ctx = self.ctx
-        best = INF
-        for j in range(ctx.n):
-            unram = [self.coeffs[i][j] for i in range(ctx.k)]
-            v = self._unram_val(unram)
-            if v is not INF:
-                cand = v + Fraction(j, ctx.n)
-                if cand < best:
+        n = self.ctx.n
+        best = None  # n * val(nums) as an int
+        for j in range(n):
+            unram = self.nums[j::n]
+            if any(unram):
+                cand = n * self._unram_val(unram) + j
+                if best is None or cand < best:
                     best = cand
-        return best
+        if best is None:
+            return INF
+        return Fraction(best - n * _vp(self.den, self.ctx.p), n)
 
-    def _unram_val(self, unram_coeffs) -> Fraction:
-        """Valuation of an element a of the unramified part: the minimum v
-        of its coefficients' valuations, since the monomial basis is
+    def _unram_val(self, unram_nums) -> int:
+        """Valuation of an integral element a of the unramified part: the
+        minimum v of its coefficients' valuations, since the monomial basis is
         integral.  Cross-checked against the norm, mod p: v_p(Norm(a)) = k v
         iff Norm(a / p^v) is a p-unit, i.e. iff the multiplication matrix of
         a / p^v has a nonzero determinant mod p."""
         ctx = self.ctx
         p = ctx.p
-        vals = [vp(c, p) for c in unram_coeffs]
-        v = min(vals)
-        if v is INF or ctx.k == 1:
+        vals = [_vp(c, p) if c else None for c in unram_nums]
+        v = min(vc for vc in vals if vc is not None)
+        if ctx.k == 1:
             return v
         # a / p^v mod p in the x-power basis, times x^0, ..., x^(k-1)
         mp = ctx.unram_min_poly
-        col = [_unit_mod_p(c, p) if vc == v else 0
-               for c, vc in zip(unram_coeffs, vals)]
+        col = [c // p ** v % p if vc == v else 0
+               for c, vc in zip(unram_nums, vals)]
         cols = []
         for _ in range(ctx.k):
             cols.append(col)
             lead = col[-1]
             col = [(c - lead * m) % p for c, m in zip([0] + col[:-1], mp)]
-        assert _det_mod_p(cols, p) != 0, \
-            "norm valuation disagrees with integral-basis minimum"
+        if _det_mod_p(cols, p) == 0:
+            raise CheckFailed("norm valuation disagrees with integral-basis "
+                              "minimum")
         return v
 
     def residue(self) -> rf.FqElement:
@@ -354,17 +351,13 @@ class FieldElement:
         F = ctx.residue_field
         if v is INF or v > 0:
             return F.zero
-        prime = rf.Fq(ctx.p)
-        digits = []
-        for i in range(ctx.k):
-            c = self.coeffs[i][0]
-            num = prime.from_int(c.numerator)
-            den = prime.from_int(c.denominator)
-            assert not den.is_zero(), "denominator divisible by p at valuation 0"
-            digits.append(num / den)
+        if self.den % ctx.p == 0:
+            raise CheckFailed("denominator divisible by p at valuation 0")
+        inv = pow(self.den, -1, ctx.p)
         if ctx.k == 1:
-            return digits[0]
-        return rf.FqElement(F, tuple(digits))
+            return F.from_int(self.nums[0] * inv)
+        return rf.FqElement(F, tuple(F.base.from_int(c * inv)
+                                     for c in self.nums[::ctx.n]))
 
     def unit_residue(self) -> rf.FqElement:
         """Residue of self / pi^(n * val): the leading residue digit."""
@@ -378,21 +371,34 @@ class FieldElement:
         rational coordinate reduced to a canonical small residue.  Keeps the
         digit expansion below `level` intact while discarding the unbounded
         tail exact arithmetic accumulates (Newton iteration, in particular,
-        doubles coefficient heights per step without this)."""
-        import math
+        doubles coefficient heights per step without this).
+
+        Coordinate a = c / den with vp(a) < m, m = ceil(level - j/n), becomes
+        r / p^e: e is the p-exponent of a's reduced denominator and r the
+        residue of a * p^e modulo p^(m + e)."""
         ctx = self.ctx
+        n, p = ctx.n, ctx.p
         level = Fraction(level)
-        rows = []
-        for i in range(ctx.k):
-            row = []
-            for j in range(ctx.n):
-                a = self.coeffs[i][j]
-                m = math.ceil(level - Fraction(j, ctx.n))
-                row.append(_rational_truncate(a, m, ctx.p))
-            rows.append(tuple(row))
-        out = FieldElement(ctx, tuple(rows))
+        den_v = _vp(self.den, p)
+        unit = self.den // p ** den_v
+        bounds = [math.ceil(level - Fraction(j, n)) for j in range(n)]
+        parts = []  # (index, r, e)
+        for idx, c in enumerate(self.nums):
+            if c:
+                v, m = _vp(c, p), bounds[idx % n]
+                if v - den_v < m:
+                    e = max(den_v - v, 0)
+                    mod = p ** (m + e)
+                    r = c // p ** min(v, den_v) * pow(unit, -1, mod) % mod
+                    parts.append((idx, r, e))
+        top = max((e for _, _, e in parts), default=0)
+        nums = [0] * len(self.nums)
+        for idx, r, e in parts:
+            nums[idx] = r * p ** (top - e)
+        out = FieldElement(ctx, nums, p ** top)
         diff = self - out
-        assert diff.is_zero() or diff.val() >= level
+        if not (diff.is_zero() or diff.val() >= level):
+            raise CheckFailed("truncation is not congruent to the element")
         return out
 
     # -- comparison and display -------------------------------------------
@@ -400,65 +406,89 @@ class FieldElement:
     def __eq__(self, other):
         if not isinstance(other, FieldElement):
             return NotImplemented
-        return self.ctx == other.ctx and self.coeffs == other.coeffs
+        return (self.ctx == other.ctx and self.nums == other.nums
+                and self.den == other.den)
 
     def __hash__(self):
-        return hash((self.ctx, self.coeffs))
+        return hash((self.ctx, self.nums, self.den))
 
     def __repr__(self):
         parts = []
-        for i, row in enumerate(self.coeffs):
-            for j, c in enumerate(row):
-                if c == 0:
-                    continue
-                mono = []
-                if i == 1:
-                    mono.append("x")
-                elif i > 1:
-                    mono.append(f"x^{i}")
-                if j == 1:
-                    mono.append("pi")
-                elif j > 1:
-                    mono.append(f"pi^{j}")
-                term = "*".join([str(c)] + mono) if mono else str(c)
-                parts.append(term)
+        for idx, c in enumerate(self.nums):
+            if c == 0:
+                continue
+            i, j = divmod(idx, self.ctx.n)
+            mono = []
+            if i == 1:
+                mono.append("x")
+            elif i > 1:
+                mono.append(f"x^{i}")
+            if j == 1:
+                mono.append("pi")
+            elif j > 1:
+                mono.append(f"pi^{j}")
+            parts.append("*".join([str(Fraction(c, self.den))] + mono))
         return " + ".join(parts) if parts else "0"
 
 
-def _rational_truncate(a: Fraction, m: int, p: int) -> Fraction:
-    """A small rational a' with v_p(a - a') >= m: the canonical residue of a
-    modulo p^m, scaled through the p-part of the denominator."""
-    if a == 0:
-        return a
-    t = vp(a, p)
-    if t >= m:
-        return Fraction(0)
-    e = 0
-    den = a.denominator
-    while den % p == 0:
-        den //= p
-        e += 1
-    big = m + e
-    assert big > 0
-    mod = p ** big
-    num_red = (a.numerator * pow(den, -1, mod)) % mod
-    return Fraction(num_red, p ** e)
+def _product(ctx: PrimeContext, a: Sequence[int], b: Sequence[int]) -> list:
+    """Numerators of the product of two numerator vectors: an integer
+    convolution in x and pi, with pi^n = p, then x^k reduced by the minimal
+    polynomial."""
+    n, k, p = ctx.n, ctx.k, ctx.p
+    prod = [0] * ((2 * k - 1) * n)
+    terms = [(ib, ib % n, cb) for ib, cb in enumerate(b) if cb]
+    for ia, ca in enumerate(a):
+        if ca:
+            ja = ia % n
+            for ib, jb, cb in terms:
+                if ja + jb < n:
+                    prod[ia + ib] += ca * cb
+                else:
+                    prod[ia + ib - n] += p * ca * cb
+    mp = ctx.unram_min_poly
+    for i in range(2 * k - 2, k - 1, -1):
+        top = prod[i * n:(i + 1) * n]
+        if any(top):
+            for t in range(k):
+                if mp[t]:
+                    base = (i - k + t) * n
+                    for j, c in enumerate(top):
+                        prod[base + j] -= mp[t] * c
+    del prod[k * n:]
+    return prod
 
 
-def _basis_elem(ctx: PrimeContext, i: int, j: int) -> FieldElement:
-    coeffs = [[Fraction(0)] * ctx.n for _ in range(ctx.k)]
-    coeffs[i][j] = Fraction(1)
-    return FieldElement(ctx, tuple(tuple(r) for r in coeffs))
+def _exact_div(a: int, b: int) -> int:
+    q, r = divmod(a, b)
+    if r:
+        raise CheckFailed("inexact division in the fraction-free solve")
+    return q
 
 
-def _unit_mod_p(c: Fraction, p: int) -> int:
-    """c / p^vp(c) mod p, for c != 0."""
-    num, den = c.numerator, c.denominator
-    while num % p == 0:
-        num //= p
-    while den % p == 0:
-        den //= p
-    return num * pow(den, -1, p) % p
+def _bareiss_solve(m):
+    """Solve a square integer system, given as rows [A | b], by fraction-free
+    (Bareiss) elimination and back substitution.  Returns (X, d) with
+    A (X / d) = b and d = +-det A; every division is exact, by Sylvester's
+    identity for the elimination and Cramer's rule for X."""
+    size = len(m)
+    prev = 1
+    for col in range(size):
+        pivot = next((r for r in range(col, size) if m[r][col]), None)
+        if pivot is None:
+            raise CheckFailed("singular multiplication matrix")
+        m[col], m[pivot] = m[pivot], m[col]
+        top = m[col]
+        for row in m[col + 1:]:
+            f = row[col]
+            for c in range(col + 1, size + 1):
+                row[c] = _exact_div(row[c] * top[col] - f * top[c], prev)
+        prev = top[col]
+    xs = [0] * size
+    for r in range(size - 1, -1, -1):
+        s = prev * m[r][size] - sum(m[r][c] * xs[c] for c in range(r + 1, size))
+        xs[r] = _exact_div(s, m[r][r])
+    return xs, prev
 
 
 def _det_mod_p(rows, p: int) -> int:
@@ -481,20 +511,3 @@ def _det_mod_p(rows, p: int) -> int:
                 for c in range(col, size):
                     m[r][c] = (m[r][c] - f * m[col][c]) % p
     return det % p
-
-
-def _solve_exact(mat, rhs):
-    """Solve a square rational linear system exactly (Gaussian elimination)."""
-    size = len(mat)
-    m = [list(row) + [rhs[r]] for r, row in enumerate(mat)]
-    for col in range(size):
-        pivot = next((r for r in range(col, size) if m[r][col] != 0), None)
-        assert pivot is not None, "singular multiplication matrix"
-        m[col], m[pivot] = m[pivot], m[col]
-        inv = 1 / m[col][col]
-        m[col] = [c * inv for c in m[col]]
-        for r in range(size):
-            if r != col and m[r][col]:
-                factor = m[r][col]
-                m[r] = [a - factor * b for a, b in zip(m[r], m[col])]
-    return [m[r][size] for r in range(size)]

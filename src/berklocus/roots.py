@@ -306,12 +306,9 @@ def isolate_roots(ctx: PrimeContext, g, multiplicity: int = 1,
 def _rational_split(ctx: PrimeContext, g) -> list:
     """Split g into factors over the rationals when its coefficients are all
     rational; otherwise return it whole."""
-    coords = []
-    for c in g:
-        flat = [q for row in c.coeffs for q in row]
-        if any(q != 0 for q in flat[1:]):
-            return [g]
-        coords.append(c.coeffs[0][0])
+    if any(any(c.nums[1:]) for c in g):
+        return [g]
+    coords = [Fraction(c.nums[0], c.den) for c in g]
     import sympy
     z = sympy.Symbol("z")
     expr = sum(sympy.Rational(q) * z ** i for i, q in enumerate(coords))

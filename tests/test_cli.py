@@ -6,9 +6,10 @@ import json
 
 import pytest
 
+from berklocus import cli
 from berklocus import fixlocus as fx
 from berklocus.cli import SCHEMA, main, parse_map_file
-from berklocus.errors import ParseError
+from berklocus.errors import CheckFailed, ParseError
 from berklocus.oracle import MOEBIUS_IDENTITY, fixture, fixtures
 
 # the acceptance suite's budget, under which analyze certifies every fixture
@@ -236,3 +237,14 @@ def test_verify_analyses_once(tmp_path, monkeypatch):
     code, text = run(["verify", "--input", path])
     assert code == 0 and "[ok] connectedness criterion" in text
     assert len(calls) == 1
+
+
+def test_exit_code_3_on_a_failed_exactness_check(square_map, monkeypatch):
+    # an exactness check of the arithmetic is an internal error, not bad input,
+    # also while the map file is read
+    def fail(*args, **kwargs):
+        raise CheckFailed("truncation is not congruent to the element")
+    monkeypatch.setattr(fx, "analyze", fail)
+    assert run(["analyze", "--input", square_map]) == (3, "")
+    monkeypatch.setattr(cli, "normalize", fail)
+    assert run(["analyze", "--input", square_map]) == (3, "")

@@ -1,6 +1,11 @@
 """Arithmetic in the working field tower: exactness, valuations, residues."""
 
+import functools
+import math
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -156,3 +161,169 @@ def test_val_is_the_norm_valuation(p, n, k):
             det = _det([[cols[c][r] for c in range(k)] for r in range(k)])
             expected = min(expected, vp(det, p) / k + Fraction(j, n))
         assert ctx.element(coeffs).val() == expected
+
+
+# -- the integer form against a Fraction reference -------------------------
+
+SHAPES = [(p, n, k) for p in (2, 3, 5, 11)
+          for n, k in ((1, 1), (2, 1), (3, 1), (8, 1), (1, 2), (2, 2),
+                       (4, 2), (1, 3), (2, 3), (1, 4), (2, 4))]
+
+
+@functools.lru_cache(maxsize=None)
+def _ctx(p, n, k):
+    return PrimeContext(p, n, k)
+
+
+@st.composite
+def grids(draw, p, n, k):
+    """k rows of n rational coefficients, some zero, with denominators
+    divisible by p among them."""
+    coeff = st.one_of(st.just(Fraction(0)), st.builds(
+        lambda a, e, d: Fraction(a * p ** e, d),
+        st.integers(-60, 60), st.integers(0, 2),
+        st.sampled_from((1, 7, p, p * p, 3 * p))))
+    return [[draw(coeff) for _ in range(n)] for _ in range(k)]
+
+
+def _grid(e):
+    """The coefficient of x^i pi^j of an element, read from its integer form."""
+    n, k = e.ctx.n, e.ctx.k
+    return [[Fraction(e.nums[i * n + j], e.den) for j in range(n)]
+            for i in range(k)]
+
+
+def _ref_mul(ctx, a, b):
+    n, k, p = ctx.n, ctx.k, ctx.p
+    prod = [[Fraction(0)] * n for _ in range(2 * k - 1)]
+    for i1 in range(k):
+        for j1 in range(n):
+            for i2 in range(k):
+                for j2 in range(n):
+                    c = a[i1][j1] * b[i2][j2]
+                    j = j1 + j2
+                    if j >= n:
+                        j, c = j - n, c * p
+                    prod[i1 + i2][j] += c
+    mp = ctx.unram_min_poly
+    for i in range(2 * k - 2, k - 1, -1):
+        for t in range(k):
+            for j in range(n):
+                prod[i - k + t][j] -= mp[t] * prod[i][j]
+    return prod[:k]
+
+
+def _ref_val(ctx, a):
+    # the monomial basis is integral (see test_val_is_the_norm_valuation)
+    return min((vp(c, ctx.p) + Fraction(j, ctx.n) for row in a
+                for j, c in enumerate(row) if c), default=INF)
+
+
+def _ref_truncate(ctx, a, level):
+    p, out = ctx.p, []
+    for row in a:
+        out.append([])
+        for j, c in enumerate(row):
+            m = math.ceil(level - Fraction(j, ctx.n))
+            if c == 0 or vp(c, p) >= m:
+                out[-1].append(Fraction(0))
+                continue
+            den, e = c.denominator, 0
+            while den % p == 0:
+                den, e = den // p, e + 1
+            mod = p ** (m + e)
+            out[-1].append(Fraction(c.numerator * pow(den, -1, mod) % mod,
+                                    p ** e))
+    return out
+
+
+def _ref_repr(a):
+    parts = []
+    for i, row in enumerate(a):
+        for j, c in enumerate(row):
+            if c:
+                mono = ([] if i == 0 else ["x"] if i == 1 else [f"x^{i}"]) + \
+                    ([] if j == 0 else ["pi"] if j == 1 else [f"pi^{j}"])
+                parts.append("*".join([str(c)] + mono))
+    return " + ".join(parts) or "0"
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_integer_form_matches_fraction_reference(data):
+    p, n, k = data.draw(st.sampled_from(SHAPES))
+    ctx = _ctx(p, n, k)
+    ga, gb = data.draw(grids(p, n, k)), data.draw(grids(p, n, k))
+    a, b = ctx.element(ga), ctx.element(gb)
+    assert _grid(a) == ga and a.den > 0
+    assert math.gcd(a.den, *a.nums) == 1
+    assert _grid(a + b) == [[x + y for x, y in zip(r, s)]
+                            for r, s in zip(ga, gb)]
+    assert _grid(a - b) == [[x - y for x, y in zip(r, s)]
+                            for r, s in zip(ga, gb)]
+    assert _grid(a * b) == _ref_mul(ctx, ga, gb)
+    assert a.val() == _ref_val(ctx, ga)
+    assert repr(a) == _ref_repr(ga)
+    v = _ref_val(ctx, ga)
+    if v < 0:
+        with pytest.raises(NegativeValuation):
+            a.residue()
+    else:
+        digits = [0 if v > 0 else
+                  row[0].numerator * pow(row[0].denominator, -1, p) % p
+                  for row in ga]
+        r = a.residue()
+        got = (r.rep,) if k == 1 else tuple(d.rep for d in r.rep)
+        assert got == tuple(digits)
+    assert _grid(_ctx(p, 2 * n, k).embed(a)) == [
+        [r[j // 2] if j % 2 == 0 else 0 for j in range(2 * n)] for r in ga]
+    level = Fraction(data.draw(st.integers(-2 * n, 4 * n)), n)
+    assert _grid(a.truncate(level)) == _ref_truncate(ctx, ga, level)
+    if not a.is_zero():
+        inv = a.inverse()
+        one = [[Fraction(int(i == j == 0)) for j in range(n)]
+               for i in range(k)]
+        assert _ref_mul(ctx, ga, _grid(inv)) == one
+        assert inv.val() == -a.val()
+    # products with a zero factor are the one zero
+    for z in (a * ctx.zero, (b - b) * a):
+        assert z == ctx.zero and z.nums == (0,) * (n * k) and z.den == 1
+        assert repr(z) == "0" and z.val() is INF
+    # equal elements built two ways are equal, with equal hashes
+    q = Fraction(data.draw(st.integers(-30, 30)), data.draw(
+        st.sampled_from((1, p, 6))))
+    for x, y in ((a * b, b * a), ((a + b) - b, a),
+                 (a.scale(q), ctx.element([[q * c for c in r] for r in ga])),
+                 (ctx.from_rational(q), ctx.element([[q]]))):
+        assert x == y and hash(x) == hash(y)
+
+
+def test_exactness_checks_fail_under_optimize():
+    code = (
+        "from berklocus import field\n"
+        "from berklocus.errors import CheckFailed\n"
+        "from berklocus.field import PrimeContext\n"
+        "assert False, 'asserts must be off'\n"
+        "def expect(name, thunk):\n"
+        "    try:\n"
+        "        thunk()\n"
+        "    except CheckFailed:\n"
+        "        print(name)\n"
+        "ctx = PrimeContext(5)\n"
+        "e = ctx.from_rational(1)\n"
+        "e.nums, e.den = (5,), 5  # not normalised: val 0 over den p\n"
+        "expect('residue', e.residue)\n"
+        "bad = PrimeContext(3, 1, 2)\n"
+        "bad.unram_min_poly = (-1, 0, 1)  # x^2 - 1: reducible, no field\n"
+        "e = bad.x_gen - bad.one\n"
+        "expect('norm', e.val)\n"
+        "expect('solve', e.inverse)\n"
+        "field.pow = lambda b, e, m: 0  # a truncation with a wrong inverse\n"
+        "expect('truncate', lambda: ctx.from_rational(3).truncate(2))\n")
+    src = os.path.join(os.path.dirname(__file__), "..", "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["residue", "norm", "solve", "truncate"]
