@@ -8,10 +8,12 @@ The reports are made through `cli.main`, as a user would get them:
 - `analyze --format json` on the acceptance suite's 200-map batch over Q_11
   (`random.Random(20260823)`, the degree list of tests/test_acceptance.py),
   drawn by `random_split_map` from tests/conftest.py;
-- `tree --format json` on every fixture;
-- `analyze --format json` and `tree --format json` on the benchmark's wild
-  draw: the first 60 maps over p = 2, 3 of `random.Random(1)`, drawn by
-  `wild_map_spec` from perfbench/workloads.py, map 47 included;
+- `tree --format json`, `weights --format json` and `verify` (text) on
+  every fixture;
+- `analyze --format json`, `tree --format json`, `weights --format json`
+  and `verify` (text) on the benchmark's wild draw: the first 60 maps over
+  p = 2, 3 of `random.Random(1)`, drawn by `wild_map_spec` from
+  perfbench/workloads.py, map 47 included;
 - `reduce-at --format json` at the 900 points of the benchmark's
   point-queries draw (`random.Random(QUERY_DRAW_SEED)`: 45 maps drawn by
   `query_map_spec` with 20 points each, as in perfbench/workloads.py).
@@ -140,12 +142,15 @@ def main():
         for name, p, num, den in inputs + batch + wild + query_maps:
             paths[name] = os.path.join(tmp, name.replace(":", "_") + ".map")
             write_map(paths[name], p, num, den)
+        json_subs = ("tree", "weights")
         runs = [("analyze", name) for name, *_ in inputs + batch] + \
-               [("tree", name) for name, *_ in inputs] + \
-               [(sub, name) for name, *_ in wild for sub in ("analyze", "tree")]
+               [(sub, name) for name, *_ in inputs
+                for sub in json_subs + ("verify",)] + \
+               [(sub, name) for name, *_ in wild
+                for sub in ("analyze",) + json_subs + ("verify",)]
         for sub, name in runs:
-            code, sha = digest([sub, "--input", paths[name], "--format",
-                                "json"] + BUDGET)
+            fmt = [] if sub == "verify" else ["--format", "json"]
+            code, sha = digest([sub, "--input", paths[name]] + fmt + BUDGET)
             print(f"{sub}:{name} exit={code} {sha}", flush=True)
         for m, (_, points) in enumerate(queries):
             for i, (a, s) in enumerate(points):

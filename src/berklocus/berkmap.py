@@ -18,6 +18,7 @@ is used to find structure.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional
@@ -231,11 +232,7 @@ class LocalData:
     directions: Optional[List[rf.TangentFixedDirection]]  # None: identity map
     surplus: Dict[DirectionKey, int]
     n_cf: Optional[int]
-    n_shear: Optional[int] = None  # filled by the global pass
-    conjugated: Optional[RationalMapK] = None
-    raw_reduced_num: Optional[tuple] = None
-    raw_reduced_den: Optional[tuple] = None
-    gcd_poly: Optional[tuple] = None
+    gcd_poly: tuple  # cancelled common factor of the reduction
 
     def surplus_total(self) -> int:
         return sum(self.surplus.values())
@@ -247,9 +244,8 @@ class LocalData:
 def _require_integral_s(ctx: PrimeContext, s: Fraction):
     s = Fraction(s)
     if (s * ctx.n).denominator != 1:
-        import math
-        need = ctx.n * s.denominator // math.gcd(ctx.n, s.denominator)
-        raise NeedsExtension(n=need, detail=f"radius parameter s = {s}")
+        raise NeedsExtension(n=math.lcm(ctx.n, s.denominator),
+                             detail=f"radius parameter s = {s}")
     return s
 
 
@@ -276,20 +272,13 @@ def reduce_at(f: RationalMapK, x: TypeIIPoint) -> LocalData:
     cnum = poly_divmod(F, rnum, gcd_poly)[0] if rnum else ()
     cden = poly_divmod(F, rden, gcd_poly)[0] if rden else ()
     surplus = _surplus_table(g, F, gcd_poly)
-    if not cnum or not cden:
-        # constant 0 or constant infinity
-        return LocalData(point=x, is_fixed=False, reduced_map=None,
-                         local_degree=None, indifference_class=NOT_FIXED,
-                         directions=None, surplus=surplus, n_cf=None,
-                         conjugated=g, raw_reduced_num=rnum,
-                         raw_reduced_den=rden, gcd_poly=gcd_poly)
-    reduced = FqRationalMap(F, cnum, cden)
-    if reduced.is_constant():
+    # None: constant 0 or constant infinity
+    reduced = FqRationalMap(F, cnum, cden) if cnum and cden else None
+    if reduced is None or reduced.is_constant():
         return LocalData(point=x, is_fixed=False, reduced_map=reduced,
                          local_degree=None, indifference_class=NOT_FIXED,
                          directions=None, surplus=surplus, n_cf=None,
-                         conjugated=g, raw_reduced_num=rnum,
-                         raw_reduced_den=rden, gcd_poly=gcd_poly)
+                         gcd_poly=gcd_poly)
     deg = reduced.degree
     if reduced.is_identity():
         cls, dirs, n_cf = ID_INDIFFERENT, None, 0
@@ -306,7 +295,6 @@ def reduce_at(f: RationalMapK, x: TypeIIPoint) -> LocalData:
     return LocalData(point=x, is_fixed=True, reduced_map=reduced,
                      local_degree=deg, indifference_class=cls,
                      directions=dirs, surplus=surplus, n_cf=n_cf,
-                     conjugated=g, raw_reduced_num=rnum, raw_reduced_den=rden,
                      gcd_poly=gcd_poly)
 
 
@@ -466,9 +454,12 @@ class RayBreakpoint:
     is reduced once: `local` is the LocalData of the first reduction of the
     point, taken in the coordinate of the first ray reaching it, so
     `local.point` may carry another center than this ray, and `cid` indexes
-    the point in `SkeletonGraph.vertex_points`.  Fixedness, class and local
-    degree do not depend on the center; direction data must be read in the
-    coordinate of `local.point`."""
+    the point in `SkeletonGraph.vertex_points`: the one id of the point, by
+    which the assembly, the weights and the `tree` subcommand all name it.
+    A ray's breakpoints are sorted by s and, the center being fixed, are
+    distinct points.  Fixedness, class and local degree do not depend on the
+    center; direction data must be read in the coordinate of
+    `local.point`."""
 
     s: Fraction
     local: Optional[LocalData]

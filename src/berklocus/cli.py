@@ -112,21 +112,25 @@ def _load_env_config(config: fx.ExploreConfig):
     path = os.environ.get("BERKLOCUS_CONFIG")
     if not path:
         return config
-    with open(path) as fh:
-        for ln, text in enumerate(fh, start=1):
-            text = text.split("#", 1)[0].strip()
-            if not text:
-                continue
-            if "=" not in text:
-                raise ParseError("expected 'key = value'", line=ln)
-            key, val = (part.strip() for part in text.split("=", 1))
-            key = key.replace("-", "_")
-            if key not in ("n_max", "k_max", "ray_budget"):
-                raise ParseError(f"unknown config key {key!r}", line=ln)
-            try:
-                setattr(config, key, int(val, 0))
-            except ValueError:
-                raise ParseError(f"not an integer: {val!r}", line=ln, field=key)
+    try:
+        with open(path) as fh:
+            raw = fh.readlines()
+    except OSError as e:
+        raise ParseError(f"cannot read config {path}: {e.strerror}")
+    for ln, text in enumerate(raw, start=1):
+        text = text.split("#", 1)[0].strip()
+        if not text:
+            continue
+        if "=" not in text:
+            raise ParseError("expected 'key = value'", line=ln)
+        key, val = (part.strip() for part in text.split("=", 1))
+        key = key.replace("-", "_")
+        if key not in ("n_max", "k_max", "ray_budget"):
+            raise ParseError(f"unknown config key {key!r}", line=ln)
+        try:
+            setattr(config, key, int(val, 0))
+        except ValueError:
+            raise ParseError(f"not an integer: {val!r}", line=ln, field=key)
     return config
 
 
@@ -317,31 +321,27 @@ def cmd_tangent(args, out) -> int:
 
 
 def _tree_data(f, config):
+    """Nodes keyed by breakpoint id (`bp.cid`) or `leaf<i>`, and the edges
+    between consecutive breakpoints of each ray (sorted by s, and distinct
+    points, since a ray has one center)."""
     skeleton = fx.analyze(f, config).skeleton
-    canon, canon_points = fx._canonical_breakpoints(skeleton)
     nodes = {}
-    for cid, (pt, local) in enumerate(canon_points):
+    for cid, (pt, local) in enumerate(skeleton.vertex_points):
         nodes[cid] = {"point": _point_dict(pt), "fixed": local.is_fixed,
                       "class": local.indifference_class}
     edges = []
     for ray in skeleton.rays:
-        bps = sorted((bp for bp in ray.breakpoints if bp.local is not None),
-                     key=lambda bp: bp.s)
-        chain = [canon[(ray.ray_id, bp.s)] for bp in bps]
-        for a, b in zip(chain, chain[1:]):
-            if a == b:
-                continue
-            lo = next(bp.s for bp in bps if canon[(ray.ray_id, bp.s)] == a)
-            hi = next(bp.s for bp in bps if canon[(ray.ray_id, bp.s)] == b)
+        bps = [bp for bp in ray.breakpoints if bp.cid is not None]
+        for a, b in zip(bps, bps[1:]):
             behavior = None
             for seg in ray.segments:
-                if seg.s_lo <= lo and hi <= seg.s_hi:
+                if seg.s_lo <= a.s and b.s <= seg.s_hi:
                     behavior = seg.behavior
-            edges.append((a, b, _s_str(lo), _s_str(hi), behavior))
-        if ray.leaf_idx is not None and chain:
+            edges.append((a.cid, b.cid, _s_str(a.s), _s_str(b.s), behavior))
+        if ray.leaf_idx is not None and bps:
             leaf = skeleton.leaves[ray.leaf_idx]
-            edges.append((chain[-1], f"leaf{ray.leaf_idx}", _s_str(bps[-1].s),
-                          "+inf", None))
+            edges.append((bps[-1].cid, f"leaf{ray.leaf_idx}",
+                          _s_str(bps[-1].s), "+inf", None))
             nodes[f"leaf{ray.leaf_idx}"] = {"leaf": leaf.describe(),
                                             "class": leaf.klass}
     return skeleton, nodes, edges

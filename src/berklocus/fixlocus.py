@@ -2,21 +2,28 @@
 hull skeleton, discovery and classification of components, crucial weights,
 and the global structure checks.
 
-The skeleton is built from exact pairwise distances between classical fixed
-points (an ultrametric join tree), with every edge decomposed by the tropical
-ray analysis and every vertex annotated by reduction.  Rays share their ends
-and junctions, so each distinct disk point is reduced exactly once: the first
-ray to reach it reduces it in its own coordinate, and every later breakpoint
-at that point holds the same LocalData and canonical id.  Fixedness, class
-and local degree do not depend on the coordinate; direction data is read in
-the coordinate of that first reduction.  Components of the fixed
-locus are then read off as connected groups of fixed atoms (vertices, edge
-segments, classical leaves).  Completeness of the certificate rests on a
-structural fact: at a fixed point whose tangent map is not the identity, every
-fixed tangent direction has positive fixed-point multiplicity, hence contains
-a classical fixed point, hence points along the skeleton -- so nothing with
-positive weight hides off the tree outside id-indifferent regions, and the
-weight total provides an end-to-end cross-check either way.
+The skeleton is the join tree of the exact pairwise distances between the
+classical fixed points and the critical points, an ultrametric: built top
+down, each group of anchors joins at its shallowest pairwise level and splits
+into the classes of `distance > level`, with the ultrametric inequality
+checked on the way.  Every edge is decomposed by the tropical ray analysis
+and every vertex annotated by reduction.  Rays share their ends and
+junctions, so each distinct disk point is reduced exactly once: the first ray
+to reach it reduces it in its own coordinate, and every later breakpoint at
+that point holds the same LocalData and the same id, `RayBreakpoint.cid`,
+its index in `SkeletonGraph.vertex_points`.  Fixedness, class and local
+degree do not depend on the coordinate; direction data is read in the
+coordinate of that first reduction.  Every reader of the tree (components,
+weights, the `tree` subcommand) names a point by that id.  Components of the
+fixed locus are the connected groups of fixed atoms (vertices, edge segments,
+classical leaves) in the adjacency the assembly builds.
+
+Completeness of the certificate rests on a structural fact: at a fixed point
+whose tangent map is not the identity, every fixed tangent direction has
+positive fixed-point multiplicity, hence contains a classical fixed point,
+hence points along the skeleton -- so nothing with positive weight hides off
+the tree outside id-indifferent regions, and the weight total provides an
+end-to-end cross-check either way.
 
 The global structure checks are functions of one `Analysis`: they read the
 certificate `analyze` returned and never run the pipeline again.
@@ -25,6 +32,7 @@ certificate `analyze` returned and never run the pipeline again.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from typing import Dict, List, Optional, Tuple, Union
@@ -245,12 +253,14 @@ class SkeletonGraph:
     in the Berkovich line are unique geodesics, component connectivity is
     also decided entirely on this tree.
 
-    `vertex_points` holds every distinct disk point among the integral ray
-    breakpoints, once, in the order the rays first reach it, with the one
-    reduction taken there; a breakpoint's `cid` indexes this list and its
-    `local` is the same LocalData object.  That reduction is in the
-    coordinate of the first center that reached the point, and direction
-    data (`_leaf_directions`, the surplus keys) is read in that coordinate.
+    `rays` come in the pre-order of the join tree (`_emit_join_tree`), the
+    upward ray last.  `vertex_points` holds every distinct disk point among
+    the integral ray breakpoints, once, in the order the rays first reach it,
+    with the one reduction taken there; a breakpoint's `cid` indexes this
+    list, is the one id of the point for every reader, and its `local` is
+    the same LocalData object.  That reduction is in the coordinate of the
+    first center that reached the point, and direction data
+    (`_leaf_directions`, the surplus keys) is read in that coordinate.
     """
 
     leaves: List[ClassicalFixedPoint]
@@ -259,11 +269,6 @@ class SkeletonGraph:
     aux_leaves: List[Union[RootHandle, ClusterStub]]
     rays: List[ScaffoldRay]
     vertex_points: List[Tuple[TypeIIPoint, LocalData]]  # join/branch points
-
-
-def _binom(n, k):
-    import math
-    return math.comb(n, k)
 
 
 def _tail_lines(f: RationalMapK, h: RootHandle):
@@ -282,11 +287,11 @@ def _tail_lines(f: RationalMapK, h: RootHandle):
         # NS_i(w) = sum_j C(j,i) num_j w^(j-i); A_i = NS_i - w * DS_i
         ns = ()
         if i <= dn:
-            ns = _trim([num[j] * ctx.from_rational(_binom(j, i))
+            ns = _trim([num[j] * ctx.from_rational(math.comb(j, i))
                         for j in range(i, dn + 1)])
         ds = ()
         if i <= dd:
-            ds = _trim([den[j] * ctx.from_rational(_binom(j, i))
+            ds = _trim([den[j] * ctx.from_rational(math.comb(j, i))
                         for j in range(i, dd + 1)])
         ai = poly_sub(ctx, ns, poly_mul(ctx, (ctx.zero, ctx.one), ds))
         for slope, key, q in ((Fraction(i), ("n", i), ai),
@@ -389,6 +394,46 @@ def _anchor_distance(a, b) -> Fraction:
     return a.distance_to(b)
 
 
+def _emit_join_tree(rays: List[ScaffoldRay], anchors, dist, group: List[int],
+                    s_lo, to_infinity: bool):
+    """Append the rays of the join tree of `group` (ascending anchor
+    indices) below the level s_lo.  The group joins at the shallowest
+    pairwise level; its classes under `dist > level`, found in ascending
+    order, are the children.  A join's ray is anchored at its least member,
+    and the children follow in the order of their least members.  The top
+    group carries the upward ray toward infinity, after its subtree."""
+    anchor, leaf_idx = anchors[group[0]]
+    if len(group) == 1:
+        hi = anchor.radius if isinstance(anchor, ClusterStub) else INF
+        if hi is INF or hi > s_lo:  # a stub may sit exactly at the join
+            rays.append(ScaffoldRay(len(rays), anchor, s_lo, hi,
+                                    leaf_idx=leaf_idx,
+                                    to_infinity=to_infinity))
+        return
+    level = min(dist[i, j] for i, j in itertools.combinations(group, 2))
+    classes: List[List[int]] = []
+    for i in group:
+        cls = next((c for c in classes if dist[c[0], i] > level), None)
+        if cls is None:
+            classes.append([i])
+        else:
+            cls.append(i)
+    class_of = {i: k for k, c in enumerate(classes) for i in c}
+    for i, j in itertools.combinations(group, 2):
+        if (dist[i, j] > level) != (class_of[i] == class_of[j]):
+            raise CheckFailed(f"anchor distances are not ultrametric: "
+                              f"anchors {i} and {j} at distance {dist[i, j]} "
+                              f"split wrongly at the join level {level}")
+    if not to_infinity:
+        rays.append(ScaffoldRay(len(rays), anchor, s_lo, level,
+                                leaf_idx=None, to_infinity=False))
+    for c in classes:
+        _emit_join_tree(rays, anchors, dist, c, level, to_infinity=False)
+    if to_infinity:
+        rays.append(ScaffoldRay(len(rays), anchor, NEG_INF, level,
+                                leaf_idx=None, to_infinity=True))
+
+
 def gamma_fix(f: RationalMapK,
               config: Optional[ExploreConfig] = None) -> SkeletonGraph:
     """The annotated connected hull of the classical fixed points, the finite
@@ -402,80 +447,14 @@ def gamma_fix(f: RationalMapK,
          if not cp.is_infinity()] + [(h, None) for h in aux]
 
     rays: List[ScaffoldRay] = []
-    ray_id = itertools.count()
-
-    if len(anchors) == 0:
-        rays.append(ScaffoldRay(next(ray_id), f.ctx.zero, NEG_INF, INF,
-                                leaf_idx=None, to_infinity=True))
-    elif len(anchors) == 1:
-        h, idx = anchors[0]
-        hi = h.radius if isinstance(h, ClusterStub) else INF
-        rays.append(ScaffoldRay(next(ray_id), h, NEG_INF, hi,
-                                leaf_idx=idx, to_infinity=True))
+    if anchors:
+        dist = {(i, j): _anchor_distance(anchors[i][0], anchors[j][0])
+                for i, j in itertools.combinations(range(len(anchors)), 2)}
+        _emit_join_tree(rays, anchors, dist, list(range(len(anchors))),
+                        NEG_INF, to_infinity=True)
     else:
-        idxs = range(len(anchors))
-        dist = {}
-        for i, j in itertools.combinations(idxs, 2):
-            dist[(i, j)] = _anchor_distance(anchors[i][0], anchors[j][0])
-        # ultrametric join tree: merge clusters at decreasing depth
-        cluster_of = {i: i for i in idxs}
-        members = {i: [i] for i in idxs}
-        node_of = {i: ("leaf", i) for i in idxs}
-        for level in sorted(set(dist.values()), reverse=True):
-            groups: Dict[int, set] = {}
-            for (i, j), v in dist.items():
-                if v == level and cluster_of[i] != cluster_of[j]:
-                    root_i, root_j = cluster_of[i], cluster_of[j]
-                    groups.setdefault(min(root_i, root_j), set()).update(
-                        {root_i, root_j})
-            # merge transitively at this level
-            merged_any = True
-            while merged_any:
-                merged_any = False
-                keys = list(groups.keys())
-                for a, b in itertools.combinations(keys, 2):
-                    if a in groups and b in groups and groups[a] & groups[b]:
-                        groups[a] |= groups.pop(b)
-                        merged_any = True
-                        break
-            for cluster_ids in groups.values():
-                children = [node_of[c] for c in sorted(cluster_ids)]
-                rep = min(cluster_ids)
-                new_members = []
-                for c in cluster_ids:
-                    new_members.extend(members[c])
-                for m in new_members:
-                    cluster_of[m] = rep
-                members[rep] = new_members
-                node_of[rep] = ("join", level, children, rep)
-        top_rep = cluster_of[0]
-        top_node = node_of[top_rep]
-        assert top_node[0] == "join"
-
-        def emit(node, parent_level):
-            if node[0] == "leaf":
-                i = node[1]
-                anchor = anchors[i][0]
-                hi = anchor.radius if isinstance(anchor, ClusterStub) else INF
-                if hi is not INF and hi <= parent_level:
-                    return  # stub sits exactly at (or above) the join point
-                rays.append(ScaffoldRay(next(ray_id), anchor,
-                                        parent_level, hi,
-                                        leaf_idx=anchors[i][1],
-                                        to_infinity=False))
-            else:
-                _, level, children, rep = node
-                if parent_level is not None:
-                    rays.append(ScaffoldRay(next(ray_id), anchors[rep][0],
-                                            parent_level, level,
-                                            leaf_idx=None, to_infinity=False))
-                for ch in children:
-                    emit(ch, level)
-
-        emit(top_node, None)
-        # upward ray from the top join toward infinity
-        rays.append(ScaffoldRay(next(ray_id), anchors[top_rep][0], NEG_INF,
-                                top_node[1], leaf_idx=None, to_infinity=True))
+        rays.append(ScaffoldRay(0, f.ctx.zero, NEG_INF, INF, leaf_idx=None,
+                                to_infinity=True))
 
     vertex_points: List[Tuple[TypeIIPoint, LocalData]] = []
     for ray in rays:
@@ -529,96 +508,69 @@ class Analysis:
     diagnostics: List[str]
 
 
-class _UnionFind:
-    def __init__(self):
-        self.parent = {}
-
-    def add(self, x):
-        self.parent.setdefault(x, x)
-
-    def find(self, x):
-        while self.parent[x] != x:
-            self.parent[x] = self.parent[self.parent[x]]
-            x = self.parent[x]
-        return x
-
-    def union(self, a, b):
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self.parent[ra] = rb
-
-
-def _canonical_breakpoints(skeleton: SkeletonGraph):
-    """The grouping of breakpoints by type-II point that `gamma_fix` made;
-    returns (canon map (ray_id, s) -> canonical id, list of (point,
-    LocalData) indexed by canonical id)."""
-    canon = {(ray.ray_id, bp.s): bp.cid for ray in skeleton.rays
-             for bp in ray.breakpoints if bp.local is not None}
-    return canon, skeleton.vertex_points
-
-
-def _assemble(f: RationalMapK,
-              skeleton: SkeletonGraph) -> Tuple[List[Component], list]:
-    canon, canon_points = _canonical_breakpoints(skeleton)
-    uf = _UnionFind()
+def _assemble(f: RationalMapK, skeleton: SkeletonGraph) -> List[Component]:
+    """Components of the fixed locus: the connected groups of fixed atoms
+    (classical leaves, breakpoints by `cid`, ray segments) of the skeleton,
+    in the order their first atom was added."""
     atoms: Dict[tuple, dict] = {}
     adj: Dict[tuple, set] = {}
 
     def add_atom(aid, fixed, payload):
         atoms[aid] = {"fixed": fixed, **payload}
-        adj.setdefault(aid, set())
-        uf.add(aid)
+        adj[aid] = set()
 
     def connect(a, b):
         adj[a].add(b)
         adj[b].add(a)
-        if atoms[a]["fixed"] and atoms[b]["fixed"]:
-            uf.union(a, b)
 
     for i, cp in enumerate(skeleton.leaves):
         add_atom(("leaf", i), True, {"cp": cp})
-    for cid, (pt, local) in enumerate(canon_points):
+    for cid, (pt, local) in enumerate(skeleton.vertex_points):
         add_atom(("bp", cid), local.is_fixed, {"pt": pt, "local": local})
 
     inf_idx = next((i for i, cp in enumerate(skeleton.leaves)
                     if cp.is_infinity()), None)
 
     for ray in skeleton.rays:
-        seg_ids = []
+        cid_at = {bp.s: bp.cid for bp in ray.breakpoints
+                  if bp.cid is not None}
+        prev = None
         for si, seg in enumerate(ray.segments):
             aid = ("seg", ray.ray_id, si)
             add_atom(aid, seg.behavior != NOT_FIXED, {"seg": seg})
-            seg_ids.append((aid, seg))
-        for aid, seg in seg_ids:
-            if seg.s_lo is not NEG_INF and (ray.ray_id, seg.s_lo) in canon:
-                connect(aid, ("bp", canon[(ray.ray_id, seg.s_lo)]))
-            if seg.s_hi is not INF and (ray.ray_id, seg.s_hi) in canon:
-                connect(aid, ("bp", canon[(ray.ray_id, seg.s_hi)]))
+            if seg.s_lo in cid_at:
+                connect(aid, ("bp", cid_at[seg.s_lo]))
+            elif prev is not None:
+                # neighbouring segments meeting at a type-III crossing touch
+                # at a single point of weight 0; the fixed locus is closed,
+                # so fixedness passes straight through
+                connect(aid, prev)
+            if seg.s_hi in cid_at:
+                connect(aid, ("bp", cid_at[seg.s_hi]))
             if seg.s_hi is INF and ray.leaf_idx is not None:
                 connect(aid, ("leaf", ray.leaf_idx))
             if seg.s_lo is NEG_INF and ray.to_infinity and inf_idx is not None:
                 connect(aid, ("leaf", inf_idx))
-        # adjacent segments meeting at a type-III crossing (no canonical
-        # vertex) touch at a single point of weight 0; the fixed locus is
-        # closed, so fixedness passes straight through
-        for (aid1, seg1), (aid2, seg2) in \
-                itertools.combinations(seg_ids, 2):
-            for s in (seg1.s_hi,):
-                if s is not INF and s == seg2.s_lo and \
-                        (ray.ray_id, s) not in canon:
-                    connect(aid1, aid2)
-            for s in (seg2.s_hi,):
-                if s is not INF and s == seg1.s_lo and \
-                        (ray.ray_id, s) not in canon:
-                    connect(aid1, aid2)
+            prev = aid
 
+    # label fixed atoms by a traversal of adj, in insertion order
+    comp_of: Dict[tuple, tuple] = {}
     groups: Dict[tuple, List[tuple]] = {}
     for aid, info in atoms.items():
-        if info["fixed"]:
-            groups.setdefault(uf.find(aid), []).append(aid)
+        if not info["fixed"]:
+            continue
+        if aid not in comp_of:
+            comp_of[aid] = aid
+            stack = [aid]
+            while stack:
+                for b in adj[stack.pop()]:
+                    if atoms[b]["fixed"] and b not in comp_of:
+                        comp_of[b] = aid
+                        stack.append(b)
+        groups.setdefault(comp_of[aid], []).append(aid)
 
     components = []
-    for aids in groups.values():
+    for root, aids in groups.items():
         classical = [atoms[a]["cp"] for a in aids if a[0] == "leaf"]
         fixed_vertices = [(atoms[a]["pt"], atoms[a]["local"])
                           for a in aids if a[0] == "bp"]
@@ -639,13 +591,14 @@ def _assemble(f: RationalMapK,
                          fixed_vertices=fixed_vertices, alpha=alpha,
                          residue_field=f.ctx.residue_field,
                          atom_ids=sorted(aids),
-                         atom_adj={a: sorted(x for x in adj[a] if x in aids)
+                         atom_adj={a: sorted(x for x in adj[a]
+                                             if comp_of.get(x) == root)
                                    for a in aids},
                          bp_class={a: atoms[a]["local"].indifference_class
                                    for a in aids if a[0] == "bp"})
         components.append(comp)
     components.sort(key=lambda c: (c.kind, -c.classical_multiplicity))
-    return components, canon_points
+    return components
 
 
 def _leaf_directions(skeleton: SkeletonGraph, pt: TypeIIPoint):
@@ -673,15 +626,14 @@ def _tangent_fixes_direction(local: LocalData, d) -> bool:
     return m.eval_at(d) == d
 
 
-def crucial_weights_from(skeleton: SkeletonGraph,
-                         canon_points) -> Tuple[List[CrucialPoint], int]:
+def crucial_weights_from(
+        skeleton: SkeletonGraph) -> Tuple[List[CrucialPoint], int]:
     out = []
-    for pt, local in canon_points:
+    for pt, local in skeleton.vertex_points:
         dirs = _leaf_directions(skeleton, pt)
         if local.is_fixed:
             n_shear = sum(1 for d, _ in dirs.values()
                           if not _tangent_fixes_direction(local, d))
-            local.n_shear = n_shear
             w = local.local_degree - 1 + n_shear
             if w > 0:
                 out.append(CrucialPoint(pt, w, True,
@@ -708,9 +660,7 @@ def analyze(f: RationalMapK,
             return _analyze_once(f, config)
         except NeedsExtension as e:
             ctx = f.ctx
-            import math
-            new_n = ctx.n if e.n is None else (ctx.n * e.n
-                                               // math.gcd(ctx.n, e.n))
+            new_n = ctx.n if e.n is None else math.lcm(ctx.n, e.n)
             new_k = ctx.k if e.k is None else e.k
             if new_k != ctx.k and ctx.k != 1:
                 raise
@@ -724,8 +674,8 @@ def analyze(f: RationalMapK,
 
 def _analyze_once(f: RationalMapK, config: ExploreConfig) -> Analysis:
     skeleton = gamma_fix(f, config)
-    components, canon_points = _assemble(f, skeleton)
-    crucial, total = crucial_weights_from(skeleton, canon_points)
+    components = _assemble(f, skeleton)
+    crucial, total = crucial_weights_from(skeleton)
     diagnostics = []
     d = f.degree
     stubs = [h for h in skeleton.aux_leaves if isinstance(h, ClusterStub)]
@@ -859,7 +809,7 @@ def _direction_multiplier(local: LocalData, toward_zero: bool) -> FqElement:
     for t in local.directions:
         if toward_zero and not isinstance(t.location, Infinity) \
                 and t.orbit_size == 1 and t.location == F.zero:
-            return rf._project_to_base(t.multiplier, F) if t.field != F else t.multiplier
+            return t.multiplier
         if not toward_zero and isinstance(t.location, Infinity):
             return t.multiplier
     raise ArcNotFixed("facing direction along the arc is not fixed")

@@ -22,6 +22,7 @@ rational roots come out exact; everything else stays a handle.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from typing import List, Optional, Tuple, Union
@@ -101,8 +102,7 @@ class RootHandle:
         ctx = self.ctx
         v = self.prec
         if (v * ctx.n).denominator != 1:
-            import math
-            need = ctx.n * v.denominator // math.gcd(ctx.n, v.denominator)
+            need = math.lcm(ctx.n, v.denominator)
             raise NeedsExtension(n=need, detail=f"root at ramified distance {v}")
         u = ctx.pi_pow(int(v * ctx.n))
         h = poly_scale_arg(ctx, poly_shift(ctx, self.g, self.center), u)
@@ -330,7 +330,6 @@ def _isolate_cluster(ctx: PrimeContext, g, c: FieldElement, floor: Fraction,
     yet placed is returned as a single ClusterStub (the stub's closed disk
     swallows the deeper levels and the exact center, so anchors never
     overlap)."""
-    import math
     handles: list = []
     shifted = poly_shift(ctx, g, c)
     exact = None
@@ -350,7 +349,7 @@ def _isolate_cluster(ctx: PrimeContext, g, c: FieldElement, floor: Fraction,
             # already isolated at this level
             return [RootHandle(ctx, g, c, v, multiplicity)]
         if (v * ctx.n).denominator != 1:
-            need = ctx.n * v.denominator // math.gcd(ctx.n, v.denominator)
+            need = math.lcm(ctx.n, v.denominator)
             # a separation radius with p in its denominator means the
             # conjugates generate a wildly ramified extension; a pure
             # uniformizer tower cannot split that cluster, so extending

@@ -165,6 +165,15 @@ def test_env_config_pickup(tmp_path, square_map, monkeypatch):
     assert code == 1
 
 
+def test_unreadable_env_config_exits_1(tmp_path, square_map, monkeypatch):
+    # a config path that names no file, or a directory, is bad input like an
+    # unreadable --input, not an internal error
+    for path in (tmp_path / "missing.cfg", tmp_path):
+        monkeypatch.setenv("BERKLOCUS_CONFIG", str(path))
+        code, text = run(["analyze", "--input", square_map])
+        assert (code, text) == (1, ""), path
+
+
 def test_tower_parameters_from_file(tmp_path):
     # fixed points at valuation 1/2 are representable once n = 2 in the file
     path = write(tmp_path, "ramified.map",
@@ -223,6 +232,32 @@ def test_tree_on_every_fixture(tmp_path):
             code, _ = run(["tree", "--input", path, "--format", fmt]
                           + BUDGET)
             assert code == want, (fxt.name, fmt)
+
+
+def test_tree_json_is_a_tree_on_every_fixture(tmp_path):
+    """On every fixture of degree >= 2, the JSON skeleton is a tree: every
+    edge end is a node, |E| = |V| - 1, and the graph is connected."""
+    for fxt in fixtures():
+        if fxt.expected["degree"] < 2:
+            continue
+        code, text = run(["tree", "--input", write_fixture(tmp_path, fxt),
+                          "--format", "json"] + BUDGET)
+        assert code == 0, fxt.name
+        doc = json.loads(text)
+        nodes = set(doc["nodes"])
+        adj = {v: set() for v in nodes}
+        for e in doc["edges"]:
+            assert e["from"] in nodes and e["to"] in nodes, (fxt.name, e)
+            adj[e["from"]].add(e["to"])
+            adj[e["to"]].add(e["from"])
+        assert len(doc["edges"]) == len(nodes) - 1, fxt.name
+        seen, stack = set(), [next(iter(nodes))]
+        while stack:
+            v = stack.pop()
+            if v not in seen:
+                seen.add(v)
+                stack.extend(adj[v] - seen)
+        assert seen == nodes, fxt.name
 
 
 def test_verify_analyses_once(tmp_path, monkeypatch):

@@ -20,6 +20,7 @@ from berklocus.errors import (
     NotIndifferent,
     PreconditionViolated,
 )
+from berklocus.field import INF, NEG_INF
 from berklocus.oracle import fixture
 
 from conftest import mk
@@ -223,6 +224,31 @@ def test_breakpoints_hold_the_canonical_reduction(shared_point_analyses):
                 assert bp.local is local, name
                 here = TypeIIPoint(ray.segments[0].center, bp.s)
                 assert pt.same_point(here), name
+
+
+def test_join_tree_ray_order():
+    # anchors 0, 1 join at 5 and 2, 3 at 4; the two pairs join at 1
+    dist = {(0, 1): Fraction(5), (0, 2): Fraction(1), (0, 3): Fraction(1),
+            (1, 2): Fraction(1), (1, 3): Fraction(1), (2, 3): Fraction(4)}
+    anchors = [(f"a{i}", i) for i in range(4)]
+    rays = []
+    fx._emit_join_tree(rays, anchors, dist, [0, 1, 2, 3], NEG_INF,
+                       to_infinity=True)
+    got = [(r.ray_id, r.anchor, r.s_lo, r.s_hi, r.leaf_idx, r.to_infinity)
+           for r in rays]
+    assert got == [(0, "a0", 1, 5, None, False), (1, "a0", 5, INF, 0, False),
+                   (2, "a1", 5, INF, 1, False), (3, "a2", 1, 4, None, False),
+                   (4, "a2", 4, INF, 2, False), (5, "a3", 4, INF, 3, False),
+                   (6, "a0", NEG_INF, 1, None, True)]
+
+
+def test_join_tree_rejects_a_non_ultrametric_distance():
+    # d(0, 1) = 2 and d(1, 2) = 3 exceed d(0, 2) = 1: no ultrametric has that
+    dist = {(0, 1): Fraction(2), (0, 2): Fraction(1), (1, 2): Fraction(3)}
+    anchors = [(f"a{i}", i) for i in range(3)]
+    with pytest.raises(CheckFailed):
+        fx._emit_join_tree([], anchors, dist, [0, 1, 2], NEG_INF,
+                           to_infinity=True)
 
 
 def test_theorem_a_count_fails_on_doctored_component():
