@@ -31,6 +31,7 @@ from .epoly import (
     poly_shift,
 )
 from .errors import (
+    CheckFailed,
     ConstantMap,
     IdentityTangentMap,
     NeedsExtension,
@@ -263,7 +264,8 @@ def reduce_at(f: RationalMapK, x: TypeIIPoint) -> LocalData:
     F = f.ctx.residue_field
     rnum = _trim([c.residue() for c in g.num])
     rden = _trim([c.residue() for c in g.den])
-    assert rnum or rden, "normalized map cannot reduce to 0/0"
+    if not (rnum or rden):
+        raise CheckFailed("normalized map cannot reduce to 0/0")
     # cancelled common factor
     if rnum and rden:
         gcd_poly = poly_gcd(F, rnum, rden)
@@ -514,7 +516,8 @@ def segments_from_lines(one: FqElement, lines, s_lo, s_hi):
         eff_hi = (max(cands) + 1) if cands else eff_lo + 1
     else:
         eff_hi = s_hi
-    assert eff_lo < eff_hi
+    if not eff_lo < eff_hi:
+        raise CheckFailed(f"empty envelope interval [{eff_lo}, {eff_hi}]")
     grid = sorted(cands | {eff_lo, eff_hi})
 
     def support(s):

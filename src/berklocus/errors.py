@@ -4,9 +4,11 @@ Every error that a caller may want to branch on gets its own class; anything
 raised from here signals a *usage* or *capability* problem, never a bug in the
 arithmetic (internal invariant violations raise AssertionError instead).
 CheckFailed is the one exception: a certificate check raises it when the
-computed structure contradicts a theorem, and an exactness check of the field
-arithmetic when a result fails its cross-check, so that the check still fails
-under `python -O`, which drops asserts.  The CLI exits 3 on it.
+computed structure contradicts a theorem, and an exactness or counting check
+(of the field arithmetic, the rational root split, root isolation or the
+tangent map's fixed points) when a result fails its cross-check, so that the
+check still fails under `python -O`, which drops asserts.  The CLI exits 3
+on it.
 """
 
 

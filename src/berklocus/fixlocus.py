@@ -173,8 +173,9 @@ def classical_fixed_points(f: RationalMapK) -> List[ClassicalFixedPoint]:
     if inf_m:
         out.append(_infinity_entry(f, inf_m))
     total = sum(cp.multiplicity for cp in out)
-    assert total == f.degree + 1, \
-        f"classical fixed points total {total}, expected {f.degree + 1}"
+    if total != f.degree + 1:
+        raise CheckFailed(f"classical fixed points total {total}, expected "
+                          f"{f.degree + 1}")
     return out
 
 

@@ -35,6 +35,7 @@ from dataclasses import dataclass
 from typing import Optional, Union
 
 from .errors import (
+    CheckFailed,
     IdentityMap,
     MultiplierOne,
     NotFixed,
@@ -958,14 +959,18 @@ class FqRationalMap:
             out.append(TangentFixedDirection(
                 location=INF_POINT, field=F, minpoly=None, orbit_size=1,
                 multiplicity=inf_mult, multiplier=lam, critically_fixed=crit))
-        assert sum(t.orbit_size * t.multiplicity for t in out) == self.degree + 1
+        total = sum(t.orbit_size * t.multiplicity for t in out)
+        if total != self.degree + 1:
+            raise CheckFailed(f"tangent map fixes {total} directions, "
+                              f"expected {self.degree + 1}")
         return out
 
     def _multiplier_and_critical(self, loc: FqElement, loc_field: Fq, mult: int):
         m = self if loc_field == self.field else self.lift_to(loc_field)
         F = loc_field
         dv = poly_eval(F, m.den, loc)
-        assert not dv.is_zero(), "coprime map cannot have a fixed pole"
+        if dv.is_zero():
+            raise CheckFailed("coprime map cannot have a fixed pole")
         dnum = poly_sub(F, poly_mul(F, poly_deriv(F, m.num), m.den),
                        poly_mul(F, m.num, poly_deriv(F, m.den)))
         lam = poly_eval(F, dnum, loc) / (dv * dv)
@@ -975,9 +980,10 @@ class FqRationalMap:
         val_here = poly_eval(F, m.num, loc) / dv
         diff = poly_sub(F, m.num, poly_scale(F, m.den, val_here))
         order = _vanishing_order(F, diff, loc)
-        assert (order >= 2) == crit, "criticality cross-check failed"
-        if mult >= 2 and not self.is_identity():
-            assert lam == F.one, "multiple fixed point must have multiplier 1"
+        if (order >= 2) != crit:
+            raise CheckFailed("criticality cross-check failed")
+        if mult >= 2 and not self.is_identity() and lam != F.one:
+            raise CheckFailed("multiple fixed point must have multiplier 1")
         return lam, crit
 
     def multiplier(self, fp) -> FqElement:

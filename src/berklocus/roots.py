@@ -16,8 +16,18 @@ vanishes there.  The perturbation bound from one Taylor shift of q at the
 center decides; the gcd with the root's polynomial runs only as the fallback
 when the bound cannot.
 
-Rational-coefficient polynomials are pre-split over the rationals (sympy) so
-rational roots come out exact; everything else stays a handle.
+Rational-coefficient polynomials are pre-split over the rationals so rational
+roots come out exact; everything else stays a handle.  The split finds the
+rational roots by p-adic expansion (R. Loos, SIAM J. Comput. 12, 1983; von
+zur Gathen & Gerhard, Modern Computer Algebra, ch. 15), on ints: the roots
+modulo the least auxiliary prime q that keeps the primitive integer
+polynomial squarefree, each Newton-lifted until q^m > 2 |a_0 a_d|, where the
+symmetric residue of a_d r mod q^m is a_d times any rational root; a
+candidate is kept only when the polynomial vanishes at it exactly.  The
+cofactor of the linear factors stays whole, so a polynomial with two or more
+nonlinear irreducible factors over Q is isolated as one: its roots are the
+same, but they come out in another order, with other centers, than a full
+factorization over Q would give.
 """
 
 from __future__ import annotations
@@ -30,8 +40,8 @@ from typing import List, Optional, Tuple, Union
 from . import residue as rf
 from .epoly import count_roots_in_disk, epoly, newton_polygon, poly_shift, \
     poly_scale_arg
-from .errors import NeedsExtension
-from .field import INF, NEG_INF, FieldElement, PrimeContext
+from .errors import CheckFailed, NeedsExtension
+from .field import INF, NEG_INF, FieldElement, PrimeContext, _is_prime
 from .residue import (
     INF_POINT,
     Infinity,
@@ -304,22 +314,101 @@ def isolate_roots(ctx: PrimeContext, g, multiplicity: int = 1,
 
 
 def _rational_split(ctx: PrimeContext, g) -> list:
-    """Split g into factors over the rationals when its coefficients are all
-    rational; otherwise return it whole."""
+    """Split g over the rationals when its coefficients are all rational;
+    otherwise return it whole.  A rational g gives its linear factors
+    b z - a (primitive, b > 0) sorted by (b, -a), then the cofactor whole,
+    primitive with a positive leading coefficient, when it has degree >= 1.
+    Raises CheckFailed when g is not squarefree."""
     if any(any(c.nums[1:]) for c in g):
         return [g]
-    coords = [Fraction(c.nums[0], c.den) for c in g]
-    import sympy
-    z = sympy.Symbol("z")
-    expr = sum(sympy.Rational(q) * z ** i for i, q in enumerate(coords))
-    _, factors = sympy.factor_list(sympy.Poly(expr, z))
-    out = []
-    for fac, mult in factors:
-        assert mult == 1, "squarefree input must split squarefree"
-        coeffs = [Fraction(str(c)) for c in reversed(fac.all_coeffs())]
-        out.append(epoly(ctx, coeffs))
-    assert sum(poly_deg(f) for f in out) == poly_deg(g)
+    den = math.lcm(*(c.den for c in g))
+    f = _primitive([c.nums[0] * (den // c.den) for c in g])
+    if len(f) == 1:
+        return []
+    q = _auxiliary_prime(f)
+    h, found = f, []
+    if f[0] == 0:  # z divides g, once: f is squarefree mod q
+        h, found = f[1:], [(0, 1)]
+    d = len(h) - 1
+    df = [i * c for i, c in enumerate(h)][1:]
+    bound = 2 * abs(h[0] * h[-1])
+    for r in range(q):
+        if _eval_mod(h, r, q):
+            continue
+        m = q
+        while m <= bound:  # Newton lift: a root mod m, then mod m^2
+            m *= m
+            r = (r - _eval_mod(h, r, m) * pow(_eval_mod(df, r, m), -1, m)) % m
+        s = h[-1] * r % m
+        root = Fraction(s - m if 2 * s > m else s, h[-1])
+        a, b = root.numerator, root.denominator
+        if not sum(c * a ** i * b ** (d - i) for i, c in enumerate(h)):
+            found.append((a, b))
+    found.sort(key=lambda ab: (ab[1], -ab[0]))
+    cofactor = f
+    for a, b in found:
+        cofactor = _divide_linear(cofactor, a, b)
+    if len(found) + len(cofactor) != len(f):
+        raise CheckFailed("rational split lost degree")
+    out = [epoly(ctx, [-a, b]) for a, b in found]
+    if len(cofactor) > 1:
+        out.append(epoly(ctx, cofactor))
     return out
+
+
+def _primitive(f: list) -> list:
+    """f divided by its content, with a positive leading coefficient."""
+    c = math.gcd(*f)
+    if f[-1] < 0:
+        c = -c
+    return [x // c for x in f]
+
+
+def _auxiliary_prime(f: list) -> int:
+    """The least prime q that does not divide the leading coefficient a_d of
+    the integer polynomial f and leaves f squarefree mod q.  Every prime
+    that fails divides a_d * Res(f, f'), which is nonzero exactly when f is
+    squarefree; once the product of the failed primes exceeds the Hadamard
+    bound on it, f is not squarefree and CheckFailed is raised."""
+    d = len(f) - 1
+    bound = abs(f[-1]) * sum(map(abs, f)) ** (d - 1) \
+        * sum(i * abs(c) for i, c in enumerate(f)) ** d
+    failed, q = 1, 2
+    while True:
+        if f[-1] % q:
+            K = rf._PrimeKernel(q)
+            fq = [K._from_int(c) for c in f]  # trimmed: q does not divide a_d
+            if len(K.gcd(fq, K.deriv(fq))) == 1:
+                return q
+        failed *= q
+        if failed > bound:
+            raise CheckFailed("rational split of a polynomial that is not "
+                              "squarefree")
+        q += 1
+        while not _is_prime(q):
+            q += 1
+
+
+def _eval_mod(f: list, x: int, m: int) -> int:
+    acc = 0
+    for c in reversed(f):
+        acc = (acc * x + c) % m
+    return acc
+
+
+def _divide_linear(f: list, a: int, b: int) -> list:
+    """The exact quotient f / (b z - a) of integer polynomials; raises
+    CheckFailed when the division leaves a remainder."""
+    quo = [0] * (len(f) - 1)
+    carry = 0
+    for i in range(len(f) - 1, 0, -1):
+        quo[i - 1], rem = divmod(f[i] + a * carry, b)
+        carry = quo[i - 1]
+        if rem:
+            raise CheckFailed("inexact division by a rational root's factor")
+    if f[0] + a * carry:
+        raise CheckFailed("inexact division by a rational root's factor")
+    return quo
 
 
 def _isolate_cluster(ctx: PrimeContext, g, c: FieldElement, floor: Fraction,
@@ -342,7 +431,9 @@ def _isolate_cluster(ctx: PrimeContext, g, c: FieldElement, floor: Fraction,
         v = -slope
         if v > floor:
             levels[v] = levels.get(v, 0) + length
-    assert sum(levels.values()) + (1 if exact else 0) == expected
+    if sum(levels.values()) + (1 if exact else 0) != expected:
+        raise CheckFailed(f"cluster holds {sum(levels.values())} roots "
+                          f"beyond the center, expected {expected}")
     placed_total = 0
     for v, count in sorted(levels.items()):
         if count == 1 and len(levels) == 1 and exact is None:
@@ -384,7 +475,9 @@ def _isolate_cluster(ctx: PrimeContext, g, c: FieldElement, floor: Fraction,
             b = -q[0]
             c2 = c + u * ctx.lift(b)
             sub = count_roots_in_disk(ctx, g, c2, v, "open")
-            assert sub == mult_dir
+            if sub != mult_dir:
+                raise CheckFailed(f"direction holds {sub} roots, its residue "
+                                  f"factor has multiplicity {mult_dir}")
             placed += sub
             if sub == 1:
                 handles.append(RootHandle(
@@ -393,7 +486,9 @@ def _isolate_cluster(ctx: PrimeContext, g, c: FieldElement, floor: Fraction,
             else:
                 handles.extend(_isolate_cluster(ctx, g, c2, v, sub,
                                                 multiplicity, budget))
-        assert placed == count
+        if placed != count:
+            raise CheckFailed(f"placed {placed} roots at radius {v}, the "
+                              f"Newton polygon counts {count}")
         placed_total += placed
     if exact is not None:
         handles.append(exact)
@@ -407,5 +502,6 @@ def _initial_prec(ctx, g, c, floor) -> Fraction:
     np_ = newton_polygon(ctx, shifted)
     vals = [-slope for slope, length in np_.segments for _ in range(length)]
     above = [v for v in vals if v > floor]
-    assert len(above) == 1
+    if len(above) != 1:
+        raise CheckFailed(f"{len(above)} roots in an isolating disk")
     return above[0]

@@ -3,6 +3,9 @@ pickup, and exit codes."""
 
 import io
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -283,3 +286,22 @@ def test_exit_code_3_on_a_failed_exactness_check(square_map, monkeypatch):
     assert run(["analyze", "--input", square_map]) == (3, "")
     monkeypatch.setattr(cli, "normalize", fail)
     assert run(["analyze", "--input", square_map]) == (3, "")
+
+
+def test_analyze_imports_no_third_party_algebra(tmp_path):
+    # the CLI cold start loads the engine and the standard library only
+    path = write_fixture(tmp_path, fixture("power-2"))
+    code = (
+        "import io, sys\n"
+        "from berklocus import cli\n"
+        "status = cli.main(['analyze', '--input', sys.argv[1]],\n"
+        "                  out=io.StringIO())\n"
+        "print(status, sorted(m for m in sys.modules\n"
+        "                     if m.split('.')[0] == 'sympy'))\n")
+    src = os.path.join(os.path.dirname(__file__), "..", "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", code, path], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "0 []"

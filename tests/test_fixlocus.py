@@ -10,7 +10,9 @@ from fractions import Fraction
 import pytest
 
 from berklocus import fixlocus as fx
+from berklocus import roots
 from berklocus.berkmap import TypeIIPoint, gauss_point
+from berklocus.epoly import epoly
 from berklocus.errors import (
     CheckFailed,
     ClassicalComponent,
@@ -21,7 +23,7 @@ from berklocus.errors import (
     PreconditionViolated,
 )
 from berklocus.field import INF, NEG_INF
-from berklocus.oracle import fixture
+from berklocus.oracle import brute_is_fixed, fixture
 
 from conftest import mk
 
@@ -191,6 +193,25 @@ def test_analysis_retries_with_a_large_residue_extension():
     assert (a.map.ctx.n, a.map.ctx.k) == (1, 2)
     assert a.complete_rigorous
     assert a.weight_total == f.degree - 1
+
+
+def test_analysis_with_three_nonlinear_rational_factors():
+    # the fixed-point polynomial (z^2 + 1)(z^2 - 3)(z^2 + z + 1) has three
+    # nonlinear irreducible factors over Q; the rational split keeps their
+    # product whole, and its roots are isolated as one polynomial: the first
+    # two factors need GF(49), the third splits over Q_7
+    P = [-3, -3, -5, -2, -1, 1, 1]
+    f = mk(7, [-c + (i == 1) for i, c in enumerate(P)], [1])
+    ctx = f.ctx
+    (whole,) = roots._rational_split(ctx, epoly(ctx, P))
+    assert whole == epoly(ctx, P)
+    a = fx.analyze(f, fx.ExploreConfig(n_max=24, k_max=4))
+    assert (a.map.ctx.n, a.map.ctx.k) == (1, 2)
+    assert a.complete_rigorous
+    assert a.weight_total == f.degree - 1
+    assert len(a.components) == 5
+    for pt, local in a.skeleton.vertex_points:
+        assert brute_is_fixed(a.map, pt) == local.is_fixed, pt
 
 
 def test_one_reduction_per_skeleton_point(shared_point_analyses, monkeypatch):

@@ -2,14 +2,19 @@
 cluster stubs."""
 
 import copy
+import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
 from berklocus import fixlocus as fx
 from berklocus import roots
 from berklocus.epoly import epoly
-from berklocus.errors import NeedsExtension
+from berklocus.errors import CheckFailed, NeedsExtension
 from berklocus.field import INF, PrimeContext
 from berklocus.oracle import fixture
 from berklocus.residue import poly_eval, poly_mul
@@ -26,6 +31,128 @@ def test_rational_roots_come_out_exact():
     roots = {h.center for h in handles}
     assert roots == {ctx.from_rational(2), ctx.from_rational(Fraction(1, 5)),
                      ctx.from_rational(-3)}
+
+
+def _mul(a, b):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+# irreducible over Q: z^2 - D with D not a square, and Eisenstein cubics at 2
+# and at 3
+IRREDUCIBLE = [(-2, 0, 1), (3, 0, 1), (-12, 0, 1), (1000003, 0, 1),
+               (2, 4, -6, 1), (6, 0, 3, 1), (-10, 2, 0, 1)]
+RATIONALS = st.builds(Fraction, st.integers(-10 ** 12, 10 ** 12),
+                      st.integers(1, 10 ** 3))
+
+
+@given(roots_=st.lists(RATIONALS, max_size=4, unique=True),
+       zero=st.booleans(),
+       cofactor=st.sampled_from([None] + IRREDUCIBLE),
+       scale=st.fractions().filter(lambda q: q != 0))
+def test_rational_split_of_large_height_roots(roots_, zero, cofactor, scale):
+    roots_ = [r for r in roots_ if r != 0] + ([Fraction(0)] if zero else [])
+    linear = sorted({(r.numerator, r.denominator) for r in roots_},
+                    key=lambda ab: (ab[1], -ab[0]))
+    g = list(cofactor or (1,))
+    for a, b in linear:
+        g = _mul(g, [-a, b])
+    if len(g) == 1:
+        return
+    ctx = PrimeContext(7)
+    split = roots._rational_split(ctx, epoly(ctx, [scale * c for c in g]))
+    expected = [epoly(ctx, [-a, b]) for a, b in linear]
+    if cofactor:
+        expected.append(epoly(ctx, cofactor))
+    assert split == expected
+    for f in split[:len(linear)]:  # primitive, positive leading coefficient
+        assert f[1].den == 1 and f[1].nums[0] > 0
+        assert math.gcd(f[0].nums[0], f[1].nums[0]) == 1
+    handles = isolate_roots(ctx, epoly(ctx, g), budget=(1, 1))
+    exact = [h.center for h in handles if h.is_exact]
+    assert exact == [ctx.from_rational(Fraction(a, b)) for a, b in linear]
+
+
+def test_rational_split_returns_irrational_coefficients_whole():
+    ctx = PrimeContext(5, n=2)
+    pi = ctx.pi_pow(1)
+    # (z - 1)(z - pi): a rational root, but a coefficient outside Q
+    g = epoly(ctx, [pi, -ctx.one - pi, 1])
+    assert roots._rational_split(ctx, g) == [g]
+
+
+@pytest.mark.parametrize("g", [
+    _mul(_mul([-1, 1], [-1, 1]), [1, 0, 1]),  # (z - 1)^2 (z^2 + 1)
+    _mul([0, 0, 3], [2, 5]),                  # 3 z^2 (5 z + 2)
+    _mul([-2, 0, 1], [-2, 0, 1]),             # (z^2 - 2)^2
+])
+def test_rational_split_rejects_a_doubled_factor(g):
+    ctx = PrimeContext(5)
+    with pytest.raises(CheckFailed):
+        roots._rational_split(ctx, epoly(ctx, g))
+
+
+def test_cross_checks_fail_under_optimize():
+    """Doctored inputs to the split, to root isolation, to the classical
+    fixed-point total, to the tangent map's multiplier, to the valuation
+    envelope and to a reduction: each check raises CheckFailed with
+    asserts off."""
+    code = (
+        "from fractions import Fraction\n"
+        "from berklocus import berkmap, fixlocus as fx, roots\n"
+        "from berklocus.epoly import epoly\n"
+        "from berklocus.errors import CheckFailed\n"
+        "from berklocus.field import NEG_INF, PrimeContext\n"
+        "from berklocus.oracle import fixture\n"
+        "from berklocus.residue import Fq, FqRationalMap\n"
+        "assert False, 'asserts must be off'\n"
+        "ctx = PrimeContext(5)\n"
+        "f = fixture('power-2').build()\n"
+        "F = Fq(5)\n"
+        "isolate, conjugate = fx.isolate_roots, berkmap._conjugate_to_gauss\n"
+        "def short(*a, **k):\n"
+        "    return isolate(*a, **k)[:-1]\n"
+        "def doubled(f, x):\n"
+        "    g = conjugate(f, x)\n"
+        "    g.num = tuple(c * ctx.from_int(5) for c in g.num)\n"
+        "    g.den = tuple(c * ctx.from_int(5) for c in g.den)\n"
+        "    return g\n"
+        "checks = [\n"
+        "    ('split', lambda: roots._rational_split(\n"
+        "        ctx, epoly(ctx, [1, -2, 1]))),\n"
+        "    ('cluster', lambda: roots._isolate_cluster(\n"
+        "        ctx, epoly(ctx, [-2, 0, 1]), ctx.zero, NEG_INF, 3, 1)),\n"
+        "    ('envelope', lambda: berkmap.segments_from_lines(\n"
+        "        F.one, [], Fraction(1), Fraction(1))),\n"
+        "    ('pole', lambda: FqRationalMap(F, (F.one,), (F.zero, F.one))\n"
+        "        ._multiplier_and_critical(F.zero, F, 1)),\n"
+        "]\n"
+        "for name, check in checks:\n"
+        "    try:\n"
+        "        check()\n"
+        "    except CheckFailed:\n"
+        "        print(name)\n"
+        "fx.isolate_roots = short\n"
+        "try:\n"
+        "    fx.classical_fixed_points(f)\n"
+        "except CheckFailed:\n"
+        "    print('total')\n"
+        "berkmap._conjugate_to_gauss = doubled\n"
+        "try:\n"
+        "    berkmap.reduce_at(f, berkmap.gauss_point(ctx))\n"
+        "except CheckFailed:\n"
+        "    print('reduction')\n")
+    src = os.path.join(os.path.dirname(__file__), "..", "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["split", "cluster", "envelope", "pole",
+                                   "total", "reduction"]
 
 
 def test_irrational_root_handle_refines():
