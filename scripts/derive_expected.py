@@ -1,6 +1,11 @@
 #!/usr/bin/env python3
 """Derive the expected values used by the test suite and write them to
-expected_values.json next to this script.
+expected_values.json next to this script:
+
+    python3 scripts/derive_expected.py
+
+`derive()` returns the same data without writing it, which a test compares
+with the committed file.
 
 Everything here is computed without the exploration engine: classical
 fixed-point valuation profiles come from Newton polygons of the fixed-point
@@ -198,7 +203,8 @@ def quadratic_multipliers(p, num, den):
     return table
 
 
-def main():
+def derive() -> dict:
+    """The expected values of every fixture, keyed by fixture name."""
     data = {}
     for fx in fixtures():
         entry = {"p": fx.p, "family": fx.family,
@@ -220,6 +226,11 @@ def main():
         if fx.family == "quadratic":
             entry["multipliers"] = quadratic_multipliers(fx.p, fx.num, fx.den)
         data[fx.name] = entry
+    return data
+
+
+def main():
+    data = derive()
     with open(OUT, "w") as fh:
         json.dump(data, fh, indent=2, sort_keys=True)
         fh.write("\n")

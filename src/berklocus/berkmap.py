@@ -1,11 +1,17 @@
 """Rational maps over the working field and their local behavior at points of
 the Berkovich line.
 
+`RationalMapK` adds the valuation normal form, equality up to a unit,
+affine conjugation and evaluation to the field-agnostic core
+`residue.RationalMap`, which the tangent maps over the residue field share.
+
 The central operation is `reduce_at`: conjugate the map so a chosen disk point
 becomes the Gauss point, normalize coefficients to minimal valuation zero, and
 reduce mod the maximal ideal.  The point is fixed exactly when that reduction
 is nonconstant, and the reduced map is the tangent map, whose fixed directions,
 multipliers, and cancelled-factor multiplicities drive everything downstream.
+Each of these is derived once per reduction: the cancelled multiplicity into
+infinity is read off the degrees of the residues already taken.
 
 Along a ray of disk points with a fixed center, every conjugated coefficient
 valuation is an affine function of the radius parameter s (`_ray_lines`), so
@@ -24,12 +30,7 @@ from fractions import Fraction
 from typing import Dict, List, Optional
 
 from . import residue as rf
-from .epoly import (
-    count_roots_in_disk,
-    poly_reverse,
-    poly_scale_arg,
-    poly_shift,
-)
+from .epoly import count_roots_in_disk, poly_scale_arg, poly_shift
 from .errors import (
     CheckFailed,
     ConstantMap,
@@ -44,13 +45,14 @@ from .residue import (
     FqElement,
     FqRationalMap,
     Infinity,
+    RationalMap,
     _trim,
     _vanishing_order,
     poly_deg,
     poly_divmod,
+    poly_eval,
     poly_gcd,
     poly_monic,
-    poly_mul,
     poly_scale,
     poly_shift_coeffs,
     poly_sub,
@@ -69,10 +71,12 @@ REPELLING = "repelling"
 # Maps and points
 # ---------------------------------------------------------------------------
 
-class RationalMapK:
+class RationalMapK(RationalMap):
     """A rational map over the working field in normalized form: numerator and
     denominator coprime, all coefficients of valuation >= 0 with at least one
     of valuation exactly 0."""
+
+    _PRINT = ("z", True, " / ")
 
     def __init__(self, ctx: PrimeContext, num, den, _coprime: bool = False):
         num, den = _trim(num), _trim(den)
@@ -92,16 +96,6 @@ class RationalMapK:
         self.ctx = ctx
         self.num = tuple(c * scale for c in num)
         self.den = tuple(c * scale for c in den)
-
-    @property
-    def degree(self) -> int:
-        return max(poly_deg(self.num), poly_deg(self.den))
-
-    def is_identity(self) -> bool:
-        if poly_deg(self.num) != 1 or poly_deg(self.den) != 0 or \
-                not self.num[0].is_zero():
-            return False
-        return self.num[1] == self.den[0]
 
     def __eq__(self, other):
         if not isinstance(other, RationalMapK):
@@ -125,9 +119,6 @@ class RationalMapK:
                 return False
         return True
 
-    def __repr__(self):
-        return f"({_epoly_str(self.num)}) / ({_epoly_str(self.den)})"
-
     # -- coordinate changes ----------------------------------------------
 
     def conjugate_affine(self, u: FieldElement, a: FieldElement) -> "RationalMapK":
@@ -143,39 +134,12 @@ class RationalMapK:
         # an invertible coordinate change of a reduced map stays reduced
         return RationalMapK(ctx, num_u, den_u, _coprime=True)
 
-    def flip(self) -> "RationalMapK":
-        """Conjugate by z -> 1/z."""
-        d = self.degree
-        ctx = self.ctx
-        # reversal of a reduced pair is reduced: a common root w would pull
-        # back to a common root 1/w (and w = 0 would need both leading
-        # coefficients to vanish, contradicting d = max of the degrees)
-        return RationalMapK(ctx, poly_reverse(ctx, self.den, d),
-                            poly_reverse(ctx, self.num, d), _coprime=True)
-
     def eval_at(self, z: FieldElement):
-        from .residue import poly_eval
         nv = poly_eval(self.ctx, self.num, z)
         dv = poly_eval(self.ctx, self.den, z)
         if dv.is_zero():
             return INF_POINT
         return nv / dv
-
-    # -- fixed-point polynomial ------------------------------------------
-
-    def fixed_point_polynomial(self):
-        """P(z) = numerator - z * denominator; its roots are the finite
-        classical fixed points."""
-        ctx = self.ctx
-        return poly_sub(ctx, self.num,
-                        poly_mul(ctx, (ctx.zero, ctx.one), self.den))
-
-    def infinity_multiplicity(self) -> int:
-        """Fixed-point multiplicity of the classical point at infinity:
-        d + 1 - deg P when infinity is fixed, else 0."""
-        if poly_deg(self.num) <= poly_deg(self.den):
-            return 0
-        return self.degree + 1 - poly_deg(self.fixed_point_polynomial())
 
 
 def normalize(ctx: PrimeContext, raw_num, raw_den) -> RationalMapK:
@@ -262,8 +226,7 @@ def reduce_at(f: RationalMapK, x: TypeIIPoint) -> LocalData:
     """Reduction of f at the disk point x, with full direction data."""
     g = _conjugate_to_gauss(f, x)
     F = f.ctx.residue_field
-    rnum = _trim([c.residue() for c in g.num])
-    rden = _trim([c.residue() for c in g.den])
+    rnum, rden = _residues(g)
     if not (rnum or rden):
         raise CheckFailed("normalized map cannot reduce to 0/0")
     # cancelled common factor
@@ -273,9 +236,10 @@ def reduce_at(f: RationalMapK, x: TypeIIPoint) -> LocalData:
         gcd_poly = poly_monic(F, rnum or rden)
     cnum = poly_divmod(F, rnum, gcd_poly)[0] if rnum else ()
     cden = poly_divmod(F, rden, gcd_poly)[0] if rden else ()
-    surplus = _surplus_table(g, F, gcd_poly)
+    surplus = _surplus_table(F, gcd_poly, _infinity_surplus(g, rnum, rden))
     # None: constant 0 or constant infinity
-    reduced = FqRationalMap(F, cnum, cden) if cnum and cden else None
+    reduced = FqRationalMap(F, cnum, cden, _coprime=True) \
+        if cnum and cden else None
     if reduced is None or reduced.is_constant():
         return LocalData(point=x, is_fixed=False, reduced_map=reduced,
                          local_degree=None, indifference_class=NOT_FIXED,
@@ -292,44 +256,42 @@ def reduce_at(f: RationalMapK, x: TypeIIPoint) -> LocalData:
         else:
             distinct = sum(t.orbit_size for t in dirs)
             cls = ADD_INDIFFERENT if distinct == 1 else MULT_INDIFFERENT
-            if cls == ADD_INDIFFERENT:
-                assert dirs[0].multiplicity == 2
+            if cls == ADD_INDIFFERENT and dirs[0].multiplicity != 2:
+                raise CheckFailed("an additively indifferent tangent map "
+                                  f"fixes one direction with multiplicity "
+                                  f"{dirs[0].multiplicity}, not 2")
     return LocalData(point=x, is_fixed=True, reduced_map=reduced,
                      local_degree=deg, indifference_class=cls,
                      directions=dirs, surplus=surplus, n_cf=n_cf,
                      gcd_poly=gcd_poly)
 
 
-def _surplus_table(g, F, gcd_poly):
-    """Per-direction cancelled multiplicities of the conjugated map g, with
-    the infinity direction computed through the flip of g so a single
-    finite-direction code path serves both cases."""
+def _residues(g: RationalMapK):
+    """The reductions of the numerator and denominator of a normalized map."""
+    return (_trim([c.residue() for c in g.num]),
+            _trim([c.residue() for c in g.den]))
+
+
+def _surplus_table(F, gcd_poly, inf_surplus: int):
+    """Per-direction cancelled multiplicities: the finite directions from
+    the factors of the cancelled common factor, then infinity's."""
     table: Dict[DirectionKey, int] = {}
     for q, mult in rf.factor(F, gcd_poly) if poly_deg(gcd_poly) > 0 else []:
-        if poly_deg(q) == 1:
-            key = ("pt", rf._rep_key((-q[0]).rep))
-        else:
-            key = ("orbit", rf._poly_key(q))
+        key = rf.direction_key(q)
         table[key] = table.get(key, 0) + mult * poly_deg(q)
-    inf_s = _infinity_surplus(g)
-    if inf_s:
-        table[("inf",)] = inf_s
+    if inf_surplus:
+        table[("inf",)] = inf_surplus
     return table
 
 
-def _infinity_surplus(g: RationalMapK) -> int:
+def _infinity_surplus(g: RationalMapK, rnum, rden) -> int:
     """Cancelled multiplicity into the infinity direction of the Gauss point
-    for a map g already conjugated there."""
-    g = g.flip()
-    F = g.ctx.residue_field
-    rnum = _trim([c.residue() for c in g.num])
-    rden = _trim([c.residue() for c in g.den])
-    if rnum and rden:
-        gcd_poly = poly_gcd(F, rnum, rden)
-    else:
-        gcd_poly = poly_monic(F, rnum or rden)
-    zero = F.zero
-    return _vanishing_order(F, gcd_poly, zero) if poly_deg(gcd_poly) > 0 else 0
+    for a map g already conjugated there, whose reductions are rnum and
+    rden.  The flip of g reduces to their reversals to degree d = deg g, so
+    its cancelled factor vanishes at 0 to the order d - max(deg rnum,
+    deg rden) exactly: the reversals of the two reductions to their own
+    degrees do not vanish at 0."""
+    return g.degree - max(poly_deg(rnum), poly_deg(rden))
 
 
 def surplus(f: RationalMapK, x: TypeIIPoint, v) -> int:
@@ -337,7 +299,8 @@ def surplus(f: RationalMapK, x: TypeIIPoint, v) -> int:
     INF_POINT)."""
     if isinstance(v, Infinity):
         # conjugates afresh, independently of reduce_at's surplus table
-        return _infinity_surplus(_conjugate_to_gauss(f, x))
+        g = _conjugate_to_gauss(f, x)
+        return _infinity_surplus(g, *_residues(g))
     local = reduce_at(f, x)
     gcd_poly = local.gcd_poly
     if poly_deg(gcd_poly) <= 0:
@@ -425,7 +388,6 @@ def identification_check(f: RationalMapK, x: TypeIIPoint, v) -> bool:
             elif t.minpoly is not None and v.field != f.ctx.residue_field:
                 # same Galois orbit: v a root of the factor
                 lifted = poly_shift_coeffs(f.ctx.residue_field, t.minpoly, v.field)
-                from .residue import poly_eval
                 if poly_eval(v.field, lifted, v).is_zero():
                     Ft = t.multiplicity
     return F_count == s_v + Ft
@@ -550,8 +512,9 @@ def segments_from_lines(one: FqElement, lines, s_lo, s_hi):
             breaks.add(hi)
         nkeys = [k for k in sup if k[0] == "n"]
         dkeys = [k for k in sup if k[0] == "d"]
-        assert len(nkeys) <= 1 and len(dkeys) <= 1, \
-            "open interval support has distinct slopes within a family"
+        if len(nkeys) > 1 or len(dkeys) > 1:
+            raise CheckFailed(f"the envelope on ({lo}, {hi}) has distinct "
+                              "slopes within a family")
         if nkeys and dkeys:
             lam = line_res[nkeys[0]] / line_res[dkeys[0]]
             behavior = ID_INDIFFERENT if lam == one else MULT_INDIFFERENT
@@ -560,18 +523,3 @@ def segments_from_lines(one: FqElement, lines, s_lo, s_hi):
             segments.append((lo, hi, NOT_FIXED, None))
     return segments, sorted(breaks)
 
-
-def _epoly_str(f):
-    if not f:
-        return "0"
-    parts = []
-    for i, c in enumerate(f):
-        if c.is_zero():
-            continue
-        if i == 0:
-            parts.append(f"{c}")
-        elif i == 1:
-            parts.append(f"({c})*z")
-        else:
-            parts.append(f"({c})*z^{i}")
-    return " + ".join(parts)

@@ -15,13 +15,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Tuple
 
-from .errors import ZeroPolynomial
+from .errors import CheckFailed, ZeroPolynomial
 from .field import INF, FieldElement, PrimeContext
 from .residue import _trim, poly_deg
 
 __all__ = [
     "NewtonPolygon", "epoly", "newton_polygon", "count_roots_in_disk",
-    "root_valuations", "poly_shift", "poly_scale_arg", "poly_reverse",
+    "root_valuations", "poly_shift", "poly_scale_arg",
 ]
 
 
@@ -49,9 +49,6 @@ class NewtonPolygon:
     segments: Tuple[Tuple[Fraction, int], ...]
     vanishing_order: int
     degree: int
-
-    def total_length(self) -> int:
-        return sum(length for _, length in self.segments)
 
 
 def newton_polygon(ctx: PrimeContext, f) -> NewtonPolygon:
@@ -82,7 +79,8 @@ def newton_polygon(ctx: PrimeContext, f) -> NewtonPolygon:
             merged[-1] = (slope, merged[-1][1] + length)
         else:
             merged.append((slope, length))
-    assert all(a[0] < b[0] for a, b in zip(merged, merged[1:]))
+    if any(a[0] >= b[0] for a, b in zip(merged, merged[1:])):
+        raise CheckFailed(f"Newton polygon slopes {merged} do not increase")
     return NewtonPolygon(segments=tuple(merged), vanishing_order=ord0,
                          degree=poly_deg(f))
 
@@ -124,13 +122,6 @@ def poly_scale_arg(ctx: PrimeContext, f, u: FieldElement):
         out.append(coeff * power)
         power = power * u
     return _trim(out)
-
-
-def poly_reverse(ctx: PrimeContext, f, degree: int):
-    """Coefficient reversal to the stated degree: z^degree * f(1/z)."""
-    assert degree >= poly_deg(f)
-    padded = list(f) + [ctx.zero] * (degree - poly_deg(f))
-    return _trim(list(reversed(padded)))
 
 
 def count_roots_in_disk(ctx: PrimeContext, f, center: FieldElement,

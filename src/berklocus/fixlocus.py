@@ -149,20 +149,11 @@ def _squarefree_parts(ctx, P):
     return out
 
 
-def _multiplier_polys(f: RationalMapK):
-    """(N, D) with f'(z) = N(z)/D(z)."""
-    ctx = f.ctx
-    N = poly_sub(ctx, poly_mul(ctx, poly_deriv(ctx, f.num), f.den),
-                 poly_mul(ctx, f.num, poly_deriv(ctx, f.den)))
-    D = poly_mul(ctx, f.den, f.den)
-    return N, D
-
-
 def classical_fixed_points(f: RationalMapK) -> List[ClassicalFixedPoint]:
     if f.is_identity():
         raise IdentityMap("every point is fixed")
     ctx = f.ctx
-    N, D = _multiplier_polys(f)
+    N, D = f.multiplier_polys()
     out: List[ClassicalFixedPoint] = []
     P = f.fixed_point_polynomial()
     if poly_deg(P) >= 1:
@@ -200,8 +191,7 @@ def _infinity_entry(f: RationalMapK, mult) -> ClassicalFixedPoint:
     if mult >= 2:
         return ClassicalFixedPoint(INF_POINT, mult, Fraction(0), F.one,
                                    INDIFFERENT)
-    fl = f.flip()
-    N, D = _multiplier_polys(fl)
+    N, D = f.flip().multiplier_polys()
     nv = poly_eval(ctx, N, ctx.zero)
     dv = poly_eval(ctx, D, ctx.zero)
     if nv.is_zero():
@@ -363,7 +353,7 @@ def _critical_point_handles(f: RationalMapK,
     positive weight can hide below an unsplit cluster without breaking the
     global weight total."""
     ctx = f.ctx
-    N, _ = _multiplier_polys(f)
+    N, _ = f.multiplier_polys()
     P = f.fixed_point_polynomial()
     out: list = []
     if poly_deg(N) < 1:
@@ -607,13 +597,8 @@ def _leaf_directions(skeleton: SkeletonGraph, pt: TypeIIPoint):
     points' tangent directions at pt."""
     out: Dict[tuple, Tuple[object, List[int]]] = {}
     for i, cp in enumerate(skeleton.leaves):
-        if cp.is_infinity():
-            key, d = ("inf",), INF_POINT
-        else:
-            d = cp.value.direction_at(pt)
-            key = ("inf",) if isinstance(d, Infinity) \
-                else ("pt", rf._rep_key(d.rep))
-        out.setdefault(key, (d, []))[1].append(i)
+        d = INF_POINT if cp.is_infinity() else cp.value.direction_at(pt)
+        out.setdefault(rf.direction_key(d), (d, []))[1].append(i)
     return out
 
 
@@ -621,7 +606,7 @@ def _tangent_fixes_direction(local: LocalData, d) -> bool:
     if local.indifference_class == ID_INDIFFERENT:
         return True
     m = local.reduced_map
-    F = m.field
+    F = m.ctx
     if isinstance(d, Infinity):
         return m.flip().eval_at(F.zero) == F.zero
     return m.eval_at(d) == d
@@ -806,7 +791,7 @@ def _direction_multiplier(local: LocalData, toward_zero: bool) -> FqElement:
         raise ArcNotFixed(f"endpoint {local.point} is not fixed")
     if local.indifference_class == ID_INDIFFERENT:
         return local.point.center.ctx.residue_field.one
-    F = local.reduced_map.field
+    F = local.reduced_map.ctx
     for t in local.directions:
         if toward_zero and not isinstance(t.location, Infinity) \
                 and t.orbit_size == 1 and t.location == F.zero:

@@ -20,7 +20,7 @@ from typing import List, Optional, Tuple, Union
 from .berkmap import RationalMapK, TypeIIPoint, normalize
 from .errors import NeedsExtension, NotDegreeOne, WrongCase
 from .field import FieldElement, PrimeContext
-from .residue import INF_POINT, Infinity, poly_deg, poly_eval
+from .residue import INF_POINT, Infinity, poly_deg
 
 __all__ = [
     "MOEBIUS_IDENTITY", "MOEBIUS_TRANSLATION", "MOEBIUS_SCALING_NONUNIT",
@@ -143,9 +143,10 @@ def classify_moebius(f: RationalMapK) -> MoebiusFixDescription:
             None, ((w0, 2),))
     (x, mx), (y, my) = roots
     assert mx == my == 1
-    from .fixlocus import _multiplier_polys
-    N, D = _multiplier_polys(f)
-    lam = poly_eval(ctx, N, x) / poly_eval(ctx, D, x)
+    # f = (a z + b) / (c z + e), so f'(x) = (a e - b c) / (c x + e)^2
+    b, a = (f.num + (ctx.zero,))[:2]
+    e, c = f.den
+    lam = (a * e - b * c) / ((c * x + e) * (c * x + e))
     chain = (("shift", y), ("invert",), ("shift", (x - y).inverse()))
     return MoebiusFixDescription(
         _scaling_case(lam, one), chain, lam, ((x, 1), (y, 1)))

@@ -7,7 +7,12 @@ over F_q is directly representable as the generator of the extension it
 defines.  Elements are immutable; all operations are pure.
 
 Polynomials over a field are tuples of elements, low degree first, with no
-trailing zeros (the zero polynomial is the empty tuple).
+trailing zeros (the zero polynomial is the empty tuple).  Their helpers are
+duck-typed: they need only the zero/one/from_int handles of the field, which
+a `field.PrimeContext` has too.  `RationalMap` builds on them the one core
+of the maps over both fields (`berkmap.RationalMapK` over the working field
+and `FqRationalMap` here): degree, identity test, flip, fixed-point
+polynomial, multiplicity at infinity, quotient-rule multiplier and printer.
 
 Factorization (`factor`, Cantor-Zassenhaus) and the Ben-Or steps of
 `find_irreducible` run on a flat kernel of ints instead: elements are
@@ -396,6 +401,87 @@ def poly_deriv(field, f):
 def poly_shift_coeffs(field, f, new_field: Fq):
     """Map coefficients into an extension field."""
     return _trim(tuple(new_field.embed(c) for c in f))
+
+
+def poly_reverse(field, f, degree: int):
+    """Coefficient reversal to the stated degree: z^degree * f(1/z)."""
+    if degree < poly_deg(f):
+        raise ValueError(f"cannot reverse a polynomial of degree "
+                         f"{poly_deg(f)} to degree {degree}")
+    return _trim((field.zero,) * (degree - poly_deg(f)) + tuple(f)[::-1])
+
+
+def poly_str(f, var: str, paren: bool) -> str:
+    """f as a sum of terms c*var^i, each coefficient but the constant one
+    in parentheses when `paren` is set."""
+    terms = []
+    for i, c in enumerate(f):
+        if c.is_zero():
+            continue
+        if i == 0:
+            terms.append(f"{c}")
+        else:
+            power = var if i == 1 else f"{var}^{i}"
+            terms.append(f"({c})*{power}" if paren else f"{c}*{power}")
+    return " + ".join(terms) or "0"
+
+
+# ---------------------------------------------------------------------------
+# Rational maps over either field
+# ---------------------------------------------------------------------------
+
+class RationalMap:
+    """The field-agnostic half of a rational map num/den over `ctx`, a
+    finite field or a PrimeContext: both expose the zero/one/from_int
+    handles the polynomial helpers above need.  A subclass fixes the normal
+    form in its constructor `(ctx, num, den, _coprime=False)`, where
+    `_coprime` says the pair is already coprime and skips the gcd, and the
+    printing style `_PRINT`: (variable, parenthesised coefficients, slash)."""
+
+    _PRINT = ("w", False, "/")
+
+    @property
+    def degree(self) -> int:
+        return max(poly_deg(self.num), poly_deg(self.den))
+
+    def is_identity(self) -> bool:
+        return poly_deg(self.num) == 1 and poly_deg(self.den) == 0 and \
+            self.num[0].is_zero() and self.num[1] == self.den[0]
+
+    def __repr__(self):
+        var, paren, slash = self._PRINT
+        return (f"({poly_str(self.num, var, paren)}){slash}"
+                f"({poly_str(self.den, var, paren)})")
+
+    def flip(self):
+        """Conjugate by z -> 1/z."""
+        d, ctx = self.degree, self.ctx
+        # reversal of a reduced pair is reduced: a common root w would pull
+        # back to a common root 1/w (and w = 0 would need both leading
+        # coefficients to vanish, contradicting d = max of the degrees)
+        return type(self)(ctx, poly_reverse(ctx, self.den, d),
+                          poly_reverse(ctx, self.num, d), _coprime=True)
+
+    def fixed_point_polynomial(self):
+        """P(z) = numerator - z * denominator; its roots are the finite
+        classical fixed points."""
+        ctx = self.ctx
+        return poly_sub(ctx, self.num,
+                        poly_mul(ctx, (ctx.zero, ctx.one), self.den))
+
+    def infinity_multiplicity(self) -> int:
+        """Fixed-point multiplicity of the point at infinity: d + 1 - deg P
+        when infinity is fixed, else 0."""
+        if poly_deg(self.num) <= poly_deg(self.den):
+            return 0
+        return self.degree + 1 - poly_deg(self.fixed_point_polynomial())
+
+    def multiplier_polys(self):
+        """(N, D) with f' = N / D, by the quotient rule."""
+        ctx = self.ctx
+        N = poly_sub(ctx, poly_mul(ctx, poly_deriv(ctx, self.num), self.den),
+                     poly_mul(ctx, self.num, poly_deriv(ctx, self.den)))
+        return N, poly_mul(ctx, self.den, self.den)
 
 
 # ---------------------------------------------------------------------------
@@ -836,6 +922,19 @@ def _project_to_base(elem: FqElement, base: Fq) -> FqElement:
 # Rational maps over a finite field
 # ---------------------------------------------------------------------------
 
+def direction_key(d) -> tuple:
+    """Hashable identifier of a tangent direction over the base field: of
+    INF_POINT, of a point of the field, or of the Galois orbit of roots of
+    a monic irreducible polynomial (a linear one names its root)."""
+    if isinstance(d, Infinity):
+        return ("inf",)
+    if isinstance(d, tuple):
+        if poly_deg(d) > 1:
+            return ("orbit", _poly_key(d))
+        d = -d[0]
+    return ("pt", _rep_key(d.rep))
+
+
 @dataclass(frozen=True)
 class TangentFixedDirection:
     """One Galois orbit of fixed points of a tangent map.
@@ -855,87 +954,59 @@ class TangentFixedDirection:
 
     def key(self):
         """Hashable direction identifier over the base field."""
-        if isinstance(self.location, Infinity):
-            return ("inf",)
-        if self.orbit_size == 1:
-            return ("pt", _rep_key(self.location.rep))
-        return ("orbit", _poly_key(self.minpoly))
+        return direction_key(self.minpoly if self.orbit_size > 1
+                             else self.location)
 
 
-class FqRationalMap:
-    """A rational map over a finite field, kept in normalized coprime form."""
+class FqRationalMap(RationalMap):
+    """A rational map over a finite field, kept in coprime form with a
+    monic denominator."""
 
-    def __init__(self, field: Fq, num, den):
+    def __init__(self, ctx: Fq, num, den, _coprime: bool = False):
         num, den = _trim(num), _trim(den)
         if not num and not den:
             raise ZeroPolynomial("0/0 is not a rational map")
         # a vanishing numerator (or denominator) makes the map constant;
         # collapse the other side so degree/is_constant report that
         if not num:
-            den = (field.one,)
+            den = (ctx.one,)
         elif not den:
-            num = (field.one,)
-        g = poly_gcd(field, num, den) if num and den else ()
-        if poly_deg(g) > 0:
-            num = poly_divmod(field, num, g)[0]
-            den = poly_divmod(field, den, g)[0]
+            num = (ctx.one,)
+        elif not _coprime:
+            g = poly_gcd(ctx, num, den)
+            if poly_deg(g) > 0:
+                num = poly_divmod(ctx, num, g)[0]
+                den = poly_divmod(ctx, den, g)[0]
         # scale so the denominator (or numerator if den == 0) is monic
         scale = (den[-1] if den else num[-1]).inverse()
-        self.field = field
-        self.num = poly_scale(field, num, scale)
-        self.den = poly_scale(field, den, scale)
-
-    @property
-    def degree(self) -> int:
-        return max(poly_deg(self.num), poly_deg(self.den))
-
-    def is_identity(self) -> bool:
-        return self.num == (self.field.zero, self.field.one) and \
-            self.den == (self.field.one,)
+        self.ctx = ctx
+        self.num = poly_scale(ctx, num, scale)
+        self.den = poly_scale(ctx, den, scale)
 
     def is_constant(self) -> bool:
         return self.degree <= 0
 
     def __eq__(self, other):
-        return (isinstance(other, FqRationalMap) and self.field == other.field
+        return (isinstance(other, FqRationalMap) and self.ctx == other.ctx
                 and self.num == other.num and self.den == other.den)
-
-    def __repr__(self):
-        return f"({_poly_str(self.num)})/({_poly_str(self.den)})"
-
-    def flip(self) -> "FqRationalMap":
-        """Conjugate by w -> 1/w."""
-        d = self.degree
-        rev_num = tuple(reversed(_pad(self.num, d + 1)))
-        rev_den = tuple(reversed(_pad(self.den, d + 1)))
-        return FqRationalMap(self.field, rev_den, rev_num)
-
-    def lift_to(self, ext: Fq) -> "FqRationalMap":
-        return FqRationalMap(ext, poly_shift_coeffs(self.field, self.num, ext),
-                             poly_shift_coeffs(self.field, self.den, ext))
 
     def eval_at(self, x: FqElement):
         """Value at a finite point; returns INF_POINT when the denominator
         vanishes."""
-        nv = poly_eval(x.field, poly_shift_coeffs(self.field, self.num, x.field), x)
-        dv = poly_eval(x.field, poly_shift_coeffs(self.field, self.den, x.field), x)
+        nv = poly_eval(x.field, poly_shift_coeffs(self.ctx, self.num, x.field), x)
+        dv = poly_eval(x.field, poly_shift_coeffs(self.ctx, self.den, x.field), x)
         if dv.is_zero():
             return INF_POINT
         return nv / dv
 
     # -- fixed-point analysis --------------------------------------------
 
-    def fixed_point_polynomial(self):
-        """num(w) - w * den(w)."""
-        F = self.field
-        return poly_sub(F, self.num, poly_mul(F, (F.zero, F.one), self.den))
-
     def fixed_points(self):
         """All fixed points over the algebraic closure, grouped by Galois
         orbit, with multiplicities summing to degree + 1."""
         if self.is_identity():
             raise IdentityMap("the identity fixes everything")
-        F = self.field
+        F = self.ctx
         P = self.fixed_point_polynomial()
         out = []
         if P:
@@ -952,10 +1023,9 @@ class FqRationalMap:
                     location=loc, field=loc_field, minpoly=q if m > 1 else None,
                     orbit_size=m, multiplicity=mult,
                     multiplier=lam, critically_fixed=crit))
-        inf_mult = self.degree + 1 - sum(t.orbit_size * t.multiplicity for t in out)
-        if inf_mult > 0:
-            flipped = self.flip()
-            lam, crit = flipped._multiplier_and_critical(F.zero, F, inf_mult)
+        inf_mult = self.infinity_multiplicity()
+        if inf_mult:
+            lam, crit = self.flip()._multiplier_and_critical(F.zero, F, inf_mult)
             out.append(TangentFixedDirection(
                 location=INF_POINT, field=F, minpoly=None, orbit_size=1,
                 multiplicity=inf_mult, multiplier=lam, critically_fixed=crit))
@@ -966,19 +1036,21 @@ class FqRationalMap:
         return out
 
     def _multiplier_and_critical(self, loc: FqElement, loc_field: Fq, mult: int):
-        m = self if loc_field == self.field else self.lift_to(loc_field)
+        """(multiplier, critical flag) at the fixed point loc of loc_field,
+        an extension of the map's field into which the coefficients embed."""
         F = loc_field
-        dv = poly_eval(F, m.den, loc)
+        N, _ = self.multiplier_polys()
+        num, den, N = (poly_shift_coeffs(self.ctx, f, F)
+                       for f in (self.num, self.den, N))
+        dv = poly_eval(F, den, loc)
         if dv.is_zero():
             raise CheckFailed("coprime map cannot have a fixed pole")
-        dnum = poly_sub(F, poly_mul(F, poly_deriv(F, m.num), m.den),
-                       poly_mul(F, m.num, poly_deriv(F, m.den)))
-        lam = poly_eval(F, dnum, loc) / (dv * dv)
+        lam = poly_eval(F, N, loc) / (dv * dv)
         crit = lam.is_zero()
         # cross-check criticality: local degree at loc exceeds 1 iff
         # m(w) - m(loc) vanishes to order >= 2 at loc
-        val_here = poly_eval(F, m.num, loc) / dv
-        diff = poly_sub(F, m.num, poly_scale(F, m.den, val_here))
+        val_here = poly_eval(F, num, loc) / dv
+        diff = poly_sub(F, num, poly_scale(F, den, val_here))
         order = _vanishing_order(F, diff, loc)
         if (order >= 2) != crit:
             raise CheckFailed("criticality cross-check failed")
@@ -991,14 +1063,12 @@ class FqRationalMap:
         if isinstance(fp, Infinity):
             if poly_deg(self.num) <= poly_deg(self.den):
                 raise NotFixed("oo is not fixed")
-            lam, _ = self.flip()._multiplier_and_critical(self.field.zero,
-                                                          self.field, 1)
+            lam, _ = self.flip()._multiplier_and_critical(self.ctx.zero,
+                                                          self.ctx, 1)
             return lam
-        F = fp.field
-        m = self if F == self.field else self.lift_to(F)
-        if m.eval_at(fp) != fp:
+        if self.eval_at(fp) != fp:
             raise NotFixed(f"{fp} is not fixed")
-        lam, _ = m._multiplier_and_critical(fp, F, 1)
+        lam, _ = self._multiplier_and_critical(fp, fp.field, 1)
         return lam
 
     def holomorphic_index_check(self) -> bool:
@@ -1009,25 +1079,14 @@ class FqRationalMap:
         """
         if self.is_identity():
             raise IdentityMap("index sum undefined for the identity")
-        total = self.field.zero
+        total = self.ctx.zero
         for t in self.fixed_points():
             one = t.field.one
             if t.multiplier == one:
                 raise MultiplierOne("fixed point with multiplier 1")
             term = (one - t.multiplier).inverse()
-            total = total + trace_to_base(term, self.field)
-        return total == self.field.one
-
-
-def _pad(f, n):
-    F_zero_needed = n - len(f)
-    if F_zero_needed <= 0:
-        return f
-    # need a zero of the right field; empty polynomial has no field handle,
-    # so callers only pad nonzero polynomials
-    zero = f[0].field.zero if f else None
-    assert zero is not None
-    return tuple(f) + (zero,) * F_zero_needed
+            total = total + trace_to_base(term, self.ctx)
+        return total == self.ctx.one
 
 
 def _vanishing_order(field, f, loc) -> int:
@@ -1043,28 +1102,13 @@ def _vanishing_order(field, f, loc) -> int:
 
 
 def _deflate(field, f, loc):
-    """Divide f by (w - loc), assuming it divides exactly."""
+    """Divide f by (w - loc), which must divide it exactly."""
     out = [field.zero] * (len(f) - 1)
     carry = field.zero
     for i in range(len(f) - 1, 0, -1):
         carry = f[i] + carry * loc if i < len(f) - 1 else f[i]
         out[i - 1] = carry
     carry = carry * loc + f[0]
-    assert carry.is_zero()
+    if not carry.is_zero():
+        raise CheckFailed(f"w - {loc} leaves the remainder {carry}")
     return _trim(out)
-
-
-def _poly_str(f):
-    if not f:
-        return "0"
-    parts = []
-    for i, c in enumerate(f):
-        if c.is_zero():
-            continue
-        if i == 0:
-            parts.append(f"{c}")
-        elif i == 1:
-            parts.append(f"{c}*w")
-        else:
-            parts.append(f"{c}*w^{i}")
-    return " + ".join(parts)

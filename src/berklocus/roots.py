@@ -33,9 +33,9 @@ factorization over Q would give.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Optional, Tuple, Union
+from typing import Optional, Tuple, Union
 
 from . import residue as rf
 from .epoly import count_roots_in_disk, epoly, newton_polygon, poly_shift, \
@@ -48,10 +48,8 @@ from .residue import (
     _trim,
     poly_deg,
     poly_deriv,
-    poly_divmod,
     poly_eval,
     poly_gcd,
-    poly_monic,
 )
 
 _MAX_REFINE = 200  # hard stop against runaway refinement loops
@@ -96,7 +94,7 @@ class RootHandle:
         if not dgc.is_zero() and gc.val() > 2 * dgc.val():
             # Newton step, quadratic convergence
             self.center = self.center - gc / dgc
-            self.prec = self._distance_from(self.center, self.prec)
+            self.prec = _initial_prec(ctx, self.g, self.center, self.prec)
             self._compress()
             return
         self._digit_step()
@@ -119,29 +117,21 @@ class RootHandle:
         shift = min(c.val() for c in h if not c.is_zero())
         scale = ctx.pi_pow(-int(shift * ctx.n))
         hred = _trim([(c * scale).residue() for c in h])
-        F = ctx.residue_field
-        digits = [b for b in _linear_roots(F, hred) if not b.is_zero()]
+        factors = rf.factor(ctx.residue_field, hred) \
+            if poly_deg(hred) > 0 else []
+        # the nonzero roots of hred in the residue field itself
+        digits = [-q[0] for q, _ in factors
+                  if poly_deg(q) == 1 and not q[0].is_zero()]
         if not digits:
-            raise NeedsExtension(k=ctx.k * _min_nonlinear_degree(F, hred),
+            k = min((poly_deg(q) for q, _ in factors if poly_deg(q) > 1),
+                    default=1)
+            raise NeedsExtension(k=ctx.k * k,
                                  detail="root digit in a residue extension")
-        assert len(digits) == 1, "isolated root must have a unique digit"
+        if len(digits) != 1:
+            raise CheckFailed(f"an isolated root has {len(digits)} digits")
         self.center = self.center + u * ctx.lift(digits[0])
-        self.prec = self._distance_from(self.center, v)
+        self.prec = _initial_prec(ctx, self.g, self.center, v)
         self._compress()
-
-    def _distance_from(self, c: FieldElement, above: Fraction) -> Fraction:
-        """val(root - c), read off the Newton polygon: the unique root
-        valuation of g(c + z) strictly above the separation bound."""
-        ctx = self.ctx
-        shifted = poly_shift(ctx, self.g, c)
-        if not shifted or shifted[0].is_zero():
-            return INF
-        np_ = newton_polygon(ctx, shifted)
-        vals = [-slope for slope, length in np_.segments for _ in range(length)]
-        above_vals = [v for v in vals if v > above]
-        assert len(above_vals) == 1, \
-            "refinement lost the isolation of the root"
-        return above_vals[0]
 
     def ensure(self, target: Fraction):
         """Refine until prec > target."""
@@ -248,20 +238,6 @@ class RootHandle:
 def _val_diff(a: FieldElement, b: FieldElement) -> Fraction:
     d = a - b
     return INF if d.is_zero() else d.val()
-
-
-def _linear_roots(F, h) -> list:
-    """Roots of h in F itself (not extensions), without multiplicity."""
-    out = []
-    for q, _ in rf.factor(F, h) if poly_deg(h) > 0 else []:
-        if poly_deg(q) == 1:
-            out.append(-q[0])
-    return out
-
-
-def _min_nonlinear_degree(F, h) -> int:
-    degs = [poly_deg(q) for q, _ in rf.factor(F, h) if poly_deg(q) > 1]
-    return min(degs) if degs else 1
 
 
 # ---------------------------------------------------------------------------
@@ -496,6 +472,8 @@ def _isolate_cluster(ctx: PrimeContext, g, c: FieldElement, floor: Fraction,
 
 
 def _initial_prec(ctx, g, c, floor) -> Fraction:
+    """val(root - c) for the one root of g with val(root - c) > floor, read
+    off the Newton polygon of g(c + z)."""
     shifted = poly_shift(ctx, g, c)
     if not shifted or shifted[0].is_zero():
         return INF

@@ -25,7 +25,7 @@ from berklocus.berkmap import (
 )
 from berklocus.errors import ConstantMap, NeedsExtension, ZeroDenominator
 from berklocus.field import PrimeContext
-from berklocus.residue import INF_POINT
+from berklocus.residue import INF_POINT, _trim, poly_gcd, poly_monic
 
 from conftest import mk
 
@@ -272,3 +272,56 @@ def test_surplus_table_infinity_matches_standalone(shared_point_analyses):
 
 def test_neg_inf_is_one_sentinel():
     assert roots.NEG_INF is berkmap.NEG_INF is field.NEG_INF
+
+
+def _flip_surplus_reference(g):
+    """The infinity surplus of a map g conjugated to the Gauss point, by the
+    flip: reverse num and den to degree d and swap them, renormalise to
+    minimal valuation 0, reduce, take the gcd of the reductions (the monic
+    nonzero one when the other vanishes) and its vanishing order at 0."""
+    ctx, d = g.ctx, g.degree
+    F = ctx.residue_field
+
+    def reverse(f):
+        return (list(f) + [ctx.zero] * (d + 1 - len(f)))[::-1]
+
+    num, den = reverse(g.den), reverse(g.num)
+    shift = min(c.val() for c in num + den if not c.is_zero())
+    scale = ctx.pi_pow(-int(shift * ctx.n))
+    rnum, rden = (_trim([(c * scale).residue() for c in f])
+                  for f in (num, den))
+    common = poly_gcd(F, rnum, rden) if rnum and rden \
+        else poly_monic(F, rnum or rden)
+    return next(i for i, c in enumerate(common) if not c.is_zero())
+
+
+def test_infinity_surplus_matches_the_flip():
+    """reduce_at reads the infinity surplus off the residues it has taken,
+    and surplus() conjugates afresh; both equal the flip's cancelled order
+    on a seeded batch of maps and disk points, among them points where the
+    reduction is the constant 0 or infinity."""
+    rng = random.Random(2026)
+    constant = {"num": 0, "den": 0}
+    for _ in range(120):
+        p, d = rng.choice([3, 5]), rng.randint(1, 3)
+        num = [rng.randint(-9, 9) * p ** rng.randint(0, 2)
+               for _ in range(d + 1)]
+        den = [rng.randint(-9, 9) * p ** rng.randint(0, 2)
+               for _ in range(rng.randint(1, d + 1))]
+        try:
+            f = mk(p, num, den)
+        except (ConstantMap, ZeroDenominator):
+            continue
+        ctx = f.ctx
+        for _ in range(4):
+            a = ctx.from_rational(Fraction(rng.randint(-9, 9),
+                                           rng.choice([1, 1, p])))
+            x = TypeIIPoint(a, Fraction(rng.randint(-3, 3)))
+            g = berkmap._conjugate_to_gauss(f, x)
+            rnum, rden = berkmap._residues(g)
+            for key, r in (("num", rnum), ("den", rden)):
+                constant[key] += not r
+            expected = _flip_surplus_reference(g)
+            assert reduce_at(f, x).surplus.get(("inf",), 0) == expected
+            assert surplus(f, x, INF_POINT) == expected
+    assert constant["num"] > 0 and constant["den"] > 0, constant

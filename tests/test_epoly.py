@@ -3,6 +3,7 @@ field."""
 
 from fractions import Fraction
 
+import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
@@ -10,13 +11,12 @@ from berklocus.epoly import (
     count_roots_in_disk,
     epoly,
     newton_polygon,
-    poly_reverse,
     poly_scale_arg,
     poly_shift,
     root_valuations,
 )
 from berklocus.field import INF, PrimeContext
-from berklocus.residue import poly_add, poly_eval, poly_mul
+from berklocus.residue import poly_add, poly_eval, poly_mul, poly_reverse
 
 
 def _prod_linear(ctx, roots):
@@ -82,6 +82,9 @@ def test_poly_shift_and_reverse():
     assert poly_eval(ctx, g, ctx.from_rational(1)) == ctx.from_rational(12)
     rev = poly_reverse(ctx, f, 2)
     assert rev == epoly(ctx, [1, 0, 3])
+    assert poly_reverse(ctx, f, 4) == epoly(ctx, [0, 0, 1, 0, 3])
+    with pytest.raises(ValueError):
+        poly_reverse(ctx, f, 1)
     scaled = poly_scale_arg(ctx, f, ctx.from_rational(7))
     assert scaled == epoly(ctx, [3, 0, 49])
 

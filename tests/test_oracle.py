@@ -1,6 +1,9 @@
 """Closed-form degree-1 layer and the independent fixedness test, checked
 against both hand-derived facts and the engine."""
 
+import importlib.util
+import json
+import os
 import random
 from fractions import Fraction
 
@@ -189,3 +192,15 @@ def test_segment_fixture_coeff_construction():
     f = fx.build()
     assert f.degree == 4
     assert f.ctx.p == 3
+
+
+def test_expected_values_match_their_derivation(expected):
+    """scripts/expected_values.json is what scripts/derive_expected.py
+    derives from the fixtures, so the committed oracle data cannot drift
+    from the code it is derived with."""
+    path = os.path.join(os.path.dirname(__file__), "..", "scripts",
+                        "derive_expected.py")
+    spec = importlib.util.spec_from_file_location("derive_expected", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    assert json.loads(json.dumps(module.derive())) == expected

@@ -162,6 +162,19 @@ def test_holomorphic_index_rejects_multiplier_one():
         m.holomorphic_index_check()
 
 
+def test_fixed_points_multiple_at_infinity():
+    # (w^2 + 2)/(w + 2) over F_5: deg num = deg den + 1 with equal leading
+    # coefficients, so P = 2 - 2w has degree 1 and oo is a double fixed point
+    F = Fq(5)
+    m = FqRationalMap(F, poly(F, [2, 0, 1]), poly(F, [2, 1]))
+    dirs = {t.key(): t for t in m.fixed_points()}
+    inf = dirs[("inf",)]
+    assert inf.multiplicity >= 2 and inf.multiplier == F.one
+    assert inf.multiplicity == m.infinity_multiplicity() == 2
+    assert sum(t.orbit_size * t.multiplicity for t in dirs.values()) == \
+        m.degree + 1
+
+
 def test_flip_involution():
     F = Fq(3)
     m = FqRationalMap(F, poly(F, [1, 2, 1]), poly(F, [0, 1]))

@@ -96,13 +96,14 @@ def test_rational_split_rejects_a_doubled_factor(g):
 
 
 def test_cross_checks_fail_under_optimize():
-    """Doctored inputs to the split, to root isolation, to the classical
-    fixed-point total, to the tangent map's multiplier, to the valuation
-    envelope and to a reduction: each check raises CheckFailed with
-    asserts off."""
+    """Doctored inputs to the split, to root isolation and refinement, to
+    the classical fixed-point total, to the tangent map's multiplier, to
+    exact deflation, to the valuation envelope and to a reduction: each
+    check raises CheckFailed with asserts off."""
     code = (
+        "import dataclasses\n"
         "from fractions import Fraction\n"
-        "from berklocus import berkmap, fixlocus as fx, roots\n"
+        "from berklocus import berkmap, fixlocus as fx, residue, roots\n"
         "from berklocus.epoly import epoly\n"
         "from berklocus.errors import CheckFailed\n"
         "from berklocus.field import NEG_INF, PrimeContext\n"
@@ -129,6 +130,17 @@ def test_cross_checks_fail_under_optimize():
         "        F.one, [], Fraction(1), Fraction(1))),\n"
         "    ('pole', lambda: FqRationalMap(F, (F.one,), (F.zero, F.one))\n"
         "        ._multiplier_and_critical(F.zero, F, 1)),\n"
+        # roots 7 and 12 share the digit 2 and the disk of radius 1 about it
+        "    ('isolation', lambda: roots.RootHandle(\n"
+        "        ctx, epoly(ctx, [84, -19, 1]), ctx.zero, Fraction(0)).refine()),\n"
+        # roots 1 and 2: two digits in one claimed isolating disk
+        "    ('digit', lambda: roots.RootHandle(\n"
+        "        ctx, epoly(ctx, [2, -3, 1]), ctx.zero, Fraction(0)).refine()),\n"
+        "    ('deflate', lambda: residue._deflate(F, (F.one, F.one), F.zero)),\n"
+        "    ('family', lambda: berkmap.segments_from_lines(F.one, [\n"
+        "        (Fraction(0), Fraction(0), ('n', 0), F.one),\n"
+        "        (Fraction(0), Fraction(0), ('n', 1), F.one)],\n"
+        "        Fraction(0), Fraction(1))),\n"
         "]\n"
         "for name, check in checks:\n"
         "    try:\n"
@@ -144,15 +156,25 @@ def test_cross_checks_fail_under_optimize():
         "try:\n"
         "    berkmap.reduce_at(f, berkmap.gauss_point(ctx))\n"
         "except CheckFailed:\n"
-        "    print('reduction')\n")
+        "    print('reduction')\n"
+        "berkmap._conjugate_to_gauss = conjugate\n"
+        "fixed_points = FqRationalMap.fixed_points\n"
+        "FqRationalMap.fixed_points = lambda m: [\n"
+        "    dataclasses.replace(t, multiplicity=1) for t in fixed_points(m)]\n"
+        "try:\n"
+        "    berkmap.reduce_at(fixture('moebius-translation').build(),\n"
+        "                      berkmap.gauss_point(ctx))\n"
+        "except CheckFailed:\n"
+        "    print('additive')\n")
     src = os.path.join(os.path.dirname(__file__), "..", "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run([sys.executable, "-O", "-c", code], env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["split", "cluster", "envelope", "pole",
-                                   "total", "reduction"]
+    assert proc.stdout.split() == [
+        "split", "cluster", "envelope", "pole", "isolation", "digit",
+        "deflate", "family", "total", "reduction", "additive"]
 
 
 def test_irrational_root_handle_refines():
