@@ -125,15 +125,19 @@ def poly_scale_arg(ctx: PrimeContext, f, u: FieldElement):
 
 
 def count_roots_in_disk(ctx: PrimeContext, f, center: FieldElement,
-                        s: Fraction, mode: str = "open") -> int:
+                        s: Fraction, mode: str = "open",
+                        polygon: NewtonPolygon = None) -> int:
     """Number of roots x (with multiplicity, in an algebraic closure) with
-    val(x - center) > s (open) or >= s (closed)."""
-    if not f:
-        raise ZeroPolynomial("root counting needs a nonzero polynomial")
-    assert mode in ("open", "closed")
-    np_ = newton_polygon(ctx, poly_shift(ctx, f, center))
-    count = np_.vanishing_order  # the center itself, val = INF
-    for slope, length in np_.segments:
+    val(x - center) > s (open) or >= s (closed).  `polygon`, when given, is
+    the Newton polygon of f(center + z) the caller already holds."""
+    if mode not in ("open", "closed"):
+        raise ValueError(f"disk mode {mode!r} is neither open nor closed")
+    if polygon is None:
+        if not f:
+            raise ZeroPolynomial("root counting needs a nonzero polynomial")
+        polygon = newton_polygon(ctx, poly_shift(ctx, f, center))
+    count = polygon.vanishing_order  # the center itself, val = INF
+    for slope, length in polygon.segments:
         v = -slope
         if v > s or (mode == "closed" and v == s):
             count += length

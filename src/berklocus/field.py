@@ -260,6 +260,10 @@ class FieldElement:
                             self.den * other.den)
 
     def scale(self, q) -> "FieldElement":
+        """q * self for an int or rational q, with no product in the
+        field."""
+        if isinstance(q, int):
+            return FieldElement(self.ctx, [q * c for c in self.nums], self.den)
         q = Fraction(q)
         return FieldElement(self.ctx, [q.numerator * c for c in self.nums],
                             q.denominator * self.den)
@@ -362,7 +366,8 @@ class FieldElement:
     def unit_residue(self) -> rf.FqElement:
         """Residue of self / pi^(n * val): the leading residue digit."""
         v = self.val()
-        assert v is not INF, "unit residue of zero"
+        if v is INF:
+            raise ValueError("unit residue of zero")
         shift = self.ctx.pi_pow(-int(v * self.ctx.n))
         return (self * shift).residue()
 

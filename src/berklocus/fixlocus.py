@@ -31,6 +31,7 @@ certificate `analyze` returned and never run the pipeline again.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field as dc_field
@@ -159,7 +160,7 @@ def classical_fixed_points(f: RationalMapK) -> List[ClassicalFixedPoint]:
     if poly_deg(P) >= 1:
         for g, m in _squarefree_parts(ctx, P):
             for h in isolate_roots(ctx, g, m):
-                out.append(_finite_entry(ctx, h, m, N, D))
+                out.append(_finite_entry(f, h, m, N, D))
     inf_m = f.infinity_multiplicity()
     if inf_m:
         out.append(_infinity_entry(f, inf_m))
@@ -170,19 +171,56 @@ def classical_fixed_points(f: RationalMapK) -> List[ClassicalFixedPoint]:
     return out
 
 
-def _finite_entry(ctx, h: RootHandle, mult, N, D) -> ClassicalFixedPoint:
+def _finite_entry(f: RationalMapK, h: RootHandle, mult, N,
+                  D) -> ClassicalFixedPoint:
+    """The fixed point held by h, with its multiplier N/D at the root.  A
+    handle that is not exact reads N(c + t) = a'b - ab' and D(c + t) = b^2
+    off its one expansion a = num(c + t), b = den(c + t) at its center c
+    (`_multiplier_expansion`), instead of shifting N and D themselves."""
+    ctx = f.ctx
     F = ctx.residue_field
     if mult >= 2:
         # multiple fixed point forces multiplier exactly 1
         return ClassicalFixedPoint(h, mult, Fraction(0), F.one, INDIFFERENT)
-    lead_n = h.lead_at(N)
+
+    def lead(q, which):
+        if h.is_exact:
+            return h.lead_at(q)
+        return h.lead_of(functools.partial(_multiplier_expansion, f, h, which),
+                         lambda: q)
+
+    lead_n = lead(N, 0)
     if lead_n is None:
         return ClassicalFixedPoint(h, mult, INF, None, ATTRACTING)
-    lead_d = h.lead_at(D)
+    lead_d = lead(D, 1)
     v = lead_n[0] - lead_d[0]
     res = lead_n[1] / lead_d[1] if v == 0 else None
     klass = ATTRACTING if v > 0 else (REPELLING_CLASS if v < 0 else INDIFFERENT)
     return ClassicalFixedPoint(h, mult, v, res, klass)
+
+
+def _multiplier_expansion(f: RationalMapK, h: RootHandle, which: int):
+    """The Taylor coefficients, as `RootHandle.lead_of` parts, of
+    N(c + t) = a'b - ab' (which = 0) or D(c + t) = b^2 (which = 1) off the
+    handle's expansion a, b at its center c.  Coefficient j of N is the sum
+    over k < l, k + l = j + 1, of (l - k)(a_l b_k - a_k b_l); of D, the sum
+    over k <= l, k + l = j, of b_k b_l, twice when k < l."""
+    a, b, _ = h.expansion(f.num, f.den)
+    if which:
+        return [[(2 if k < j - k else 1, b[k], b[j - k])
+                 for k in range(j // 2 + 1) if j - k < len(b)]
+                for j in range(2 * len(b) - 1)]
+    coeffs = []
+    for j in range(len(a) + len(b) - 2):
+        parts = []
+        for k in range(j // 2 + 1):
+            l = j + 1 - k
+            if l < len(a) and k < len(b):
+                parts.append((l - k, a[l], b[k]))
+            if k < len(a) and l < len(b):
+                parts.append((k - l, a[k], b[l]))
+        coeffs.append(parts)
+    return coeffs
 
 
 def _infinity_entry(f: RationalMapK, mult) -> ClassicalFixedPoint:
@@ -264,33 +302,63 @@ class SkeletonGraph:
 
 def _tail_lines(f: RationalMapK, h: RootHandle):
     """Valuation lines of the conjugated coefficients along the ray into a
-    classical fixed point held by a handle: each Taylor coefficient of the
-    conjugated numerator/denominator at the root is a polynomial in the root,
-    evaluated exactly through the handle (vanishing coefficients drop out,
-    in particular the constant numerator term, which is the fixed-point
-    polynomial itself)."""
-    from .residue import _trim
-    ctx = f.ctx
+    classical fixed point held by a handle.  Conjugated by the root w, the
+    map's numerator and denominator have the coefficients
+    A_i(w) = NS_i(w) - w*DS_i(w) and DS_i(w), where NS_i = num^(i)/i! and
+    DS_i = den^(i)/i!; each is evaluated exactly at the root through the
+    handle, and vanishing ones drop out, in particular A_0, the fixed-point
+    polynomial itself.
+
+    Every A_i and DS_i is read off the handle's one expansion a, b, e of
+    num, den and num - c*den at its center c (`RootHandle.expansion`), by
+    integer rescaling: [DS_i]_j = C(i+j, i) b_(i+j), [A_i]_0 = e_i and
+    [A_i]_j = C(i+j, i) e_(i+j) - C(i+j-1, i) b_(i+j-1) for j >= 1.  The
+    perturbation bound needs valuations only, val(C x) = v_p(C) + val(x),
+    so a difference is formed only when its two valuations tie, and the
+    unshifted A_i or DS_i is built only for the vanishing test."""
     lines = []
-    num, den = f.num, f.den
-    dn, dd = poly_deg(num), poly_deg(den)
+    dn, dd = poly_deg(f.num), poly_deg(f.den)
     for i in range(max(dn, dd) + 1):
-        # NS_i(w) = sum_j C(j,i) num_j w^(j-i); A_i = NS_i - w * DS_i
-        ns = ()
-        if i <= dn:
-            ns = _trim([num[j] * ctx.from_rational(math.comb(j, i))
-                        for j in range(i, dn + 1)])
-        ds = ()
+        queries = [(Fraction(i), ("n", i), 0)]
         if i <= dd:
-            ds = _trim([den[j] * ctx.from_rational(math.comb(j, i))
-                        for j in range(i, dd + 1)])
-        ai = poly_sub(ctx, ns, poly_mul(ctx, (ctx.zero, ctx.one), ds))
-        for slope, key, q in ((Fraction(i), ("n", i), ai),
-                              (Fraction(i + 1), ("d", i), ds)):
-            lead = h.lead_at(q)
+            queries.append((Fraction(i + 1), ("d", i), 1))
+        for slope, key, which in queries:
+            lead = h.lead_of(
+                functools.partial(_tail_expansion, f, h, i, which),
+                functools.partial(_tail_poly, f, i, which))
             if lead is not None:
                 lines.append((slope, lead[0], key, lead[1]))
     return lines
+
+
+def _tail_expansion(f: RationalMapK, h: RootHandle, i: int, which: int):
+    """The Taylor coefficients, as `RootHandle.lead_of` parts, of A_i
+    (which = 0) or DS_i (which = 1) at the handle's center, off its
+    expansion b, e."""
+    _, b, e = h.expansion(f.num, f.den)
+    if which:
+        return [((math.comb(k, i), b[k], None),) for k in range(i, len(b))]
+    coeffs = [((1, e[i], None),) if i < len(e) else ()]
+    for k in range(i + 1, max(len(e), len(b) + 1)):
+        parts = []
+        if k < len(e):
+            parts.append((math.comb(k, i), e[k], None))
+        if k <= len(b):
+            parts.append((-math.comb(k - 1, i), b[k - 1], None))
+        coeffs.append(parts)
+    return coeffs
+
+
+def _tail_poly(f: RationalMapK, i: int, which: int):
+    """A_i (which = 0) or DS_i (which = 1) as a polynomial in w:
+    NS_i(w) = sum_j C(j, i) num_j w^(j-i), DS_i likewise from den, and
+    A_i = NS_i - w*DS_i."""
+    ctx = f.ctx
+    ns, ds = (rf._trim([c[j].scale(math.comb(j, i))
+                        for j in range(i, len(c))]) for c in (f.num, f.den))
+    if which:
+        return ds
+    return poly_sub(ctx, ns, (ctx.zero,) + ds if ds else ())
 
 
 def _ray_lines_at(f: RationalMapK, anchor):

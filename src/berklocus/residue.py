@@ -1008,6 +1008,7 @@ class FqRationalMap(RationalMap):
             raise IdentityMap("the identity fixes everything")
         F = self.ctx
         P = self.fixed_point_polynomial()
+        polys = (self.num, self.den, self.multiplier_polys()[0])
         out = []
         if P:
             for q, mult in factor(F, P):
@@ -1018,7 +1019,8 @@ class FqRationalMap(RationalMap):
                 else:
                     loc_field = Fq(F.p, modulus=q, base=F)
                     loc = loc_field.gen
-                lam, crit = self._multiplier_and_critical(loc, loc_field, mult)
+                lam, crit = self._multiplier_and_critical(loc, loc_field, mult,
+                                                          polys)
                 out.append(TangentFixedDirection(
                     location=loc, field=loc_field, minpoly=q if m > 1 else None,
                     orbit_size=m, multiplicity=mult,
@@ -1035,13 +1037,20 @@ class FqRationalMap(RationalMap):
                               f"expected {self.degree + 1}")
         return out
 
-    def _multiplier_and_critical(self, loc: FqElement, loc_field: Fq, mult: int):
+    def _multiplier_and_critical(self, loc: FqElement, loc_field: Fq,
+                                 mult: int, polys=None):
         """(multiplier, critical flag) at the fixed point loc of loc_field,
-        an extension of the map's field into which the coefficients embed."""
+        an extension of the map's field into which the coefficients embed.
+        `polys` is (num, den, N) over the map's field, N the numerator of
+        `multiplier_polys`, when the caller computed it once for all its
+        fixed points; they are embedded only when loc_field is a proper
+        extension."""
         F = loc_field
-        N, _ = self.multiplier_polys()
-        num, den, N = (poly_shift_coeffs(self.ctx, f, F)
-                       for f in (self.num, self.den, N))
+        num, den, N = polys or (self.num, self.den,
+                                self.multiplier_polys()[0])
+        if F != self.ctx:
+            num, den, N = (poly_shift_coeffs(self.ctx, f, F)
+                           for f in (num, den, N))
         dv = poly_eval(F, den, loc)
         if dv.is_zero():
             raise CheckFailed("coprime map cannot have a fixed pole")

@@ -12,9 +12,16 @@ exact computation, with a rigorous stopping criterion in each case.
 
 A polynomial q at a root takes one exact query, `RootHandle.lead_at`: the
 valuation and leading residue digit of q(root) together, or None when q
-vanishes there.  The perturbation bound from one Taylor shift of q at the
-center decides; the gcd with the root's polynomial runs only as the fallback
-when the bound cannot.
+vanishes there.  The perturbation bound from the Taylor expansion of q at the
+center decides; when it cannot, q vanishes at the root if the root's
+polynomial divides it, and the gcd with that polynomial runs only as the
+last fallback.  `RootHandle.lead_of` asks the same of a q given through its
+expansion: a handle keeps one Taylor shift of a map's numerator and
+denominator per center (`RootHandle.expansion`), and every polynomial the
+analysis derives from the map -- the ray lines' coefficients, the multiplier
+-- reads its expansion off that one shift instead of shifting itself.
+Isolation likewise shifts g once per candidate center and reads the root
+count, the initial precision and the next level off that one shift.
 
 Rational-coefficient polynomials are pre-split over the rationals so rational
 roots come out exact; everything else stays a handle.  The split finds the
@@ -41,7 +48,7 @@ from . import residue as rf
 from .epoly import count_roots_in_disk, epoly, newton_polygon, poly_shift, \
     poly_scale_arg
 from .errors import CheckFailed, NeedsExtension
-from .field import INF, NEG_INF, FieldElement, PrimeContext, _is_prime
+from .field import INF, NEG_INF, FieldElement, PrimeContext, _is_prime, _vp
 from .residue import (
     INF_POINT,
     Infinity,
@@ -49,7 +56,9 @@ from .residue import (
     poly_deg,
     poly_deriv,
     poly_eval,
+    poly_divmod,
     poly_gcd,
+    poly_sub,
 )
 
 _MAX_REFINE = 200  # hard stop against runaway refinement loops
@@ -68,6 +77,9 @@ class RootHandle:
         self.prec = prec
         self.multiplicity = multiplicity
         self._dg = poly_deriv(ctx, g)
+        # (center, num, den, a, b, e) of the last `expansion` call; stale,
+        # and recomputed, once the center has moved
+        self._expansion = None
 
     @property
     def is_exact(self) -> bool:
@@ -170,49 +182,107 @@ class RootHandle:
             self.refine()
         raise AssertionError("distance to point did not stabilize")
 
+    def expansion(self, num, den):
+        """(a, b, e) at the current center c: the coefficient tuples of
+        a = num(c + t), b = den(c + t) and e = a - c*b.  Computed once per
+        center and pair, so every polynomial built from num and den reads
+        its own expansion off these three instead of shifting itself."""
+        cache = self._expansion
+        if cache is None or cache[0] is not self.center \
+                or cache[1] is not num or cache[2] is not den:
+            ctx, c = self.ctx, self.center
+            a = poly_shift(ctx, num, c)
+            b = poly_shift(ctx, den, c)
+            e = poly_sub(ctx, a, tuple(c * x for x in b))
+            cache = self._expansion = (c, num, den, a, b, e)
+        return cache[3:]
+
     def lead_at(self, q) -> Optional[Tuple[Fraction, rf.FqElement]]:
         """(val, unit residue) of q(root), exact; None when q vanishes at
-        the root.
-
-        One Taylor shift of q at the center gives q(center) and the bound
-        on val(q(root) - q(center)); a nonzero q(center) below the bound
-        decides both values.  Only when it cannot decide does the gcd test
-        run, once, before the first refinement."""
+        the root.  The Taylor shift of q at each center feeds `lead_of`."""
         ctx = self.ctx
         if not q:
             return None
         if self.is_exact:
             v = poly_eval(ctx, q, self.center)
             return None if v.is_zero() else (v.val(), v.unit_residue())
+        return self.lead_of(
+            lambda: [((1, c, None),) for c in poly_shift(ctx, q, self.center)],
+            lambda: q)
+
+    def lead_of(self, expand, build) -> Optional[Tuple[Fraction,
+                                                       rf.FqElement]]:
+        """`lead_at` for a polynomial q given through its expansion at the
+        current center.  `expand()` lists the Taylor coefficients q_0, q_1,
+        ... of q there, each as its parts: (m, x, y) stands for m*x*y, with
+        m a nonzero int, x and y field elements, and y None for 1.
+        `build()` returns q itself; it runs only for the vanishing test.
+
+        A nonzero q(center) = q_0 of valuation below the perturbation bound
+        min over j >= 1 of val(q_j) + j*prec on val(q(root) - q(center))
+        decides both values.  The bound reads valuations only,
+        val(m x y) = v_p(m) + val(x) + val(y), and a coefficient is summed
+        only when its least part valuation is reached twice and does not
+        already clear q_0.  Only when the bound cannot decide does the
+        vanishing test run, once, before the first refinement: q vanishes
+        at the root when g divides q, and otherwise when gcd(g, q) has a
+        root in the handle's disk."""
         for step in range(_MAX_REFINE):
-            shifted = poly_shift(ctx, q, self.center)
-            qc = shifted[0]
-            if not qc.is_zero() and qc.val() < self._perturbation_bound(shifted):
+            coeffs = expand()
+            qc = self._sum(coeffs[0])
+            if not qc.is_zero() and self._below_bound(qc.val(), coeffs):
                 return qc.val(), qc.unit_residue()
-            if step == 0 and self._vanishes(q):
+            if step == 0 and self._vanishes(build()):
                 return None
             self.refine()
         raise AssertionError("value at root did not stabilize")
 
+    def _sum(self, parts) -> FieldElement:
+        total = None
+        for m, x, y in parts:
+            t = x if y is None else x * y
+            if m != 1:
+                t = t.scale(m)
+            total = t if total is None else total + t
+        return self.ctx.zero if total is None else total
+
+    def _below_bound(self, v0: Fraction, coeffs) -> bool:
+        """Whether v0 < val(q_j) + j*prec for every nonzero Taylor
+        coefficient q_j, j >= 1: v0 below the perturbation bound."""
+        prec, p = self.prec, self.ctx.p
+        for j in range(1, len(coeffs)):
+            least, ties = INF, 0
+            for m, x, y in coeffs[j]:
+                v = x.val()
+                if y is not None and v is not INF:
+                    vy = y.val()
+                    v = INF if vy is INF else v + vy
+                if v is INF:
+                    continue  # a zero factor
+                if m != 1 and m != -1:
+                    v = v + _vp(m, p)
+                if v < least:
+                    least, ties = v, 1
+                elif v == least:
+                    ties += 1
+            if not ties or least + j * prec > v0:
+                continue
+            if ties == 1:
+                return False  # a unique least part is val(q_j)
+            c = self._sum(coeffs[j])
+            if not c.is_zero() and c.val() + j * prec <= v0:
+                return False
+        return True
+
     def _vanishes(self, q) -> bool:
-        """Whether q(root) = 0: a common factor of g and q with a root in
-        the handle's isolating disk."""
-        G = poly_gcd(self.ctx, self.g, q)
+        """Whether q(root) = 0: g divides q, or a common factor of g and q
+        has a root in the handle's isolating disk."""
+        rem = poly_divmod(self.ctx, q, self.g)[1]
+        if not rem:
+            return True
+        G = poly_gcd(self.ctx, self.g, rem)  # = gcd(g, q)
         return poly_deg(G) > 0 and count_roots_in_disk(
             self.ctx, G, self.center, self.prec, "closed") >= 1
-
-    def _perturbation_bound(self, shifted) -> Fraction:
-        """Lower bound on val(q(root) - q(center)): min over i >= 1 of
-        val(q_i~) + i*prec for the Taylor coefficients q~ = `shifted` of q
-        at the center."""
-        best = INF
-        for i, c in enumerate(shifted):
-            if i == 0 or c.is_zero():
-                continue
-            cand = c.val() + i * self.prec
-            if cand < best:
-                best = cand
-        return best
 
     def direction_at(self, x) -> Union[rf.FqElement, Infinity]:
         """The tangent direction at the disk point x = zeta(c, s) that
@@ -389,19 +459,26 @@ def _divide_linear(f: list, a: int, b: int) -> list:
 
 def _isolate_cluster(ctx: PrimeContext, g, c: FieldElement, floor: Fraction,
                      expected: int, multiplicity: int,
-                     budget=None) -> list:
+                     budget=None, expansion=None) -> list:
     """Isolate the roots r of g with val(r - c) > floor; `expected` counts
     them.  When a split needs an extension beyond the budget, everything not
     yet placed is returned as a single ClusterStub (the stub's closed disk
     swallows the deeper levels and the exact center, so anchors never
-    overlap)."""
+    overlap).
+
+    g is shifted to each center once: `expansion`, when given, is the pair
+    (g(c + z), its Newton polygon) the caller already holds, and at every
+    child center one shift and one polygon serve the root count, the
+    initial precision of an isolated root and the next level down."""
     handles: list = []
-    shifted = poly_shift(ctx, g, c)
+    if expansion is None:
+        shifted = poly_shift(ctx, g, c)
+        expansion = shifted, newton_polygon(ctx, shifted)
+    shifted, np_ = expansion
     exact = None
     if shifted and shifted[0].is_zero():
         # c itself is a (simple) root
         exact = RootHandle(ctx, g, c, INF, multiplicity)
-    np_ = newton_polygon(ctx, shifted)
     levels = {}
     for slope, length in np_.segments:
         v = -slope
@@ -430,7 +507,7 @@ def _isolate_cluster(ctx: PrimeContext, g, c: FieldElement, floor: Fraction,
             raise NeedsExtension(n=need,
                                  detail=f"root cluster at ramified radius {v}")
         u = ctx.pi_pow(int(v * ctx.n))
-        h = poly_scale_arg(ctx, poly_shift(ctx, g, c), u)
+        h = poly_scale_arg(ctx, shifted, u)
         shift_v = min(cc.val() for cc in h if not cc.is_zero())
         scale = ctx.pi_pow(-int(shift_v * ctx.n))
         hred = _trim([(cc * scale).residue() for cc in h])
@@ -450,7 +527,9 @@ def _isolate_cluster(ctx: PrimeContext, g, c: FieldElement, floor: Fraction,
                                      detail="root direction in a residue extension")
             b = -q[0]
             c2 = c + u * ctx.lift(b)
-            sub = count_roots_in_disk(ctx, g, c2, v, "open")
+            shifted2 = poly_shift(ctx, g, c2)
+            np2 = newton_polygon(ctx, shifted2)
+            sub = count_roots_in_disk(ctx, g, c2, v, "open", polygon=np2)
             if sub != mult_dir:
                 raise CheckFailed(f"direction holds {sub} roots, its residue "
                                   f"factor has multiplicity {mult_dir}")
@@ -458,10 +537,11 @@ def _isolate_cluster(ctx: PrimeContext, g, c: FieldElement, floor: Fraction,
             if sub == 1:
                 handles.append(RootHandle(
                     ctx, g, c2,
-                    _initial_prec(ctx, g, c2, v), multiplicity))
+                    _initial_prec(ctx, g, c2, v, polygon=np2), multiplicity))
             else:
                 handles.extend(_isolate_cluster(ctx, g, c2, v, sub,
-                                                multiplicity, budget))
+                                                multiplicity, budget,
+                                                (shifted2, np2)))
         if placed != count:
             raise CheckFailed(f"placed {placed} roots at radius {v}, the "
                               f"Newton polygon counts {count}")
@@ -471,14 +551,19 @@ def _isolate_cluster(ctx: PrimeContext, g, c: FieldElement, floor: Fraction,
     return handles
 
 
-def _initial_prec(ctx, g, c, floor) -> Fraction:
+def _initial_prec(ctx, g, c, floor, polygon=None) -> Fraction:
     """val(root - c) for the one root of g with val(root - c) > floor, read
-    off the Newton polygon of g(c + z)."""
-    shifted = poly_shift(ctx, g, c)
-    if not shifted or shifted[0].is_zero():
+    off the Newton polygon of g(c + z); `polygon` is that polygon when the
+    caller already holds it."""
+    if polygon is None:
+        shifted = poly_shift(ctx, g, c)
+        if not shifted or shifted[0].is_zero():
+            return INF
+        polygon = newton_polygon(ctx, shifted)
+    elif polygon.vanishing_order:  # c is the root
         return INF
-    np_ = newton_polygon(ctx, shifted)
-    vals = [-slope for slope, length in np_.segments for _ in range(length)]
+    vals = [-slope for slope, length in polygon.segments
+            for _ in range(length)]
     above = [v for v in vals if v > floor]
     if len(above) != 1:
         raise CheckFailed(f"{len(above)} roots in an isolating disk")

@@ -304,15 +304,16 @@ def test_exactness_checks_fail_under_optimize():
         "from berklocus.errors import CheckFailed\n"
         "from berklocus.field import PrimeContext\n"
         "assert False, 'asserts must be off'\n"
-        "def expect(name, thunk):\n"
+        "def expect(name, thunk, error=CheckFailed):\n"
         "    try:\n"
         "        thunk()\n"
-        "    except CheckFailed:\n"
+        "    except error:\n"
         "        print(name)\n"
         "ctx = PrimeContext(5)\n"
         "e = ctx.from_rational(1)\n"
         "e.nums, e.den = (5,), 5  # not normalised: val 0 over den p\n"
         "expect('residue', e.residue)\n"
+        "expect('unit', ctx.zero.unit_residue, ValueError)\n"
         "bad = PrimeContext(3, 1, 2)\n"
         "bad.unram_min_poly = (-1, 0, 1)  # x^2 - 1: reducible, no field\n"
         "e = bad.x_gen - bad.one\n"
@@ -326,4 +327,5 @@ def test_exactness_checks_fail_under_optimize():
     proc = subprocess.run([sys.executable, "-O", "-c", code], env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["residue", "norm", "solve", "truncate"]
+    assert proc.stdout.split() == ["residue", "unit", "norm", "solve",
+                                    "truncate"]

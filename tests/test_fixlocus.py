@@ -1,8 +1,11 @@
 """Global structure: classical fixed points, skeleton, components, weights,
 and the structure checks, on the small fixtures."""
 
+import copy
 import dataclasses
+import math
 import os
+import random
 import subprocess
 import sys
 from fractions import Fraction
@@ -12,7 +15,7 @@ import pytest
 from berklocus import fixlocus as fx
 from berklocus import roots
 from berklocus.berkmap import TypeIIPoint, gauss_point
-from berklocus.epoly import epoly
+from berklocus.epoly import epoly, poly_shift
 from berklocus.errors import (
     CheckFailed,
     ClassicalComponent,
@@ -24,8 +27,10 @@ from berklocus.errors import (
 )
 from berklocus.field import INF, NEG_INF
 from berklocus.oracle import brute_is_fixed, fixture
+from berklocus.residue import _trim, poly_deg, poly_mul, poly_sub
+from berklocus.roots import RootHandle, isolate_roots
 
-from conftest import mk
+from conftest import mk, random_wild_map
 
 
 def test_classical_fixed_points_multiplicities_sum():
@@ -300,3 +305,128 @@ def test_theorem_a_count_fails_under_optimize():
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "FAIL reported"
+
+
+# -- one expansion per root center -------------------------------------------
+
+@pytest.fixture(scope="module")
+def certified_maps():
+    """wild-p3-d4, wild-p3-d6 and the first 10 maps of the wild draw of
+    tests/test_wild.py, each over the tower that certifies it."""
+    maps = [fixture(name).build() for name in ("wild-p3-d4", "wild-p3-d6")]
+    rng = random.Random(2026)
+    maps += [random_wild_map(rng) for _ in range(10)]
+    config = fx.ExploreConfig(n_max=24, k_max=4)
+    return [fx.analyze(f, config).map for f in maps]
+
+
+def _tail_lines_reference(f, h):
+    """The ray lines at a handle with each coefficient polynomial built on
+    its own, A_i = NS_i - w*DS_i and DS_i, and shifted by `lead_at`."""
+    ctx = f.ctx
+    num, den = f.num, f.den
+    dn, dd = poly_deg(num), poly_deg(den)
+    lines = []
+    for i in range(max(dn, dd) + 1):
+        ns = _trim([num[j] * ctx.from_rational(math.comb(j, i))
+                    for j in range(i, dn + 1)])
+        ds = _trim([den[j] * ctx.from_rational(math.comb(j, i))
+                    for j in range(i, dd + 1)])
+        ai = poly_sub(ctx, ns, poly_mul(ctx, (ctx.zero, ctx.one), ds))
+        for slope, key, q in ((Fraction(i), ("n", i), ai),
+                              (Fraction(i + 1), ("d", i), ds)):
+            lead = h.lead_at(q)
+            if lead is not None:
+                lines.append((slope, lead[0], key, lead[1]))
+    return lines
+
+
+def _multiplier_reference(h, N, D):
+    lead_n = h.lead_at(N)
+    if lead_n is None:
+        return INF, None
+    lead_d = h.lead_at(D)
+    v = lead_n[0] - lead_d[0]
+    return v, (lead_n[1] / lead_d[1] if v == 0 else None)
+
+
+def _summed(ctx, coeffs):
+    """A polynomial from `RootHandle.lead_of` parts: coefficient j is the
+    sum of m*x*y over the parts (m, x, y) of coeffs[j]."""
+    out = []
+    for parts in coeffs:
+        total = ctx.zero
+        for m, x, y in parts:
+            total = total + x * (ctx.one if y is None else y) * \
+                ctx.from_rational(m)
+        out.append(total)
+    return _trim(out)
+
+
+def test_one_expansion_matches_a_shift_per_polynomial(certified_maps):
+    checked = 0
+    for f in certified_maps:
+        ctx = f.ctx
+        N, D = f.multiplier_polys()
+        for g, m in fx._squarefree_parts(ctx, f.fixed_point_polynomial()):
+            for h in isolate_roots(ctx, g, m):
+                if h.is_exact:
+                    continue
+                checked += 1
+                # every expansion read off the handle's one shift is the
+                # shift of its own polynomial
+                c = h.center
+                for which, q in enumerate((N, D)):
+                    assert _summed(ctx, fx._multiplier_expansion(
+                        f, h, which)) == poly_shift(ctx, q, c)
+                for i in range(f.degree + 1):
+                    for which in (0, 1):
+                        q = fx._tail_poly(f, i, which)
+                        if q:
+                            assert _summed(ctx, fx._tail_expansion(
+                                f, h, i, which)) == poly_shift(ctx, q, c)
+                fast, ref = copy.copy(h), copy.copy(h)
+                lines = fx._tail_lines(f, fast)
+                assert lines and lines == _tail_lines_reference(f, ref)
+                # the same refinements, down to the same center
+                assert (fast.center, fast.prec) == (ref.center, ref.prec)
+                fast, ref = copy.copy(h), copy.copy(h)
+                cp = fx._finite_entry(f, fast, 1, N, D)
+                assert (cp.multiplier_valuation, cp.multiplier_residue) == \
+                    _multiplier_reference(ref, N, D)
+                assert (fast.center, fast.prec) == (ref.center, ref.prec)
+    assert checked >= 10
+
+
+def test_isolation_matches_a_shift_per_query(certified_maps, monkeypatch):
+    """Isolation shares one shift of g and its Newton polygon per center
+    between the root count, the initial precision and the next level; the
+    same isolation with every one of them recomputed at its center gives
+    the same anchors."""
+    config = fx.ExploreConfig(n_max=24, k_max=4)
+
+    def isolate_all():
+        out = []
+        for f in certified_maps:
+            ctx = f.ctx
+            anchors = [h for g, m in fx._squarefree_parts(
+                ctx, f.fixed_point_polynomial())
+                for h in isolate_roots(ctx, g, m)]
+            anchors += fx._critical_point_handles(f, config)
+            out.append([(h.center, h.prec) if isinstance(h, RootHandle)
+                        else (h.center, h.radius, h.count) for h in anchors])
+        return out
+
+    shared = isolate_all()
+    assert any(len(a) > 1 for a in shared)
+    cluster, initial, count = roots._isolate_cluster, roots._initial_prec, \
+        roots.count_roots_in_disk
+    monkeypatch.setattr(roots, "_isolate_cluster",
+                        lambda *a: cluster(*a[:7]))
+    monkeypatch.setattr(roots, "_initial_prec",
+                        lambda ctx, g, c, floor, polygon=None:
+                        initial(ctx, g, c, floor))
+    monkeypatch.setattr(roots, "count_roots_in_disk",
+                        lambda ctx, f, c, s, mode="open", polygon=None:
+                        count(ctx, f, c, s, mode))
+    assert isolate_all() == shared

@@ -99,12 +99,13 @@ def test_cross_checks_fail_under_optimize():
     """Doctored inputs to the split, to root isolation and refinement, to
     the classical fixed-point total, to the tangent map's multiplier, to
     exact deflation, to the valuation envelope and to a reduction: each
-    check raises CheckFailed with asserts off."""
+    check raises CheckFailed with asserts off.  A root count in a disk that
+    is neither open nor closed raises ValueError."""
     code = (
         "import dataclasses\n"
         "from fractions import Fraction\n"
         "from berklocus import berkmap, fixlocus as fx, residue, roots\n"
-        "from berklocus.epoly import epoly\n"
+        "from berklocus.epoly import count_roots_in_disk, epoly\n"
         "from berklocus.errors import CheckFailed\n"
         "from berklocus.field import NEG_INF, PrimeContext\n"
         "from berklocus.oracle import fixture\n"
@@ -165,7 +166,12 @@ def test_cross_checks_fail_under_optimize():
         "    berkmap.reduce_at(fixture('moebius-translation').build(),\n"
         "                      berkmap.gauss_point(ctx))\n"
         "except CheckFailed:\n"
-        "    print('additive')\n")
+        "    print('additive')\n"
+        "try:\n"
+        "    count_roots_in_disk(ctx, epoly(ctx, [-1, 1]), ctx.zero,\n"
+        "                        Fraction(0), 'half-open')\n"
+        "except ValueError:\n"
+        "    print('mode')\n")
     src = os.path.join(os.path.dirname(__file__), "..", "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
@@ -174,7 +180,7 @@ def test_cross_checks_fail_under_optimize():
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == [
         "split", "cluster", "envelope", "pole", "isolation", "digit",
-        "deflate", "family", "total", "reduction", "additive"]
+        "deflate", "family", "total", "reduction", "additive", "mode"]
 
 
 def test_irrational_root_handle_refines():
@@ -286,11 +292,13 @@ def wild_handles(request):
 
 @pytest.fixture
 def recorded_lead_at(monkeypatch):
-    """Every `lead_at` call as (handle, q, result, gcd runs, refinements)."""
+    """Every exact query of a polynomial q at a root, `lead_of` (which
+    `lead_at` and `fx._tail_lines` both make), as (handle, q, result, gcd
+    runs, refinements)."""
     calls = []
     gcds = []
     refines = []
-    lead_at, gcd, refine = RootHandle.lead_at, roots.poly_gcd, RootHandle.refine
+    lead_of, gcd, refine = RootHandle.lead_of, roots.poly_gcd, RootHandle.refine
 
     def counted_gcd(*a):
         gcds.append(1)
@@ -300,15 +308,15 @@ def recorded_lead_at(monkeypatch):
         refines.append(1)
         return refine(self)
 
-    def recorded(self, q):
+    def recorded(self, expand, build):
         g0, r0 = len(gcds), len(refines)
-        out = lead_at(self, q)
-        calls.append((self, q, out, len(gcds) - g0, len(refines) - r0))
+        out = lead_of(self, expand, build)
+        calls.append((self, build(), out, len(gcds) - g0, len(refines) - r0))
         return out
 
     monkeypatch.setattr(roots, "poly_gcd", counted_gcd)
     monkeypatch.setattr(RootHandle, "refine", counted_refine)
-    monkeypatch.setattr(RootHandle, "lead_at", recorded)
+    monkeypatch.setattr(RootHandle, "lead_of", recorded)
     return calls
 
 
@@ -319,9 +327,30 @@ def test_lead_at_is_none_on_a_multiple_of_the_root_polynomial(
     r = epoly(ctx, [1, 1])
     for h in handles:
         assert h.lead_at(poly_mul(ctx, h.g, r)) is None
-    # the perturbation bound never decides a vanishing value, so each call
-    # falls back to the gcd, once, and refines nothing
-    assert [c[3:] for c in recorded_lead_at] == [(1, 0)] * len(handles)
+    # the perturbation bound never decides a vanishing value; g divides q,
+    # so the division decides it, with no gcd and no refinement
+    assert [c[3:] for c in recorded_lead_at] == [(0, 0)] * len(handles)
+
+
+def test_lead_at_runs_the_gcd_when_q_shares_one_factor_of_g(
+        recorded_lead_at):
+    # g = (z^2 - 2)(z^2 - 11) splits over Q_7 into four roots with the
+    # residues 3, 4 (square roots of 2) and 2, 5 (of 11); q shares the
+    # first factor only, so g does not divide it
+    ctx = PrimeContext(7)
+    shared = epoly(ctx, [-2, 0, 1])
+    g = poly_mul(ctx, shared, epoly(ctx, [-11, 0, 1]))
+    handles = isolate_roots(ctx, g)
+    assert len(handles) == 4 and not any(h.is_exact for h in handles)
+    q = poly_mul(ctx, shared, epoly(ctx, [1, 1]))
+    on_shared = [poly_eval(ctx, shared, h.center).val() > 0 for h in handles]
+    assert sorted(on_shared) == [False, False, True, True]
+    for h, vanishes in zip(handles, on_shared):
+        assert (h.lead_at(q) is None) == vanishes
+    # a vanishing value reaches the gcd fallback once; the others are
+    # decided by the bound at the first center
+    assert [c[3:] for c in recorded_lead_at] == [
+        (1, 0) if vanishes else (0, 0) for vanishes in on_shared]
 
 
 def test_lead_at_agrees_with_a_deeper_center(wild_handles, recorded_lead_at):
