@@ -122,8 +122,9 @@ class RationalMapK(RationalMap):
     # -- coordinate changes ----------------------------------------------
 
     def conjugate_affine(self, u: FieldElement, a: FieldElement) -> "RationalMapK":
-        """The map z -> u^(-1) * (f(u*z + a) - a)."""
-        assert not u.is_zero()
+        """The map z -> u^(-1) * (f(u*z + a) - a), for u nonzero."""
+        if u.is_zero():
+            raise ValueError("conjugation by a zero scale")
         ctx = self.ctx
         num_s = poly_shift(ctx, self.num, a)
         den_s = poly_shift(ctx, self.den, a)
@@ -162,13 +163,6 @@ class TypeIIPoint:
 
     def same_point(self, other: "TypeIIPoint") -> bool:
         if self.s != other.s:
-            return False
-        d = self.center - other.center
-        return d.is_zero() or d.val() >= self.s
-
-    def contains(self, other: "TypeIIPoint") -> bool:
-        """Disk containment (other's disk inside self's)."""
-        if other.s < self.s:
             return False
         d = self.center - other.center
         return d.is_zero() or d.val() >= self.s

@@ -93,7 +93,7 @@ def parse_map_file(path: str):
             raise ParseError(f"not an integer: {val!r}", line=ln, field=key)
     try:
         ctx = PrimeContext(ints["p"], ints["n"], ints["k"])
-    except (AssertionError, ValueError) as e:
+    except ValueError as e:
         raise ParseError(f"bad field parameters: {e}")
     coeffs = {}
     for key in ("num", "den"):

@@ -2,13 +2,13 @@
 
 Every error that a caller may want to branch on gets its own class; anything
 raised from here signals a *usage* or *capability* problem, never a bug in the
-arithmetic (internal invariant violations raise AssertionError instead).
-CheckFailed is the one exception: a certificate check raises it when the
-computed structure contradicts a theorem, and an exactness or counting check
-(of the field arithmetic, the rational root split, root isolation or the
-tangent map's fixed points) when a result fails its cross-check, so that the
-check still fails under `python -O`, which drops asserts.  The CLI exits 3
-on it.
+arithmetic.  CheckFailed is the one exception: a certificate check raises it
+when the computed structure contradicts a theorem, and an exactness or
+counting check (of the field arithmetic, the rational root split, root
+isolation or the tangent map's fixed points) when a result fails its
+cross-check.  An argument guard raises ValueError or TypeError.  The package
+holds no `assert` statement, so every check still runs under `python -O`.
+The CLI exits 3 on CheckFailed.
 """
 
 
@@ -76,10 +76,6 @@ class ExplorationIncomplete(BerklocusError):
 class CheckFailed(BerklocusError):
     """A certificate check found the computed structure inconsistent with a
     theorem it must satisfy."""
-
-
-class ArcNotFixed(BerklocusError):
-    """The open arc between the given endpoints is not entirely fixed."""
 
 
 class ClassicalComponent(BerklocusError):

@@ -16,14 +16,58 @@ under `python -O`.
 from __future__ import annotations
 
 import math
+import numbers
 from fractions import Fraction
 from typing import Optional, Sequence
 
 from . import residue as rf
 from .errors import CheckFailed, NegativeValuation
 
-INF = Fraction(10 ** 9)  # sentinel for val(0); compares above any real valuation
-NEG_INF = -INF  # sentinel for unbounded ray ends; compared with `is`
+
+class _Infinity:
+    """One end of the extended rational line: the valuation of 0 and the
+    unbounded ends of a ray.  `INF` is ordered above every rational and
+    `NEG_INF` below, each is equal only to itself, `-INF is NEG_INF`, and
+    no other arithmetic is defined, so a sum with one raises TypeError.
+    Copies and pickles resolve to the same two objects."""
+
+    __slots__ = ("_sign", "_name")
+
+    def __init__(self, sign: int, name: str):
+        self._sign, self._name = sign, name
+
+    def _side(self, other) -> int:
+        """The sign of self - other."""
+        if other is self:
+            return 0
+        if isinstance(other, (_Infinity, numbers.Rational)):
+            return self._sign
+        raise TypeError(f"{self!r} compared with {other!r}")
+
+    def __lt__(self, other):
+        return self._side(other) < 0
+
+    def __le__(self, other):
+        return self._side(other) <= 0
+
+    def __gt__(self, other):
+        return self._side(other) > 0
+
+    def __ge__(self, other):
+        return self._side(other) >= 0
+
+    def __neg__(self):
+        return NEG_INF if self is INF else INF
+
+    def __reduce__(self):
+        return self._name
+
+    def __repr__(self):
+        return self._name
+
+
+INF = _Infinity(1, "INF")  # val(0); compared with `is`
+NEG_INF = _Infinity(-1, "NEG_INF")  # the unbounded ray end toward infinity
 
 
 def _is_prime(m: int) -> bool:
@@ -139,7 +183,8 @@ class PrimeContext:
     def lift(self, e: rf.FqElement) -> "FieldElement":
         """Teichmueller-free lift of a residue-field element (coefficients
         lifted to integers)."""
-        assert e.field == self.residue_field
+        if e.field != self.residue_field:
+            raise ValueError(f"{e!r} is not in the residue field of {self!r}")
         nums = [0] * (self.n * self.k)
         if self.k == 1:
             nums[0] = e.rep
@@ -190,9 +235,9 @@ class PrimeContext:
         src = e.ctx
         if src == self:
             return e
-        assert self.n % src.n == 0
-        assert src.k == self.k and src.unram_min_poly == self.unram_min_poly \
-            or src.k == 1
+        if self.n % src.n or not (src.k == 1 or src.k == self.k and
+                                  src.unram_min_poly == self.unram_min_poly):
+            raise ValueError(f"{src!r} is not a sub-context of {self!r}")
         step = self.n // src.n
         nums = [0] * (self.n * self.k)
         for idx, c in enumerate(e.nums):
@@ -230,8 +275,9 @@ class FieldElement:
     # -- ring operations ---------------------------------------------------
 
     def _check(self, other):
-        assert isinstance(other, FieldElement) and other.ctx == self.ctx, \
-            "operands from different working fields"
+        if not isinstance(other, FieldElement) or (
+                other.ctx is not self.ctx and other.ctx != self.ctx):
+            raise TypeError("operands from different working fields")
 
     def __add__(self, other):
         self._check(other)

@@ -55,9 +55,7 @@ from .berkmap import (
     reduce_at,
     segments_from_lines,
 )
-from .epoly import poly_shift
 from .errors import (
-    ArcNotFixed,
     CheckFailed,
     ClassicalComponent,
     ExplorationIncomplete,
@@ -78,8 +76,6 @@ from .residue import (
     poly_divmod,
     poly_eval,
     poly_gcd,
-    poly_mul,
-    poly_scale,
     poly_sub,
 )
 from .roots import ClusterStub, RootHandle, isolate_roots
@@ -376,10 +372,10 @@ def _ray_lines_at(f: RationalMapK, anchor):
 def _annotate_ray(f: RationalMapK, ray: ScaffoldRay, config: ExploreConfig,
                   vertex_points: List[Tuple[TypeIIPoint, LocalData]]):
     """Decompose the ray into segments and breakpoints: the one path from
-    valuation lines to segments and reduced breakpoints, for skeleton rays
-    and checked arcs alike.  An integral breakpoint already in
-    `vertex_points` (the same disk point under any center) reuses that
-    reduction; a new one is reduced and appended."""
+    valuation lines to segments and reduced breakpoints, for skeleton rays.
+    An integral breakpoint already in `vertex_points` (the same disk point
+    under any center) reuses that reduction; a new one is reduced and
+    appended."""
     ctx = f.ctx
     lines = _ray_lines_at(f, ray.anchor)
     one = ctx.residue_field.one
@@ -852,86 +848,67 @@ def indifferent_checks(c: Component) -> bool:
     return True
 
 
-def _direction_multiplier(local: LocalData, toward_zero: bool) -> FqElement:
-    """Multiplier of the tangent-map fixed direction along the ray: the 0
-    direction (deeper) or the infinity direction (shallower)."""
-    if not local.is_fixed:
-        raise ArcNotFixed(f"endpoint {local.point} is not fixed")
+def multiplier_reciprocity_check(a: Analysis) -> bool:
+    """The tangent multipliers at the two ends of a fixed skeleton segment,
+    each in the direction facing along it, multiply to 1 in the residue
+    field.  Every fixed segment whose two ends are reduced breakpoints is
+    checked: the shallower end faces the direction holding the ray's center,
+    whose multiplier is the segment's own, and the deeper end faces
+    infinity.  False when a product is not 1; CheckFailed when a facing
+    direction is not fixed or the shallower multiplier is not the
+    segment's."""
+    for ray in a.skeleton.rays:
+        local_at = {bp.s: bp.local for bp in ray.breakpoints
+                    if bp.cid is not None}
+        for seg in ray.segments:
+            if seg.behavior == NOT_FIXED or seg.s_lo not in local_at \
+                    or seg.s_hi not in local_at:
+                continue
+            lam_lo = _facing_multiplier(local_at[seg.s_lo], seg.center)
+            if lam_lo != seg.multiplier:
+                raise CheckFailed(f"multiplier {lam_lo} at s = {seg.s_lo} "
+                                  f"differs from the segment's "
+                                  f"{seg.multiplier}")
+            lam_hi = _facing_multiplier(local_at[seg.s_hi], None)
+            if lam_lo * lam_hi != lam_lo.field.one:
+                return False
+    return True
+
+
+def _facing_multiplier(local: LocalData, center) -> FqElement:
+    """The tangent multiplier at `local.point` = zeta(c', s) of the direction
+    holding `center` (the residue of (center - c')/pi^(ns), read in the
+    coordinate of that reduction), or of the infinity direction when center
+    is None; 1 on an id-indifferent point."""
+    pt = local.point
+    ctx = pt.center.ctx
     if local.indifference_class == ID_INDIFFERENT:
-        return local.point.center.ctx.residue_field.one
-    F = local.reduced_map.ctx
-    for t in local.directions:
-        if toward_zero and not isinstance(t.location, Infinity) \
-                and t.orbit_size == 1 and t.location == F.zero:
+        return ctx.residue_field.one
+    d = INF_POINT if center is None else \
+        ((center - pt.center) * ctx.pi_pow(-int(pt.s * ctx.n))).residue()
+    key = rf.direction_key(d)
+    for t in local.fixed_directions():
+        if t.orbit_size == 1 and rf.direction_key(t.location) == key:
             return t.multiplier
-        if not toward_zero and isinstance(t.location, Infinity):
-            return t.multiplier
-    raise ArcNotFixed("facing direction along the arc is not fixed")
-
-
-def multiplier_reciprocity_check(f: RationalMapK, x1: TypeIIPoint,
-                                 x2: TypeIIPoint) -> bool:
-    """Verify the two facing-direction multipliers at the endpoints of a
-    fixed indifferent arc multiply to 1 in the residue field."""
-    ctx = f.ctx
-    one = ctx.residue_field.one
-    if x1.contains(x2) or x2.contains(x1):
-        outer, inner = (x1, x2) if x1.contains(x2) else (x2, x1)
-        _require_arc_indifferent(f, inner.center, outer.s, inner.s)
-        lam_outer = _direction_multiplier(
-            reduce_at(f, TypeIIPoint(inner.center, outer.s)), toward_zero=True)
-        lam_inner = _direction_multiplier(reduce_at(f, inner), toward_zero=False)
-        return lam_outer * lam_inner == one
-    # path bends at the join point
-    sj = (x1.center - x2.center).val()
-    assert sj < min(x1.s, x2.s)
-    _require_arc_indifferent(f, x1.center, sj, x1.s)
-    _require_arc_indifferent(f, x2.center, sj, x2.s)
-    lam1 = _direction_multiplier(reduce_at(f, x1), toward_zero=False)
-    lam2 = _direction_multiplier(reduce_at(f, x2), toward_zero=False)
-    return lam1 * lam2 == one
-
-
-def _require_arc_indifferent(f: RationalMapK, center: FieldElement,
-                             s_lo, s_hi):
-    """Annotate the arc {zeta(center, s) : s in [s_lo, s_hi]} as a skeleton
-    ray and require it fixed, with no repelling point inside."""
-    ray = ScaffoldRay(0, center, Fraction(s_lo), Fraction(s_hi),
-                      leaf_idx=None, to_infinity=False)
-    _annotate_ray(f, ray, ExploreConfig(), [])
-    for seg in ray.segments:
-        if seg.behavior == NOT_FIXED:
-            raise ArcNotFixed(f"ray interval ({seg.s_lo}, {seg.s_hi}) not fixed")
-    for bp in ray.breakpoints:
-        if bp.local is None:
-            continue
-        if s_lo < bp.s < s_hi:
-            if not bp.local.is_fixed or bp.local.indifference_class == REPELLING:
-                raise ArcNotFixed(f"interior point at s = {bp.s} not indifferent")
+    raise CheckFailed(f"the direction {d} at {pt!r} facing along a fixed "
+                      "segment is not fixed")
 
 
 def totally_ramified_fixed_point(a: Analysis):
     """A totally ramified classical fixed point, when one is visible:
-    infinity for a polynomial, or an exact finite fixed point where the map
-    has local degree equal to its degree."""
+    infinity for a polynomial, or an exact finite fixed point c where the
+    map has local degree equal to its degree, the order at t = 0 of
+    num(c + t) - c*den(c + t), which the root handle's expansion holds."""
     f = a.map
-    ctx = f.ctx
     d = f.degree
     if poly_deg(f.den) == 0 and poly_deg(f.num) == d:
         return INF_POINT
     for cp in a.classical_points:
         if cp.is_infinity() or not cp.value.is_exact:
             continue
-        r = cp.value.center
-        fr = f.eval_at(r)
-        if isinstance(fr, Infinity):
-            continue
-        shifted = poly_shift(ctx, poly_sub(
-            ctx, f.num, poly_scale(ctx, f.den, fr)), r)
-        order = next((i for i, cc in enumerate(shifted)
-                      if not cc.is_zero()), None)
-        if order == d:
-            return r
+        e = cp.value.expansion(f.num, f.den)[2]
+        if next((i for i, c in enumerate(e) if not c.is_zero()), None) == d:
+            return cp.value.center
     return None
 
 
@@ -951,29 +928,3 @@ def alpha_sum_check(a: Analysis) -> bool:
     lhs = sum(c.alpha for c in non_classical)
     return lhs == a.map.degree + 1 - c_count - 2 * n
 
-
-def closest_point(skeleton: SkeletonGraph, y) -> TypeIIPoint:
-    """Projection of y (a TypeIIPoint, or a classical point given as a
-    FieldElement) onto the skeleton, as a point of the underlying tree."""
-    if isinstance(y, TypeIIPoint):
-        c, s = y.center, Fraction(y.s)
-    else:
-        c, s = y, INF
-    best = None
-    for ray in skeleton.rays:
-        lo = ray.s_lo
-        hi = ray.s_hi
-        a = ray.center_elem((hi if hi is not INF else Fraction(0)) + 1)
-        diff = c - a
-        join = INF if diff.is_zero() else diff.val()
-        cand = min(join, s)
-        if hi is not INF and cand > hi:
-            cand = hi
-        if lo is not NEG_INF and cand < lo:
-            cand = lo
-        if cand is INF:
-            cand = hi if hi is not INF else s
-        if best is None or cand > best[0]:
-            best = (cand, a)
-    assert best is not None, "empty skeleton"
-    return TypeIIPoint(best[1], best[0])

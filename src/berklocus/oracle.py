@@ -18,7 +18,7 @@ from fractions import Fraction
 from typing import List, Optional, Tuple, Union
 
 from .berkmap import RationalMapK, TypeIIPoint, normalize
-from .errors import NeedsExtension, NotDegreeOne, WrongCase
+from .errors import CheckFailed, NeedsExtension, NotDegreeOne, WrongCase
 from .field import FieldElement, PrimeContext
 from .residue import INF_POINT, Infinity, poly_deg
 
@@ -127,22 +127,26 @@ def classify_moebius(f: RationalMapK) -> MoebiusFixDescription:
     # genuine fractional-linear map: both fixed points are finite roots of
     # the degree-2 fixed-point polynomial
     P = f.fixed_point_polynomial()
-    assert poly_deg(P) == 2
+    if poly_deg(P) != 2:
+        raise CheckFailed(f"a fractional-linear map has a fixed-point "
+                          f"polynomial of degree {poly_deg(P)}")
     roots = _exact_quadratic_roots(ctx, P)
     if len(roots) == 1:
         # doubled fixed point w0: send it to infinity and read off the
         # translation parameter of the resulting affine map
         w0, m = roots[0]
-        assert m == 2
         g = f.conjugate_affine(one, w0).flip()
-        assert poly_deg(g.den) == 0 and poly_deg(g.num) == 1
-        assert g.num[1] / g.den[0] == one
+        if m != 2 or poly_deg(g.den) != 0 or poly_deg(g.num) != 1 \
+                or g.num[1] / g.den[0] != one:
+            raise CheckFailed("the doubled fixed point does not conjugate "
+                              "to a translation")
         b = g.num[0] / g.den[0]
         return MoebiusFixDescription(
             MOEBIUS_TRANSLATION, (("shift", w0), ("invert",), ("scale", b)),
             None, ((w0, 2),))
     (x, mx), (y, my) = roots
-    assert mx == my == 1
+    if mx != 1 or my != 1:
+        raise CheckFailed("two distinct roots of a quadratic are not simple")
     # f = (a z + b) / (c z + e), so f'(x) = (a e - b c) / (c x + e)^2
     b, a = (f.num + (ctx.zero,))[:2]
     e, c = f.den
@@ -351,7 +355,8 @@ def brute_is_fixed(f: RationalMapK, x: TypeIIPoint) -> bool:
         v = c.val()
         if vmin is None or v <= vmin:
             vmin, pivot = v, c
-    assert pivot is not None
+    if pivot is None:
+        raise CheckFailed("the conjugated map has no nonzero coefficient")
     rn = [(c / pivot).residue() for c in Ng]
     rd = [(c / pivot).residue() for c in Dg]
     # constant as a map over the residue field iff the two coefficient

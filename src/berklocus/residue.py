@@ -81,13 +81,15 @@ class Fq:
         self.p = p
         self.base = base
         if base is None:
-            assert modulus is None
+            if modulus is not None:
+                raise ValueError("a prime field takes no modulus")
             self.modulus = None
             self.deg_over_base = 1
             self.degree = 1
         else:
-            assert modulus is not None and len(modulus) >= 3
-            assert modulus[-1] == base.one
+            if modulus is None or len(modulus) < 3 or modulus[-1] != base.one:
+                raise ValueError("an extension needs a monic modulus of "
+                                 "degree >= 2 over its base")
             self.modulus = tuple(modulus)
             self.deg_over_base = len(modulus) - 1
             self.degree = base.degree * self.deg_over_base
@@ -112,7 +114,8 @@ class Fq:
     @property
     def gen(self):
         """Image of w in F_q[w]/(modulus); only for proper extensions."""
-        assert self.base is not None
+        if self.base is None:
+            raise ValueError("a prime field has no generator")
         rep = [self.base.zero] * self.deg_over_base
         rep[1] = self.base.one
         return FqElement(self, tuple(rep))
@@ -128,7 +131,8 @@ class Fq:
         """Embed an element of the base field (constant embedding)."""
         if elem.field == self:
             return elem
-        assert self.base is not None
+        if self.base is None:
+            raise ValueError(f"{elem!r} is not in a subfield of F_{self.p}")
         lifted = self.base.embed(elem) if elem.field != self.base else elem
         rep = [self.base.zero] * self.deg_over_base
         rep[0] = lifted
@@ -202,7 +206,9 @@ class Fq:
         if not poly:
             raise ZeroDivisionError("inverse of zero")
         g, s, _ = _xgcd(self.base, poly, self.modulus)
-        assert len(g) == 1
+        if len(g) != 1:
+            raise CheckFailed("a nonzero element shares a factor with the "
+                              "irreducible modulus")
         inv_lead = g[0].inverse()
         rep = [c * inv_lead for c in s]
         rep += [self.base.zero] * (self.deg_over_base - len(rep))
@@ -895,8 +901,10 @@ def trace_to_base(elem: FqElement, base: Fq) -> FqElement:
     field = elem.field
     if field == base:
         return elem
-    m = field.degree // base.degree
-    assert field.degree % base.degree == 0
+    m, r = divmod(field.degree, base.degree)
+    if r:
+        raise ValueError(f"F_{base.order} is not a subfield of "
+                         f"F_{field.order}")
     q = base.order
     acc = field.zero
     t = elem
@@ -911,10 +919,11 @@ def _project_to_base(elem: FqElement, base: Fq) -> FqElement:
     field = elem.field
     if field == base:
         return elem
-    assert field.base is not None
+    if field.base is None:
+        raise ValueError(f"F_{base.order} is not a subfield of F_{field.p}")
     rep = elem.rep
-    for c in rep[1:]:
-        assert c.is_zero(), "element does not lie in the base field"
+    if any(not c.is_zero() for c in rep[1:]):
+        raise CheckFailed("element does not lie in the base field")
     return _project_to_base(rep[0], base)
 
 

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import settings
 
 from berklocus import fixlocus as fx
-from berklocus.berkmap import RationalMapK, normalize
+from berklocus.berkmap import NOT_FIXED, RationalMapK, normalize
 from berklocus.errors import BerklocusError
 from berklocus.field import PrimeContext
 from berklocus.oracle import fixture
@@ -93,3 +93,15 @@ def shared_point_analyses():
             for name in ("segment-p5-d6", "wild-p3-d6", "power-4")}
     maps["split-q11-d5"] = random_split_map(random.Random(16), 11, 5)
     return {name: fx.analyze(f, config) for name, f in maps.items()}
+
+
+def reciprocity_segments(a):
+    """The (ray, segment) pairs `fixlocus.multiplier_reciprocity_check`
+    reads: every fixed skeleton segment whose two ends are reduced
+    breakpoints."""
+    out = []
+    for ray in a.skeleton.rays:
+        ends = {bp.s for bp in ray.breakpoints if bp.cid is not None}
+        out += [(ray, seg) for seg in ray.segments if seg.behavior != NOT_FIXED
+                and seg.s_lo in ends and seg.s_hi in ends]
+    return out

@@ -43,7 +43,7 @@ from berklocus.oracle import (
 from berklocus.field import INF
 from berklocus.residue import Fq, FqRationalMap, Infinity, poly
 
-from conftest import mk, random_split_map
+from conftest import mk, random_split_map, reciprocity_segments
 
 CONFIG = fx.ExploreConfig(n_max=24, k_max=4)
 
@@ -190,17 +190,19 @@ def test_criterion_4_indifferent_structure(fixture_analyses):
                 assert all(arc.behavior != MULT_INDIFFERENT
                            for arc in c.arcs), name
     assert seen >= 5
-    # multiplier reciprocity across an invariant arc
-    f = fixture("moebius-scaling-unit-nontrivial").build()
-    x1 = TypeIIPoint(f.ctx.zero, Fraction(-1))
-    x2 = TypeIIPoint(f.ctx.zero, Fraction(2))
-    assert fx.multiplier_reciprocity_check(f, x1, x2)
+    # multiplier reciprocity across every fixed segment with reduced ends
+    segments = 0
+    for name, (f, a) in fixture_analyses.items():
+        assert fx.multiplier_reciprocity_check(a), name
+        segments += len(reciprocity_segments(a))
+    assert segments >= 6
     # interior points of the quadratic indifferent arc are indifferent
     fq = fixture_analyses["quadratic-repelling"][0]
     cls = reduce_at(fq, gauss_point(fq.ctx)).indifference_class
     assert cls in (ID_INDIFFERENT, MULT_INDIFFERENT)
     print(f"\n[criterion 4] PASS: structure of {seen} indifferent components "
-          f"verified, multipliers reciprocal, interior dichotomy holds")
+          f"verified, multipliers reciprocal on {segments} segments, "
+          f"interior dichotomy holds")
 
 
 def test_criterion_5_hyperbolic_structure(fixture_analyses, random_batch):

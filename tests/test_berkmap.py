@@ -27,7 +27,7 @@ from berklocus.errors import ConstantMap, NeedsExtension, ZeroDenominator
 from berklocus.field import PrimeContext
 from berklocus.residue import INF_POINT, _trim, poly_gcd, poly_monic
 
-from conftest import mk
+from conftest import mk, reciprocity_segments
 
 
 def test_normalization_invariants():
@@ -186,12 +186,19 @@ def test_ray_analysis_scaling_map_everywhere_fixed():
             assert bp.local.is_fixed
 
 
-def test_multiplier_reciprocity_on_arc():
-    f = mk(5, [0, 2], [1])
-    ctx = f.ctx
-    x1 = TypeIIPoint(ctx.zero, Fraction(-1))
-    x2 = TypeIIPoint(ctx.zero, Fraction(2))
-    assert fx.multiplier_reciprocity_check(f, x1, x2)
+def test_multiplier_reciprocity_on_arc(shared_point_analyses):
+    """On segment-p5-d6 two multiplicatively indifferent segments run
+    between reduced breakpoints: the shallower end faces the segment with
+    its multiplier, the deeper end faces infinity with the inverse."""
+    a = shared_point_analyses["segment-p5-d6"]
+    segments = reciprocity_segments(a)
+    assert [seg.behavior for _, seg in segments] == [MULT_INDIFFERENT] * 2
+    for ray, seg in segments:
+        ends = {bp.s: bp.local for bp in ray.breakpoints}
+        lo = fx._facing_multiplier(ends[seg.s_lo], seg.center)
+        hi = fx._facing_multiplier(ends[seg.s_hi], None)
+        assert lo == seg.multiplier and lo * hi == lo.field.one
+    assert fx.multiplier_reciprocity_check(a)
 
 
 def test_classical_count_in_direction_power_map():

@@ -1,8 +1,10 @@
 """Arithmetic in the working field tower: exactness, valuations, residues."""
 
+import copy
 import functools
 import math
 import os
+import pickle
 import random
 import subprocess
 import sys
@@ -13,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from berklocus.errors import NegativeValuation
-from berklocus.field import INF, PrimeContext, vp
+from berklocus.field import INF, NEG_INF, PrimeContext, vp
 
 
 rationals = st.fractions(
@@ -25,6 +27,39 @@ def test_vp_basics():
     assert vp(Fraction(12), 3) == 1
     assert vp(Fraction(1, 9), 3) == -2
     assert vp(Fraction(0), 5) == INF
+
+
+def test_infinities_order_around_every_rational():
+    assert -INF is NEG_INF and -NEG_INF is INF
+    for q in (Fraction(-10 ** 12), Fraction(0), Fraction(10 ** 9), 7):
+        assert NEG_INF < q < INF and INF > q > NEG_INF
+        assert NEG_INF <= q <= INF and not q >= INF and not q <= NEG_INF
+        assert q != INF and INF != q and q != NEG_INF
+    assert INF == INF and INF >= INF and INF <= INF and not INF < INF
+    assert NEG_INF < INF and INF != NEG_INF
+
+
+def test_infinities_in_min_max_and_sorted():
+    mixed = [Fraction(3), INF, Fraction(-1, 2), NEG_INF, 0]
+    assert sorted(mixed) == [NEG_INF, Fraction(-1, 2), 0, Fraction(3), INF]
+    assert sorted(mixed)[0] is NEG_INF and sorted(mixed)[-1] is INF
+    assert min(Fraction(5), INF) == 5 and min(INF, Fraction(5)) == 5
+    assert max(NEG_INF, Fraction(-5)) == -5
+    assert min([INF, INF]) is INF and max([NEG_INF, INF]) is INF
+
+
+def test_infinities_refuse_arithmetic():
+    for op in (lambda: INF + 1, lambda: 1 + INF, lambda: Fraction(1) - INF,
+               lambda: NEG_INF * 2, lambda: INF / Fraction(3),
+               lambda: INF < 1.5):
+        with pytest.raises(TypeError):
+            op()
+
+
+def test_infinities_survive_copies():
+    assert copy.deepcopy([INF, NEG_INF]) == [INF, NEG_INF]
+    assert copy.deepcopy(INF) is INF
+    assert pickle.loads(pickle.dumps(NEG_INF)) is NEG_INF
 
 
 def test_from_rational_roundtrip():

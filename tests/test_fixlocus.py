@@ -27,10 +27,10 @@ from berklocus.errors import (
 )
 from berklocus.field import INF, NEG_INF
 from berklocus.oracle import brute_is_fixed, fixture
-from berklocus.residue import _trim, poly_deg, poly_mul, poly_sub
+from berklocus.residue import Infinity, _trim, poly_deg, poly_mul, poly_sub
 from berklocus.roots import RootHandle, isolate_roots
 
-from conftest import mk, random_wild_map
+from conftest import mk, random_wild_map, reciprocity_segments
 
 
 def test_classical_fixed_points_multiplicities_sum():
@@ -152,6 +152,41 @@ def test_totally_ramified_corollary():
         fx.totally_ramified_corollary_check(a)
 
 
+def test_totally_ramified_finite_fixed_point():
+    # z^2/(1 + z) over Q_5: oo is a simple fixed point of a non-polynomial,
+    # and 0 is fixed with local degree 2, read off the root's expansion
+    f = mk(5, [0, 0, 1], [1, 1])
+    a = fx.analyze(f)
+    point = fx.totally_ramified_fixed_point(a)
+    assert point == f.ctx.zero
+    assert fx.totally_ramified_corollary_check(a)
+
+
+def test_multiplier_reciprocity_fails_on_a_tampered_multiplier(
+        shared_point_analyses):
+    """Replacing the infinity-direction multiplier at the deeper end of a
+    checked segment, in a copy of the analysis, breaks the product."""
+    a = shared_point_analyses["segment-p5-d6"]
+    assert fx.multiplier_reciprocity_check(a)
+    for ray, seg in reciprocity_segments(a):
+        i = next(i for i, bp in enumerate(ray.breakpoints) if bp.s == seg.s_hi)
+        if ray.breakpoints[i].local.directions:  # not id-indifferent
+            break
+    breakpoints = list(ray.breakpoints)
+    local = breakpoints[i].local
+    directions = [dataclasses.replace(t, multiplier=t.multiplier + t.field.one)
+                  if isinstance(t.location, Infinity) else t
+                  for t in local.directions]
+    breakpoints[i] = dataclasses.replace(
+        breakpoints[i], local=dataclasses.replace(local, directions=directions))
+    rays = [dataclasses.replace(r, breakpoints=breakpoints) if r is ray else r
+            for r in a.skeleton.rays]
+    tampered = dataclasses.replace(
+        a, skeleton=dataclasses.replace(a.skeleton, rays=rays))
+    assert not fx.multiplier_reciprocity_check(tampered)
+    assert fx.multiplier_reciprocity_check(a)
+
+
 def test_alpha_sum_check_fixtures():
     for name in ("power-2", "power-3", "wild-p3-d3", "quadratic-repelling",
                  "segment-p3-d4"):
@@ -163,21 +198,6 @@ def test_gamma_fix_contains_classical_points():
     skel = fx.gamma_fix(f)
     assert sum(cp.multiplicity for cp in skel.leaves) == f.degree + 1
     assert any(cp.is_infinity() for cp in skel.leaves)
-
-
-def test_closest_point_projection():
-    f = fixture("power-2").build()
-    ctx = f.ctx
-    skel = fx.gamma_fix(f)
-    # a point hanging off the skeleton beyond z = 1 projects onto the 1-ray
-    proj = fx.closest_point(skel, TypeIIPoint(ctx.from_rational(6), Fraction(3)))
-    assert proj.same_point(TypeIIPoint(ctx.from_rational(1), Fraction(1)))
-    proj_deep = fx.closest_point(skel,
-                                 TypeIIPoint(ctx.from_rational(26), Fraction(3)))
-    assert proj_deep.same_point(TypeIIPoint(ctx.from_rational(1), Fraction(2)))
-    # a faraway center projects to the Gauss point
-    proj2 = fx.closest_point(skel, TypeIIPoint(ctx.from_rational(3), Fraction(4)))
-    assert proj2.same_point(gauss_point(ctx))
 
 
 def test_analysis_retries_with_extension():

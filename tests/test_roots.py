@@ -1,6 +1,7 @@
 """Root isolation: exact rational roots, refinable handles, and unsplittable
 cluster stubs."""
 
+import ast
 import copy
 import math
 import os
@@ -98,9 +99,11 @@ def test_rational_split_rejects_a_doubled_factor(g):
 def test_cross_checks_fail_under_optimize():
     """Doctored inputs to the split, to root isolation and refinement, to
     the classical fixed-point total, to the tangent map's multiplier, to
-    exact deflation, to the valuation envelope and to a reduction: each
-    check raises CheckFailed with asserts off.  A root count in a disk that
-    is neither open nor closed raises ValueError."""
+    exact deflation, to the valuation envelope, to a reduction and to a
+    skeleton segment's multiplier: each check raises CheckFailed with
+    asserts off.  A root count in a disk that is neither open nor closed and
+    an extension field with a non-monic modulus raise ValueError, and a sum
+    across working fields raises TypeError."""
     code = (
         "import dataclasses\n"
         "from fractions import Fraction\n"
@@ -171,7 +174,28 @@ def test_cross_checks_fail_under_optimize():
         "    count_roots_in_disk(ctx, epoly(ctx, [-1, 1]), ctx.zero,\n"
         "                        Fraction(0), 'half-open')\n"
         "except ValueError:\n"
-        "    print('mode')\n")
+        "    print('mode')\n"
+        "try:\n"
+        "    ctx.one + PrimeContext(7).one\n"
+        "except TypeError:\n"
+        "    print('mixed')\n"
+        "try:\n"
+        "    Fq(5, modulus=(F.one, F.one, F.from_int(2)), base=F)\n"
+        "except ValueError:\n"
+        "    print('modulus')\n"
+        # quadratic-indifferent: one id-indifferent segment between reduced
+        # breakpoints, whose multiplier 1 is doctored to 2
+        "fx.isolate_roots = isolate\n"
+        "FqRationalMap.fixed_points = fixed_points\n"
+        "a = fx.analyze(fixture('quadratic-indifferent').build())\n"
+        "for ray in a.skeleton.rays:\n"
+        "    ray.segments = [dataclasses.replace(g, multiplier=F.from_int(2))\n"
+        "                    if g.multiplier is not None else g\n"
+        "                    for g in ray.segments]\n"
+        "try:\n"
+        "    fx.multiplier_reciprocity_check(a)\n"
+        "except CheckFailed:\n"
+        "    print('reciprocity')\n")
     src = os.path.join(os.path.dirname(__file__), "..", "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
@@ -180,7 +204,22 @@ def test_cross_checks_fail_under_optimize():
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == [
         "split", "cluster", "envelope", "pole", "isolation", "digit",
-        "deflate", "family", "total", "reduction", "additive", "mode"]
+        "deflate", "family", "total", "reduction", "additive", "mode",
+        "mixed", "modulus", "reciprocity"]
+
+
+def test_package_has_no_assert_statement():
+    """`python -O` drops assert statements, so no check of the package may
+    rest on one."""
+    pkg = os.path.join(os.path.dirname(__file__), "..", "src", "berklocus")
+    found = []
+    for name in sorted(os.listdir(pkg)):
+        if name.endswith(".py"):
+            with open(os.path.join(pkg, name)) as fh:
+                tree = ast.parse(fh.read(), name)
+            found += [f"{name}:{node.lineno}" for node in ast.walk(tree)
+                      if isinstance(node, ast.Assert)]
+    assert found == []
 
 
 def test_irrational_root_handle_refines():
