@@ -11,10 +11,15 @@ reduce mod the maximal ideal.  The point is fixed exactly when that reduction
 is nonconstant, and the reduced map is the tangent map, whose fixed directions,
 multipliers, and cancelled-factor multiplicities drive everything downstream.
 Each of these is derived once per reduction: the cancelled multiplicity into
-infinity is read off the degrees of the residues already taken.
+infinity is read off the degrees of the residues already taken.  This module
+holds no theorem check: `fixlocus.identification_check` compares the
+per-direction counts of a reduction with the classical fixed points that an
+`Analysis` isolated, and `embed_map` is called only by `fixlocus.analyze`,
+the one place that grows the working field.
 
 Along a ray of disk points with a fixed center, every conjugated coefficient
-valuation is an affine function of the radius parameter s (`_ray_lines`), so
+valuation is an affine function of the radius parameter s (`_ray_lines`, or
+`_expansion_lines` off a Taylor expansion already taken), so
 the reduction's support -- hence fixedness and the indifference class -- is
 constant between breakpoints of a lower envelope of finitely many lines
 (`segments_from_lines`).  `fixlocus._annotate_ray` is the one place that
@@ -30,31 +35,21 @@ from fractions import Fraction
 from typing import Dict, List, Optional
 
 from . import residue as rf
-from .epoly import count_roots_in_disk, poly_scale_arg, poly_shift
-from .errors import (
-    CheckFailed,
-    ConstantMap,
-    IdentityTangentMap,
-    NeedsExtension,
-    NotFixed,
-    ZeroDenominator,
-)
+from .epoly import poly_scale_arg, poly_shift
+from .errors import CheckFailed, ConstantMap, NeedsExtension, ZeroDenominator
 from .field import INF, NEG_INF, FieldElement, PrimeContext
 from .residue import (
     INF_POINT,
     FqElement,
     FqRationalMap,
-    Infinity,
     RationalMap,
     _trim,
-    _vanishing_order,
     poly_deg,
     poly_divmod,
     poly_eval,
     poly_gcd,
     poly_monic,
     poly_scale,
-    poly_shift_coeffs,
     poly_sub,
 )
 
@@ -149,6 +144,13 @@ def normalize(ctx: PrimeContext, raw_num, raw_den) -> RationalMapK:
     return RationalMapK(ctx, epoly(ctx, raw_num), epoly(ctx, raw_den))
 
 
+def embed_map(f: RationalMapK, new_ctx: PrimeContext) -> RationalMapK:
+    """f over a context that contains its own."""
+    # coprimality persists under field extension (the Bezout witness embeds)
+    return RationalMapK(new_ctx, [new_ctx.embed(c) for c in f.num],
+                        [new_ctx.embed(c) for c in f.den], _coprime=True)
+
+
 @dataclass(frozen=True)
 class TypeIIPoint:
     """The disk point of center `center` and radius p^(-s).
@@ -191,7 +193,6 @@ class LocalData:
     directions: Optional[List[rf.TangentFixedDirection]]  # None: identity map
     surplus: Dict[DirectionKey, int]
     n_cf: Optional[int]
-    gcd_poly: tuple  # cancelled common factor of the reduction
 
     def surplus_total(self) -> int:
         return sum(self.surplus.values())
@@ -237,8 +238,7 @@ def reduce_at(f: RationalMapK, x: TypeIIPoint) -> LocalData:
     if reduced is None or reduced.is_constant():
         return LocalData(point=x, is_fixed=False, reduced_map=reduced,
                          local_degree=None, indifference_class=NOT_FIXED,
-                         directions=None, surplus=surplus, n_cf=None,
-                         gcd_poly=gcd_poly)
+                         directions=None, surplus=surplus, n_cf=None)
     deg = reduced.degree
     if reduced.is_identity():
         cls, dirs, n_cf = ID_INDIFFERENT, None, 0
@@ -256,8 +256,7 @@ def reduce_at(f: RationalMapK, x: TypeIIPoint) -> LocalData:
                                   f"{dirs[0].multiplicity}, not 2")
     return LocalData(point=x, is_fixed=True, reduced_map=reduced,
                      local_degree=deg, indifference_class=cls,
-                     directions=dirs, surplus=surplus, n_cf=n_cf,
-                     gcd_poly=gcd_poly)
+                     directions=dirs, surplus=surplus, n_cf=n_cf)
 
 
 def _residues(g: RationalMapK):
@@ -286,105 +285,6 @@ def _infinity_surplus(g: RationalMapK, rnum, rden) -> int:
     deg rden) exactly: the reversals of the two reductions to their own
     degrees do not vanish at 0."""
     return g.degree - max(poly_deg(rnum), poly_deg(rden))
-
-
-def surplus(f: RationalMapK, x: TypeIIPoint, v) -> int:
-    """Cancelled multiplicity into a single direction (residue-field point or
-    INF_POINT)."""
-    if isinstance(v, Infinity):
-        # conjugates afresh, independently of reduce_at's surplus table
-        g = _conjugate_to_gauss(f, x)
-        return _infinity_surplus(g, *_residues(g))
-    local = reduce_at(f, x)
-    gcd_poly = local.gcd_poly
-    if poly_deg(gcd_poly) <= 0:
-        return 0
-    lifted = poly_shift_coeffs(f.ctx.residue_field, gcd_poly, v.field)
-    return _vanishing_order(v.field, lifted, v)
-
-
-# ---------------------------------------------------------------------------
-# Direction-level classical counting (F_f(v))
-# ---------------------------------------------------------------------------
-
-def _lift_direction(ctx: PrimeContext, v: FqElement):
-    """A working-field element whose residue is v, extending the unramified
-    part when v lives in a proper extension; returns (new_ctx, lift)."""
-    F = ctx.residue_field
-    if v.field == F:
-        return ctx, ctx.lift(v)
-    if ctx.k != 1 or v.field.base != F:
-        raise NeedsExtension(k=ctx.k * v.field.degree,
-                             detail="direction in an unsupported extension")
-    # v is the generator image of F_p[w]/(modulus); lift the modulus
-    modulus = v.field.modulus
-    gen = v.field.gen
-    if v != gen:
-        # general elements of the extension would need a change of generator
-        raise NeedsExtension(k=ctx.k * v.field.deg_over_base,
-                             detail="direction is a non-generator extension element")
-    mp = tuple(c.rep for c in modulus)
-    new_ctx = PrimeContext(ctx.p, ctx.n, v.field.deg_over_base,
-                           unram_min_poly=mp)
-    return new_ctx, new_ctx.x_gen
-
-
-def classical_count_in_direction(f: RationalMapK, x: TypeIIPoint, v) -> int:
-    """Number of classical fixed points (with multiplicity) in the open disk
-    of direction v at x; v is a residue-field point (possibly in an
-    extension) or INF_POINT."""
-    ctx = f.ctx
-    s = _require_integral_s(ctx, x.s)
-    P = f.fixed_point_polynomial()
-    if isinstance(v, Infinity):
-        closed = count_roots_in_disk(ctx, P, x.center, s, "closed") if P else 0
-        total = poly_deg(P) if P else 0
-        return total - closed + f.infinity_multiplicity()
-    new_ctx, lifted = _lift_direction(ctx, v)
-    if new_ctx != ctx:
-        f2 = embed_map(f, new_ctx)
-        P = f2.fixed_point_polynomial()
-        center = new_ctx.embed(x.center)
-        u = new_ctx.pi_pow(int(s * new_ctx.n))
-    else:
-        center = x.center
-        u = ctx.pi_pow(int(s * ctx.n))
-        new_ctx = ctx
-    c = center + u * lifted
-    return count_roots_in_disk(new_ctx, P, c, s, "open") if P else 0
-
-
-def embed_map(f: RationalMapK, new_ctx: PrimeContext) -> RationalMapK:
-    # coprimality persists under field extension (the Bezout witness embeds)
-    return RationalMapK(new_ctx, [new_ctx.embed(c) for c in f.num],
-                        [new_ctx.embed(c) for c in f.den], _coprime=True)
-
-
-def identification_check(f: RationalMapK, x: TypeIIPoint, v) -> bool:
-    """Verify that the classical fixed-point count in direction v equals the
-    cancelled multiplicity plus the tangent-map fixed-point multiplicity,
-    each side computed by its own independent path."""
-    local = reduce_at(f, x)
-    if not local.is_fixed:
-        raise NotFixed("point is not fixed")
-    if local.indifference_class == ID_INDIFFERENT:
-        raise IdentityTangentMap("tangent map is the identity")
-    F_count = classical_count_in_direction(f, x, v)
-    s_v = surplus(f, x, v)
-    Ft = 0
-    for t in local.directions:
-        if isinstance(v, Infinity):
-            if isinstance(t.location, Infinity):
-                Ft = t.multiplicity
-        elif not isinstance(t.location, Infinity):
-            if t.field == v.field and t.location == v:
-                Ft = t.multiplicity
-            elif t.minpoly is not None and v.field != f.ctx.residue_field:
-                # same Galois orbit: v a root of the factor
-                lifted = poly_shift_coeffs(f.ctx.residue_field, t.minpoly, v.field)
-                if poly_eval(v.field, lifted, v).is_zero():
-                    Ft = t.multiplicity
-    return F_count == s_v + Ft
 
 
 # ---------------------------------------------------------------------------
@@ -426,14 +326,21 @@ class RayBreakpoint:
 
 def _ray_lines(f: RationalMapK, a: FieldElement):
     """Affine valuation functions of the conjugated coefficients along the
-    ray centered at a: numerator coefficient i gives (slope i, intercept
-    val alpha_i), denominator coefficient j gives (slope j + 1, val beta_j);
-    returns the lines as (slope, intercept, ("n", i) or ("d", j),
-    unit residue), numerator first."""
+    ray centered at a, from num(a + t) - a*den(a + t) and den(a + t)
+    (`_expansion_lines`)."""
     ctx = f.ctx
-    num_s = poly_shift(ctx, f.num, a)
     den_s = poly_shift(ctx, f.den, a)
-    num_s = poly_sub(ctx, num_s, poly_scale(ctx, den_s, a))
+    num_s = poly_sub(ctx, poly_shift(ctx, f.num, a), poly_scale(ctx, den_s, a))
+    return _expansion_lines(num_s, den_s)
+
+
+def _expansion_lines(num_s, den_s):
+    """The ray's lines off the Taylor coefficients num_s of num(a + t) -
+    a*den(a + t) and den_s of den(a + t) at its center a: numerator
+    coefficient i gives (slope i, intercept val alpha_i), denominator
+    coefficient j gives (slope j + 1, val beta_j); returns the lines as
+    (slope, intercept, ("n", i) or ("d", j), unit residue), numerator
+    first."""
     lines = []
     for key, shift, coeffs in (("n", 0, num_s), ("d", 1, den_s)):
         for i, c in enumerate(coeffs):

@@ -91,7 +91,7 @@ def root_valuations(ctx: PrimeContext, f) -> List[Fraction]:
     np_ = newton_polygon(ctx, f)
     out = [INF] * np_.vanishing_order
     for slope, length in np_.segments:
-        out.extend([-slope] * length)
+        out += [-slope] * length
     return out
 
 

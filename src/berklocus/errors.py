@@ -36,10 +36,6 @@ class IdentityMap(BerklocusError):
     """Operation is undefined for the identity map."""
 
 
-class IdentityTangentMap(BerklocusError):
-    """Operation requires a non-identity tangent map."""
-
-
 class NotFixed(BerklocusError):
     """Point or direction is not fixed."""
 

@@ -23,8 +23,11 @@ whose tangent map is not the identity, every fixed tangent direction has
 positive fixed-point multiplicity, hence contains a classical fixed point,
 hence points along the skeleton -- so nothing with positive weight hides off
 the tree outside id-indifferent regions, and the weight total provides an
-end-to-end cross-check either way.
+end-to-end cross-check either way.  `identification_check` verifies the
+count behind it at every such skeleton vertex.
 
+`analyze` is the one place that grows the working field: each attempt embeds
+the input map into E(p, lcm n, lcm k) of the extensions asked for so far.
 The global structure checks are functions of one `Analysis`: they read the
 certificate `analyze` returned and never run the pipeline again.
 """
@@ -359,13 +362,16 @@ def _tail_poly(f: RationalMapK, i: int, which: int):
 
 def _ray_lines_at(f: RationalMapK, anchor):
     """Lines for a ray anchored at an exact element, a handle, or a cluster
-    stub; non-exact handles get exact lines through the true root, while a
-    stub's exact center serves verbatim (its rays stop at the radius, above
-    which every disk element is an equivalent center)."""
-    if isinstance(anchor, RootHandle) and not anchor.is_exact:
-        return _tail_lines(f, anchor)
-    a = anchor.center if isinstance(anchor, (RootHandle, ClusterStub)) \
-        else anchor
+    stub; non-exact handles get exact lines through the true root, an exact
+    handle reads them off its one expansion, and a stub's exact center
+    serves verbatim (its rays stop at the radius, above which every disk
+    element is an equivalent center)."""
+    if isinstance(anchor, RootHandle):
+        if not anchor.is_exact:
+            return _tail_lines(f, anchor)
+        _, b, e = anchor.expansion(f.num, f.den)
+        return bk._expansion_lines(e, b)
+    a = anchor.center if isinstance(anchor, ClusterStub) else anchor
     return bk._ray_lines(f, a)
 
 
@@ -428,8 +434,7 @@ def _critical_point_handles(f: RationalMapK,
             if poly_deg(common) >= 1:
                 g = poly_divmod(ctx, g, common)[0]
         if poly_deg(g) >= 1:
-            out.extend(isolate_roots(ctx, g, m,
-                                     budget=(config.n_max, config.k_max)))
+            out += isolate_roots(ctx, g, m, budget=(config.n_max, config.k_max))
     return out
 
 
@@ -703,23 +708,26 @@ def crucial_weights_from(
 
 def analyze(f: RationalMapK,
             config: Optional[ExploreConfig] = None) -> Analysis:
+    """The certificate of f, in the smallest tower E(p, n, k) over f's own
+    context that the attempts ask for.  Each `NeedsExtension` takes n and k
+    to their lcm with the request, and the next attempt runs on f itself,
+    embedded afresh; a k step is refused only from an input over k > 1.
+    This is the one place that grows the working field."""
     config = config or ExploreConfig()
-    # no attempt cap: each retry grows n strictly or moves k once from 1
+    base, g = f.ctx, f
+    n, k = base.n, base.k
+    # no attempt cap: each retry grows (n, k) strictly, within the budget
     while True:
         try:
-            return _analyze_once(f, config)
+            return _analyze_once(g, config)
         except NeedsExtension as e:
-            ctx = f.ctx
-            new_n = ctx.n if e.n is None else math.lcm(ctx.n, e.n)
-            new_k = ctx.k if e.k is None else e.k
-            if new_k != ctx.k and ctx.k != 1:
+            new_n = n if e.n is None else math.lcm(n, e.n)
+            new_k = k if e.k is None else math.lcm(k, e.k)
+            if (new_n, new_k) == (n, k) or new_n > config.n_max \
+                    or new_k > config.k_max or new_k != k and base.k != 1:
                 raise
-            if new_n > config.n_max or new_k > config.k_max:
-                raise
-            if new_n == ctx.n and new_k == ctx.k:
-                raise
-            new_ctx = ctx.extend(n=new_n, k=new_k)
-            f = embed_map(f, new_ctx)
+            n, k = new_n, new_k
+            g = embed_map(f, base.extend(n=n, k=k))
 
 
 def _analyze_once(f: RationalMapK, config: ExploreConfig) -> Analysis:
@@ -748,6 +756,31 @@ def _analyze_once(f: RationalMapK, config: ExploreConfig) -> Analysis:
 # ---------------------------------------------------------------------------
 # Theorem checks
 # ---------------------------------------------------------------------------
+
+def identification_check(a: Analysis) -> bool:
+    """At every fixed skeleton vertex whose tangent map is not the identity,
+    each tangent direction holds as many classical fixed points, with
+    multiplicity, as its cancelled multiplicity plus its fixed-point
+    multiplicity under the tangent map (a Galois orbit of directions counts
+    all its conjugates).  The first count comes from root isolation, through
+    the leaves' directions that the weights already read, and the second
+    from the reduction, so the two are independent.  Every direction with a
+    leaf, a cancelled factor or a fixed point of the tangent map is
+    compared; False on a mismatch."""
+    sk = a.skeleton
+    for pt, local in sk.vertex_points:
+        if not local.is_fixed or local.indifference_class == ID_INDIFFERENT:
+            continue
+        held = {key: sum(sk.leaves[i].multiplicity for i in idx)
+                for key, (_, idx) in _leaf_directions(sk, pt).items()}
+        expected = dict(local.surplus)
+        for t in local.fixed_directions():
+            expected[t.key()] = expected.get(t.key(), 0) + \
+                t.orbit_size * t.multiplicity
+        if held != expected:
+            return False
+    return True
+
 
 def theorem_a_count(c: Component) -> int:
     """2 + alpha(X) for a non-classical component, checked against the
@@ -854,25 +887,36 @@ def multiplier_reciprocity_check(a: Analysis) -> bool:
     field.  Every fixed segment whose two ends are reduced breakpoints is
     checked: the shallower end faces the direction holding the ray's center,
     whose multiplier is the segment's own, and the deeper end faces
-    infinity.  False when a product is not 1; CheckFailed when a facing
-    direction is not fixed or the shallower multiplier is not the
-    segment's."""
+    infinity.  The classical ends are checked too: a fixed segment running
+    into a classical leaf carries that leaf's multiplier residue, and the
+    fixed upward segment's multiplier times that of the fixed point at
+    infinity is 1.  False when one of these fails; CheckFailed, whatever
+    else fails, when a facing direction is not fixed or the shallower
+    multiplier is not the segment's."""
+    leaves = a.skeleton.leaves
+    lam_inf = next((cp.multiplier_residue for cp in leaves
+                    if cp.is_infinity()), None)
+    ok = True
     for ray in a.skeleton.rays:
         local_at = {bp.s: bp.local for bp in ray.breakpoints
                     if bp.cid is not None}
         for seg in ray.segments:
-            if seg.behavior == NOT_FIXED or seg.s_lo not in local_at \
-                    or seg.s_hi not in local_at:
+            if seg.behavior == NOT_FIXED:
+                continue
+            one = seg.multiplier.field.one
+            if seg.s_hi is INF and ray.leaf_idx is not None:
+                ok &= seg.multiplier == leaves[ray.leaf_idx].multiplier_residue
+            if seg.s_lo is NEG_INF and ray.to_infinity:
+                ok &= lam_inf is not None and seg.multiplier * lam_inf == one
+            if seg.s_lo not in local_at or seg.s_hi not in local_at:
                 continue
             lam_lo = _facing_multiplier(local_at[seg.s_lo], seg.center)
             if lam_lo != seg.multiplier:
                 raise CheckFailed(f"multiplier {lam_lo} at s = {seg.s_lo} "
                                   f"differs from the segment's "
                                   f"{seg.multiplier}")
-            lam_hi = _facing_multiplier(local_at[seg.s_hi], None)
-            if lam_lo * lam_hi != lam_lo.field.one:
-                return False
-    return True
+            ok &= lam_lo * _facing_multiplier(local_at[seg.s_hi], None) == one
+    return ok
 
 
 def _facing_multiplier(local: LocalData, center) -> FqElement:

@@ -353,9 +353,9 @@ def isolate_roots(ctx: PrimeContext, g, multiplicity: int = 1,
             root = -factor_poly[0] / factor_poly[1]
             handles.append(RootHandle(ctx, factor_poly, root, INF, multiplicity))
         else:
-            handles.extend(_isolate_cluster(ctx, factor_poly, ctx.zero,
-                                            NEG_INF, poly_deg(factor_poly),
-                                            multiplicity, budget))
+            handles += _isolate_cluster(ctx, factor_poly, ctx.zero, NEG_INF,
+                                        poly_deg(factor_poly), multiplicity,
+                                        budget)
     return handles
 
 
@@ -539,9 +539,8 @@ def _isolate_cluster(ctx: PrimeContext, g, c: FieldElement, floor: Fraction,
                     ctx, g, c2,
                     _initial_prec(ctx, g, c2, v, polygon=np2), multiplicity))
             else:
-                handles.extend(_isolate_cluster(ctx, g, c2, v, sub,
-                                                multiplicity, budget,
-                                                (shifted2, np2)))
+                handles += _isolate_cluster(ctx, g, c2, v, sub, multiplicity,
+                                            budget, (shifted2, np2))
         if placed != count:
             raise CheckFailed(f"placed {placed} roots at radius {v}, the "
                               f"Newton polygon counts {count}")

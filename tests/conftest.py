@@ -9,7 +9,7 @@ from hypothesis import settings
 from berklocus import fixlocus as fx
 from berklocus.berkmap import NOT_FIXED, RationalMapK, normalize
 from berklocus.errors import BerklocusError
-from berklocus.field import PrimeContext
+from berklocus.field import INF, NEG_INF, PrimeContext
 from berklocus.oracle import fixture
 
 settings.register_profile("default", deadline=None)
@@ -104,4 +104,22 @@ def reciprocity_segments(a):
         ends = {bp.s for bp in ray.breakpoints if bp.cid is not None}
         out += [(ray, seg) for seg in ray.segments if seg.behavior != NOT_FIXED
                 and seg.s_lo in ends and seg.s_hi in ends]
+    return out
+
+
+def reciprocity_ends(a):
+    """The (ray, segment) pairs of the classical ends that
+    `fixlocus.multiplier_reciprocity_check` reads: a fixed segment running
+    into a classical leaf (s_hi INF on a ray with a leaf), and the fixed
+    upward segment (s_lo NEG_INF on the ray toward infinity), once for each
+    such end."""
+    out = []
+    for ray in a.skeleton.rays:
+        for seg in ray.segments:
+            if seg.behavior == NOT_FIXED:
+                continue
+            if seg.s_hi is INF and ray.leaf_idx is not None:
+                out.append((ray, seg))
+            if seg.s_lo is NEG_INF and ray.to_infinity:
+                out.append((ray, seg))
     return out

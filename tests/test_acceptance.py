@@ -20,7 +20,6 @@ from berklocus.berkmap import (
     TypeIIPoint,
     embed_map,
     gauss_point,
-    identification_check,
     reduce_at,
 )
 from berklocus.errors import (
@@ -43,7 +42,8 @@ from berklocus.oracle import (
 from berklocus.field import INF
 from berklocus.residue import Fq, FqRationalMap, Infinity, poly
 
-from conftest import mk, random_split_map, reciprocity_segments
+from conftest import mk, random_split_map, reciprocity_ends, \
+    reciprocity_segments
 
 CONFIG = fx.ExploreConfig(n_max=24, k_max=4)
 
@@ -190,19 +190,22 @@ def test_criterion_4_indifferent_structure(fixture_analyses):
                 assert all(arc.behavior != MULT_INDIFFERENT
                            for arc in c.arcs), name
     assert seen >= 5
-    # multiplier reciprocity across every fixed segment with reduced ends
-    segments = 0
+    # multiplier reciprocity across every fixed segment with reduced ends,
+    # and at every classical end of a fixed segment
+    segments = ends = 0
     for name, (f, a) in fixture_analyses.items():
         assert fx.multiplier_reciprocity_check(a), name
         segments += len(reciprocity_segments(a))
+        ends += len(reciprocity_ends(a))
     assert segments >= 6
+    assert ends >= 20
     # interior points of the quadratic indifferent arc are indifferent
     fq = fixture_analyses["quadratic-repelling"][0]
     cls = reduce_at(fq, gauss_point(fq.ctx)).indifference_class
     assert cls in (ID_INDIFFERENT, MULT_INDIFFERENT)
     print(f"\n[criterion 4] PASS: structure of {seen} indifferent components "
-          f"verified, multipliers reciprocal on {segments} segments, "
-          f"interior dichotomy holds")
+          f"verified, multipliers reciprocal on {segments} segments and "
+          f"{ends} classical ends, interior dichotomy holds")
 
 
 def test_criterion_5_hyperbolic_structure(fixture_analyses, random_batch):
@@ -276,7 +279,8 @@ def test_criterion_7_local_layer():
                 continue
             return f
 
-    # (a) identification check in every residue direction at the Gauss point
+    # (a) identification check at every fixed skeleton vertex of maps fixing
+    # the Gauss point with a non-identity tangent map
     ident_maps = 0
     while ident_maps < 30:
         p = rng.choice([3, 5])
@@ -285,10 +289,7 @@ def test_criterion_7_local_layer():
         local = reduce_at(f, gauss)
         if not local.is_fixed or local.indifference_class == ID_INDIFFERENT:
             continue
-        F = f.ctx.residue_field
-        from berklocus.residue import INF_POINT
-        for v in [F.from_int(i) for i in range(p)] + [INF_POINT]:
-            assert identification_check(f, gauss, v)
+        assert fx.identification_check(fx.analyze(f, CONFIG)), repr(f)
         ident_maps += 1
 
     # (b) surplus balance: total surplus == degree - local degree

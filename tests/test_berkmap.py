@@ -1,5 +1,8 @@
 """Local analysis of maps: normalization, conjugation, reduction, tropical
-ray decomposition, and the direction-level identification."""
+ray decomposition, and the direction-level identification, which
+`fixlocus.identification_check` reads off an `Analysis`: the classical
+fixed points the skeleton isolated against the surplus and tangent
+multiplicities of each reduction."""
 
 import random
 from fractions import Fraction
@@ -15,19 +18,24 @@ from berklocus.berkmap import (
     NOT_FIXED,
     REPELLING,
     TypeIIPoint,
-    classical_count_in_direction,
     embed_map,
     gauss_point,
-    identification_check,
     normalize,
     reduce_at,
-    surplus,
 )
 from berklocus.errors import ConstantMap, NeedsExtension, ZeroDenominator
 from berklocus.field import PrimeContext
-from berklocus.residue import INF_POINT, _trim, poly_gcd, poly_monic
+from berklocus.residue import (
+    INF_POINT,
+    _trim,
+    direction_key,
+    poly_gcd,
+    poly_monic,
+)
 
 from conftest import mk, reciprocity_segments
+
+CONFIG = fx.ExploreConfig(n_max=24, k_max=4)
 
 
 def test_normalization_invariants():
@@ -131,8 +139,6 @@ def test_fractional_radius_needs_extension():
     with pytest.raises(NeedsExtension) as exc:
         reduce_at(f, TypeIIPoint(f.ctx.zero, Fraction(1, 2)))
     assert exc.value.n == 2
-    with pytest.raises(NeedsExtension):
-        surplus(f, TypeIIPoint(f.ctx.zero, Fraction(1, 2)), INF_POINT)
     # the same point is representable after a ramified extension
     ctx2 = f.ctx.extend(n=2)
     f2 = embed_map(f, ctx2)
@@ -203,21 +209,23 @@ def test_multiplier_reciprocity_on_arc(shared_point_analyses):
 
 def test_classical_count_in_direction_power_map():
     f = mk(5, [0, 0, 1], [1])
+    a = fx.analyze(f)
     gauss = gauss_point(f.ctx)
     F = f.ctx.residue_field
-    # direction of 1 holds the fixed point 1; directions 0 and oo hold 0, oo
-    assert classical_count_in_direction(f, gauss, F.one) == 1
-    assert classical_count_in_direction(f, gauss, F.zero) == 1
-    assert classical_count_in_direction(f, gauss, INF_POINT) == 1
-    assert classical_count_in_direction(f, gauss, F.from_int(2)) == 0
+    # direction of 1 holds the fixed point 1; directions 0 and oo hold 0, oo;
+    # no other direction holds one
+    dirs = fx._leaf_directions(a.skeleton, gauss)
+    held = {key: sum(a.skeleton.leaves[i].multiplicity for i in idx)
+            for key, (_, idx) in dirs.items()}
+    assert held == {direction_key(F.zero): 1, direction_key(F.one): 1,
+                    direction_key(INF_POINT): 1}
 
 
 def test_identification_check_gauss_directions():
     f = mk(5, [0, 0, 1], [1])
-    gauss = gauss_point(f.ctx)
-    F = f.ctx.residue_field
-    for v in (F.zero, F.one, F.from_int(2), F.from_int(3), INF_POINT):
-        assert identification_check(f, gauss, v)
+    a = fx.analyze(f)
+    assert any(local.is_fixed for _, local in a.skeleton.vertex_points)
+    assert fx.identification_check(a)
 
 
 def test_identification_check_random_maps():
@@ -236,9 +244,7 @@ def test_identification_check_random_maps():
         local = reduce_at(f, gauss)
         if not local.is_fixed or local.indifference_class == ID_INDIFFERENT:
             continue
-        F = f.ctx.residue_field
-        for v in [F.from_int(i) for i in range(p)] + [INF_POINT]:
-            assert identification_check(f, gauss, v)
+        assert fx.identification_check(fx.analyze(f, CONFIG)), repr(f)
         done += 1
 
 
@@ -269,12 +275,14 @@ def test_embed_map_preserves_reduction():
 
 
 def test_surplus_table_infinity_matches_standalone(shared_point_analyses):
-    """reduce_at takes the infinity surplus from the flip of the map it has
-    already conjugated; the public surplus() conjugates afresh."""
+    """reduce_at takes the infinity surplus from the degrees of the residues
+    it has taken; the flip of the conjugated map, reduced on its own, gives
+    the same order at every skeleton vertex."""
     for name, a in shared_point_analyses.items():
         for pt, local in a.skeleton.vertex_points:
+            g = berkmap._conjugate_to_gauss(a.map, pt)
             assert local.surplus.get(("inf",), 0) == \
-                surplus(a.map, pt, INF_POINT), (name, pt)
+                _flip_surplus_reference(g), (name, pt)
 
 
 def test_neg_inf_is_one_sentinel():
@@ -303,10 +311,10 @@ def _flip_surplus_reference(g):
 
 
 def test_infinity_surplus_matches_the_flip():
-    """reduce_at reads the infinity surplus off the residues it has taken,
-    and surplus() conjugates afresh; both equal the flip's cancelled order
-    on a seeded batch of maps and disk points, among them points where the
-    reduction is the constant 0 or infinity."""
+    """reduce_at reads the infinity surplus off the residues it has taken;
+    it equals the flip's cancelled order on a seeded batch of maps and disk
+    points, among them points where the reduction is the constant 0 or
+    infinity."""
     rng = random.Random(2026)
     constant = {"num": 0, "den": 0}
     for _ in range(120):
@@ -330,5 +338,4 @@ def test_infinity_surplus_matches_the_flip():
                 constant[key] += not r
             expected = _flip_surplus_reference(g)
             assert reduce_at(f, x).surplus.get(("inf",), 0) == expected
-            assert surplus(f, x, INF_POINT) == expected
     assert constant["num"] > 0 and constant["den"] > 0, constant

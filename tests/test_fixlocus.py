@@ -1,6 +1,7 @@
 """Global structure: classical fixed points, skeleton, components, weights,
 and the structure checks, on the small fixtures."""
 
+import ast
 import copy
 import dataclasses
 import math
@@ -14,7 +15,7 @@ import pytest
 
 from berklocus import fixlocus as fx
 from berklocus import roots
-from berklocus.berkmap import TypeIIPoint, gauss_point
+from berklocus.berkmap import ID_INDIFFERENT, TypeIIPoint, gauss_point
 from berklocus.epoly import epoly, poly_shift
 from berklocus.errors import (
     CheckFailed,
@@ -30,7 +31,8 @@ from berklocus.oracle import brute_is_fixed, fixture
 from berklocus.residue import Infinity, _trim, poly_deg, poly_mul, poly_sub
 from berklocus.roots import RootHandle, isolate_roots
 
-from conftest import mk, random_wild_map, reciprocity_segments
+from conftest import mk, random_wild_map, reciprocity_ends, \
+    reciprocity_segments
 
 
 def test_classical_fixed_points_multiplicities_sum():
@@ -162,6 +164,45 @@ def test_totally_ramified_finite_fixed_point():
     assert fx.totally_ramified_corollary_check(a)
 
 
+def test_totally_ramified_reads_the_skeleton_expansion(monkeypatch):
+    """The skeleton reads an exact anchor's ray lines off the handle's
+    expansion, so the check finds it cached and shifts nothing again."""
+    maps = [mk(5, [0, 0, 1], [1, 1])]
+    maps += [fixture(name).build() for name in (
+        "moebius-inversion", "quadratic-repelling", "quadratic-indifferent",
+        "segment-p5-d6")]
+    config = fx.ExploreConfig(n_max=24, k_max=4)
+    analyses = [fx.analyze(f, config) for f in maps]
+    exact = sum(not cp.is_infinity() and cp.value.is_exact
+                for a in analyses for cp in a.classical_points)
+    assert exact >= 5
+
+    def shift(*args):
+        raise AssertionError("the expansion was computed again")
+    monkeypatch.setattr(roots, "poly_shift", shift)
+    points = [fx.totally_ramified_fixed_point(a) for a in analyses]
+    assert points[0] == maps[0].ctx.zero
+
+
+def test_identification_check_fails_on_a_tampered_surplus():
+    """One more cancelled factor in one direction of one fixed vertex, in a
+    copy of the analysis, breaks that direction's count."""
+    a = fx.analyze(fixture("segment-p5-d6").build(),
+                   fx.ExploreConfig(n_max=24, k_max=4))
+    assert fx.identification_check(a)
+    vertex_points = list(a.skeleton.vertex_points)
+    cid, (pt, local) = next(
+        (i, v) for i, v in enumerate(vertex_points)
+        if v[1].is_fixed and v[1].indifference_class != ID_INDIFFERENT)
+    surplus = dict(local.surplus)
+    surplus[("inf",)] = surplus.get(("inf",), 0) + 1
+    vertex_points[cid] = (pt, dataclasses.replace(local, surplus=surplus))
+    tampered = dataclasses.replace(a, skeleton=dataclasses.replace(
+        a.skeleton, vertex_points=vertex_points))
+    assert not fx.identification_check(tampered)
+    assert fx.identification_check(a)
+
+
 def test_multiplier_reciprocity_fails_on_a_tampered_multiplier(
         shared_point_analyses):
     """Replacing the infinity-direction multiplier at the deeper end of a
@@ -184,6 +225,24 @@ def test_multiplier_reciprocity_fails_on_a_tampered_multiplier(
     tampered = dataclasses.replace(
         a, skeleton=dataclasses.replace(a.skeleton, rays=rays))
     assert not fx.multiplier_reciprocity_check(tampered)
+    assert fx.multiplier_reciprocity_check(a)
+
+
+def test_multiplier_reciprocity_fails_on_a_tampered_classical_end():
+    """On z -> 2z over Q_5 the one skeleton segment runs from infinity to
+    the fixed point 0: doubling either leaf's multiplier residue, in a copy
+    of the analysis, breaks its end."""
+    a = fx.analyze(fixture("moebius-scaling-unit-nontrivial").build())
+    assert len(reciprocity_ends(a)) == 2
+    assert fx.multiplier_reciprocity_check(a)
+    for i, cp in enumerate(a.skeleton.leaves):
+        leaves = list(a.skeleton.leaves)
+        leaves[i] = dataclasses.replace(
+            cp, multiplier_residue=cp.multiplier_residue.field.from_int(2) *
+            cp.multiplier_residue)
+        tampered = dataclasses.replace(a, skeleton=dataclasses.replace(
+            a.skeleton, leaves=leaves))
+        assert not fx.multiplier_reciprocity_check(tampered), cp.describe()
     assert fx.multiplier_reciprocity_check(a)
 
 
@@ -450,3 +509,60 @@ def test_isolation_matches_a_shift_per_query(certified_maps, monkeypatch):
                         lambda ctx, f, c, s, mode="open", polygon=None:
                         count(ctx, f, c, s, mode))
     assert isolate_all() == shared
+
+
+# -- where the pipeline runs -------------------------------------------------
+
+PACKAGE = os.path.join(os.path.dirname(__file__), "..", "src", "berklocus")
+# what re-runs the pipeline, reduces afresh or grows the working field
+PIPELINE = {"reduce_at", "analyze", "gamma_fix", "_annotate_ray",
+            "conjugate_affine", "embed_map", "extend", "PrimeContext",
+            "count_roots_in_disk"}
+
+
+def _called_names(node):
+    for call in ast.walk(node):
+        if isinstance(call, ast.Call):
+            func = call.func
+            if isinstance(func, ast.Name):
+                yield func.id
+            elif isinstance(func, ast.Attribute):
+                yield func.attr
+
+
+def _functions(tree):
+    """(qualified name, node) of every top-level function and method."""
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef):
+            yield node.name, node
+        elif isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef):
+                    yield f"{node.name}.{item.name}", item
+
+
+def test_theorem_checks_read_the_analysis_and_only_analyze_grows_the_field():
+    """No function in the "Theorem checks" section of fixlocus runs any part
+    of the pipeline, and `.extend(` and `embed_map(` are called only inside
+    `fixlocus.analyze`."""
+    with open(os.path.join(PACKAGE, "fixlocus.py")) as fh:
+        source = fh.read()
+    section = source[:source.index("# Theorem checks")].count("\n") + 1
+    checks = [(name, sorted(PIPELINE.intersection(_called_names(node))))
+              for name, node in _functions(ast.parse(source))
+              if node.lineno > section]
+    assert len(checks) >= 10
+    assert [(name, found) for name, found in checks if found] == []
+    growers = set()
+    for module in sorted(os.listdir(PACKAGE)):
+        if module.endswith(".py"):
+            with open(os.path.join(PACKAGE, module)) as fh:
+                tree = ast.parse(fh.read(), module)
+            growers |= {f"{module[:-3]}.{name}"
+                        for name, node in _functions(tree)
+                        if {"extend", "embed_map"} & set(_called_names(node))}
+            body = [n for n in tree.body
+                    if not isinstance(n, (ast.FunctionDef, ast.ClassDef))]
+            assert not any({"extend", "embed_map"} & set(_called_names(n))
+                           for n in body), module
+    assert growers == {"fixlocus.analyze"}

@@ -1,6 +1,7 @@
 """Seeded differential batch in the wild regime (p <= d): 60 maps over Q_2
-and Q_3 of degree 2 or 3, certified at the acceptance budget and compared
-with the independent oracle `brute_is_fixed`.
+and Q_3 of degree 2 or 3, certified at the acceptance budget, compared
+with the independent oracle `brute_is_fixed` and run through the
+identification and reciprocity checks.
 
 The seed and the batch size were fixed by runtime (about 20 s) before any
 outcome was seen, and no map is filtered out: maps whose certificate needs
@@ -19,7 +20,7 @@ from berklocus.errors import NeedsExtension
 from berklocus.field import INF, NEG_INF
 from berklocus.oracle import brute_is_fixed
 
-from conftest import random_wild_map
+from conftest import mk, random_wild_map
 
 SEED = 2026
 SIZE = 60
@@ -80,6 +81,8 @@ def test_certified_maps_check_against_oracle(outcomes):
         g = a.map
         assert a.complete_rigorous, i
         assert a.weight_total == f.degree - 1, i
+        assert fx.identification_check(a), i
+        assert fx.multiplier_reciprocity_check(a), i
         for comp in a.components:
             if comp.kind != fx.KIND_CLASSICAL:
                 held = sum(cp.multiplicity for cp in comp.classical_points)
@@ -95,3 +98,28 @@ def test_certified_maps_check_against_oracle(outcomes):
                 assert reduce_at(h, pt).is_fixed == fixed, (i, seg)
                 assert (seg.behavior != NOT_FIXED) == fixed, (i, seg)
     assert certified == SIZE - len(NEEDS_EXTENSION)
+
+
+# maps 7 and 41 of the benchmark's wild draw (`random.Random(1)`): their
+# residue extensions need k = 6 after a first k step, which the retry reaches
+# by embedding the input map into E(p, lcm n, lcm k)
+WIDE_TOWER = [((2, [3, 2, 6, -9, 6], [-8, 0, 9, 9, 3]), (1, 6)),
+              ((3, [-1, 8, 5, 8, 5], [-9, 3, 1, -4, -1]), (4, 6))]
+
+
+@pytest.mark.parametrize("spec,tower", WIDE_TOWER)
+def test_retry_reaches_the_lcm_tower(spec, tower):
+    a = fx.analyze(mk(*spec), fx.ExploreConfig(n_max=64, k_max=6))
+    assert (a.map.ctx.n, a.map.ctx.k) == tower
+    assert a.complete_rigorous
+    assert fx.identification_check(a)
+    assert fx.multiplier_reciprocity_check(a)
+    for pt, local in a.skeleton.vertex_points:
+        assert brute_is_fixed(a.map, pt) == local.is_fixed, pt
+
+
+def test_input_over_k_above_one_refuses_a_k_step():
+    (p, num, den), _ = WIDE_TOWER[0]
+    with pytest.raises(NeedsExtension) as exc:
+        fx.analyze(mk(p, num, den, k=2), fx.ExploreConfig(n_max=64, k_max=6))
+    assert exc.value.k == 6
