@@ -169,6 +169,12 @@ class TypeIIPoint:
         d = self.center - other.center
         return d.is_zero() or d.val() >= self.s
 
+    def key(self) -> tuple:
+        """The radius and the center truncated at it: equal for two points
+        exactly when `same_point` holds, since `truncate` is canonical on
+        the classes of congruence at its level."""
+        return self.s, self.center.truncate(self.s)
+
     def __repr__(self):
         return f"zeta({self.center!r}, s={self.s})"
 

@@ -186,11 +186,7 @@ class PrimeContext:
         if e.field != self.residue_field:
             raise ValueError(f"{e!r} is not in the residue field of {self!r}")
         nums = [0] * (self.n * self.k)
-        if self.k == 1:
-            nums[0] = e.rep
-        else:
-            for i, c in enumerate(e.rep):
-                nums[i * self.n] = c.rep
+        nums[::self.n] = (e.rep,) if self.k == 1 else e.rep
         return FieldElement(self, nums)
 
     # -- structural --------------------------------------------------------
@@ -404,10 +400,8 @@ class FieldElement:
         if self.den % ctx.p == 0:
             raise CheckFailed("denominator divisible by p at valuation 0")
         inv = pow(self.den, -1, ctx.p)
-        if ctx.k == 1:
-            return F.from_int(self.nums[0] * inv)
-        return rf.FqElement(F, tuple(F.base.from_int(c * inv)
-                                     for c in self.nums[::ctx.n]))
+        digits = tuple(c * inv % ctx.p for c in self.nums[::ctx.n])
+        return rf.FqElement(F, digits[0] if ctx.k == 1 else digits)
 
     def unit_residue(self) -> rf.FqElement:
         """Residue of self / pi^(n * val): the leading residue digit."""

@@ -37,7 +37,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass, field as dc_field, replace
 from fractions import Fraction
 from typing import Dict, List, Optional, Tuple, Union
 
@@ -376,12 +376,14 @@ def _ray_lines_at(f: RationalMapK, anchor):
 
 
 def _annotate_ray(f: RationalMapK, ray: ScaffoldRay, config: ExploreConfig,
-                  vertex_points: List[Tuple[TypeIIPoint, LocalData]]):
+                  vertex_points: List[Tuple[TypeIIPoint, LocalData]],
+                  cids: Dict[tuple, int]):
     """Decompose the ray into segments and breakpoints: the one path from
     valuation lines to segments and reduced breakpoints, for skeleton rays.
     An integral breakpoint already in `vertex_points` (the same disk point
-    under any center) reuses that reduction; a new one is reduced and
-    appended."""
+    under any center, found by its `TypeIIPoint.key` in `cids`, which maps
+    each key to its index there) reuses that reduction; a new one is reduced
+    and appended."""
     ctx = f.ctx
     lines = _ray_lines_at(f, ray.anchor)
     one = ctx.residue_field.one
@@ -405,10 +407,8 @@ def _annotate_ray(f: RationalMapK, ray: ScaffoldRay, config: ExploreConfig,
             ray.breakpoints.append(RayBreakpoint(s, None))
             continue
         pt = TypeIIPoint(center, s)
-        cid = next((i for i, (p, _) in enumerate(vertex_points)
-                    if pt.same_point(p)), None)
-        if cid is None:
-            cid = len(vertex_points)
+        cid = cids.setdefault(pt.key(), len(vertex_points))
+        if cid == len(vertex_points):
             vertex_points.append((pt, reduce_at(f, pt)))
         ray.breakpoints.append(RayBreakpoint(s, vertex_points[cid][1],
                                              cid=cid))
@@ -517,8 +517,9 @@ def gamma_fix(f: RationalMapK,
                                 to_infinity=True))
 
     vertex_points: List[Tuple[TypeIIPoint, LocalData]] = []
+    cids: Dict[tuple, int] = {}
     for ray in rays:
-        _annotate_ray(f, ray, config, vertex_points)
+        _annotate_ray(f, ray, config, vertex_points, cids)
     return SkeletonGraph(leaves=leaves, aux_leaves=aux, rays=rays,
                          vertex_points=vertex_points)
 
@@ -716,6 +717,10 @@ def analyze(f: RationalMapK,
     config = config or ExploreConfig()
     base, g = f.ctx, f
     n, k = base.n, base.k
+    if k != 1:
+        # an input over k > 1 keeps its generator, so it takes no k step;
+        # the attempts read the same budget and stub what it refuses
+        config = replace(config, k_max=min(config.k_max, k))
     # no attempt cap: each retry grows (n, k) strictly, within the budget
     while True:
         try:
@@ -724,7 +729,7 @@ def analyze(f: RationalMapK,
             new_n = n if e.n is None else math.lcm(n, e.n)
             new_k = k if e.k is None else math.lcm(k, e.k)
             if (new_n, new_k) == (n, k) or new_n > config.n_max \
-                    or new_k > config.k_max or new_k != k and base.k != 1:
+                    or new_k > config.k_max:
                 raise
             n, k = new_n, new_k
             g = embed_map(f, base.extend(n=n, k=k))

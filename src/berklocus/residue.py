@@ -14,20 +14,22 @@ of the maps over both fields (`berkmap.RationalMapK` over the working field
 and `FqRationalMap` here): degree, identity test, flip, fixed-point
 polynomial, multiplicity at infinity, quotient-rule multiplier and printer.
 
-Factorization (`factor`, Cantor-Zassenhaus) and the Ben-Or steps of
-`find_irreducible` run on a flat kernel of ints instead: elements are
-converted at the boundary, and a polynomial is a list of element
-encodings.  `factor` accepts the prime field and its one-level extensions
-F_p[w]/(m), which is what every `PrimeContext.residue_field` is; over a
-tower it raises ValueError.  The element encoding:
+Every field computes with one flat kernel of ints, which is also what
+factorization (`factor`, Cantor-Zassenhaus) and the Ben-Or steps of
+`find_irreducible` run on; an element's rep is the kernel's encoding:
 
-- over F_p, a nonzero element is its value in [1, p);
-- over F_p[w]/(m), a nonzero element is the tuple of its k coordinates in
-  [0, p), and a product is a k x k convolution reduced by m;
-- zero is ZERO (-1) in both.
+- over F_p, an int in [0, p);
+- over F_p[w]/(m), the tuple of its k coordinates in [0, p), and a
+  product is a k x k convolution reduced by m;
+- over a tower (an extension of an extension), the tuple of its base reps,
+  and a product is the base kernel's polynomial product reduced by the
+  modulus.
 
-The kernel stores nothing per field element, so its cost does not depend
-on the size of the field, and it serves every p^k.
+Zero is 0 or the tuple of zeros.  `factor` accepts the prime field and its
+one-level extensions, which is what every `PrimeContext.residue_field` is;
+over a tower it raises ValueError.  The kernel stores nothing per field
+element, so its cost does not depend on the size of the field, and it
+serves every p^k.
 """
 
 from __future__ import annotations
@@ -73,8 +75,10 @@ class Fq:
     """A finite field: either the prime field Z/p or an extension of another
     Fq by a monic irreducible modulus.
 
-    Prime-field element reps are ints in [0, p); extension reps are tuples of
-    base-field elements of fixed length equal to the extension degree.
+    Its `kernel` does all the arithmetic of its elements, and an element's
+    rep is the kernel's encoding: an int in [0, p) over F_p, the tuple of
+    its k coordinates over F_p[w]/(m), and over a tower the tuple of its
+    base reps.
     """
 
     def __init__(self, p: int, modulus=None, base: Optional["Fq"] = None):
@@ -85,47 +89,39 @@ class Fq:
                 raise ValueError("a prime field takes no modulus")
             self.modulus = None
             self.deg_over_base = 1
-            self.degree = 1
+            self.kernel = _PrimeKernel(p)
         else:
             if modulus is None or len(modulus) < 3 or modulus[-1] != base.one:
                 raise ValueError("an extension needs a monic modulus of "
                                  "degree >= 2 over its base")
             self.modulus = tuple(modulus)
             self.deg_over_base = len(modulus) - 1
-            self.degree = base.degree * self.deg_over_base
-        self.order = p ** self.degree
+            reps = tuple(c.rep for c in modulus)
+            self.kernel = _CoordKernel(p, reps) if base.base is None \
+                else _TowerKernel(base.kernel, reps)
+        self.degree = self.kernel.k
+        self.order = self.kernel.q
 
     # -- construction -----------------------------------------------------
 
     @property
     def zero(self):
-        if self.base is None:
-            return FqElement(self, 0)
-        return FqElement(self, (self.base.zero,) * self.deg_over_base)
+        return FqElement(self, self.kernel.zero)
 
     @property
     def one(self):
-        if self.base is None:
-            return FqElement(self, 1)
-        rep = [self.base.zero] * self.deg_over_base
-        rep[0] = self.base.one
-        return FqElement(self, tuple(rep))
+        return FqElement(self, self.kernel.one)
 
     @property
     def gen(self):
         """Image of w in F_q[w]/(modulus); only for proper extensions."""
         if self.base is None:
             raise ValueError("a prime field has no generator")
-        rep = [self.base.zero] * self.deg_over_base
-        rep[1] = self.base.one
-        return FqElement(self, tuple(rep))
+        return FqElement(self, (self.kernel.zero[0], self.base.kernel.one)
+                         + self.kernel.zero[2:])
 
     def from_int(self, c: int) -> "FqElement":
-        if self.base is None:
-            return FqElement(self, c % self.p)
-        rep = [self.base.zero] * self.deg_over_base
-        rep[0] = self.base.from_int(c)
-        return FqElement(self, tuple(rep))
+        return FqElement(self, self.kernel._from_int(c))
 
     def embed(self, elem: "FqElement") -> "FqElement":
         """Embed an element of the base field (constant embedding)."""
@@ -133,20 +129,18 @@ class Fq:
             return elem
         if self.base is None:
             raise ValueError(f"{elem!r} is not in a subfield of F_{self.p}")
-        lifted = self.base.embed(elem) if elem.field != self.base else elem
-        rep = [self.base.zero] * self.deg_over_base
-        rep[0] = lifted
-        return FqElement(self, tuple(rep))
+        return FqElement(self, (self.base.embed(elem).rep,)
+                         + self.kernel.zero[1:])
 
     def elements(self):
         """Iterate over all field elements (small fields only)."""
         if self.base is None:
-            for c in range(self.p):
-                yield FqElement(self, c)
+            reps = range(self.p)
         else:
-            base_elems = list(self.base.elements())
-            for combo in itertools.product(base_elems, repeat=self.deg_over_base):
-                yield FqElement(self, tuple(combo))
+            reps = itertools.product([e.rep for e in self.base.elements()],
+                                     repeat=self.deg_over_base)
+        for rep in reps:
+            yield FqElement(self, rep)
 
     # -- structural equality ----------------------------------------------
 
@@ -165,55 +159,6 @@ class Fq:
     def __repr__(self):
         return f"GF({self.p}^{self.degree})"
 
-    # -- arithmetic on raw reps -------------------------------------------
-
-    def _add(self, a, b):
-        if self.base is None:
-            return (a + b) % self.p
-        return tuple(x + y for x, y in zip(a, b))
-
-    def _neg(self, a):
-        if self.base is None:
-            return (-a) % self.p
-        return tuple(-x for x in a)
-
-    def _mul(self, a, b):
-        if self.base is None:
-            return (a * b) % self.p
-        m = self.deg_over_base
-        base = self.base
-        prod = [base.zero] * (2 * m - 1)
-        for i, x in enumerate(a):
-            if x.is_zero():
-                continue
-            for j, y in enumerate(b):
-                prod[i + j] = prod[i + j] + x * y
-        # reduce by modulus: w^m = -(lower part of modulus)
-        for t in range(2 * m - 2, m - 1, -1):
-            c = prod[t]
-            if c.is_zero():
-                continue
-            prod[t] = base.zero
-            for i in range(m):
-                prod[t - m + i] = prod[t - m + i] - self.modulus[i] * c
-        return tuple(prod[:m])
-
-    def _inv(self, a):
-        if self.base is None:
-            return pow(a, self.p - 2, self.p)
-        # extended Euclid on (rep as poly over base, modulus)
-        poly = _trim(tuple(a))
-        if not poly:
-            raise ZeroDivisionError("inverse of zero")
-        g, s, _ = _xgcd(self.base, poly, self.modulus)
-        if len(g) != 1:
-            raise CheckFailed("a nonzero element shares a factor with the "
-                              "irreducible modulus")
-        inv_lead = g[0].inverse()
-        rep = [c * inv_lead for c in s]
-        rep += [self.base.zero] * (self.deg_over_base - len(rep))
-        return tuple(rep[: self.deg_over_base])
-
 
 class FqElement:
     """Element of a finite field; immutable value object."""
@@ -225,24 +170,25 @@ class FqElement:
         self.rep = rep
 
     def is_zero(self) -> bool:
-        if self.field.base is None:
-            return self.rep == 0
-        return all(c.is_zero() for c in self.rep)
+        return self.rep == self.field.kernel.zero
 
     def __add__(self, other):
-        return FqElement(self.field, self.field._add(self.rep, other.rep))
+        return FqElement(self.field, self.field.kernel._add(self.rep, other.rep))
 
     def __sub__(self, other):
-        return FqElement(self.field, self.field._add(self.rep, self.field._neg(other.rep)))
+        return FqElement(self.field, self.field.kernel._sub(self.rep, other.rep))
 
     def __neg__(self):
-        return FqElement(self.field, self.field._neg(self.rep))
+        K = self.field.kernel
+        return FqElement(self.field, K._sub(K.zero, self.rep))
 
     def __mul__(self, other):
-        return FqElement(self.field, self.field._mul(self.rep, other.rep))
+        return FqElement(self.field, self.field.kernel._mul(self.rep, other.rep))
 
     def inverse(self):
-        return FqElement(self.field, self.field._inv(self.rep))
+        if self.is_zero():
+            raise ZeroDivisionError("inverse of zero")
+        return FqElement(self.field, self.field.kernel._inv(self.rep))
 
     def __truediv__(self, other):
         return self * other.inverse()
@@ -250,14 +196,7 @@ class FqElement:
     def __pow__(self, e: int):
         if e < 0:
             return self.inverse() ** (-e)
-        result = self.field.one
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
+        return FqElement(self.field, self.field.kernel._pow(self.rep, e))
 
     def frobenius(self):
         """x -> x^p, the absolute Frobenius."""
@@ -269,22 +208,16 @@ class FqElement:
         return self.field == other.field and self.rep == other.rep
 
     def __hash__(self):
-        return hash((self.field.degree, _rep_key(self.rep)))
+        return hash((self.field.degree, self.rep))
 
     def __repr__(self):
-        return f"{_rep_str(self.rep)}"
-
-
-def _rep_key(rep):
-    if isinstance(rep, int):
-        return rep
-    return tuple(_rep_key(c.rep) for c in rep)
+        return _rep_str(self.rep)
 
 
 def _rep_str(rep):
     if isinstance(rep, int):
         return str(rep)
-    return "(" + ",".join(_rep_str(c.rep) for c in rep) + ")"
+    return "(" + ",".join(map(_rep_str, rep)) + ")"
 
 
 # ---------------------------------------------------------------------------
@@ -375,19 +308,6 @@ def poly_gcd(field, f, g):
     while g:
         f, g = g, poly_mod(field, f, g)
     return poly_monic(field, f)
-
-
-def _xgcd(field, f, g):
-    """Extended gcd: returns (gcd, s, t) with s*f + t*g = gcd."""
-    r0, r1 = tuple(f), tuple(g)
-    s0, s1 = (field.one,), ()
-    t0, t1 = (), (field.one,)
-    while r1:
-        q, r = poly_divmod(field, r0, r1)
-        r0, r1 = r1, r
-        s0, s1 = s1, poly_sub(field, s0, poly_mul(field, q, s1))
-        t0, t1 = t1, poly_sub(field, t0, poly_mul(field, q, t1))
-    return r0, s0, t0
 
 
 def poly_eval(field, f, x: FqElement) -> FqElement:
@@ -491,41 +411,42 @@ class RationalMap:
 
 
 # ---------------------------------------------------------------------------
-# Factorization on the flat kernel
+# The kernels: element and polynomial arithmetic on ints
 # ---------------------------------------------------------------------------
 
-ZERO = -1  # the kernels' encoding of the field element 0
-
-
 class _Kernel:
-    """Polynomial arithmetic and factorization over one field F_q, q = p^k,
-    on ints.  A polynomial is a list of element encodings, low degree first,
-    with no trailing ZERO.
+    """Arithmetic over one field F_q, q = p^k, on the encodings that are the
+    reps of its elements; and polynomial arithmetic and factorization on
+    lists of encodings, low degree first, with no trailing zero.
 
-    A subclass fixes the encoding of the nonzero elements: its attributes p,
-    k, q, one and neg_one (the encodings of 1 and -1); its element
-    operations on nonzero operands, `_mul`, `_inv` and `_pow`; the fused
-    `_axpy(out, off, c, terms)`: out[off + j] += c * b for every (j, b) in
-    terms, in place; and `_from_int` (the image of an int), `_random`,
-    `_encode` (an FqElement) and `_decode`, which map ZERO too."""
+    A subclass fixes the encoding: its attributes p, k, q, zero, one and
+    neg_one; the element operations `_add`, `_sub`, `_mul`, `_inv` (of a
+    nonzero element) and `_from_int` (the image of an int); and, for
+    factorization, `_random` and the fused `_axpy(out, off, c, terms)`:
+    out[off + j] += c * b for every (j, b) in terms, in place."""
 
-    # -- boundary ---------------------------------------------------------
+    def _pow(self, a, e: int):
+        result = self.one
+        while e:
+            if e & 1:
+                result = self._mul(result, a)
+            a = self._mul(a, a)
+            e >>= 1
+        return result
 
-    def encode(self, f) -> list:
-        """A polynomial over the field, as a trimmed list of encodings."""
-        return _ktrim([self._encode(c) for c in f])
-
-    def decode(self, field: Fq, f) -> tuple:
-        """A list of encodings as a polynomial over `field`."""
-        return tuple(self._decode(field, a) for a in f)
+    def _trim(self, f: list) -> list:
+        while f and f[-1] == self.zero:
+            f.pop()
+        return f
 
     # -- polynomial arithmetic --------------------------------------------
 
     def add(self, f, g, c) -> list:
         """f + c * g (c = neg_one subtracts)."""
-        out = list(f) + [ZERO] * (len(g) - len(f))
-        self._axpy(out, 0, c, [(j, b) for j, b in enumerate(g) if b != ZERO])
-        return _ktrim(out)
+        out = list(f) + [self.zero] * (len(g) - len(f))
+        self._axpy(out, 0, c, [(j, b) for j, b in enumerate(g)
+                               if b != self.zero])
+        return self._trim(out)
 
     def sub(self, f, g) -> list:
         return self.add(f, g, self.neg_one)
@@ -533,10 +454,11 @@ class _Kernel:
     def mul(self, f, g) -> list:
         if not f or not g:
             return []
-        terms = [(j, b) for j, b in enumerate(g) if b != ZERO]
-        out = [ZERO] * (len(f) + len(g) - 1)
+        zero = self.zero
+        terms = [(j, b) for j, b in enumerate(g) if b != zero]
+        out = [zero] * (len(f) + len(g) - 1)
         for i, a in enumerate(f):
-            if a != ZERO:
+            if a != zero:
                 self._axpy(out, i, a, terms)
         return out  # the leading product is nonzero
 
@@ -546,18 +468,19 @@ class _Kernel:
         dg = len(g) - 1
         if len(f) <= dg:
             return [], list(f)
+        zero = self.zero
         inv = self._inv(g[-1])
         neg = self._mul(inv, self.neg_one)
         terms = [(j, self._mul(b, neg)) for j, b in enumerate(g[:-1])
-                 if b != ZERO]  # -g_j / lead(g)
+                 if b != zero]  # -g_j / lead(g)
         r = list(f)
-        quo = [ZERO] * (len(f) - dg)
+        quo = [zero] * (len(f) - dg)
         for top in range(len(f) - 1, dg - 1, -1):
             c = r[top]
-            if c != ZERO:
+            if c != zero:
                 quo[top - dg] = self._mul(c, inv)
                 self._axpy(r, top - dg, c, terms)
-        return quo, _ktrim(r[:dg])
+        return quo, self._trim(r[:dg])
 
     def rem(self, f, g) -> list:
         return self.divmod(f, g)[1]
@@ -566,7 +489,7 @@ class _Kernel:
         if not f:
             return f
         inv = self._inv(f[-1])
-        return [ZERO if a == ZERO else self._mul(a, inv) for a in f]
+        return [self._mul(a, inv) for a in f]
 
     def gcd(self, f, g) -> list:
         while g:
@@ -585,9 +508,8 @@ class _Kernel:
         return result
 
     def deriv(self, f) -> list:
-        return _ktrim([ZERO if a == ZERO or i % self.p == 0
-                       else self._mul(a, self._from_int(i))
-                       for i, a in enumerate(f)][1:])
+        return self._trim([self._mul(a, self._from_int(i))
+                           for i, a in enumerate(f)][1:])
 
     # -- factorization ----------------------------------------------------
 
@@ -602,8 +524,7 @@ class _Kernel:
             if not df:
                 # f = h(w^p) = (h with p-th roots of its coefficients)(w)^p,
                 # and Frobenius is an automorphism: a^(1/p) = a^(q/p)
-                decompose([ZERO if a == ZERO else self._pow(a, root)
-                           for a in f[::p]], scale * p)
+                decompose([self._pow(a, root) for a in f[::p]], scale * p)
                 return
             c = self.gcd(f, df)
             w = self.divmod(f, c)[0]
@@ -626,7 +547,7 @@ class _Kernel:
     def distinct_degree(self, f):
         """f monic squarefree -> [(product of its irreducible factors of
         degree d, d)]."""
-        x = [ZERO, self.one]
+        x = [self.zero, self.one]
         out = []
         h, g, d = x, f, 0
         while len(g) > 1:
@@ -648,7 +569,7 @@ class _Kernel:
         if n == d:
             return [f]
         while True:
-            r = _ktrim([self._random(rng) for _ in range(n)])
+            r = self._trim([self._random(rng) for _ in range(n)])
             if len(r) < 2:
                 continue
             if self.p == 2:
@@ -667,11 +588,17 @@ class _Kernel:
 
 
 class _PrimeKernel(_Kernel):
-    """F_p: a nonzero element is its value in [1, p)."""
+    """F_p: an element is its value in [0, p)."""
 
     def __init__(self, p: int):
         self.p, self.k, self.q = p, 1, p
-        self.one, self.neg_one = 1, p - 1
+        self.zero, self.one, self.neg_one = 0, 1, p - 1
+
+    def _add(self, a, b):
+        return (a + b) % self.p
+
+    def _sub(self, a, b):
+        return (a - b) % self.p
 
     def _mul(self, a, b):
         return a * b % self.p
@@ -683,38 +610,38 @@ class _PrimeKernel(_Kernel):
         return pow(a, e, self.p)
 
     def _from_int(self, i):
-        return i % self.p or ZERO
+        return i % self.p
 
     def _random(self, rng):
-        return rng.randrange(self.p) or ZERO
-
-    def _encode(self, c):
-        return c.rep or ZERO
-
-    def _decode(self, field, a):
-        return FqElement(field, 0 if a == ZERO else a)
+        return rng.randrange(self.p)
 
     def _axpy(self, out, off, c, terms):
         p = self.p
         for j, b in terms:
-            i = off + j
-            t = c * b % p
-            s = out[i]
-            out[i] = t if s == ZERO else ((s + t) % p or ZERO)
+            out[off + j] = (out[off + j] + c * b) % p
 
 
 class _CoordKernel(_Kernel):
     """F_p[w]/(modulus), for a monic integer `modulus` of degree k >= 2,
-    irreducible mod p: a nonzero element is the tuple of its k coordinates
-    in the basis 1, w, ..., w^(k-1), each in [0, p).  A product costs O(k^2)
-    int operations, and nothing is stored per field element."""
+    irreducible mod p: an element is the tuple of its k coordinates in the
+    basis 1, w, ..., w^(k-1), each in [0, p).  A product costs O(k^2) int
+    operations, and nothing is stored per field element."""
 
     def __init__(self, p: int, modulus: tuple):
         k = len(modulus) - 1
         self.p, self.k, self.q = p, k, p ** k
         self.modulus = modulus
-        self.one = (1,) + (0,) * (k - 1)
-        self.neg_one = (p - 1,) + (0,) * (k - 1)
+        self.zero = (0,) * k
+        self.one = (1,) + self.zero[1:]
+        self.neg_one = (p - 1,) + self.zero[1:]
+
+    def _add(self, a, b):
+        p = self.p
+        return tuple((x + y) % p for x, y in zip(a, b))
+
+    def _sub(self, a, b):
+        p = self.p
+        return tuple((x - y) % p for x, y in zip(a, b))
 
     def _rows(self, a):
         """The matrix of b -> a b: row t holds coordinate t of a w^i for
@@ -760,50 +687,52 @@ class _CoordKernel(_Kernel):
         c = pow(r1[0], -1, p)
         return tuple([x * c % p for x in s1] + [0] * (self.k - len(s1)))
 
-    def _pow(self, a, e):
-        result = self.one
-        while e:
-            if e & 1:
-                result = self._mul(result, a)
-            a = self._mul(a, a)
-            e >>= 1
-        return result
-
     def _from_int(self, i):
-        return (i % self.p,) + self.one[1:] if i % self.p else ZERO
+        return (i % self.p,) + self.zero[1:]
 
     def _random(self, rng):
-        a = tuple(rng.randrange(self.p) for _ in range(self.k))
-        return a if any(a) else ZERO
-
-    def _encode(self, c):
-        a = tuple(d.rep for d in c.rep)
-        return a if any(a) else ZERO
-
-    def _decode(self, field, a):
-        digits = (0,) * self.k if a == ZERO else a
-        return FqElement(field, tuple(FqElement(field.base, d)
-                                      for d in digits))
+        return tuple(rng.randrange(self.p) for _ in range(self.k))
 
     def _axpy(self, out, off, c, terms):
         p = self.p
         rows = self._rows(c)
         for j, b in terms:
             i = off + j
-            s = out[i]
-            if s == ZERO:
-                out[i] = tuple(sum(map(operator.mul, row, b)) % p
-                               for row in rows)
-            else:
-                t = tuple((x + sum(map(operator.mul, row, b))) % p
-                          for x, row in zip(s, rows))
-                out[i] = t if any(t) else ZERO
+            out[i] = tuple((x + sum(map(operator.mul, row, b))) % p
+                           for x, row in zip(out[i], rows))
 
 
-def _ktrim(f: list) -> list:
-    while f and f[-1] == ZERO:
-        f.pop()
-    return f
+class _TowerKernel(_Kernel):
+    """An extension of degree m of a proper extension F_{q0}, whose kernel
+    is `base`, by a monic irreducible `modulus` given by its base encodings:
+    an element is the tuple of its m coordinates, each a base encoding.  A
+    product is the base kernel's polynomial product reduced by the modulus,
+    and an inverse is a^(q - 2).  Only the element operations: `factor`
+    does not run over a tower."""
+
+    def __init__(self, base: _Kernel, modulus: tuple):
+        m = len(modulus) - 1
+        self.base, self.modulus = base, list(modulus)
+        self.p, self.k, self.q = base.p, base.k * m, base.q ** m
+        self.zero = (base.zero,) * m
+        self.one = (base.one,) + self.zero[1:]
+
+    def _add(self, a, b):
+        return tuple(map(self.base._add, a, b))
+
+    def _sub(self, a, b):
+        return tuple(map(self.base._sub, a, b))
+
+    def _mul(self, a, b):
+        B = self.base
+        r = B.rem(B.mul(B._trim(list(a)), B._trim(list(b))), self.modulus)
+        return tuple(r) + self.zero[len(r):]
+
+    def _inv(self, a):
+        return self._pow(a, self.q - 2)
+
+    def _from_int(self, i):
+        return (self.base._from_int(i),) + self.zero[1:]
 
 
 def _dtrim(f: list) -> list:
@@ -827,16 +756,6 @@ def _digit_divmod(f, g, p):
     return quo, _dtrim([x % p for x in r[:len(g) - 1]])
 
 
-def _kernel_of(field: Fq) -> _Kernel:
-    """The kernel of F_p or of a one-level extension F_p[w]/(m)."""
-    if field.base is None:
-        return _PrimeKernel(field.p)
-    if field.base.base is not None:
-        raise ValueError(f"{field!r} is a tower; factor works over the prime "
-                         "field and its one-level extensions")
-    return _CoordKernel(field.p, tuple(c.rep for c in field.modulus))
-
-
 def factor(field, f):
     """Full factorization: [(monic irreducible, multiplicity)], sorted by
     degree, then by the coefficient reps.
@@ -846,23 +765,22 @@ def factor(field, f):
     seed so test logs are reproducible; the result does not depend on it,
     since the factorization is unique.
     """
-    K = _kernel_of(field)
-    g = K.encode(f)
+    K = field.kernel
+    if isinstance(K, _TowerKernel):
+        raise ValueError(f"{field!r} is a tower; factor works over the prime "
+                         "field and its one-level extensions")
+    g = K._trim([c.rep for c in f])
     if not g:
         raise ZeroPolynomial("cannot factor the zero polynomial")
     rng = random.Random(0x5eed)
-    result = []
+    parts = []
     if len(g) > 1:
         for h, mult in K.squarefree(K.monic(g)):
             for part, d in K.distinct_degree(h):
-                for irr in K.equal_degree(part, d, rng):
-                    result.append((K.decode(field, irr), mult))
-    result.sort(key=lambda t: (poly_deg(t[0]), _poly_key(t[0])))
-    return result
-
-
-def _poly_key(f):
-    return tuple(_rep_key(c.rep) for c in f)
+                parts += [(irr, mult) for irr in K.equal_degree(part, d, rng)]
+    parts.sort(key=lambda t: (len(t[0]), t[0]))
+    return [(tuple(FqElement(field, a) for a in irr), mult)
+            for irr, mult in parts]
 
 
 def is_irreducible(field, f) -> bool:
@@ -884,9 +802,9 @@ def find_irreducible(p: int, k: int) -> tuple:
     degree of its smallest factor, usually early.  The steps run on the
     kernel of F_p."""
     K = _PrimeKernel(p)
-    w = [ZERO, K.one]
+    w = [K.zero, K.one]
     for tail in itertools.product(range(p), repeat=k):
-        f = [K._from_int(c) for c in tail] + [K.one]
+        f = list(tail) + [K.one]
         frob = w
         for _ in range(k // 2):
             frob = K.powmod(frob, p, f)
@@ -895,6 +813,7 @@ def find_irreducible(p: int, k: int) -> tuple:
         else:
             return tuple(tail) + (1,)
     raise AssertionError("unreachable: irreducible polynomials exist in every degree")
+
 
 def trace_to_base(elem: FqElement, base: Fq) -> FqElement:
     """Relative trace from elem's field down to `base` (a subfield)."""
@@ -922,9 +841,9 @@ def _project_to_base(elem: FqElement, base: Fq) -> FqElement:
     if field.base is None:
         raise ValueError(f"F_{base.order} is not a subfield of F_{field.p}")
     rep = elem.rep
-    if any(not c.is_zero() for c in rep[1:]):
+    if rep[1:] != field.kernel.zero[1:]:
         raise CheckFailed("element does not lie in the base field")
-    return _project_to_base(rep[0], base)
+    return _project_to_base(FqElement(field.base, rep[0]), base)
 
 
 # ---------------------------------------------------------------------------
@@ -939,9 +858,9 @@ def direction_key(d) -> tuple:
         return ("inf",)
     if isinstance(d, tuple):
         if poly_deg(d) > 1:
-            return ("orbit", _poly_key(d))
+            return ("orbit", tuple(c.rep for c in d))
         d = -d[0]
-    return ("pt", _rep_key(d.rep))
+    return ("pt", d.rep)
 
 
 @dataclass(frozen=True)

@@ -518,7 +518,7 @@ def _isolate_cluster(ctx: PrimeContext, g, c: FieldElement, floor: Fraction,
                 continue  # deeper roots, handled at higher v or the center
             if poly_deg(q) > 1:
                 need_k = ctx.k * poly_deg(q)
-                if budget is not None and (ctx.k != 1 or need_k > budget[1]):
+                if budget is not None and need_k > budget[1]:
                     handles.append(ClusterStub(
                         ctx, g, c, v, expected - placed_total - placed,
                         multiplicity))

@@ -150,7 +150,7 @@ def _zero_ray(f, s_lo, s_hi):
     """The ray {zeta(0, s) : s in [s_lo, s_hi]}, annotated as a skeleton ray."""
     ray = fx.ScaffoldRay(0, f.ctx.zero, Fraction(s_lo), Fraction(s_hi),
                          leaf_idx=None, to_infinity=False)
-    fx._annotate_ray(f, ray, fx.ExploreConfig(), [])
+    fx._annotate_ray(f, ray, fx.ExploreConfig(), [], {})
     return ray
 
 
@@ -339,3 +339,28 @@ def test_infinity_surplus_matches_the_flip():
             expected = _flip_surplus_reference(g)
             assert reduce_at(f, x).surplus.get(("inf",), 0) == expected
     assert constant["num"] > 0 and constant["den"] > 0, constant
+
+
+@pytest.mark.parametrize("p,n,k", [(2, 1, 1), (2, 2, 1), (2, 1, 2), (3, 1, 1),
+                                   (3, 2, 2), (5, 3, 1), (7, 1, 3)])
+def test_point_key_agrees_with_same_point(p, n, k):
+    # pairs of disks at one radius whose centers differ at valuation near
+    # it (above, at and below), negative radii included, and pairs at two
+    # radii; the key decides a shared breakpoint with one lookup
+    ctx = PrimeContext(p, n, k)
+    rng = random.Random(100 * p + 10 * n + k)
+
+    def element():
+        return ctx.element([[Fraction(rng.randint(-p ** 3, p ** 3),
+                                      p ** rng.randint(0, 2))
+                             for _ in range(n)] for _ in range(k)])
+    agreed = set()
+    for _ in range(400):
+        s = Fraction(rng.randint(-3 * n, 3 * n), n)
+        a = element()
+        b = a + element() * ctx.pi_pow(int(s * n) + rng.randint(-2, 2))
+        x = TypeIIPoint(a, s)
+        y = TypeIIPoint(b, s + rng.choice([0, 0, 0, Fraction(1, n)]))
+        assert (x.key() == y.key()) == x.same_point(y) == y.same_point(x)
+        agreed.add(x.same_point(y))
+    assert agreed == {True, False}

@@ -1,6 +1,7 @@
 """Finite-field layer: element arithmetic, polynomial factorization, and
 rational maps over residue fields."""
 
+import functools
 import itertools
 import random
 
@@ -8,7 +9,6 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from berklocus import residue
 from berklocus.errors import IdentityMap, MultiplierOne
 from berklocus.residue import (
     Fq,
@@ -51,6 +51,34 @@ def test_extension_field_and_frobenius():
     assert g.frobenius() != g
     assert g.frobenius().frobenius() == g
     assert ext.from_int(2).frobenius() == ext.from_int(2)
+
+
+@pytest.mark.parametrize("p,k", [(2, 1), (3, 1), (5, 1), (3, 2)])
+def test_inverse_of_zero_raises(p, k):
+    F = field_of(p, k)
+    with pytest.raises(ZeroDivisionError):
+        F.zero.inverse()
+    with pytest.raises(ZeroDivisionError):
+        F.one / F.zero
+
+
+def test_tower_arithmetic_over_f9():
+    # F_9 = F_3[x]/(x^2 + 1) and c = 1 + x: w^3 + (1 - c) w fixes 0, oo and
+    # the two roots of y^2 - c, which live in the tower F_9[y]/(y^2 - c)
+    F3 = Fq(3)
+    F9 = Fq(3, modulus=poly(F3, [1, 0, 1]), base=F3)
+    c = F9.one + F9.gen
+    f = FqRationalMap(F9, (F9.zero, F9.one - c, F9.zero, F9.one), (F9.one,))
+    (t,) = [t for t in f.fixed_points() if t.orbit_size == 2]
+    assert t.minpoly == (-c, F9.zero, F9.one)
+    x = t.location
+    assert x.rep == ((0, 0), (1, 0)) and t.multiplier.rep == ((0, 2), (0, 0))
+    assert x * x == t.field.embed(c)
+    assert f.holomorphic_index_check()
+    assert repr(x.inverse()) == "((0,0),(2,1))"
+    assert x * x.inverse() == t.field.one
+    assert repr(x.frobenius()) == "((0,0),(1,1))"
+    assert repr(trace_to_base(x, F9)) == "(0,0)"
 
 
 def test_elements_enumeration():
@@ -200,9 +228,7 @@ def field_of(p, k):
 
 
 def elem(F, digits):
-    if F.base is None:
-        return FqElement(F, digits[0])
-    return FqElement(F, tuple(FqElement(F.base, d) for d in digits))
+    return FqElement(F, digits[0] if F.base is None else tuple(digits))
 
 
 def random_poly(F, rng, deg):
@@ -238,7 +264,7 @@ def ben_or_irreducible(F, f):
 
 
 def rep_key(c):
-    return c.rep if c.field.base is None else tuple(d.rep for d in c.rep)
+    return c.rep
 
 
 def inputs(F, rng):
@@ -304,33 +330,56 @@ def test_factor_over_a_large_extension_field():
     assert (poly_monic(F, a), 2) in parts
 
 
+def schoolbook_mul(p, m, a, b):
+    """The product of two coordinate tuples over F_p[w]/(m), m monic: the
+    full product of the polynomials, from whose top term c w^t down c w^(t-k)
+    m is subtracted while t >= k."""
+    k = len(m) - 1
+    prod = [0] * (2 * k - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            prod[i + j] += x * y
+    for t in range(2 * k - 2, k - 1, -1):
+        c = prod[t]
+        for i in range(k + 1):
+            prod[t - k + i] -= c * m[i]
+    return tuple(c % p for c in prod[:k])
+
+
 @pytest.mark.parametrize("p,k", [(p, k) for p, k in FIELDS if k > 1])
 def test_kernel_arithmetic_matches_fq_elements(p, k):
+    """The kernel of F_p[w]/(m) and the FqElement operations, which are the
+    kernel's, against a schoolbook product reduced by the modulus."""
     F = field_of(p, k)
-    K = residue._kernel_of(F)
+    K = F.kernel
+    mul = functools.partial(schoolbook_mul, p, find_irreducible(p, k))
+    zero = (0,) * k
+    one, neg_one = (1,) + zero[1:], (p - 1,) + zero[1:]
+    assert (K.zero, K.one, K.neg_one) == (zero, one, neg_one)
+    assert (F.zero.rep, F.one.rep, (-F.one).rep) == (zero, one, neg_one)
+    assert K._from_int(p + 3) == F.from_int(3).rep == (3 % p,) + zero[1:]
     rng = random.Random(100 * p + k)
-    elems = [F.zero, F.one, -F.one, F.gen] + \
-        [elem(F, [rng.randrange(p) for _ in range(k)]) for _ in range(40)]
-    enc = [K._encode(a) for a in elems]
-    assert [K._decode(F, e) for e in enc] == elems
-    assert K._encode(F.one) == K.one and K._encode(-F.one) == K.neg_one
-    assert K._decode(F, K._from_int(p + 3)) == F.from_int(3)
-    for a, ea in zip(elems, enc):
-        if a.is_zero():
+    reps = [zero, one, neg_one, F.gen.rep] + \
+        [tuple(rng.randrange(p) for _ in range(k)) for _ in range(40)]
+    for a in reps:
+        if a == zero:
             continue
-        assert K._decode(F, K._inv(ea)) == a.inverse()
-        assert K._decode(F, K._pow(ea, p)) == a.frobenius()
-        for b, eb in zip(elems[:12], enc[:12]):
-            if not b.is_zero():
-                assert K._decode(F, K._mul(ea, eb)) == a * b
-        # out[i] += a * b, with sums that cancel to zero
-        terms = [(j, eb) for j, eb in enumerate(enc) if eb != residue.ZERO]
-        out = [K._encode(-(a * elems[j])) if j % 2 else ea
-               for j, _ in terms]
-        want = [elems[j] * a - a * elems[j] if j % 2 else a + a * elems[j]
-                for j, _ in terms]
-        K._axpy(out, 0, ea, [(n, eb) for n, (_, eb) in enumerate(terms)])
-        assert [K._decode(F, x) for x in out] == want
+        assert mul(a, K._inv(a)) == one
+        frob = one
+        for _ in range(p):
+            frob = mul(frob, a)
+        assert K._pow(a, p) == frob == FqElement(F, a).frobenius().rep
+        for b in reps[:12]:
+            assert K._mul(a, b) == mul(a, b) == (FqElement(F, a) *
+                                                 FqElement(F, b)).rep
+        # out[j] += a * b_j, with sums that cancel to zero at odd j
+        out = [tuple(-c % p for c in mul(a, b)) if j % 2 else a
+               for j, b in enumerate(reps)]
+        want = [zero if j % 2 else
+                tuple((x + y) % p for x, y in zip(a, mul(a, b)))
+                for j, b in enumerate(reps)]
+        K._axpy(out, 0, a, list(enumerate(reps)))
+        assert out == want
 
 
 def test_factor_over_a_tower_raises():

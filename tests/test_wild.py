@@ -19,6 +19,7 @@ from berklocus.berkmap import NOT_FIXED, TypeIIPoint, embed_map, reduce_at
 from berklocus.errors import NeedsExtension
 from berklocus.field import INF, NEG_INF
 from berklocus.oracle import brute_is_fixed
+from berklocus.roots import ClusterStub
 
 from conftest import mk, random_wild_map
 
@@ -123,3 +124,27 @@ def test_input_over_k_above_one_refuses_a_k_step():
     with pytest.raises(NeedsExtension) as exc:
         fx.analyze(mk(p, num, den, k=2), fx.ExploreConfig(n_max=64, k_max=6))
     assert exc.value.k == 6
+
+
+# map 49 of the same draw: a critical cluster whose residue direction needs
+# k = 4 in E(3, 4, 2)
+MAP_49 = (3, [2, 3, 7, -4, 8], [-8, 7, -7, -1, -6])
+
+
+def test_critical_cluster_is_stubbed_only_where_analyze_refuses():
+    config = fx.ExploreConfig(n_max=24, k_max=4)
+    # over Q_3 the retry takes the k step, and the cluster splits
+    a = fx.analyze(mk(*MAP_49), config)
+    assert (a.map.ctx.n, a.map.ctx.k) == (4, 4)
+    assert a.complete_rigorous
+    assert not any(isinstance(h, ClusterStub) for h in a.skeleton.aux_leaves)
+    assert fx.identification_check(a)
+    assert fx.multiplier_reciprocity_check(a)
+    for pt, local in a.skeleton.vertex_points:
+        assert brute_is_fixed(a.map, pt) == local.is_fixed, pt
+    # an input over k = 2 takes no k step: the cluster stays a stub
+    b = fx.analyze(mk(*MAP_49, k=2), config)
+    assert (b.map.ctx.n, b.map.ctx.k) == (4, 2)
+    assert b.complete_rigorous
+    assert [repr(h) for h in b.skeleton.aux_leaves
+            if isinstance(h, ClusterStub)] == ["cluster(~0, radius=0, count=4)"]
