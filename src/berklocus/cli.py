@@ -9,17 +9,20 @@ Subcommands operate on a map described by a small declarative input file:
     num = 0, 1, 1  # coefficients, constant term first, rationals allowed
     den = 1
 
-`analyze`, `tree`, `weights` and `verify` run `fixlocus.analyze` once per
-call; what they print, and every check `verify` makes, is read off that one
-analysis.  `reduce-at` and `tangent` reduce at one point.
+`main` reads the map file once and builds the one result its subcommand
+renders: `fixlocus.analyze` for `analyze`, `tree`, `weights` and `verify`
+(what they print, and every check `verify` makes, is read off that one
+analysis), and `reduce_at` at one point for `reduce-at` and `tangent`.  Each
+`cmd_*` function renders that result.  The map file and the file named by
+the `BERKLOCUS_CONFIG` environment variable (`n_max`, `k_max`) are read by
+one `key = value` reader.
 
 Exit codes: 0 success; 1 malformed input (including the identity map and a
 command-line usage error); 2 the exploration budget was not enough -- the
-computation needs a field extension beyond it, a ray has more breakpoints
-than the ray budget, or `analyze`, `weights` or `verify` printed a
-certificate that is not complete (weight total below degree - 1), after
-printing it; 3 internal error, or a failed `verify` check on a complete
-certificate.
+computation needs a field extension beyond `--n-max`/`--k-max`, or
+`analyze`, `weights` or `verify` printed a certificate that is not complete
+(weight total below degree - 1), after printing it; 3 internal error, or a
+failed `verify` check on a complete certificate.
 """
 
 from __future__ import annotations
@@ -31,11 +34,10 @@ import sys
 from fractions import Fraction
 
 from . import fixlocus as fx
-from .berkmap import TypeIIPoint, normalize, reduce_at
+from .berkmap import LocalData, TypeIIPoint, normalize, reduce_at
 from .errors import (
     BerklocusError,
     CheckFailed,
-    ExplorationIncomplete,
     IdentityMap,
     NeedsExtension,
     ParseError,
@@ -58,13 +60,15 @@ def _parse_rational(tok: str, line=None, field=None) -> Fraction:
                          line=line, field=field)
 
 
-def parse_map_file(path: str):
-    """Read a map description file; returns (PrimeContext, RationalMapK)."""
+def _read_entries(path: str, keys, what: str) -> dict:
+    """The `key = value` lines of the file at path, as {key: (value, line)};
+    text after `#` and blank lines are skipped, and a `-` in a key reads as
+    `_`.  A key outside `keys`, or given twice, is a ParseError."""
     try:
         with open(path) as fh:
             raw = fh.readlines()
     except OSError as e:
-        raise ParseError(f"cannot read {path}: {e.strerror}")
+        raise ParseError(f"cannot read {what} {path}: {e.strerror}")
     entries = {}
     for ln, text in enumerate(raw, start=1):
         text = text.split("#", 1)[0].strip()
@@ -73,24 +77,30 @@ def parse_map_file(path: str):
         if "=" not in text:
             raise ParseError("expected 'key = value'", line=ln)
         key, val = (part.strip() for part in text.split("=", 1))
-        if key not in ("p", "n", "k", "num", "den"):
-            raise ParseError(f"unknown key {key!r}", line=ln)
+        key = key.replace("-", "_")
+        if key not in keys:
+            raise ParseError(f"unknown {what} key {key!r}", line=ln)
         if key in entries:
-            raise ParseError(f"duplicate key {key!r}", line=ln)
+            raise ParseError(f"duplicate {what} key {key!r}", line=ln)
         entries[key] = (val, ln)
+    return entries
+
+
+def parse_map_file(path: str):
+    """Read a map description file; returns (PrimeContext, RationalMapK)."""
+    entries = _read_entries(path, ("p", "n", "k", "num", "den"), "map")
     for req in ("p", "num", "den"):
         if req not in entries:
             raise ParseError(f"missing required key {req!r}")
-    ints = {}
-    for key, default in (("p", None), ("n", 1), ("k", 1)):
-        if key not in entries:
-            ints[key] = default
-            continue
-        val, ln = entries[key]
-        try:
-            ints[key] = int(val)
-        except ValueError:
-            raise ParseError(f"not an integer: {val!r}", line=ln, field=key)
+    ints = {"n": 1, "k": 1}
+    for key in ("p", "n", "k"):
+        if key in entries:
+            val, ln = entries[key]
+            try:
+                ints[key] = int(val)
+            except ValueError:
+                raise ParseError(f"not an integer: {val!r}", line=ln,
+                                 field=key)
     try:
         ctx = PrimeContext(ints["p"], ints["n"], ints["k"])
     except ValueError as e:
@@ -108,38 +118,22 @@ def parse_map_file(path: str):
         raise ParseError(str(e))
 
 
-def _load_env_config(config: fx.ExploreConfig):
-    path = os.environ.get("BERKLOCUS_CONFIG")
-    if not path:
-        return config
-    try:
-        with open(path) as fh:
-            raw = fh.readlines()
-    except OSError as e:
-        raise ParseError(f"cannot read config {path}: {e.strerror}")
-    for ln, text in enumerate(raw, start=1):
-        text = text.split("#", 1)[0].strip()
-        if not text:
-            continue
-        if "=" not in text:
-            raise ParseError("expected 'key = value'", line=ln)
-        key, val = (part.strip() for part in text.split("=", 1))
-        key = key.replace("-", "_")
-        if key not in ("n_max", "k_max", "ray_budget"):
-            raise ParseError(f"unknown config key {key!r}", line=ln)
-        try:
-            setattr(config, key, int(val, 0))
-        except ValueError:
-            raise ParseError(f"not an integer: {val!r}", line=ln, field=key)
-    return config
-
-
 def _config_from_args(args) -> fx.ExploreConfig:
-    config = _load_env_config(fx.ExploreConfig())
-    for attr in ("n_max", "k_max", "ray_budget"):
-        v = getattr(args, attr, None)
-        if v is not None:
-            setattr(config, attr, v)
+    """The budget: the defaults, then the `BERKLOCUS_CONFIG` file, then the
+    command line."""
+    config = fx.ExploreConfig()
+    path = os.environ.get("BERKLOCUS_CONFIG")
+    if path:
+        for key, (val, ln) in _read_entries(path, ("n_max", "k_max"),
+                                            "config").items():
+            try:
+                setattr(config, key, int(val, 0))
+            except ValueError:
+                raise ParseError(f"not an integer: {val!r}", line=ln,
+                                 field=key)
+    for key in ("n_max", "k_max"):
+        if getattr(args, key) is not None:
+            setattr(config, key, getattr(args, key))
     return config
 
 
@@ -208,9 +202,14 @@ def _component_dict(c) -> dict:
     }
 
 
+def _dump(out, **doc):
+    """Write one JSON document of the report schema."""
+    json.dump({"schema": SCHEMA, **doc}, out, indent=2)
+    out.write("\n")
+
+
 def _analysis_dict(a: fx.Analysis) -> dict:
     return {
-        "schema": SCHEMA,
         "map": repr(a.map),
         "field": {"p": a.map.ctx.p, "n": a.map.ctx.n, "k": a.map.ctx.k},
         "degree": a.map.degree,
@@ -257,15 +256,13 @@ def _print_analysis_text(a: fx.Analysis, out):
 
 
 # ---------------------------------------------------------------------------
-# Subcommands
+# Subcommands: each renders the one result `main` built, `(result, args,
+# out) -> exit code`
 # ---------------------------------------------------------------------------
 
-def cmd_analyze(args, out) -> int:
-    _, f = parse_map_file(args.input)
-    a = fx.analyze(f, _config_from_args(args))
+def cmd_analyze(a: fx.Analysis, args, out) -> int:
     if args.format == "json":
-        json.dump(_analysis_dict(a), out, indent=2)
-        out.write("\n")
+        _dump(out, **_analysis_dict(a))
     else:
         _print_analysis_text(a, out)
     return 0 if a.complete_rigorous else 2
@@ -277,13 +274,9 @@ def _point_from_args(ctx, args) -> TypeIIPoint:
     return TypeIIPoint(center, s)
 
 
-def cmd_reduce_at(args, out) -> int:
-    ctx, f = parse_map_file(args.input)
-    local = reduce_at(f, _point_from_args(ctx, args))
+def cmd_reduce_at(local: LocalData, args, out) -> int:
     if args.format == "json":
-        json.dump({"schema": SCHEMA, "local": _local_dict(local)}, out,
-                  indent=2)
-        out.write("\n")
+        _dump(out, local=_local_dict(local))
     else:
         print(f"point: {local.point!r}", file=out)
         print(f"fixed: {'yes' if local.is_fixed else 'no'}   class: "
@@ -307,9 +300,7 @@ def _print_directions(local, out):
               f"{'  (critical)' if t.critically_fixed else ''}", file=out)
 
 
-def cmd_tangent(args, out) -> int:
-    ctx, f = parse_map_file(args.input)
-    local = reduce_at(f, _point_from_args(ctx, args))
+def cmd_tangent(local: LocalData, args, out) -> int:
     if not local.is_fixed:
         print("point is not fixed; no tangent fixed directions", file=out)
         return 0
@@ -320,11 +311,10 @@ def cmd_tangent(args, out) -> int:
     return 0
 
 
-def _tree_data(f, config):
+def _tree_data(skeleton: fx.SkeletonGraph):
     """Nodes keyed by breakpoint id (`bp.cid`) or `leaf<i>`, and the edges
     between consecutive breakpoints of each ray (sorted by s, and distinct
     points, since a ray has one center)."""
-    skeleton = fx.analyze(f, config).skeleton
     nodes = {}
     for cid, (pt, local) in enumerate(skeleton.vertex_points):
         nodes[cid] = {"point": _point_dict(pt), "fixed": local.is_fixed,
@@ -344,21 +334,17 @@ def _tree_data(f, config):
                           _s_str(bps[-1].s), "+inf", None))
             nodes[f"leaf{ray.leaf_idx}"] = {"leaf": leaf.describe(),
                                             "class": leaf.klass}
-    return skeleton, nodes, edges
+    return nodes, edges
 
 
-def cmd_tree(args, out) -> int:
-    _, f = parse_map_file(args.input)
-    config = _config_from_args(args)
-    skeleton, nodes, edges = _tree_data(f, config)
+def cmd_tree(analysis: fx.Analysis, args, out) -> int:
+    skeleton = analysis.skeleton
+    nodes, edges = _tree_data(skeleton)
     if args.format == "json":
-        json.dump({"schema": SCHEMA,
-                   "nodes": {str(k): v for k, v in nodes.items()},
-                   "edges": [{"from": str(a), "to": str(b), "s_from": lo,
-                              "s_to": hi, "behavior": bh}
-                             for a, b, lo, hi, bh in edges]},
-                  out, indent=2)
-        out.write("\n")
+        _dump(out, nodes={str(k): v for k, v in nodes.items()},
+              edges=[{"from": str(a), "to": str(b), "s_from": lo,
+                      "s_to": hi, "behavior": bh}
+                     for a, b, lo, hi, bh in edges])
     elif args.format == "dot":
         print("graph fixlocus {", file=out)
         print('  node [shape=ellipse];', file=out)
@@ -393,17 +379,12 @@ def cmd_tree(args, out) -> int:
     return 0
 
 
-def cmd_weights(args, out) -> int:
-    _, f = parse_map_file(args.input)
-    a = fx.analyze(f, _config_from_args(args))
+def cmd_weights(a: fx.Analysis, args, out) -> int:
     if args.format == "json":
-        json.dump({"schema": SCHEMA,
-                   "weights": [{"point": _point_dict(cp.point),
-                                "weight": cp.weight, "fixed": cp.fixed}
-                               for cp in a.crucial_points],
-                   "total": a.weight_total,
-                   "degree": a.map.degree}, out, indent=2)
-        out.write("\n")
+        _dump(out, weights=[{"point": _point_dict(cp.point),
+                             "weight": cp.weight, "fixed": cp.fixed}
+                            for cp in a.crucial_points],
+              total=a.weight_total, degree=a.map.degree)
     else:
         for cp in a.crucial_points:
             print(f"  {cp.point!r}  weight {cp.weight}", file=out)
@@ -412,39 +393,44 @@ def cmd_weights(args, out) -> int:
     return 0 if a.complete_rigorous else 2
 
 
-def cmd_verify(args, out) -> int:
-    _, f = parse_map_file(args.input)
-    a = fx.analyze(f, _config_from_args(args))
-    checks = []
-    checks.append(("weight formula (total == degree - 1)",
-                   a.weight_total == f.degree - 1))
+def _passes(check, arg, verdict=True) -> bool:
+    """Whether check(arg) passes: False when it raises CheckFailed, else its
+    bool result, or True for a check whose result is not a verdict (a
+    count, or whether the locus is connected) and which fails by raising."""
+    try:
+        result = check(arg)
+    except CheckFailed:
+        return False
+    return result if verdict else True
+
+
+def cmd_verify(a: fx.Analysis, args, out) -> int:
+    d = a.map.degree
+    checks = [("weight formula (total == degree - 1)",
+               a.weight_total == d - 1)]
     for i, c in enumerate(a.components):
         if c.kind != fx.KIND_CLASSICAL:
-            try:
-                fx.theorem_a_count(c)
-                checks.append((f"component {i} counting formula", True))
-            except CheckFailed:
-                checks.append((f"component {i} counting formula", False))
+            checks.append((f"component {i} counting formula",
+                           _passes(fx.theorem_a_count, c, verdict=False)))
         if c.kind == fx.KIND_HYPERBOLIC:
             checks.append((f"component {i} hyperbolic structure",
                            fx.hyperbolic_checks(c)))
         if c.kind == fx.KIND_INDIFFERENT:
             checks.append((f"component {i} indifferent structure",
                            fx.indifferent_checks(c)))
-    if f.degree >= 2:
-        try:
-            fx.connectedness_check(a)
-            checks.append(("connectedness criterion", True))
-        except CheckFailed:
-            checks.append(("connectedness criterion", False))
+    if d >= 2:
+        checks.append(("connectedness criterion",
+                       _passes(fx.connectedness_check, a, verdict=False)))
         checks.append(("repelling-vertex sum rule", fx.alpha_sum_check(a)))
-    ok = True
+    checks.append(("multiplier reciprocity along fixed segments",
+                   _passes(fx.multiplier_reciprocity_check, a)))
+    checks.append(("identification of classical points by direction",
+                   _passes(fx.identification_check, a)))
     for name, passed in checks:
         print(f"[{'ok' if passed else 'FAIL'}] {name}", file=out)
-        ok = ok and passed
     if not a.complete_rigorous:
         return 2
-    return 0 if ok else 3
+    return 0 if all(passed for _, passed in checks) else 3
 
 
 # ---------------------------------------------------------------------------
@@ -460,69 +446,60 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
+# name -> (renderer, help, --format choices or None, reads a disk point);
+# a subcommand at a disk point renders `reduce_at` there, any other one
+# renders `fixlocus.analyze`
+SUBCOMMANDS = {
+    "analyze": (cmd_analyze, "full fixed-locus certificate",
+                ("text", "json"), False),
+    "reduce-at": (cmd_reduce_at, "local data at one disk point",
+                  ("text", "json"), True),
+    "tangent": (cmd_tangent, "tangent-map fixed directions", None, True),
+    "tree": (cmd_tree, "annotated skeleton of the fixed locus",
+             ("text", "json", "dot"), False),
+    "weights": (cmd_weights, "crucial points and their weights",
+                ("text", "json"), False),
+    "verify": (cmd_verify, "run the global structure checks", None, False),
+}
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="berklocus",
         description="Exact fixed-locus certificates for rational maps over "
                     "p-adic fields on the Berkovich projective line.")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(sp, point=False):
+    for name, (render, help_, formats, at_point) in SUBCOMMANDS.items():
+        sp = sub.add_parser(name, help=help_)
         sp.add_argument("--input", required=True, help="map description file")
         sp.add_argument("--n-max", type=int, dest="n_max")
         sp.add_argument("--k-max", type=int, dest="k_max")
-        sp.add_argument("--ray-budget", type=int, dest="ray_budget")
-        if point:
+        if at_point:
             sp.add_argument("--center", required=True,
                             help="rational center of the disk point")
             sp.add_argument("--s", required=True,
                             help="rational radius parameter (radius p^-s)")
-
-    sp = sub.add_parser("analyze", help="full fixed-locus certificate")
-    common(sp)
-    sp.add_argument("--format", choices=("text", "json"), default="text")
-    sp.set_defaults(func=cmd_analyze)
-
-    sp = sub.add_parser("reduce-at", help="local data at one disk point")
-    common(sp, point=True)
-    sp.add_argument("--format", choices=("text", "json"), default="text")
-    sp.set_defaults(func=cmd_reduce_at)
-
-    sp = sub.add_parser("tangent", help="tangent-map fixed directions")
-    common(sp, point=True)
-    sp.set_defaults(func=cmd_tangent)
-
-    sp = sub.add_parser("tree", help="annotated skeleton of the fixed locus")
-    common(sp)
-    sp.add_argument("--format", choices=("text", "json", "dot"),
-                    default="text")
-    sp.set_defaults(func=cmd_tree)
-
-    sp = sub.add_parser("weights", help="crucial points and their weights")
-    common(sp)
-    sp.add_argument("--format", choices=("text", "json"), default="text")
-    sp.set_defaults(func=cmd_weights)
-
-    sp = sub.add_parser("verify", help="run the global structure checks")
-    common(sp)
-    sp.set_defaults(func=cmd_verify)
+        if formats:
+            sp.add_argument("--format", choices=formats, default=formats[0])
+        sp.set_defaults(render=render, at_point=at_point)
     return parser
 
 
 def main(argv=None, out=None) -> int:
     out = out or sys.stdout
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
-        return args.func(args, out)
-    except ParseError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
+        ctx, f = parse_map_file(args.input)
+        if args.at_point:
+            result = reduce_at(f, _point_from_args(ctx, args))
+        else:
+            result = fx.analyze(f, _config_from_args(args))
+        return args.render(result, args, out)
     except IdentityMap:
         print("error: the identity map fixes the whole line; "
               "there is nothing to analyze", file=sys.stderr)
         return 1
-    except (NeedsExtension, ExplorationIncomplete) as e:
+    except NeedsExtension as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     except CheckFailed as e:  # an exactness check of the engine failed
@@ -531,7 +508,7 @@ def main(argv=None, out=None) -> int:
     except BerklocusError as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
-    except Exception as e:  # internal bug, including AssertionError
+    except Exception as e:  # an internal bug
         print(f"internal error: {e!r}", file=sys.stderr)
         return 3
 

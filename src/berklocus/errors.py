@@ -3,12 +3,14 @@
 Every error that a caller may want to branch on gets its own class; anything
 raised from here signals a *usage* or *capability* problem, never a bug in the
 arithmetic.  CheckFailed is the one exception: a certificate check raises it
-when the computed structure contradicts a theorem, and an exactness or
-counting check (of the field arithmetic, the rational root split, root
-isolation or the tangent map's fixed points) when a result fails its
-cross-check.  An argument guard raises ValueError or TypeError.  The package
-holds no `assert` statement, so every check still runs under `python -O`.
-The CLI exits 3 on CheckFailed.
+when the computed structure contradicts a theorem, an exactness or counting
+check (of the field arithmetic, the rational root split, root isolation or
+the tangent map's fixed points) when a result fails its cross-check, and a
+search or refinement loop that must end (`roots.RootHandle.ensure`,
+`residue.find_irreducible`) when it does not.  An argument guard raises
+ValueError or TypeError.  The package holds no `assert` statement and raises
+no AssertionError, so every check still runs under `python -O`.  The CLI
+exits 3 on CheckFailed.
 """
 
 
@@ -63,10 +65,6 @@ class NeedsExtension(BerklocusError):
         if detail:
             parts.append(detail)
         super().__init__("requires field extension: " + ", ".join(parts))
-
-
-class ExplorationIncomplete(BerklocusError):
-    """Exploration exceeded its configured budget; results are partial."""
 
 
 class CheckFailed(BerklocusError):

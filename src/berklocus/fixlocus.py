@@ -61,7 +61,6 @@ from .berkmap import (
 from .errors import (
     CheckFailed,
     ClassicalComponent,
-    ExplorationIncomplete,
     IdentityMap,
     NeedsExtension,
     NoTotallyRamifiedFixedPoint,
@@ -77,7 +76,6 @@ from .residue import (
     poly_deg,
     poly_deriv,
     poly_divmod,
-    poly_eval,
     poly_gcd,
     poly_sub,
 )
@@ -97,7 +95,6 @@ KIND_HYPERBOLIC = "hyperbolic"
 class ExploreConfig:
     n_max: int = 6
     k_max: int = 3
-    ray_budget: int = 64
 
 
 @dataclass
@@ -162,7 +159,12 @@ def classical_fixed_points(f: RationalMapK) -> List[ClassicalFixedPoint]:
                 out.append(_finite_entry(f, h, m, N, D))
     inf_m = f.infinity_multiplicity()
     if inf_m:
-        out.append(_infinity_entry(f, inf_m))
+        # infinity is the fixed point 0 of the flipped map 1/f(1/z)
+        g = f.flip()
+        at_zero = RootHandle(ctx, (ctx.zero, ctx.one), ctx.zero, INF)
+        out.append(replace(_finite_entry(g, at_zero, inf_m,
+                                         *g.multiplier_polys()),
+                           value=INF_POINT))
     total = sum(cp.multiplicity for cp in out)
     if total != f.degree + 1:
         raise CheckFailed(f"classical fixed points total {total}, expected "
@@ -172,9 +174,10 @@ def classical_fixed_points(f: RationalMapK) -> List[ClassicalFixedPoint]:
 
 def _finite_entry(f: RationalMapK, h: RootHandle, mult, N,
                   D) -> ClassicalFixedPoint:
-    """The fixed point held by h, with its multiplier N/D at the root.  A
-    handle that is not exact reads N(c + t) = a'b - ab' and D(c + t) = b^2
-    off its one expansion a = num(c + t), b = den(c + t) at its center c
+    """The fixed point held by h, with its multiplier N/D at the root; the
+    point at infinity is the exact root 0 of f.flip().  A handle that is
+    not exact reads N(c + t) = a'b - ab' and D(c + t) = b^2 off its one
+    expansion a = num(c + t), b = den(c + t) at its center c
     (`_multiplier_expansion`), instead of shifting N and D themselves."""
     ctx = f.ctx
     F = ctx.residue_field
@@ -220,23 +223,6 @@ def _multiplier_expansion(f: RationalMapK, h: RootHandle, which: int):
                 parts.append((k - l, a[k], b[l]))
         coeffs.append(parts)
     return coeffs
-
-
-def _infinity_entry(f: RationalMapK, mult) -> ClassicalFixedPoint:
-    ctx = f.ctx
-    F = ctx.residue_field
-    if mult >= 2:
-        return ClassicalFixedPoint(INF_POINT, mult, Fraction(0), F.one,
-                                   INDIFFERENT)
-    N, D = f.flip().multiplier_polys()
-    nv = poly_eval(ctx, N, ctx.zero)
-    dv = poly_eval(ctx, D, ctx.zero)
-    if nv.is_zero():
-        return ClassicalFixedPoint(INF_POINT, mult, INF, None, ATTRACTING)
-    v = nv.val() - dv.val()
-    res = (nv.unit_residue() / dv.unit_residue()) if v == 0 else None
-    klass = ATTRACTING if v > 0 else (REPELLING_CLASS if v < 0 else INDIFFERENT)
-    return ClassicalFixedPoint(INF_POINT, mult, v, res, klass)
 
 
 # ---------------------------------------------------------------------------
@@ -375,7 +361,7 @@ def _ray_lines_at(f: RationalMapK, anchor):
     return bk._ray_lines(f, a)
 
 
-def _annotate_ray(f: RationalMapK, ray: ScaffoldRay, config: ExploreConfig,
+def _annotate_ray(f: RationalMapK, ray: ScaffoldRay,
                   vertex_points: List[Tuple[TypeIIPoint, LocalData]],
                   cids: Dict[tuple, int]):
     """Decompose the ray into segments and breakpoints: the one path from
@@ -394,10 +380,6 @@ def _annotate_ray(f: RationalMapK, ray: ScaffoldRay, config: ExploreConfig,
         max_s = max(max_s, max(breaks))
     center = ray.center_elem(max_s + 1)
     ray.segments = [RaySegment(center, *seg) for seg in segments]
-    if len(breaks) > config.ray_budget:
-        raise ExplorationIncomplete(
-            f"ray at {center!r} has {len(breaks)} breakpoints "
-            f"(budget {config.ray_budget})")
     ray.breakpoints = []
     for s in breaks:
         if (s * ctx.n).denominator != 1:
@@ -519,7 +501,7 @@ def gamma_fix(f: RationalMapK,
     vertex_points: List[Tuple[TypeIIPoint, LocalData]] = []
     cids: Dict[tuple, int] = {}
     for ray in rays:
-        _annotate_ray(f, ray, config, vertex_points, cids)
+        _annotate_ray(f, ray, vertex_points, cids)
     return SkeletonGraph(leaves=leaves, aux_leaves=aux, rays=rays,
                          vertex_points=vertex_points)
 

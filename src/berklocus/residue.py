@@ -812,7 +812,7 @@ def find_irreducible(p: int, k: int) -> tuple:
                 break
         else:
             return tuple(tail) + (1,)
-    raise AssertionError("unreachable: irreducible polynomials exist in every degree")
+    raise CheckFailed(f"no monic irreducible of degree {k} mod {p} found")
 
 
 def trace_to_base(elem: FqElement, base: Fq) -> FqElement:

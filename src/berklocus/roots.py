@@ -151,7 +151,7 @@ class RootHandle:
             if self.prec is INF or self.prec > target:
                 return
             self.refine()
-        raise AssertionError("refinement did not reach the requested precision")
+        raise CheckFailed("refinement did not reach the requested precision")
 
     # -- exact queries ----------------------------------------------------
 
@@ -169,7 +169,7 @@ class RootHandle:
                 other.refine()
             else:
                 self.refine()
-        raise AssertionError("distance computation did not stabilize")
+        raise CheckFailed("distance computation did not stabilize")
 
     def distance_to_point(self, c: FieldElement) -> Fraction:
         """val(root - c) for a working-field element c != root."""
@@ -180,7 +180,7 @@ class RootHandle:
             if self.is_exact:
                 return d  # c == center would have given INF; handled by caller
             self.refine()
-        raise AssertionError("distance to point did not stabilize")
+        raise CheckFailed("distance to point did not stabilize")
 
     def expansion(self, num, den):
         """(a, b, e) at the current center c: the coefficient tuples of
@@ -235,7 +235,7 @@ class RootHandle:
             if step == 0 and self._vanishes(build()):
                 return None
             self.refine()
-        raise AssertionError("value at root did not stabilize")
+        raise CheckFailed("value at root did not stabilize")
 
     def _sum(self, parts) -> FieldElement:
         total = None

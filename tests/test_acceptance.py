@@ -83,6 +83,9 @@ def test_criterion_1_weight_formula(fixture_analyses, random_batch, expected):
         assert a.weight_total == expected[name]["degree"] - 1, name
         assert sum(cp.weight for cp in a.crucial_points) == a.weight_total
         assert all(cp.weight > 0 for cp in a.crucial_points), name
+        # no ray breaks more than degree + 3 times (tests/test_wild.py)
+        assert all(len(ray.breakpoints) <= f.degree + 3
+                   for ray in a.skeleton.rays), name
     for f, a in random_batch:
         assert a.weight_total == f.degree - 1, repr(f)
         assert a.complete_rigorous, repr(f)

@@ -150,7 +150,7 @@ def _zero_ray(f, s_lo, s_hi):
     """The ray {zeta(0, s) : s in [s_lo, s_hi]}, annotated as a skeleton ray."""
     ray = fx.ScaffoldRay(0, f.ctx.zero, Fraction(s_lo), Fraction(s_hi),
                          leaf_idx=None, to_infinity=False)
-    fx._annotate_ray(f, ray, fx.ExploreConfig(), [], {})
+    fx._annotate_ray(f, ray, [], {})
     return ray
 
 

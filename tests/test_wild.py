@@ -84,6 +84,11 @@ def test_certified_maps_check_against_oracle(outcomes):
         assert a.weight_total == f.degree - 1, i
         assert fx.identification_check(a), i
         assert fx.multiplier_reciprocity_check(a), i
+        # a ray's valuation lines have slopes in {0, ..., d + 1}: along the
+        # concave lower envelope the support changes at most d + 1 times,
+        # and with the ray's two ends it has at most d + 3 breakpoints
+        assert all(len(ray.breakpoints) <= f.degree + 3
+                   for ray in a.skeleton.rays), i
         for comp in a.components:
             if comp.kind != fx.KIND_CLASSICAL:
                 held = sum(cp.multiplicity for cp in comp.classical_points)
