@@ -8,9 +8,10 @@ flat tuple of n * k ints over one positive common denominator.  A product is
 an integer convolution reduced by the integer minimal polynomial of x, and an
 inverse solves the integer multiplication matrix by fraction-free (Bareiss)
 elimination, so every operation normalises by a single gcd instead of one per
-coefficient.  The valuation is an exact rational in (1/n)*Z.  Nothing here is
-approximate, and the exactness checks raise CheckFailed, so they still run
-under `python -O`.
+coefficient.  The valuation is an exact rational in (1/n)*Z, read off the
+coefficients and cross-checked against the norm by a gcd mod p on the prime
+field's kernel in `residue`.  Nothing here is approximate, and the
+exactness checks raise CheckFailed, so they still run under `python -O`.
 """
 
 from __future__ import annotations
@@ -366,24 +367,19 @@ class FieldElement:
         """Valuation of an integral element a of the unramified part: the
         minimum v of its coefficients' valuations, since the monomial basis is
         integral.  Cross-checked against the norm, mod p: v_p(Norm(a)) = k v
-        iff Norm(a / p^v) is a p-unit, i.e. iff the multiplication matrix of
-        a / p^v has a nonzero determinant mod p."""
+        iff Norm(a / p^v) is a p-unit, i.e. iff a / p^v mod p is a unit of
+        F_p[x]/(m), m the minimal polynomial of x mod p: iff its gcd with m
+        is 1, on the kernel of F_p."""
         ctx = self.ctx
         p = ctx.p
         vals = [_vp(c, p) if c else None for c in unram_nums]
         v = min(vc for vc in vals if vc is not None)
         if ctx.k == 1:
             return v
-        # a / p^v mod p in the x-power basis, times x^0, ..., x^(k-1)
-        mp = ctx.unram_min_poly
-        col = [c // p ** v % p if vc == v else 0
-               for c, vc in zip(unram_nums, vals)]
-        cols = []
-        for _ in range(ctx.k):
-            cols.append(col)
-            lead = col[-1]
-            col = [(c - lead * m) % p for c, m in zip([0] + col[:-1], mp)]
-        if _det_mod_p(cols, p) == 0:
+        K = ctx.residue_field.base.kernel
+        a = K._trim([c // p ** v % p if vc == v else 0
+                     for c, vc in zip(unram_nums, vals)])
+        if len(K.gcd(a, [c % p for c in ctx.unram_min_poly])) != 1:
             raise CheckFailed("norm valuation disagrees with integral-basis "
                               "minimum")
         return v
@@ -534,25 +530,3 @@ def _bareiss_solve(m):
         s = prev * m[r][size] - sum(m[r][c] * xs[c] for c in range(r + 1, size))
         xs[r] = _exact_div(s, m[r][r])
     return xs, prev
-
-
-def _det_mod_p(rows, p: int) -> int:
-    """Determinant mod p of a square int matrix, by Gaussian elimination."""
-    m = [list(r) for r in rows]
-    size = len(m)
-    det = 1
-    for col in range(size):
-        pivot = next((r for r in range(col, size) if m[r][col] % p), None)
-        if pivot is None:
-            return 0
-        if pivot != col:
-            m[col], m[pivot] = m[pivot], m[col]
-            det = -det
-        det = det * m[col][col] % p
-        inv = pow(m[col][col], -1, p)
-        for r in range(col + 1, size):
-            f = m[r][col] * inv % p
-            if f:
-                for c in range(col, size):
-                    m[r][c] = (m[r][c] - f * m[col][c]) % p
-    return det % p

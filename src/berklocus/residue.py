@@ -25,11 +25,15 @@ factorization (`factor`, Cantor-Zassenhaus) and the Ben-Or steps of
   and a product is the base kernel's polynomial product reduced by the
   modulus.
 
-Zero is 0 or the tuple of zeros.  `factor` accepts the prime field and its
-one-level extensions, which is what every `PrimeContext.residue_field` is;
-over a tower it raises ValueError.  The kernel stores nothing per field
-element, so its cost does not depend on the size of the field, and it
-serves every p^k.
+Zero is 0 or the tuple of zeros.  Every computation modulo a polynomial
+over a field runs on that field's kernel: an inverse in F[w]/(m) is the
+extended Euclid of F's kernel modulo m (`_Kernel.inverse_mod`), which
+raises CheckFailed on a zero divisor when m is reducible, and the unit test
+behind a valuation of `field` is the gcd of F_p's kernel.  `factor`
+accepts the prime field and its one-level extensions, which is what every
+`PrimeContext.residue_field` is; over a tower it raises ValueError.  The
+kernel stores nothing per field element, so its cost does not depend on the
+size of the field, and it serves every p^k.
 """
 
 from __future__ import annotations
@@ -78,7 +82,9 @@ class Fq:
     Its `kernel` does all the arithmetic of its elements, and an element's
     rep is the kernel's encoding: an int in [0, p) over F_p, the tuple of
     its k coordinates over F_p[w]/(m), and over a tower the tuple of its
-    base reps.
+    base reps.  A reducible modulus is not refused, since testing it costs
+    a factorization; in the ring it defines, the inverse of a zero divisor
+    raises CheckFailed.
     """
 
     def __init__(self, p: int, modulus=None, base: Optional["Fq"] = None):
@@ -420,10 +426,21 @@ class _Kernel:
     lists of encodings, low degree first, with no trailing zero.
 
     A subclass fixes the encoding: its attributes p, k, q, zero, one and
-    neg_one; the element operations `_add`, `_sub`, `_mul`, `_inv` (of a
-    nonzero element) and `_from_int` (the image of an int); and, for
-    factorization, `_random` and the fused `_axpy(out, off, c, terms)`:
-    out[off + j] += c * b for every (j, b) in terms, in place."""
+    neg_one, and the element operations `_add`, `_sub` and `_mul`.  The
+    prime field defines `_inv` (of a nonzero element) and `_from_int` (the
+    image of an int) itself; an extension F[w]/(m) names instead `base`,
+    the kernel of F, and `modulus`, the base encodings of m, low degree
+    first, and inherits both: an inverse is the base kernel's
+    `inverse_mod` modulo m.  For factorization a subclass adds `_random`
+    and the fused `_axpy(out, off, c, terms)`: out[off + j] += c * b for
+    every (j, b) in terms, in place."""
+
+    def _inv(self, a):
+        r = self.base.inverse_mod(a, self.modulus)
+        return tuple(r) + self.zero[len(r):]
+
+    def _from_int(self, i):
+        return (self.base._from_int(i),) + self.zero[1:]
 
     def _pow(self, a, e: int):
         result = self.one
@@ -495,6 +512,23 @@ class _Kernel:
         while g:
             f, g = g, self.rem(f, g)
         return self.monic(f)
+
+    def inverse_mod(self, a, m) -> list:
+        """The inverse of a modulo m, of degree below that of m, by the
+        extended Euclidean algorithm: r_i = s_i a (mod m) at every step.
+        Raises CheckFailed when gcd(a, m) != 1, as for a zero divisor of a
+        reducible modulus."""
+        r0, r1 = list(m), self._trim(list(a))
+        s0, s1 = [], [self.one]
+        while len(r1) > 1:
+            quo, rem = self.divmod(r0, r1)
+            r0, r1 = r1, rem
+            s0, s1 = s1, self.sub(s0, self.mul(quo, s1))
+        if not r1:
+            raise CheckFailed(f"{a} is not a unit modulo {m}: they share "
+                              f"the factor {self.monic(r0)}")
+        c = self._inv(r1[0])
+        return [self._mul(x, c) for x in s1]
 
     def powmod(self, a, e: int, m) -> list:
         result = [self.one]
@@ -630,7 +664,7 @@ class _CoordKernel(_Kernel):
     def __init__(self, p: int, modulus: tuple):
         k = len(modulus) - 1
         self.p, self.k, self.q = p, k, p ** k
-        self.modulus = modulus
+        self.base, self.modulus = _PrimeKernel(p), modulus
         self.zero = (0,) * k
         self.one = (1,) + self.zero[1:]
         self.neg_one = (p - 1,) + self.zero[1:]
@@ -671,25 +705,6 @@ class _CoordKernel(_Kernel):
                     prod[t - k + i] -= m[i] * c
         return tuple(c % p for c in prod[:k])
 
-    def _inv(self, a):
-        """Extended Euclid on (modulus, a) over F_p."""
-        p = self.p
-        r0, r1 = list(self.modulus), _dtrim(list(a))
-        s0, s1 = [], [1]
-        while len(r1) > 1:
-            quo, rem = _digit_divmod(r0, r1, p)
-            s = s0 + [0] * (len(quo) + len(s1) - 1 - len(s0))
-            for i, x in enumerate(quo):
-                for j, y in enumerate(s1):
-                    s[i + j] -= x * y
-            r0, r1 = r1, rem
-            s0, s1 = s1, _dtrim([x % p for x in s])
-        c = pow(r1[0], -1, p)
-        return tuple([x * c % p for x in s1] + [0] * (self.k - len(s1)))
-
-    def _from_int(self, i):
-        return (i % self.p,) + self.zero[1:]
-
     def _random(self, rng):
         return tuple(rng.randrange(self.p) for _ in range(self.k))
 
@@ -706,9 +721,8 @@ class _TowerKernel(_Kernel):
     """An extension of degree m of a proper extension F_{q0}, whose kernel
     is `base`, by a monic irreducible `modulus` given by its base encodings:
     an element is the tuple of its m coordinates, each a base encoding.  A
-    product is the base kernel's polynomial product reduced by the modulus,
-    and an inverse is a^(q - 2).  Only the element operations: `factor`
-    does not run over a tower."""
+    product is the base kernel's polynomial product reduced by the modulus.
+    Only the element operations: `factor` does not run over a tower."""
 
     def __init__(self, base: _Kernel, modulus: tuple):
         m = len(modulus) - 1
@@ -727,33 +741,6 @@ class _TowerKernel(_Kernel):
         B = self.base
         r = B.rem(B.mul(B._trim(list(a)), B._trim(list(b))), self.modulus)
         return tuple(r) + self.zero[len(r):]
-
-    def _inv(self, a):
-        return self._pow(a, self.q - 2)
-
-    def _from_int(self, i):
-        return (self.base._from_int(i),) + self.zero[1:]
-
-
-def _dtrim(f: list) -> list:
-    while f and not f[-1]:
-        f.pop()
-    return f
-
-
-def _digit_divmod(f, g, p):
-    """(quotient, remainder) of coordinate lists over F_p, g trimmed."""
-    inv = pow(g[-1], -1, p)
-    r = list(f)
-    quo = [0] * (len(f) - len(g) + 1)
-    for top in range(len(f) - 1, len(g) - 2, -1):
-        c = r[top] % p * inv % p
-        if c:
-            off = top - len(g) + 1
-            quo[off] = c
-            for j, b in enumerate(g):
-                r[off + j] -= c * b
-    return quo, _dtrim([x % p for x in r[:len(g) - 1]])
 
 
 def factor(field, f):
@@ -984,12 +971,13 @@ class FqRationalMap(RationalMap):
             raise CheckFailed("coprime map cannot have a fixed pole")
         lam = poly_eval(F, N, loc) / (dv * dv)
         crit = lam.is_zero()
-        # cross-check criticality: local degree at loc exceeds 1 iff
-        # m(w) - m(loc) vanishes to order >= 2 at loc
+        # cross-check criticality: the local degree at loc exceeds 1 iff
+        # diff = num - m(loc) den, which vanishes at loc, vanishes there to
+        # order >= 2; writing diff = (w - loc) q, that is q(loc) = diff'(loc)
+        # = 0, in every characteristic
         val_here = poly_eval(F, num, loc) / dv
         diff = poly_sub(F, num, poly_scale(F, den, val_here))
-        order = _vanishing_order(F, diff, loc)
-        if (order >= 2) != crit:
+        if poly_eval(F, poly_deriv(F, diff), loc).is_zero() != crit:
             raise CheckFailed("criticality cross-check failed")
         if mult >= 2 and not self.is_identity() and lam != F.one:
             raise CheckFailed("multiple fixed point must have multiplier 1")
@@ -1024,28 +1012,3 @@ class FqRationalMap(RationalMap):
             term = (one - t.multiplier).inverse()
             total = total + trace_to_base(term, self.ctx)
         return total == self.ctx.one
-
-
-def _vanishing_order(field, f, loc) -> int:
-    if not f:
-        return 10 ** 9  # identically zero
-    order = 0
-    g = f
-    while g and poly_eval(field, g, loc).is_zero():
-        # synthetic division by (w - loc)
-        g = _deflate(field, g, loc)
-        order += 1
-    return order
-
-
-def _deflate(field, f, loc):
-    """Divide f by (w - loc), which must divide it exactly."""
-    out = [field.zero] * (len(f) - 1)
-    carry = field.zero
-    for i in range(len(f) - 1, 0, -1):
-        carry = f[i] + carry * loc if i < len(f) - 1 else f[i]
-        out[i - 1] = carry
-    carry = carry * loc + f[0]
-    if not carry.is_zero():
-        raise CheckFailed(f"w - {loc} leaves the remainder {carry}")
-    return _trim(out)

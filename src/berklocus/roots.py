@@ -124,14 +124,9 @@ class RootHandle:
         if (v * ctx.n).denominator != 1:
             need = math.lcm(ctx.n, v.denominator)
             raise NeedsExtension(n=need, detail=f"root at ramified distance {v}")
-        u = ctx.pi_pow(int(v * ctx.n))
-        h = poly_scale_arg(ctx, poly_shift(ctx, self.g, self.center), u)
-        shift = min(c.val() for c in h if not c.is_zero())
-        scale = ctx.pi_pow(-int(shift * ctx.n))
-        hred = _trim([(c * scale).residue() for c in h])
-        factors = rf.factor(ctx.residue_field, hred) \
-            if poly_deg(hred) > 0 else []
-        # the nonzero roots of hred in the residue field itself
+        u, factors = _residual_factors(
+            ctx, poly_shift(ctx, self.g, self.center), v)
+        # the nonzero roots of the residual polynomial in the residue field
         digits = [-q[0] for q, _ in factors
                   if poly_deg(q) == 1 and not q[0].is_zero()]
         if not digits:
@@ -457,6 +452,20 @@ def _divide_linear(f: list, a: int, b: int) -> list:
     return quo
 
 
+def _residual_factors(ctx: PrimeContext, shifted, v: Fraction):
+    """(u, factors) for the roots at distance exactly v from a center c,
+    given shifted = g(c + z): u = pi^(n v), and `rf.factor` of the residual
+    polynomial, the residue of g(c + u z) scaled to valuation 0.  The
+    nonzero roots of a factor are the residue digits of those roots, and
+    the root 0 stands for the roots deeper than v."""
+    u = ctx.pi_pow(int(v * ctx.n))
+    h = poly_scale_arg(ctx, shifted, u)
+    shift = min(c.val() for c in h if not c.is_zero())
+    scale = ctx.pi_pow(-int(shift * ctx.n))
+    hred = _trim([(c * scale).residue() for c in h])
+    return u, rf.factor(ctx.residue_field, hred)
+
+
 def _isolate_cluster(ctx: PrimeContext, g, c: FieldElement, floor: Fraction,
                      expected: int, multiplicity: int,
                      budget=None, expansion=None) -> list:
@@ -506,14 +515,9 @@ def _isolate_cluster(ctx: PrimeContext, g, c: FieldElement, floor: Fraction,
                 return handles
             raise NeedsExtension(n=need,
                                  detail=f"root cluster at ramified radius {v}")
-        u = ctx.pi_pow(int(v * ctx.n))
-        h = poly_scale_arg(ctx, shifted, u)
-        shift_v = min(cc.val() for cc in h if not cc.is_zero())
-        scale = ctx.pi_pow(-int(shift_v * ctx.n))
-        hred = _trim([(cc * scale).residue() for cc in h])
-        F = ctx.residue_field
+        u, factors = _residual_factors(ctx, shifted, v)
         placed = 0
-        for q, mult_dir in rf.factor(F, hred):
+        for q, mult_dir in factors:
             if poly_deg(q) == 1 and (-q[0]).is_zero():
                 continue  # deeper roots, handled at higher v or the center
             if poly_deg(q) > 1:

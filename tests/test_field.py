@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from berklocus.errors import NegativeValuation
+from berklocus.errors import CheckFailed, NegativeValuation
 from berklocus.field import INF, NEG_INF, PrimeContext, vp
 
 
@@ -196,6 +196,45 @@ def test_val_is_the_norm_valuation(p, n, k):
             det = _det([[cols[c][r] for c in range(k)] for r in range(k)])
             expected = min(expected, vp(det, p) / k + Fraction(j, n))
         assert ctx.element(coeffs).val() == expected
+
+
+IRREDUCIBLE = [(3, (1, 0, 1)), (3, (1, 2, 0, 1)), (5, (2, 0, 1)),
+               (5, (1, 1, 0, 1))]
+REDUCIBLE = [(p, m) for p in (3, 5) for m in ((-1, 0, 1), (0, -1, 0, 1))]
+
+
+@pytest.mark.parametrize("p,modulus", IRREDUCIBLE + REDUCIBLE)
+def test_unit_test_agrees_with_determinant_mod_p(p, modulus):
+    """The norm cross-check of a valuation, a gcd with the modulus mod p,
+    passes exactly when the multiplication matrix of a / p^v has a nonzero
+    determinant mod p, for x^2 - 1 and x^3 - x as for irreducible moduli;
+    modulo a reducible one, some nonzero residues are not units."""
+    k = len(modulus) - 1
+    ctx = PrimeContext(p, 1, k)
+    ctx.unram_min_poly = modulus
+    rng = random.Random(p * 1000 + sum(modulus))
+    outcomes = set()
+    for _ in range(60):
+        nums = [rng.randint(-20, 20) * p ** rng.randint(0, 2)
+                for _ in range(k)]
+        if not any(nums):
+            continue
+        v = min(vp(c, p) for c in nums if c)
+        col = [c // p ** v for c in nums]
+        cols = []
+        for _ in range(k):
+            cols.append(col)
+            lead = col[-1]
+            col = [c - lead * m for c, m in zip([0] + col[:-1], modulus)]
+        unit = _det([[cols[c][r] for c in range(k)] for r in range(k)]) % p
+        if unit:
+            assert ctx.one._unram_val(nums) == v
+        else:
+            with pytest.raises(CheckFailed):
+                ctx.one._unram_val(nums)
+        outcomes.add(bool(unit))
+    assert outcomes == ({True, False} if (p, modulus) in REDUCIBLE
+                        else {True})
 
 
 # -- the integer form against a Fraction reference -------------------------

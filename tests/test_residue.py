@@ -9,12 +9,13 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from berklocus.errors import IdentityMap, MultiplierOne
+from berklocus.errors import CheckFailed, IdentityMap, MultiplierOne
 from berklocus.residue import (
     Fq,
     FqElement,
     FqRationalMap,
     INF_POINT,
+    _PrimeKernel,
     factor,
     find_irreducible,
     is_irreducible,
@@ -79,6 +80,46 @@ def test_tower_arithmetic_over_f9():
     assert x * x.inverse() == t.field.one
     assert repr(x.frobenius()) == "((0,0),(1,1))"
     assert repr(trace_to_base(x, F9)) == "(0,0)"
+
+
+def test_tower_inverse_over_f81():
+    # F_81 = F_9[w]/(w^2 - g), g a nonsquare of F_9 = F_3[x]/(x^2 + 1): the
+    # extended Euclid of F_9's kernel against a^(q - 2), the inverse by
+    # Fermat's little theorem
+    F3 = Fq(3)
+    F9 = Fq(3, modulus=poly(F3, [1, 0, 1]), base=F3)
+    g = next(a for a in F9.elements() if not a.is_zero() and a ** 4 != F9.one)
+    F81 = Fq(3, modulus=(-g, F9.zero, F9.one), base=F9)
+    K = F81.kernel
+    assert K.q == 81
+    for x in F81.elements():
+        if not x.is_zero():
+            y = x.inverse()
+            assert x * y == F81.one
+            assert y.rep == K._pow(x.rep, K.q - 2)
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_inverse_of_a_zero_divisor_raises(k):
+    # w^2 - 1 = (w - 1)(w + 1) is reducible, yet a monic modulus of degree 2
+    # over F_3 or over F_9; w - 1 is a zero divisor and has no inverse
+    base = field_of(3, k)
+    R = Fq(3, modulus=(-base.one, base.zero, base.one), base=base)
+    x = R.gen - R.one
+    assert (x * (R.gen + R.one)).is_zero()
+    with pytest.raises(CheckFailed):
+        x.inverse()
+    with pytest.raises(CheckFailed):
+        R.one / x
+    assert (R.gen * R.gen.inverse()) == R.one  # w is a unit: w^2 = 1
+
+
+def test_inverse_mod_raises_on_a_common_factor():
+    K = _PrimeKernel(3)
+    with pytest.raises(CheckFailed):
+        K.inverse_mod([2, 1], [2, 0, 1])  # x - 1 modulo x^2 - 1
+    # (1 + x)(2 + x) = 2 + x^2 = 1 modulo x^2 + 1 over F_3
+    assert K.inverse_mod([1, 1], [1, 0, 1]) == [2, 1]
 
 
 def test_elements_enumeration():

@@ -98,16 +98,16 @@ def test_rational_split_rejects_a_doubled_factor(g):
 
 def test_cross_checks_fail_under_optimize():
     """Doctored inputs to the split, to root isolation and refinement, to
-    the classical fixed-point total, to the tangent map's multiplier, to
-    exact deflation, to the valuation envelope, to a reduction and to a
-    skeleton segment's multiplier: each check raises CheckFailed with
-    asserts off.  A root count in a disk that is neither open nor closed and
-    an extension field with a non-monic modulus raise ValueError, and a sum
-    across working fields raises TypeError."""
+    the classical fixed-point total, to the tangent map's multiplier and
+    its criticality cross-check, to the valuation envelope, to a reduction
+    and to a skeleton segment's multiplier: each check raises CheckFailed
+    with asserts off.  A root count in a disk that is neither open nor
+    closed and an extension field with a non-monic modulus raise ValueError,
+    and a sum across working fields raises TypeError."""
     code = (
         "import dataclasses\n"
         "from fractions import Fraction\n"
-        "from berklocus import berkmap, fixlocus as fx, residue, roots\n"
+        "from berklocus import berkmap, fixlocus as fx, roots\n"
         "from berklocus.epoly import count_roots_in_disk, epoly\n"
         "from berklocus.errors import CheckFailed\n"
         "from berklocus.field import NEG_INF, PrimeContext\n"
@@ -140,7 +140,10 @@ def test_cross_checks_fail_under_optimize():
         # roots 1 and 2: two digits in one claimed isolating disk
         "    ('digit', lambda: roots.RootHandle(\n"
         "        ctx, epoly(ctx, [2, -3, 1]), ctx.zero, Fraction(0)).refine()),\n"
-        "    ('deflate', lambda: residue._deflate(F, (F.one, F.one), F.zero)),\n"
+        # w^2 fixes 1 with multiplier 2; a doctored N = 0 claims it critical
+        "    ('critical', lambda: FqRationalMap(F, (F.zero, F.zero, F.one),\n"
+        "        (F.one,))._multiplier_and_critical(\n"
+        "            F.one, F, 1, ((F.zero, F.zero, F.one), (F.one,), ()))),\n"
         "    ('family', lambda: berkmap.segments_from_lines(F.one, [\n"
         "        (Fraction(0), Fraction(0), ('n', 0), F.one),\n"
         "        (Fraction(0), Fraction(0), ('n', 1), F.one)],\n"
@@ -204,7 +207,7 @@ def test_cross_checks_fail_under_optimize():
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == [
         "split", "cluster", "envelope", "pole", "isolation", "digit",
-        "deflate", "family", "total", "reduction", "additive", "mode",
+        "critical", "family", "total", "reduction", "additive", "mode",
         "mixed", "modulus", "reciprocity"]
 
 
