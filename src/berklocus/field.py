@@ -9,9 +9,17 @@ an integer convolution reduced by the integer minimal polynomial of x, and an
 inverse solves the integer multiplication matrix by fraction-free (Bareiss)
 elimination, so every operation normalises by a single gcd instead of one per
 coefficient.  The valuation is an exact rational in (1/n)*Z, read off the
-coefficients and cross-checked against the norm by a gcd mod p on the prime
-field's kernel in `residue`.  Nothing here is approximate, and the
-exactness checks raise CheckFailed, so they still run under `python -O`.
+coefficients and cross-checked against the norm by a unit test mod p.
+
+Most elements of a run do not use the tower, and pay for it only where they
+do.  A product with a rational operand (nums zero past index 0, as every
+element of E(p, 1, 1)) scales the other operand's nums by one int; the
+inverse of a monomial (c / den) pi^j is the monomial (den / c) pi^-j; and
+the unit test decides a constant or linear residue without a polynomial
+Euclid (see `_unram_val`).  Each short path computes the same value as the
+general one, and since the representation is unique, the same nums and den.
+Nothing here is approximate, and the exactness checks raise CheckFailed, so
+they still run under `python -O`.
 """
 
 from __future__ import annotations
@@ -299,8 +307,15 @@ class FieldElement:
 
     def __mul__(self, other):
         self._check(other)
-        return FieldElement(self.ctx, _product(self.ctx, self.nums, other.nums),
-                            self.den * other.den)
+        a, b = self.nums, other.nums
+        # a rational operand scales the other's nums by one int
+        if not any(b[1:]):
+            nums = [b[0] * c for c in a]
+        elif not any(a[1:]):
+            nums = [a[0] * c for c in b]
+        else:
+            nums = _product(self.ctx, a, b)
+        return FieldElement(self.ctx, nums, self.den * other.den)
 
     def scale(self, q) -> "FieldElement":
         """q * self for an int or rational q, with no product in the
@@ -324,8 +339,25 @@ class FieldElement:
         return result
 
     def inverse(self) -> "FieldElement":
+        """The exact inverse.  A monomial (c / den) pi^j of the x^0 row
+        inverts in closed form, as (den / c) pi^-j = den / (c p) pi^(n - j)
+        for j > 0; the constructor's normalisation makes that the
+        representation the solve gives.  Any other element solves its
+        multiplication matrix by Bareiss elimination, which raises
+        CheckFailed on a singular matrix or an inexact division."""
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero")
+        ctx = self.ctx
+        nz = [j for j, c in enumerate(self.nums) if c]
+        if len(nz) > 1 or nz[0] >= ctx.n:
+            return self._solve_inverse()
+        j = nz[0]
+        c = self.nums[j] * (ctx.p if j else 1)
+        nums = [0] * len(self.nums)
+        nums[(ctx.n - j) % ctx.n] = self.den if c > 0 else -self.den
+        return FieldElement(ctx, nums, abs(c))
+
+    def _solve_inverse(self) -> "FieldElement":
         ctx = self.ctx
         dim = ctx.n * ctx.k
         # columns of the multiplication-by-nums matrix; self * y = 1 is
@@ -367,9 +399,12 @@ class FieldElement:
         """Valuation of an integral element a of the unramified part: the
         minimum v of its coefficients' valuations, since the monomial basis is
         integral.  Cross-checked against the norm, mod p: v_p(Norm(a)) = k v
-        iff Norm(a / p^v) is a p-unit, i.e. iff a / p^v mod p is a unit of
-        F_p[x]/(m), m the minimal polynomial of x mod p: iff its gcd with m
-        is 1, on the kernel of F_p."""
+        iff Norm(a / p^v) is a p-unit, i.e. iff r = a / p^v mod p is a unit
+        of F_p[x]/(m), m the minimal polynomial of x mod p: iff gcd(r, m) = 1.
+        By the degree of r, which is not zero: a constant is a unit; a
+        linear r = r1 (x - t) is one iff m(t) != 0 mod p (Horner on ints);
+        otherwise the gcd runs on the kernel of F_p.  That is the same
+        predicate for every monic m, reducible ones included."""
         ctx = self.ctx
         p = ctx.p
         vals = [_vp(c, p) if c else None for c in unram_nums]
@@ -379,7 +414,17 @@ class FieldElement:
         K = ctx.residue_field.base.kernel
         a = K._trim([c // p ** v % p if vc == v else 0
                      for c, vc in zip(unram_nums, vals)])
-        if len(K.gcd(a, [c % p for c in ctx.unram_min_poly])) != 1:
+        if len(a) == 1:
+            return v
+        if len(a) == 2:
+            t = -a[0] * pow(a[1], -1, p)  # the root of r
+            m_t = 0
+            for c in reversed(ctx.unram_min_poly):
+                m_t = (m_t * t + c) % p
+            unit = m_t != 0
+        else:
+            unit = len(K.gcd(a, [c % p for c in ctx.unram_min_poly])) == 1
+        if not unit:
             raise CheckFailed("norm valuation disagrees with integral-basis "
                               "minimum")
         return v

@@ -82,9 +82,10 @@ class Fq:
     Its `kernel` does all the arithmetic of its elements, and an element's
     rep is the kernel's encoding: an int in [0, p) over F_p, the tuple of
     its k coordinates over F_p[w]/(m), and over a tower the tuple of its
-    base reps.  A reducible modulus is not refused, since testing it costs
-    a factorization; in the ring it defines, the inverse of a zero divisor
-    raises CheckFailed.
+    base reps.  A base that is itself a tower raises ValueError, since a
+    tower's kernel has element operations only.  A reducible modulus is not
+    refused, since testing it costs a factorization; in the ring it
+    defines, the inverse of a zero divisor raises CheckFailed.
     """
 
     def __init__(self, p: int, modulus=None, base: Optional["Fq"] = None):
@@ -100,6 +101,9 @@ class Fq:
             if modulus is None or len(modulus) < 3 or modulus[-1] != base.one:
                 raise ValueError("an extension needs a monic modulus of "
                                  "degree >= 2 over its base")
+            if base.base is not None and base.base.base is not None:
+                raise ValueError("the base of an extension is F_p or an "
+                                 "extension of F_p, not a tower")
             self.modulus = tuple(modulus)
             self.deg_over_base = len(modulus) - 1
             reps = tuple(c.rep for c in modulus)

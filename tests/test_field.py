@@ -14,8 +14,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from berklocus import field
+from berklocus import fixlocus as fx
 from berklocus.errors import CheckFailed, NegativeValuation
-from berklocus.field import INF, NEG_INF, PrimeContext, vp
+from berklocus.field import INF, NEG_INF, FieldElement, PrimeContext, vp
+from berklocus.oracle import fixture
 
 
 rationals = st.fractions(
@@ -237,6 +240,92 @@ def test_unit_test_agrees_with_determinant_mod_p(p, modulus):
                         else {True})
 
 
+# -- the short paths against the general ones ------------------------------
+
+@pytest.mark.parametrize("p,n,k", [(2, 4, 2), (3, 2, 2), (5, 1, 3),
+                                   (2, 8, 1)])
+def test_monomial_inverse_matches_the_solve(p, n, k):
+    ctx = PrimeContext(p, n, k)
+    for j in range(n):
+        for c in (1, -1, p, -p, 6, -6):
+            for den in (1, p, p ** 3, 7):
+                nums = [0] * (n * k)
+                nums[j] = c
+                x = FieldElement(ctx, nums, den)
+                inv = x.inverse()
+                solved = x._solve_inverse()
+                assert (inv.nums, inv.den) == (solved.nums, solved.den)
+                assert x * inv == ctx.one
+
+
+@pytest.mark.parametrize("p,n,k", [(2, 1, 1), (3, 1, 1), (2, 4, 2),
+                                   (3, 2, 2), (5, 1, 3), (2, 8, 1)])
+def test_rational_product_matches_the_convolution(p, n, k):
+    ctx = PrimeContext(p, n, k)
+    rng = random.Random(10 * p + n + k)
+    for _ in range(40):
+        a = FieldElement(ctx, [rng.randint(-50, 50) * p ** rng.randint(0, 2)
+                               for _ in range(n * k)],
+                         rng.choice((1, p, p * p, 6)))
+        r = ctx.from_rational(Fraction(rng.randint(-30, 30),
+                                       rng.choice((1, p, 7))))
+        want = FieldElement(ctx, field._product(ctx, r.nums, a.nums),
+                            r.den * a.den)
+        for got in (r * a, a * r):
+            assert (got.nums, got.den) == (want.nums, want.den)
+
+
+UNIT_MODULI = IRREDUCIBLE + [(p, m) for p in (3, 5) for m in (
+    (-1, 0, 1), (0, -1, 0, 1), (-1, 1, -1, 1))]  # (x - 1)(x^2 + 1) last
+
+
+@pytest.mark.parametrize("p,modulus", UNIT_MODULI)
+def test_unit_test_by_degree_agrees_with_the_gcd(p, modulus):
+    """Residues of every degree below k: the constant and linear routes of
+    the norm cross-check decide as the gcd with the modulus does."""
+    k = len(modulus) - 1
+    ctx = PrimeContext(p, 1, k)
+    ctx.unram_min_poly = modulus
+    K = ctx.residue_field.base.kernel
+    m = [c % p for c in modulus]
+    rng = random.Random(p * 100 + sum(modulus))
+    seen = set()
+    for deg in range(k):
+        for _ in range(40):
+            digits = [rng.randrange(p) for _ in range(deg)] + \
+                [rng.randrange(1, p)]
+            v = rng.randint(0, 2)
+            nums = [(d + p * rng.randint(-3, 3)) * p ** v for d in digits]
+            nums += [p ** (v + 1) * rng.randint(-3, 3)
+                     for _ in range(k - deg - 1)]
+            unit = len(K.gcd(K._trim(list(digits)), m)) == 1
+            if unit:
+                assert ctx.one._unram_val(nums) == v
+            else:
+                with pytest.raises(CheckFailed):
+                    ctx.one._unram_val(nums)
+            seen.add((deg, unit))
+    assert {d for d, _ in seen} == set(range(k))
+    assert any(not u for _, u in seen) == ((p, modulus) not in IRREDUCIBLE)
+
+
+@pytest.mark.parametrize("name,limit", [("segment-p3-d4", 4),
+                                        ("wild-p3-d3", 1)])
+def test_bareiss_solves_stay_few(monkeypatch, name, limit):
+    """The monomial inverse keeps the solves of an analysis down: 138 and
+    43 of them without it, on these two fixtures."""
+    calls = []
+    solve = field._bareiss_solve
+
+    def counted(m):
+        calls.append(len(m))
+        return solve(m)
+
+    monkeypatch.setattr(field, "_bareiss_solve", counted)
+    fx.analyze(fixture(name).build(), fx.ExploreConfig(n_max=24, k_max=4))
+    assert len(calls) <= limit
+
+
 # -- the integer form against a Fraction reference -------------------------
 
 SHAPES = [(p, n, k) for p in (2, 3, 5, 11)
@@ -393,6 +482,10 @@ def test_exactness_checks_fail_under_optimize():
         "e = bad.x_gen - bad.one\n"
         "expect('norm', e.val)\n"
         "expect('solve', e.inverse)\n"
+        "bad = PrimeContext(3, 1, 3)\n"
+        "bad.unram_min_poly = (0, -1, 0, 1)  # x^3 - x, a multiple of x^2 - 1\n"
+        "e = bad.x_gen * bad.x_gen - bad.one\n"
+        "expect('norm-euclid', e.val)\n"
         "field.pow = lambda b, e, m: 0  # a truncation with a wrong inverse\n"
         "expect('truncate', lambda: ctx.from_rational(3).truncate(2))\n")
     src = os.path.join(os.path.dirname(__file__), "..", "src")
@@ -402,4 +495,4 @@ def test_exactness_checks_fail_under_optimize():
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["residue", "unit", "norm", "solve",
-                                    "truncate"]
+                                    "norm-euclid", "truncate"]

@@ -99,6 +99,19 @@ def test_tower_inverse_over_f81():
             assert y.rep == K._pow(x.rep, K.q - 2)
 
 
+def test_a_tower_over_a_tower_is_refused():
+    # F_9 -> F_81 builds and computes; an extension of F_81 would need the
+    # polynomial arithmetic of a tower's kernel, which has none
+    F3 = Fq(3)
+    F9 = Fq(3, modulus=poly(F3, [1, 0, 1]), base=F3)
+    g = next(a for a in F9.elements() if not a.is_zero() and a ** 4 != F9.one)
+    F81 = Fq(3, modulus=(-g, F9.zero, F9.one), base=F9)
+    assert F81.order == 81 and F81.gen * F81.gen == F81.embed(g)
+    h = F81.gen + F81.one
+    with pytest.raises(ValueError):
+        Fq(3, modulus=(-h, F81.zero, F81.one), base=F81)
+
+
 @pytest.mark.parametrize("k", [1, 2])
 def test_inverse_of_a_zero_divisor_raises(k):
     # w^2 - 1 = (w - 1)(w + 1) is reducible, yet a monic modulus of degree 2
