@@ -86,11 +86,13 @@ class RationalMapK(RationalMap):
                 den = poly_divmod(ctx, den, g)[0]
         if max(poly_deg(num), poly_deg(den)) < 1:
             raise ConstantMap("map is constant after cancellation")
-        shift = min(c.val() for c in num + den)
-        scale = ctx.pi_pow(-int(shift * ctx.n))
+        shift = min(c.nval() for c in num + den if not c.is_zero())
         self.ctx = ctx
-        self.num = tuple(c * scale for c in num)
-        self.den = tuple(c * scale for c in den)
+        if shift:
+            scale = ctx.pi_pow(-shift)
+            num = [c * scale for c in num]
+            den = [c * scale for c in den]
+        self.num, self.den = tuple(num), tuple(den)
 
     def __eq__(self, other):
         if not isinstance(other, RationalMapK):
@@ -365,54 +367,46 @@ def segments_from_lines(one: FqElement, lines, s_lo, s_hi):
     Returns the classified segments as (s_lo, s_hi, behavior, multiplier)
     and the sorted finite breakpoint values (support changes plus finite
     endpoints).
+
+    The envelope is walked along its hull.  Of the lines of one slope only
+    the least intercept can be on it, with every key that attains it as
+    its support.  The walk starts from the lowest line just above s_lo (the
+    steepest when s_lo is NEG_INF, the smallest slope on a tie) and steps
+    to the nearest crossing with a smaller slope, the smallest slope on a
+    tie, until the crossing reaches s_hi.
     """
-    cands = set()
-    for i in range(len(lines)):
-        m1, b1 = lines[i][0], lines[i][1]
-        for j in range(i + 1, len(lines)):
-            m2, b2 = lines[j][0], lines[j][1]
-            if m1 == m2:
-                continue
-            s = (b2 - b1) / (m1 - m2)
-            if (s_lo is NEG_INF or s_lo < s) and (s_hi is INF or s < s_hi):
-                cands.add(s)
+    if s_lo is not NEG_INF and s_hi is not INF and not s_lo < s_hi:
+        raise CheckFailed(f"empty envelope interval [{s_lo}, {s_hi}]")
+    least = {}  # slope -> (least intercept, the keys attaining it)
+    for m, b, key, _ in lines:
+        seen = least.get(m)
+        if seen is None or b < seen[0]:
+            least[m] = (b, [key])
+        elif b == seen[0]:
+            seen[1].append(key)
     if s_lo is NEG_INF:
-        anchor_vals = sorted(cands) + ([s_hi] if s_hi is not INF else [])
-        eff_lo = (min(anchor_vals) - 1) if anchor_vals else Fraction(0)
+        m = max(least)
     else:
-        eff_lo = s_lo
-    if s_hi is INF:
-        eff_hi = (max(cands) + 1) if cands else eff_lo + 1
-    else:
-        eff_hi = s_hi
-    if not eff_lo < eff_hi:
-        raise CheckFailed(f"empty envelope interval [{eff_lo}, {eff_hi}]")
-    grid = sorted(cands | {eff_lo, eff_hi})
-
-    def support(s):
-        vals = [m * s + b for m, b, _, _ in lines]
-        mn = min(vals)
-        return frozenset(lines[i][2] for i, v in enumerate(vals) if v == mn)
-
-    raw = []
-    for lo, hi in zip(grid, grid[1:]):
-        raw.append((lo, hi, support((lo + hi) / 2)))
-    merged = []
-    for lo, hi, sup in raw:
-        if merged and merged[-1][2] == sup:
-            merged[-1] = (merged[-1][0], hi, sup)
-        else:
-            merged.append((lo, hi, sup))
-    if merged:
-        if s_lo is NEG_INF:
-            merged[0] = (NEG_INF, merged[0][1], merged[0][2])
-        if s_hi is INF:
-            merged[-1] = (merged[-1][0], INF, merged[-1][2])
-
+        m = min(least, key=lambda m: (m * s_lo + least[m][0], m))
+    pieces = []  # (lo, hi, support) of each envelope piece
+    lo = s_lo
+    while True:
+        b = least[m][0]
+        step = None  # (crossing, slope) of the next piece
+        for m2, (b2, _) in least.items():
+            if m2 < m:
+                cross = ((b2 - b) / (m - m2), m2)
+                if step is None or cross < step:
+                    step = cross
+        if step is None or s_hi is not INF and step[0] >= s_hi:
+            pieces.append((lo, s_hi, least[m][1]))
+            break
+        pieces.append((lo, step[0], least[m][1]))
+        lo, m = step
     line_res = {key: res for _, _, key, res in lines}
     segments = []
     breaks = set()
-    for lo, hi, sup in merged:
+    for lo, hi, sup in pieces:
         if lo is not NEG_INF:
             breaks.add(lo)
         if hi is not INF:
@@ -420,8 +414,8 @@ def segments_from_lines(one: FqElement, lines, s_lo, s_hi):
         nkeys = [k for k in sup if k[0] == "n"]
         dkeys = [k for k in sup if k[0] == "d"]
         if len(nkeys) > 1 or len(dkeys) > 1:
-            raise CheckFailed(f"the envelope on ({lo}, {hi}) has distinct "
-                              "slopes within a family")
+            raise CheckFailed(f"the envelope on ({lo}, {hi}) holds two "
+                              "lines of one family")
         if nkeys and dkeys:
             lam = line_res[nkeys[0]] / line_res[dkeys[0]]
             behavior = ID_INDIFFERENT if lam == one else MULT_INDIFFERENT

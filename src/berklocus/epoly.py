@@ -42,8 +42,9 @@ class NewtonPolygon:
     """Lower convex hull data of a nonzero polynomial.
 
     `segments` lists (slope, horizontal length) with strictly increasing
-    slopes; each segment accounts for `length` roots of valuation equal to
-    the negated slope.  `vanishing_order` counts the roots at 0 itself.
+    slopes, so collinear points never split a segment; each segment
+    accounts for `length` roots of valuation equal to the negated slope.
+    `vanishing_order` counts the roots at 0 itself.
     """
 
     segments: Tuple[Tuple[Fraction, int], ...]
@@ -52,36 +53,30 @@ class NewtonPolygon:
 
 
 def newton_polygon(ctx: PrimeContext, f) -> NewtonPolygon:
+    """The hull is built on the int points (i, n * val(f_i)); a slope
+    becomes a Fraction only at a segment's ends."""
     if not f:
         raise ZeroPolynomial("Newton polygon of the zero polynomial")
-    pts = [(i, c.val()) for i, c in enumerate(f) if not c.is_zero()]
+    pts = [(i, c.nval()) for i, c in enumerate(f) if not c.is_zero()]
     ord0 = pts[0][0]
-    # lower convex hull, left to right (monotone chain)
-    hull: List[Tuple[int, Fraction]] = []
+    # lower convex hull, left to right (monotone chain); popping on >= also
+    # drops the middle one of three collinear points
+    hull: List[Tuple[int, int]] = []
     for x, y in pts:
         while len(hull) >= 2:
             (x1, y1), (x2, y2) = hull[-2], hull[-1]
-            # keep the chain convex from below
             if (y2 - y1) * (x - x2) >= (y - y2) * (x2 - x1):
                 hull.pop()
             else:
                 break
         hull.append((x, y))
-    segments = []
-    for (x1, y1), (x2, y2) in zip(hull, hull[1:]):
-        slope = Fraction(y2 - y1, x2 - x1)
-        segments.append((slope, x2 - x1))
-    # merge collinear neighbors (the chain pop above already prevents them,
-    # but keep the invariant explicit)
-    merged: List[Tuple[Fraction, int]] = []
-    for slope, length in segments:
-        if merged and merged[-1][0] == slope:
-            merged[-1] = (slope, merged[-1][1] + length)
-        else:
-            merged.append((slope, length))
-    if any(a[0] >= b[0] for a, b in zip(merged, merged[1:])):
-        raise CheckFailed(f"Newton polygon slopes {merged} do not increase")
-    return NewtonPolygon(segments=tuple(merged), vanishing_order=ord0,
+    n = ctx.n
+    segments = tuple((Fraction(y2 - y1, (x2 - x1) * n), x2 - x1)
+                     for (x1, y1), (x2, y2) in zip(hull, hull[1:]))
+    if any(a[0] >= b[0] for a, b in zip(segments, segments[1:])):
+        raise CheckFailed(f"Newton polygon slopes {list(segments)} do not "
+                          "increase")
+    return NewtonPolygon(segments=segments, vanishing_order=ord0,
                          degree=poly_deg(f))
 
 

@@ -9,7 +9,13 @@ an integer convolution reduced by the integer minimal polynomial of x, and an
 inverse solves the integer multiplication matrix by fraction-free (Bareiss)
 elimination, so every operation normalises by a single gcd instead of one per
 coefficient.  The valuation is an exact rational in (1/n)*Z, read off the
-coefficients and cross-checked against the norm by a unit test mod p.
+coefficients and cross-checked against the norm by a unit test mod p.  An
+element caches it as the int n * val (`nval`, INF at 0): Newton polygons,
+perturbation bounds and normal forms compare those ints, and `val` forms
+the Fraction from it only for the readers that want one.  The residue of
+self / pi^m (`residue_shifted`, and so the leading digit `unit_residue`)
+is read straight off the coefficient column of pi^(m mod n), with no
+product and no second valuation.
 
 Most elements of a run do not use the tower, and pay for it only where they
 do.  A product with a rational operand (nums zero past index 0, as every
@@ -260,9 +266,10 @@ class FieldElement:
     denominator, always > 0.  The constructor divides out gcd(den, *nums)
     (so zero is nums = (0, ...), den = 1), which makes the representation
     unique: equal elements have equal nums and den, and so equal hashes.
+    The valuation is computed once per element, as `nval` and `val`.
     """
 
-    __slots__ = ("ctx", "nums", "den", "_val")
+    __slots__ = ("ctx", "nums", "den", "_nv", "_val")
 
     def __init__(self, ctx: PrimeContext, nums: Sequence[int], den: int = 1):
         g = math.gcd(den, *nums)
@@ -272,7 +279,7 @@ class FieldElement:
         self.ctx = ctx
         self.nums = tuple(nums)
         self.den = den
-        self._val = None
+        self._nv = self._val = None
 
     def is_zero(self) -> bool:
         return not any(self.nums)
@@ -376,15 +383,24 @@ class FieldElement:
 
     # -- valuation and residue --------------------------------------------
 
+    def nval(self):
+        """n * val(self) as an int, INF at 0: the valuation in units of
+        1/n, which every hot reader compares without forming a Fraction."""
+        nv = self._nv
+        if nv is None:
+            nv = self._nv = self._compute_nval()
+        return nv
+
     def val(self) -> Fraction:
         """Exact valuation in (1/n)*Z, normalized so val(p) = 1; INF at 0."""
         if self._val is None:
-            self._val = self._compute_val()
+            nv = self.nval()
+            self._val = nv if nv is INF else Fraction(nv, self.ctx.n)
         return self._val
 
-    def _compute_val(self) -> Fraction:
+    def _compute_nval(self):
         n = self.ctx.n
-        best = None  # n * val(nums) as an int
+        best = None
         for j in range(n):
             unram = self.nums[j::n]
             if any(unram):
@@ -393,7 +409,7 @@ class FieldElement:
                     best = cand
         if best is None:
             return INF
-        return Fraction(best - n * _vp(self.den, self.ctx.p), n)
+        return best - n * _vp(self.den, self.ctx.p)
 
     def _unram_val(self, unram_nums) -> int:
         """Valuation of an integral element a of the unramified part: the
@@ -431,26 +447,56 @@ class FieldElement:
 
     def residue(self) -> rf.FqElement:
         """Image in the residue field F_{p^k}; requires val >= 0."""
-        v = self.val()
-        if v is not INF and v < 0:
-            raise NegativeValuation(f"val = {v} < 0")
+        nv = self.nval()
         ctx = self.ctx
         F = ctx.residue_field
-        if v is INF or v > 0:
+        if nv is INF or nv > 0:
             return F.zero
+        if nv < 0:
+            raise NegativeValuation(f"val = {self.val()} < 0")
         if self.den % ctx.p == 0:
             raise CheckFailed("denominator divisible by p at valuation 0")
         inv = pow(self.den, -1, ctx.p)
         digits = tuple(c * inv % ctx.p for c in self.nums[::ctx.n])
         return rf.FqElement(F, digits[0] if ctx.k == 1 else digits)
 
+    def residue_shifted(self, m: int) -> rf.FqElement:
+        """Residue of self / pi^m for an int m <= nval, with no product:
+        zero for m < nval, and at m = nval the digits of column r = m mod n,
+        the coefficient of pi^r, divided by p^v, v = m div n + v_p(den),
+        times the inverse of den's p-free part mod p.  Raises
+        NegativeValuation for m > nval, and CheckFailed when that column is
+        not divisible by p^v or its digits vanish, either of which
+        contradicts nval."""
+        nv = self.nval()
+        ctx = self.ctx
+        if nv is INF or m < nv:
+            return ctx.residue_field.zero
+        if m > nv:
+            raise NegativeValuation(
+                f"val = {self.val()} < {Fraction(m, ctx.n)}")
+        p = ctx.p
+        q, r = divmod(m, ctx.n)
+        e = _vp(self.den, p)
+        v = q + e
+        column = self.nums[r::ctx.n]
+        pv = p ** max(v, 0)
+        if v < 0 or any(c % pv for c in column):
+            raise CheckFailed(f"the coefficient of pi^{r} is not divisible "
+                              f"by p^{v} at n*val = {m}")
+        inv = pow(self.den // p ** e, -1, p)
+        digits = tuple(c // pv * inv % p for c in column)
+        if not any(digits):
+            raise CheckFailed(f"the leading digits vanish at n*val = {m}")
+        return rf.FqElement(ctx.residue_field,
+                            digits[0] if ctx.k == 1 else digits)
+
     def unit_residue(self) -> rf.FqElement:
         """Residue of self / pi^(n * val): the leading residue digit."""
-        v = self.val()
-        if v is INF:
+        nv = self.nval()
+        if nv is INF:
             raise ValueError("unit residue of zero")
-        shift = self.ctx.pi_pow(-int(v * self.ctx.n))
-        return (self * shift).residue()
+        return self.residue_shifted(nv)
 
     def truncate(self, level) -> "FieldElement":
         """A congruent representative: val(self - result) >= level, with every

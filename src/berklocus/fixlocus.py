@@ -916,7 +916,7 @@ def _facing_multiplier(local: LocalData, center) -> FqElement:
     if local.indifference_class == ID_INDIFFERENT:
         return ctx.residue_field.one
     d = INF_POINT if center is None else \
-        ((center - pt.center) * ctx.pi_pow(-int(pt.s * ctx.n))).residue()
+        (center - pt.center).residue_shifted(int(pt.s * ctx.n))
     key = rf.direction_key(d)
     for t in local.fixed_directions():
         if t.orbit_size == 1 and rf.direction_key(t.location) == key:

@@ -103,7 +103,7 @@ class RootHandle:
             self.prec = INF
             return
         dgc = poly_eval(ctx, self._dg, self.center)
-        if not dgc.is_zero() and gc.val() > 2 * dgc.val():
+        if not dgc.is_zero() and gc.nval() > 2 * dgc.nval():
             # Newton step, quadratic convergence
             self.center = self.center - gc / dgc
             self.prec = _initial_prec(ctx, self.g, self.center, self.prec)
@@ -225,7 +225,7 @@ class RootHandle:
         for step in range(_MAX_REFINE):
             coeffs = expand()
             qc = self._sum(coeffs[0])
-            if not qc.is_zero() and self._below_bound(qc.val(), coeffs):
+            if not qc.is_zero() and self._below_bound(qc.nval(), coeffs):
                 return qc.val(), qc.unit_residue()
             if step == 0 and self._vanishes(build()):
                 return None
@@ -241,31 +241,36 @@ class RootHandle:
             total = t if total is None else total + t
         return self.ctx.zero if total is None else total
 
-    def _below_bound(self, v0: Fraction, coeffs) -> bool:
+    def _below_bound(self, nv0: int, coeffs) -> bool:
         """Whether v0 < val(q_j) + j*prec for every nonzero Taylor
-        coefficient q_j, j >= 1: v0 below the perturbation bound."""
-        prec, p = self.prec, self.ctx.p
+        coefficient q_j, j >= 1: v0 below the perturbation bound.  Compared
+        in units of 1/n: nv0 = n*v0 and the part valuations are ints, and
+        n*prec is an int unless prec lies outside the value group."""
+        n, p = self.ctx.n, self.ctx.p
+        nprec = self.prec * n
+        if nprec.denominator == 1:
+            nprec = nprec.numerator
         for j in range(1, len(coeffs)):
-            least, ties = INF, 0
+            least, ties = None, 0
             for m, x, y in coeffs[j]:
-                v = x.val()
+                v = x.nval()
                 if y is not None and v is not INF:
-                    vy = y.val()
+                    vy = y.nval()
                     v = INF if vy is INF else v + vy
                 if v is INF:
                     continue  # a zero factor
                 if m != 1 and m != -1:
-                    v = v + _vp(m, p)
-                if v < least:
+                    v += n * _vp(m, p)
+                if least is None or v < least:
                     least, ties = v, 1
                 elif v == least:
                     ties += 1
-            if not ties or least + j * prec > v0:
+            if not ties or least + j * nprec > nv0:
                 continue
             if ties == 1:
                 return False  # a unique least part is val(q_j)
             c = self._sum(coeffs[j])
-            if not c.is_zero() and c.val() + j * prec <= v0:
+            if not c.is_zero() and c.nval() + j * nprec <= nv0:
                 return False
         return True
 
@@ -460,9 +465,8 @@ def _residual_factors(ctx: PrimeContext, shifted, v: Fraction):
     the root 0 stands for the roots deeper than v."""
     u = ctx.pi_pow(int(v * ctx.n))
     h = poly_scale_arg(ctx, shifted, u)
-    shift = min(c.val() for c in h if not c.is_zero())
-    scale = ctx.pi_pow(-int(shift * ctx.n))
-    hred = _trim([(c * scale).residue() for c in h])
+    shift = min(c.nval() for c in h if not c.is_zero())
+    hred = _trim([c.residue_shifted(shift) for c in h])
     return u, rf.factor(ctx.residue_field, hred)
 
 

@@ -27,6 +27,7 @@ from berklocus.errors import ConstantMap, NeedsExtension, ZeroDenominator
 from berklocus.field import PrimeContext
 from berklocus.residue import (
     INF_POINT,
+    Fq,
     _trim,
     direction_key,
     poly_gcd,
@@ -364,3 +365,111 @@ def test_point_key_agrees_with_same_point(p, n, k):
         assert (x.key() == y.key()) == x.same_point(y) == y.same_point(x)
         agreed.add(x.same_point(y))
     assert agreed == {True, False}
+
+
+def _grid_segments_reference(one, lines, s_lo, s_hi):
+    """The envelope decomposition by an all-pairs grid: every crossing of
+    two lines inside (s_lo, s_hi) is a grid point, the support of each grid
+    interval is read at its midpoint by evaluating every line, and equal
+    neighbours merge."""
+    NEG_INF, INF = field.NEG_INF, field.INF
+    cands = set()
+    for i, (m1, b1, _, _) in enumerate(lines):
+        for m2, b2, _, _ in lines[i + 1:]:
+            if m1 != m2:
+                s = (b2 - b1) / (m1 - m2)
+                if (s_lo is NEG_INF or s_lo < s) and (s_hi is INF or s < s_hi):
+                    cands.add(s)
+    if s_lo is NEG_INF:
+        anchors = sorted(cands) + ([s_hi] if s_hi is not INF else [])
+        eff_lo = min(anchors) - 1 if anchors else Fraction(0)
+    else:
+        eff_lo = s_lo
+    eff_hi = s_hi if s_hi is not INF else \
+        (max(cands) + 1 if cands else eff_lo + 1)
+    grid = sorted(cands | {eff_lo, eff_hi})
+
+    def support(s):
+        vals = [m * s + b for m, b, _, _ in lines]
+        return frozenset(line[2] for line, v in zip(lines, vals)
+                         if v == min(vals))
+
+    merged = []
+    for lo, hi in zip(grid, grid[1:]):
+        sup = support((lo + hi) / 2)
+        if merged and merged[-1][2] == sup:
+            merged[-1] = (merged[-1][0], hi, sup)
+        else:
+            merged.append((lo, hi, sup))
+    if s_lo is NEG_INF:
+        merged[0] = (NEG_INF,) + merged[0][1:]
+    if s_hi is INF:
+        merged[-1] = (merged[-1][0], INF, merged[-1][2])
+    res = {key: r for _, _, key, r in lines}
+    segments, breaks = [], set()
+    for lo, hi, sup in merged:
+        breaks |= {x for x in (lo, hi) if x is not NEG_INF and x is not INF}
+        nkeys = [k for k in sup if k[0] == "n"]
+        dkeys = [k for k in sup if k[0] == "d"]
+        assert len(nkeys) <= 1 and len(dkeys) <= 1
+        if nkeys and dkeys:
+            lam = res[nkeys[0]] / res[dkeys[0]]
+            segments.append((lo, hi, ID_INDIFFERENT if lam == one
+                             else MULT_INDIFFERENT, lam))
+        else:
+            segments.append((lo, hi, NOT_FIXED, None))
+    return segments, sorted(breaks)
+
+
+def test_envelope_walk_matches_the_all_pairs_grid():
+    """The hull walk of `segments_from_lines` against the all-pairs grid,
+    on seeded line sets in the shape `_expansion_lines` gives (numerator
+    coefficient i on slope i, denominator coefficient j on slope j + 1):
+    equal slopes across the two families, ties between them, three lines
+    through one point, and bounds on crossings, for every pairing of an
+    open or finite lower end with a finite or open upper end."""
+    F = Fq(5)
+    rng = random.Random(22)
+    seen = set()
+    for _ in range(300):
+        lines = []
+        for key, shift in (("n", 0), ("d", 1)):
+            for i in range(rng.randint(1, 5)):
+                if rng.random() < 0.8:
+                    lines.append([Fraction(i + shift),
+                                  Fraction(rng.randint(-6, 6),
+                                           rng.choice((1, 1, 2, 3))),
+                                  (key, i), F.from_int(rng.randint(1, 4))])
+        if len(lines) < 2:
+            continue
+        if rng.random() < 0.4:  # a tie across the families
+            same = [(a, b) for a in lines for b in lines
+                    if a[2][0] == "n" and b[2][0] == "d" and a[0] == b[0]]
+            if same:
+                a, b = rng.choice(same)
+                b[1] = a[1]
+                seen.add("tie")
+        if rng.random() < 0.4 and len(lines) >= 3:  # three through a point
+            s0 = Fraction(rng.randint(-4, 4), rng.choice((1, 2)))
+            y0 = Fraction(rng.randint(-4, 4))
+            for line in rng.sample(lines, 3):
+                line[1] = y0 - line[0] * s0
+            seen.add("triple")
+        lines = [tuple(line) for line in lines]
+        crossings = sorted({(b2 - b1) / (m1 - m2)
+                            for m1, b1, _, _ in lines
+                            for m2, b2, _, _ in lines if m1 != m2})
+        ends = crossings + [Fraction(rng.randint(-16, 16), 2)
+                            for _ in range(2)]
+        lo = rng.choice(ends)
+        hi = rng.choice([e for e in ends if e > lo] or [lo + 1])
+        if {lo, hi} & set(crossings):
+            seen.add("crossing")
+        for s_lo, s_hi in ((field.NEG_INF, field.INF), (field.NEG_INF, hi),
+                           (lo, field.INF), (lo, hi)):
+            got = berkmap.segments_from_lines(F.one, lines, s_lo, s_hi)
+            want = _grid_segments_reference(F.one, lines, s_lo, s_hi)
+            assert got == want, (lines, s_lo, s_hi)
+            seen |= {seg[2] for seg in got[0]}
+    assert seen >= {"tie", "triple", "crossing", NOT_FIXED, ID_INDIFFERENT,
+                    MULT_INDIFFERENT}

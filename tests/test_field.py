@@ -326,6 +326,66 @@ def test_bareiss_solves_stay_few(monkeypatch, name, limit):
     assert len(calls) <= limit
 
 
+@pytest.mark.parametrize("p", [2, 3, 5])
+@pytest.mark.parametrize("n", [1, 2, 4])
+@pytest.mark.parametrize("k", [1, 2])
+def test_residue_shifted_matches_the_product(p, n, k):
+    """nval is n * val, and the residue of self / pi^m read off one column
+    is the residue of the product with pi^-m, at m = nval and below it;
+    above nval it raises NegativeValuation, as the product's residue
+    does."""
+    ctx = PrimeContext(p, n, k)
+    rng = random.Random(1000 * p + 10 * n + k)
+    dens = set()
+    for _ in range(40):
+        x = FieldElement(ctx, [rng.randint(-30, 30) * p ** rng.randint(0, 3)
+                               if rng.random() < 0.7 else 0
+                               for _ in range(n * k)],
+                         rng.choice((1, 7, p, p ** 2, 3 * p)))
+        if x.is_zero():
+            assert x.nval() is INF
+            assert x.residue_shifted(-n) == ctx.residue_field.zero
+            continue
+        dens.add(x.den % p == 0)
+        nv = x.nval()
+        assert nv == x.val() * n
+        for m in (nv, nv - 1, nv - n - 1):
+            assert x.residue_shifted(m) == (x * ctx.pi_pow(-m)).residue()
+        assert x.residue_shifted(nv) == x.unit_residue() != \
+            ctx.residue_field.zero
+        for m in (nv + 1, nv + n):
+            with pytest.raises(NegativeValuation):
+                x.residue_shifted(m)
+            with pytest.raises(NegativeValuation):
+                (x * ctx.pi_pow(-m)).residue()
+    assert dens == {True, False}
+
+
+def test_unit_residue_builds_no_element(monkeypatch):
+    """The leading digit is read off the element's own coefficients: no
+    product with a power of pi and no valuation of it."""
+    ctx = PrimeContext(2, 4, 2)
+    x = ctx.element([[0, Fraction(3, 4), 0, 5], [Fraction(6, 7), 0, 1, 0]])
+    assert any(x.nums[ctx.n:])  # not rational
+    made = []
+    init, product = FieldElement.__init__, field._product
+
+    def counted_init(self, *args, **kwargs):
+        made.append("element")
+        init(self, *args, **kwargs)
+
+    def counted_product(*args):
+        made.append("product")
+        return product(*args)
+
+    monkeypatch.setattr(FieldElement, "__init__", counted_init)
+    monkeypatch.setattr(field, "_product", counted_product)
+    digit = x.unit_residue()
+    assert made == []
+    monkeypatch.undo()
+    assert digit == (x * ctx.pi_pow(-x.nval())).residue()
+
+
 # -- the integer form against a Fraction reference -------------------------
 
 SHAPES = [(p, n, k) for p in (2, 3, 5, 11)
@@ -486,6 +546,12 @@ def test_exactness_checks_fail_under_optimize():
         "bad.unram_min_poly = (0, -1, 0, 1)  # x^3 - x, a multiple of x^2 - 1\n"
         "e = bad.x_gen * bad.x_gen - bad.one\n"
         "expect('norm-euclid', e.val)\n"
+        "e = ctx.from_rational(3)\n"
+        "e._nv = 1  # claims 5 | 3\n"
+        "expect('shifted', e.unit_residue)\n"
+        "e = ctx.from_rational(25)\n"
+        "e._nv = 1  # claims the digit of 25 / 5 is a unit\n"
+        "expect('shifted-digits', e.unit_residue)\n"
         "field.pow = lambda b, e, m: 0  # a truncation with a wrong inverse\n"
         "expect('truncate', lambda: ctx.from_rational(3).truncate(2))\n")
     src = os.path.join(os.path.dirname(__file__), "..", "src")
@@ -495,4 +561,5 @@ def test_exactness_checks_fail_under_optimize():
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["residue", "unit", "norm", "solve",
-                                    "norm-euclid", "truncate"]
+                                    "norm-euclid", "shifted",
+                                    "shifted-digits", "truncate"]
