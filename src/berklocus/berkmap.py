@@ -14,7 +14,7 @@ Each of these is derived once per reduction: the cancelled multiplicity into
 infinity is read off the degrees of the residues already taken.  This module
 holds no theorem check: `fixlocus.identification_check` compares the
 per-direction counts of a reduction with the classical fixed points that an
-`Analysis` isolated, and `embed_map` is called only by `fixlocus.analyze`,
+`Analysis` isolated, and `embed_map` is called only by `fixlocus.in_tower`,
 the one place that grows the working field.
 
 Along a ray of disk points with a fixed center, every conjugated coefficient

@@ -12,10 +12,13 @@ Subcommands operate on a map described by a small declarative input file:
 `main` reads the map file once and builds the one result its subcommand
 renders: `fixlocus.analyze` for `analyze`, `tree`, `weights` and `verify`
 (what they print, and every check `verify` makes, is read off that one
-analysis), and `reduce_at` at one point for `reduce-at` and `tangent`.  Each
-`cmd_*` function renders that result.  The map file and the file named by
-the `BERKLOCUS_CONFIG` environment variable (`n_max`, `k_max`) are read by
-one `key = value` reader.
+analysis), and `reduce_at` at one point for `reduce-at` and `tangent`, run
+through `fixlocus.in_tower`, so that a radius outside the input's value
+group is answered in the tower that holds it.  Each `cmd_*` function renders
+that result.  Every subcommand reads the budget: the defaults, the file
+named by the `BERKLOCUS_CONFIG` environment variable (`n_max`, `k_max`) and
+`--n-max`/`--k-max`.  The map file and that config file are read by one
+`key = value` reader.
 
 Exit codes: 0 success; 1 malformed input (including the identity map and a
 command-line usage error); 2 the exploration budget was not enough -- the
@@ -313,27 +316,34 @@ def cmd_tangent(local: LocalData, args, out) -> int:
 
 def _tree_data(skeleton: fx.SkeletonGraph):
     """Nodes keyed by breakpoint id (`bp.cid`) or `leaf<i>`, and the edges
-    between consecutive breakpoints of each ray (sorted by s, and distinct
-    points, since a ray has one center)."""
+    between consecutive stops of each ray: the point oo (on the upward ray,
+    when it is a classical fixed point), the integral breakpoints (sorted by
+    s, and distinct points, since a ray has one center) and the classical
+    leaf at its lower end.  An edge carries the behavior of the segment
+    that covers it, if one does."""
     nodes = {}
     for cid, (pt, local) in enumerate(skeleton.vertex_points):
         nodes[cid] = {"point": _point_dict(pt), "fixed": local.is_fixed,
                       "class": local.indifference_class}
+    inf_idx = None
+    for i, leaf in enumerate(skeleton.leaves):
+        nodes[f"leaf{i}"] = {"leaf": leaf.describe(), "class": leaf.klass}
+        if leaf.is_infinity():
+            inf_idx = i
     edges = []
     for ray in skeleton.rays:
-        bps = [bp for bp in ray.breakpoints if bp.cid is not None]
-        for a, b in zip(bps, bps[1:]):
+        stops = [(bp.cid, bp.s) for bp in ray.breakpoints
+                 if bp.cid is not None]
+        if ray.to_infinity and inf_idx is not None:
+            stops.insert(0, (f"leaf{inf_idx}", NEG_INF))
+        if ray.leaf_idx is not None:
+            stops.append((f"leaf{ray.leaf_idx}", INF))
+        for (a, s_a), (b, s_b) in zip(stops, stops[1:]):
             behavior = None
             for seg in ray.segments:
-                if seg.s_lo <= a.s and b.s <= seg.s_hi:
+                if seg.s_lo <= s_a and s_b <= seg.s_hi:
                     behavior = seg.behavior
-            edges.append((a.cid, b.cid, _s_str(a.s), _s_str(b.s), behavior))
-        if ray.leaf_idx is not None and bps:
-            leaf = skeleton.leaves[ray.leaf_idx]
-            edges.append((bps[-1].cid, f"leaf{ray.leaf_idx}",
-                          _s_str(bps[-1].s), "+inf", None))
-            nodes[f"leaf{ray.leaf_idx}"] = {"leaf": leaf.describe(),
-                                            "class": leaf.klass}
+            edges.append((a, b, _s_str(s_a), _s_str(s_b), behavior))
     return nodes, edges
 
 
@@ -447,8 +457,8 @@ class _Parser(argparse.ArgumentParser):
 
 
 # name -> (renderer, help, --format choices or None, reads a disk point);
-# a subcommand at a disk point renders `reduce_at` there, any other one
-# renders `fixlocus.analyze`
+# a subcommand at a disk point renders `reduce_at` there, in the tower
+# `fixlocus.in_tower` grows, any other one renders `fixlocus.analyze`
 SUBCOMMANDS = {
     "analyze": (cmd_analyze, "full fixed-locus certificate",
                 ("text", "json"), False),
@@ -489,11 +499,13 @@ def main(argv=None, out=None) -> int:
     out = out or sys.stdout
     args = _build_parser().parse_args(argv)
     try:
-        ctx, f = parse_map_file(args.input)
+        _, f = parse_map_file(args.input)
+        config = _config_from_args(args)
         if args.at_point:
-            result = reduce_at(f, _point_from_args(ctx, args))
+            result = fx.in_tower(f, config, lambda g, _: reduce_at(
+                g, _point_from_args(g.ctx, args)))
         else:
-            result = fx.analyze(f, _config_from_args(args))
+            result = fx.analyze(f, config)
         return args.render(result, args, out)
     except IdentityMap:
         print("error: the identity map fixes the whole line; "

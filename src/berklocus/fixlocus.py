@@ -26,10 +26,12 @@ the tree outside id-indifferent regions, and the weight total provides an
 end-to-end cross-check either way.  `identification_check` verifies the
 count behind it at every such skeleton vertex.
 
-`analyze` is the one place that grows the working field: each attempt embeds
+`in_tower` is the one place that grows the working field: each attempt embeds
 the input map into E(p, lcm n, lcm k) of the extensions asked for so far.
-The global structure checks are functions of one `Analysis`: they read the
-certificate `analyze` returned and never run the pipeline again.
+`analyze` runs the pipeline through it, and the CLI's `reduce-at` and
+`tangent` run one reduction through it.  The global structure checks are
+functions of one `Analysis`: they read the certificate `analyze` returned
+and never run the pipeline again.
 """
 
 from __future__ import annotations
@@ -689,14 +691,13 @@ def crucial_weights_from(
 # Top-level analysis with extension retries
 # ---------------------------------------------------------------------------
 
-def analyze(f: RationalMapK,
-            config: Optional[ExploreConfig] = None) -> Analysis:
-    """The certificate of f, in the smallest tower E(p, n, k) over f's own
-    context that the attempts ask for.  Each `NeedsExtension` takes n and k
-    to their lcm with the request, and the next attempt runs on f itself,
-    embedded afresh; a k step is refused only from an input over k > 1.
+def in_tower(f: RationalMapK, config: ExploreConfig, attempt):
+    """attempt(g, config) for g = f embedded into the smallest tower
+    E(p, n, k) over f's own context that the attempts ask for.  Each
+    `NeedsExtension` takes n and k to their lcm with the request, and the
+    next attempt runs on f itself, embedded afresh; a request beyond the
+    budget is raised, and a k step is refused from an input over k > 1.
     This is the one place that grows the working field."""
-    config = config or ExploreConfig()
     base, g = f.ctx, f
     n, k = base.n, base.k
     if k != 1:
@@ -706,7 +707,7 @@ def analyze(f: RationalMapK,
     # no attempt cap: each retry grows (n, k) strictly, within the budget
     while True:
         try:
-            return _analyze_once(g, config)
+            return attempt(g, config)
         except NeedsExtension as e:
             new_n = n if e.n is None else math.lcm(n, e.n)
             new_k = k if e.k is None else math.lcm(k, e.k)
@@ -715,6 +716,14 @@ def analyze(f: RationalMapK,
                 raise
             n, k = new_n, new_k
             g = embed_map(f, base.extend(n=n, k=k))
+
+
+def analyze(f: RationalMapK,
+            config: Optional[ExploreConfig] = None) -> Analysis:
+    """The certificate of f, in the tower `in_tower` grows for it."""
+    # `_analyze_once` is looked up per call, so a wrapper patched onto the
+    # module attribute (the span tracer of perfbench/) sees every attempt
+    return in_tower(f, config or ExploreConfig(), _analyze_once)
 
 
 def _analyze_once(f: RationalMapK, config: ExploreConfig) -> Analysis:

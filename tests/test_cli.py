@@ -7,14 +7,17 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
 from berklocus import cli
 from berklocus import fixlocus as fx
+from berklocus.berkmap import TypeIIPoint, embed_map
 from berklocus.cli import SCHEMA, main, parse_map_file
 from berklocus.errors import CheckFailed, ParseError
-from berklocus.oracle import MOEBIUS_IDENTITY, fixture, fixtures
+from berklocus.oracle import MOEBIUS_IDENTITY, brute_is_fixed, fixture, \
+    fixtures
 
 # the acceptance suite's budget, under which analyze certifies every fixture
 BUDGET = ["--n-max", "24", "--k-max", "4"]
@@ -97,9 +100,55 @@ def test_reduce_at_gauss(square_map):
 
 
 def test_reduce_at_fractional_radius_exit_2(square_map):
-    code, _ = run(["reduce-at", "--input", square_map,
-                   "--center", "0", "--s", "1/2"])
-    assert code == 2
+    # a radius that needs a ramification index beyond --n-max (default 6)
+    # is the budget code, for reduce-at and tangent alike
+    for sub in ("reduce-at", "tangent"):
+        for argv in (["--s", "1/2", "--n-max", "1"], ["--s", "1/7"]):
+            code, text = run([sub, "--input", square_map, "--center", "1"]
+                             + argv)
+            assert (code, text) == (2, ""), (sub, argv)
+
+
+def test_point_subcommands_grow_the_field(square_map):
+    # z^2 over Q_5 at zeta(1, 1/2): answered in E(5, 2, 1), where the point
+    # is fixed and multiplicatively indifferent
+    point = ["--input", square_map, "--center", "1", "--s", "1/2"]
+    code, text = run(["reduce-at", "--format", "json"] + point)
+    assert code == 0
+    local = json.loads(text)["local"]
+    assert local["is_fixed"] is True
+    assert local["class"] == "multiplicatively-indifferent"
+    code, text = run(["tangent"] + point)
+    assert code == 0 and "multiplicatively-indifferent" in text
+    # 1/7 needs n = 7, one past the default n_max = 6
+    code, text = run(["reduce-at", "--input", square_map, "--center", "1",
+                      "--s", "1/7", "--n-max", "7", "--format", "json"])
+    assert code == 0 and json.loads(text)["local"]["is_fixed"] is True
+
+
+def test_reduce_at_in_the_tower_agrees_with_the_oracle(tmp_path):
+    """At radii outside the value group of Q_p, reduce-at answers in
+    E(p, 2, 1), and its fixedness is the oracle's on the map embedded
+    there: on every fixture but the identity, and on three maps over Q_2
+    (z^2, -1/z, and a wild quadratic with an unsplit critical cluster)."""
+    paths = [write_fixture(tmp_path, fxt) for fxt in fixtures()
+             if fxt.expected.get("case") != MOEBIUS_IDENTITY]
+    for i, (num, den) in enumerate([("0, 0, 1", "1"), ("-1", "0, 1"),
+                                    ("3, -5, -8", "-4, 5, 7")]):
+        paths.append(write(tmp_path, f"q2-{i}.map",
+                           f"p = 2\nnum = {num}\nden = {den}\n"))
+    for path in paths:
+        ctx, f = parse_map_file(path)
+        g = embed_map(f, ctx.extend(n=2, k=1))
+        for c in (Fraction(0), Fraction(1), Fraction(ctx.p + 1, ctx.p)):
+            for s in (Fraction(-1, 2), Fraction(1, 2), Fraction(3, 2)):
+                code, text = run(["reduce-at", "--input", path, "--center",
+                                  str(c), f"--s={s}", "--format", "json"])
+                assert code == 0, (path, c, s)
+                want = brute_is_fixed(g, TypeIIPoint(g.ctx.from_rational(c),
+                                                     s))
+                assert json.loads(text)["local"]["is_fixed"] is want, \
+                    (path, c, s)
 
 
 def test_tangent(square_map):
@@ -125,7 +174,13 @@ def test_tree_formats(square_map):
     assert code == 0
     parsed = json.loads(doc)
     assert parsed["schema"] == SCHEMA
-    assert parsed["nodes"] and parsed["edges"]
+    # the ray up to oo and the segments into the leaves are edges, with the
+    # behavior of the segment they run along
+    assert sorted((e["from"], e["to"], e["behavior"])
+                  for e in parsed["edges"]) == [
+        ("0", "leaf0", "multiplicatively-indifferent"),
+        ("0", "leaf1", "not-fixed"),
+        ("leaf2", "0", "not-fixed")]
 
 
 def test_weights_json(square_map):
@@ -259,16 +314,24 @@ def test_tree_on_every_fixture(tmp_path):
 
 
 def test_tree_json_is_a_tree_on_every_fixture(tmp_path):
-    """On every fixture of degree >= 2, the JSON skeleton is a tree: every
-    edge end is a node, |E| = |V| - 1, and the graph is connected."""
+    """On every fixture but the identity, the JSON skeleton is a tree: every
+    edge end is a node, |E| = |V| - 1, and the graph is connected; and every
+    classical fixed point, oo included, is a leaf node."""
     for fxt in fixtures():
-        if fxt.expected["degree"] < 2:
+        if fxt.expected.get("case") == MOEBIUS_IDENTITY:
             continue
-        code, text = run(["tree", "--input", write_fixture(tmp_path, fxt),
-                          "--format", "json"] + BUDGET)
+        path = write_fixture(tmp_path, fxt)
+        code, text = run(["tree", "--input", path, "--format", "json"]
+                         + BUDGET)
         assert code == 0, fxt.name
         doc = json.loads(text)
         nodes = set(doc["nodes"])
+        _, text = run(["analyze", "--input", path, "--format", "json"]
+                      + BUDGET)
+        classical = [cp["value"]
+                     for cp in json.loads(text)["classical_points"]]
+        assert [doc["nodes"].get(f"leaf{i}", {}).get("leaf")
+                for i in range(len(classical))] == classical, fxt.name
         adj = {v: set() for v in nodes}
         for e in doc["edges"]:
             assert e["from"] in nodes and e["to"] in nodes, (fxt.name, e)

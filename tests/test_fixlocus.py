@@ -544,7 +544,7 @@ def _functions(tree):
 def test_theorem_checks_read_the_analysis_and_only_analyze_grows_the_field():
     """No function in the "Theorem checks" section of fixlocus runs any part
     of the pipeline, and `.extend(` and `embed_map(` are called only inside
-    `fixlocus.analyze`."""
+    `fixlocus.in_tower`, which `analyze` runs the pipeline through."""
     with open(os.path.join(PACKAGE, "fixlocus.py")) as fh:
         source = fh.read()
     section = source[:source.index("# Theorem checks")].count("\n") + 1
@@ -565,4 +565,21 @@ def test_theorem_checks_read_the_analysis_and_only_analyze_grows_the_field():
                     if not isinstance(n, (ast.FunctionDef, ast.ClassDef))]
             assert not any({"extend", "embed_map"} & set(_called_names(n))
                            for n in body), module
-    assert growers == {"fixlocus.analyze"}
+    assert growers == {"fixlocus.in_tower"}
+
+
+def test_analyze_runs_each_attempt_through_the_module_attribute(monkeypatch):
+    """`analyze` looks `_analyze_once` up per call, so a wrapper patched
+    onto the module attribute sees every attempt, retries included."""
+    attempts = []
+    once = fx._analyze_once
+
+    def counted(f, config):
+        attempts.append((f.ctx.n, f.ctx.k))
+        return once(f, config)
+    monkeypatch.setattr(fx, "_analyze_once", counted)
+    # (2z^2 - 5)/z over Q_5 fixes the square roots of 5, and its tower
+    # grows twice
+    a = fx.analyze(mk(5, [-5, 0, 2], [0, 1]))
+    assert attempts == [(1, 1), (2, 1), (2, 2)]
+    assert (a.map.ctx.n, a.map.ctx.k) == (2, 2)
