@@ -18,10 +18,11 @@ per-direction counts of a reduction with the classical fixed points that an
 the one place that grows the working field.
 
 Along a ray of disk points with a fixed center, every conjugated coefficient
-valuation is an affine function of the radius parameter s (`_ray_lines`, or
-`_expansion_lines` off a Taylor expansion already taken), so
-the reduction's support -- hence fixedness and the indifference class -- is
-constant between breakpoints of a lower envelope of finitely many lines
+valuation is an affine function of the radius parameter s
+(`_expansion_lines`, off the map translated to the center by
+`epoly.translate` or a root handle's expansion), so the reduction's support
+-- hence fixedness and the indifference class -- is constant between
+breakpoints of a lower envelope of finitely many lines
 (`segments_from_lines`).  `fixlocus._annotate_ray` is the one place that
 turns those lines into a ray's segments and reduced breakpoints.  No sampling
 is used to find structure.
@@ -35,7 +36,7 @@ from fractions import Fraction
 from typing import Dict, List, Optional
 
 from . import residue as rf
-from .epoly import poly_scale_arg, poly_shift
+from .epoly import poly_scale_arg, translate
 from .errors import CheckFailed, ConstantMap, NeedsExtension, ZeroDenominator
 from .field import INF, NEG_INF, FieldElement, PrimeContext
 from .residue import (
@@ -50,7 +51,6 @@ from .residue import (
     poly_gcd,
     poly_monic,
     poly_scale,
-    poly_sub,
 )
 
 DirectionKey = tuple
@@ -123,12 +123,9 @@ class RationalMapK(RationalMap):
         if u.is_zero():
             raise ValueError("conjugation by a zero scale")
         ctx = self.ctx
-        num_s = poly_shift(ctx, self.num, a)
-        den_s = poly_shift(ctx, self.den, a)
-        num_s = poly_sub(ctx, num_s, poly_scale(ctx, den_s, a))
+        _, den_s, num_s = translate(ctx, self.num, self.den, a)
         num_u = poly_scale_arg(ctx, num_s, u)
-        den_u = poly_scale_arg(ctx, den_s, u)
-        den_u = poly_scale(ctx, den_u, u)
+        den_u = poly_scale(ctx, poly_scale_arg(ctx, den_s, u), u)
         # an invertible coordinate change of a reduced map stays reduced
         return RationalMapK(ctx, num_u, den_u, _coprime=True)
 
@@ -314,32 +311,15 @@ class RaySegment:
 @dataclass
 class RayBreakpoint:
     """The point zeta(center, s) of a ray at a support change of the lower
-    envelope.  `local` is None at a radius outside the value group.
-
-    On a skeleton ray (`fixlocus.gamma_fix`) a point shared by several rays
-    is reduced once: `local` is the LocalData of the first reduction of the
-    point, taken in the coordinate of the first ray reaching it, so
-    `local.point` may carry another center than this ray, and `cid` indexes
-    the point in `SkeletonGraph.vertex_points`: the one id of the point, by
-    which the assembly, the weights and the `tree` subcommand all name it.
-    A ray's breakpoints are sorted by s and, the center being fixed, are
-    distinct points.  Fixedness, class and local degree do not depend on the
-    center; direction data must be read in the coordinate of
-    `local.point`."""
+    envelope.  On a skeleton ray (`fixlocus.gamma_fix`) `cid` indexes the
+    point in `SkeletonGraph.vertex_points`, which holds its one reduction:
+    the one id of the point, by which every reader of the skeleton names it
+    and finds that reduction.  `cid` is None at a radius outside the value
+    group, where no reduction is taken.  A ray's breakpoints are sorted by s
+    and, the center being fixed, are distinct points."""
 
     s: Fraction
-    local: Optional[LocalData]
     cid: Optional[int] = None
-
-
-def _ray_lines(f: RationalMapK, a: FieldElement):
-    """Affine valuation functions of the conjugated coefficients along the
-    ray centered at a, from num(a + t) - a*den(a + t) and den(a + t)
-    (`_expansion_lines`)."""
-    ctx = f.ctx
-    den_s = poly_shift(ctx, f.den, a)
-    num_s = poly_sub(ctx, poly_shift(ctx, f.num, a), poly_scale(ctx, den_s, a))
-    return _expansion_lines(num_s, den_s)
 
 
 def _expansion_lines(num_s, den_s):

@@ -316,28 +316,18 @@ def cmd_tangent(local: LocalData, args, out) -> int:
 
 def _tree_data(skeleton: fx.SkeletonGraph):
     """Nodes keyed by breakpoint id (`bp.cid`) or `leaf<i>`, and the edges
-    between consecutive stops of each ray: the point oo (on the upward ray,
-    when it is a classical fixed point), the integral breakpoints (sorted by
-    s, and distinct points, since a ray has one center) and the classical
-    leaf at its lower end.  An edge carries the behavior of the segment
-    that covers it, if one does."""
+    between consecutive stops of each ray (`fixlocus.ray_stops`).  An edge
+    carries the behavior of the segment that covers it, if one does."""
     nodes = {}
     for cid, (pt, local) in enumerate(skeleton.vertex_points):
         nodes[cid] = {"point": _point_dict(pt), "fixed": local.is_fixed,
                       "class": local.indifference_class}
-    inf_idx = None
     for i, leaf in enumerate(skeleton.leaves):
         nodes[f"leaf{i}"] = {"leaf": leaf.describe(), "class": leaf.klass}
-        if leaf.is_infinity():
-            inf_idx = i
     edges = []
     for ray in skeleton.rays:
-        stops = [(bp.cid, bp.s) for bp in ray.breakpoints
-                 if bp.cid is not None]
-        if ray.to_infinity and inf_idx is not None:
-            stops.insert(0, (f"leaf{inf_idx}", NEG_INF))
-        if ray.leaf_idx is not None:
-            stops.append((f"leaf{ray.leaf_idx}", INF))
+        stops = [(i if kind == "bp" else f"leaf{i}", s)
+                 for s, (kind, i) in fx.ray_stops(skeleton, ray).items()]
         for (a, s_a), (b, s_b) in zip(stops, stops[1:]):
             behavior = None
             for seg in ray.segments:

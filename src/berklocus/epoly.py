@@ -1,5 +1,5 @@
 """Polynomials over the working field: Newton polygons, disk-localized root
-counting, and Taylor shifts.
+counting, Taylor shifts, and the translation of a map to a center.
 
 Polynomials reuse the tuple-of-coefficients convention (low degree first,
 trimmed); the generic ring helpers from the residue module work verbatim
@@ -17,11 +17,11 @@ from typing import List, Tuple
 
 from .errors import CheckFailed, ZeroPolynomial
 from .field import INF, FieldElement, PrimeContext
-from .residue import _trim, poly_deg
+from .residue import _trim, poly_scale, poly_sub
 
 __all__ = [
     "NewtonPolygon", "epoly", "newton_polygon", "count_roots_in_disk",
-    "root_valuations", "poly_shift", "poly_scale_arg",
+    "root_valuations", "poly_shift", "poly_scale_arg", "translate",
 ]
 
 
@@ -49,7 +49,6 @@ class NewtonPolygon:
 
     segments: Tuple[Tuple[Fraction, int], ...]
     vanishing_order: int
-    degree: int
 
 
 def newton_polygon(ctx: PrimeContext, f) -> NewtonPolygon:
@@ -76,8 +75,7 @@ def newton_polygon(ctx: PrimeContext, f) -> NewtonPolygon:
     if any(a[0] >= b[0] for a, b in zip(segments, segments[1:])):
         raise CheckFailed(f"Newton polygon slopes {list(segments)} do not "
                           "increase")
-    return NewtonPolygon(segments=segments, vanishing_order=ord0,
-                         degree=poly_deg(f))
+    return NewtonPolygon(segments=segments, vanishing_order=ord0)
 
 
 def root_valuations(ctx: PrimeContext, f) -> List[Fraction]:
@@ -107,6 +105,16 @@ def poly_shift(ctx: PrimeContext, f, c: FieldElement):
         for j in range(d - 1, i - 1, -1):
             a[j] = a[j] + c * a[j + 1]
     return tuple(a)
+
+
+def translate(ctx: PrimeContext, num, den, c: FieldElement):
+    """The map num/den moved to the center c: the coefficient tuples of
+    num(c + t), den(c + t) and num(c + t) - c*den(c + t), the numerator of
+    f(c + t) - c.  The one place a map is shifted to a center: affine
+    conjugation, the ray lines and a root handle's expansion all read it."""
+    a = poly_shift(ctx, num, c)
+    b = poly_shift(ctx, den, c)
+    return a, b, poly_sub(ctx, a, poly_scale(ctx, b, c))
 
 
 def poly_scale_arg(ctx: PrimeContext, f, u: FieldElement):

@@ -333,18 +333,6 @@ class FieldElement:
         return FieldElement(self.ctx, [q.numerator * c for c in self.nums],
                             q.denominator * self.den)
 
-    def __pow__(self, e: int):
-        if e < 0:
-            return self.inverse() ** (-e)
-        result = self.ctx.one
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
-
     def inverse(self) -> "FieldElement":
         """The exact inverse.  A monomial (c / den) pi^j of the x^0 row
         inverts in closed form, as (den / c) pi^-j = den / (c p) pi^(n - j)

@@ -9,14 +9,17 @@ into the classes of `distance > level`, with the ultrametric inequality
 checked on the way.  Every edge is decomposed by the tropical ray analysis
 and every vertex annotated by reduction.  Rays share their ends and
 junctions, so each distinct disk point is reduced exactly once: the first ray
-to reach it reduces it in its own coordinate, and every later breakpoint at
-that point holds the same LocalData and the same id, `RayBreakpoint.cid`,
-its index in `SkeletonGraph.vertex_points`.  Fixedness, class and local
-degree do not depend on the coordinate; direction data is read in the
-coordinate of that first reduction.  Every reader of the tree (components,
-weights, the `tree` subcommand) names a point by that id.  Components of the
-fixed locus are the connected groups of fixed atoms (vertices, edge segments,
-classical leaves) in the adjacency the assembly builds.
+to reach it reduces it in its own coordinate, and every breakpoint at that
+point holds only its id, `RayBreakpoint.cid`, the index in
+`SkeletonGraph.vertex_points` of the point and its one reduction.
+Fixedness, class and local degree do not depend on the coordinate; direction
+data is read in the coordinate of that reduction.  `ray_stops` names the
+points a ray's segments end at -- the breakpoints by that id, the classical
+leaves and the point oo -- and every reader of the tree (components,
+multiplier reciprocity, the `tree` subcommand) finds a segment's ends there
+alone.  Components of the fixed locus are the connected groups of fixed atoms
+(vertices, edge segments, classical leaves) in the adjacency the assembly
+builds.
 
 Completeness of the certificate rests on a structural fact: at a fixed point
 whose tangent map is not the identity, every fixed tangent direction has
@@ -60,6 +63,7 @@ from .berkmap import (
     reduce_at,
     segments_from_lines,
 )
+from .epoly import translate
 from .errors import (
     CheckFailed,
     ClassicalComponent,
@@ -273,10 +277,10 @@ class SkeletonGraph:
     upward ray last.  `vertex_points` holds every distinct disk point among
     the integral ray breakpoints, once, in the order the rays first reach it,
     with the one reduction taken there; a breakpoint's `cid` indexes this
-    list, is the one id of the point for every reader, and its `local` is
-    the same LocalData object.  That reduction is in the coordinate of the
-    first center that reached the point, and direction data
-    (`_leaf_directions`, the surplus keys) is read in that coordinate.
+    list and is the one id of the point for every reader, who takes the
+    reduction from here.  That reduction is in the coordinate of the first
+    center that reached the point, and direction data (`_leaf_directions`,
+    the surplus keys) is read in that coordinate.
     """
 
     leaves: List[ClassicalFixedPoint]
@@ -358,9 +362,10 @@ def _ray_lines_at(f: RationalMapK, anchor):
         if not anchor.is_exact:
             return _tail_lines(f, anchor)
         _, b, e = anchor.expansion(f.num, f.den)
-        return bk._expansion_lines(e, b)
-    a = anchor.center if isinstance(anchor, ClusterStub) else anchor
-    return bk._ray_lines(f, a)
+    else:
+        a = anchor.center if isinstance(anchor, ClusterStub) else anchor
+        _, b, e = translate(f.ctx, f.num, f.den, a)
+    return bk._expansion_lines(e, b)
 
 
 def _annotate_ray(f: RationalMapK, ray: ScaffoldRay,
@@ -385,17 +390,17 @@ def _annotate_ray(f: RationalMapK, ray: ScaffoldRay,
     ray.breakpoints = []
     for s in breaks:
         if (s * ctx.n).denominator != 1:
-            # type-III crossing at a radius outside the value group: local
-            # degree 1, weight 0, no reduction to take; recorded bare so the
-            # assembly can pass fixedness through it by closure
-            ray.breakpoints.append(RayBreakpoint(s, None))
+            # the radius lies outside the value group of E(p, n, k): no
+            # reduction is taken there, and the breakpoint is recorded bare
+            # (no stop of the ray), so the assembly passes fixedness
+            # through it by closure
+            ray.breakpoints.append(RayBreakpoint(s))
             continue
         pt = TypeIIPoint(center, s)
         cid = cids.setdefault(pt.key(), len(vertex_points))
         if cid == len(vertex_points):
             vertex_points.append((pt, reduce_at(f, pt)))
-        ray.breakpoints.append(RayBreakpoint(s, vertex_points[cid][1],
-                                             cid=cid))
+        ray.breakpoints.append(RayBreakpoint(s, cid))
 
 
 def _critical_point_handles(f: RationalMapK,
@@ -508,6 +513,26 @@ def gamma_fix(f: RationalMapK,
                          vertex_points=vertex_points)
 
 
+def ray_stops(skeleton: SkeletonGraph,
+              ray: ScaffoldRay) -> Dict[object, tuple]:
+    """The points at which the ray's segments end, by s in ascending order:
+    the point oo, ("leaf", i), at s = NEG_INF on the upward ray when it is a
+    classical fixed point, ("bp", cid) at each reduced breakpoint, and the
+    classical leaf ("leaf", i) at s = INF.  The one reading of a ray's ends:
+    the components, multiplier reciprocity and the `tree` subcommand find
+    the point at the end of a segment only here."""
+    stops = {}
+    if ray.to_infinity:
+        for i, cp in enumerate(skeleton.leaves):
+            if cp.is_infinity():
+                stops[NEG_INF] = ("leaf", i)
+    stops.update((bp.s, ("bp", bp.cid)) for bp in ray.breakpoints
+                 if bp.cid is not None)
+    if ray.leaf_idx is not None:
+        stops[INF] = ("leaf", ray.leaf_idx)
+    return stops
+
+
 # ---------------------------------------------------------------------------
 # Components
 # ---------------------------------------------------------------------------
@@ -521,7 +546,6 @@ class Component:
     fixed_vertices: List[Tuple[TypeIIPoint, LocalData]]
     alpha: int
     residue_field: object = None
-    atom_ids: List[tuple] = dc_field(default_factory=list)
     atom_adj: Dict[tuple, List[tuple]] = dc_field(default_factory=dict)
     bp_class: Dict[tuple, str] = dc_field(default_factory=dict)
 
@@ -573,29 +597,21 @@ def _assemble(f: RationalMapK, skeleton: SkeletonGraph) -> List[Component]:
     for cid, (pt, local) in enumerate(skeleton.vertex_points):
         add_atom(("bp", cid), local.is_fixed, {"pt": pt, "local": local})
 
-    inf_idx = next((i for i, cp in enumerate(skeleton.leaves)
-                    if cp.is_infinity()), None)
-
     for ray in skeleton.rays:
-        cid_at = {bp.s: bp.cid for bp in ray.breakpoints
-                  if bp.cid is not None}
+        stops = ray_stops(skeleton, ray)
         prev = None
         for si, seg in enumerate(ray.segments):
             aid = ("seg", ray.ray_id, si)
             add_atom(aid, seg.behavior != NOT_FIXED, {"seg": seg})
-            if seg.s_lo in cid_at:
-                connect(aid, ("bp", cid_at[seg.s_lo]))
+            if seg.s_lo in stops:
+                connect(aid, stops[seg.s_lo])
             elif prev is not None:
-                # neighbouring segments meeting at a type-III crossing touch
+                # neighbouring segments meeting at a bare breakpoint touch
                 # at a single point of weight 0; the fixed locus is closed,
                 # so fixedness passes straight through
                 connect(aid, prev)
-            if seg.s_hi in cid_at:
-                connect(aid, ("bp", cid_at[seg.s_hi]))
-            if seg.s_hi is INF and ray.leaf_idx is not None:
-                connect(aid, ("leaf", ray.leaf_idx))
-            if seg.s_lo is NEG_INF and ray.to_infinity and inf_idx is not None:
-                connect(aid, ("leaf", inf_idx))
+            if seg.s_hi in stops:
+                connect(aid, stops[seg.s_hi])
             prev = aid
 
     # label fixed atoms by a traversal of adj, in insertion order
@@ -635,7 +651,6 @@ def _assemble(f: RationalMapK, skeleton: SkeletonGraph) -> List[Component]:
                          repelling_vertices=repelling, arcs=arcs,
                          fixed_vertices=fixed_vertices, alpha=alpha,
                          residue_field=f.ctx.residue_field,
-                         atom_ids=sorted(aids),
                          atom_adj={a: sorted(x for x in adj[a]
                                              if comp_of.get(x) == root)
                                    for a in aids},
@@ -796,19 +811,13 @@ def connectedness_check(a: Analysis) -> bool:
     if d < 2:
         raise PreconditionViolated("degree >= 2 required")
     sigma = sum((ld.local_degree - 1 - ld.n_cf)
-                for _, ld in _all_fixed_vertices(a)
-                if ld.indifference_class != ID_INDIFFERENT)
+                for _, ld in a.skeleton.vertex_points
+                if ld.is_fixed and ld.indifference_class != ID_INDIFFERENT)
     result = sigma == d - 1
     if result != (len(a.components) == 1):
         raise CheckFailed("connectedness criterion disagrees with the "
                           f"component count {len(a.components)}")
     return result
-
-
-def _all_fixed_vertices(a: Analysis):
-    for comp in a.components:
-        for pt, ld in comp.fixed_vertices:
-            yield pt, ld
 
 
 def hyperbolic_checks(c: Component) -> bool:
@@ -825,8 +834,8 @@ def hyperbolic_checks(c: Component) -> bool:
     # (ii) the component is the connected hull of its repelling vertices:
     # every graph-leaf atom of the component must be a repelling vertex
     rep_atoms = {a for a, cls in c.bp_class.items() if cls == REPELLING}
-    for a in c.atom_ids:
-        if len(c.atom_adj[a]) <= 1 and a not in rep_atoms:
+    for a, nbrs in c.atom_adj.items():
+        if len(nbrs) <= 1 and a not in rep_atoms:
             return False
     # (iii) no id-/additively indifferent annotation inside
     for cls in c.bp_class.values():
@@ -889,29 +898,29 @@ def multiplier_reciprocity_check(a: Analysis) -> bool:
     infinity is 1.  False when one of these fails; CheckFailed, whatever
     else fails, when a facing direction is not fixed or the shallower
     multiplier is not the segment's."""
-    leaves = a.skeleton.leaves
-    lam_inf = next((cp.multiplier_residue for cp in leaves
-                    if cp.is_infinity()), None)
+    sk = a.skeleton
     ok = True
-    for ray in a.skeleton.rays:
-        local_at = {bp.s: bp.local for bp in ray.breakpoints
-                    if bp.cid is not None}
+    for ray in sk.rays:
+        stops = ray_stops(sk, ray)
         for seg in ray.segments:
             if seg.behavior == NOT_FIXED:
                 continue
             one = seg.multiplier.field.one
-            if seg.s_hi is INF and ray.leaf_idx is not None:
-                ok &= seg.multiplier == leaves[ray.leaf_idx].multiplier_residue
-            if seg.s_lo is NEG_INF and ray.to_infinity:
+            lo, hi = stops.get(seg.s_lo), stops.get(seg.s_hi)
+            if hi and hi[0] == "leaf":
+                ok &= seg.multiplier == sk.leaves[hi[1]].multiplier_residue
+            if lo and lo[0] == "leaf":  # the point oo
+                lam_inf = sk.leaves[lo[1]].multiplier_residue
                 ok &= lam_inf is not None and seg.multiplier * lam_inf == one
-            if seg.s_lo not in local_at or seg.s_hi not in local_at:
+            if not (lo and hi and lo[0] == hi[0] == "bp"):
                 continue
-            lam_lo = _facing_multiplier(local_at[seg.s_lo], seg.center)
+            lam_lo = _facing_multiplier(sk.vertex_points[lo[1]][1], seg.center)
             if lam_lo != seg.multiplier:
                 raise CheckFailed(f"multiplier {lam_lo} at s = {seg.s_lo} "
                                   f"differs from the segment's "
                                   f"{seg.multiplier}")
-            ok &= lam_lo * _facing_multiplier(local_at[seg.s_hi], None) == one
+            ok &= lam_lo * _facing_multiplier(sk.vertex_points[hi[1]][1],
+                                              None) == one
     return ok
 
 

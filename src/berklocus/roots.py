@@ -46,7 +46,7 @@ from typing import Optional, Tuple, Union
 
 from . import residue as rf
 from .epoly import count_roots_in_disk, epoly, newton_polygon, poly_shift, \
-    poly_scale_arg
+    poly_scale_arg, translate
 from .errors import CheckFailed, NeedsExtension
 from .field import INF, NEG_INF, FieldElement, PrimeContext, _is_prime, _vp
 from .residue import (
@@ -58,7 +58,6 @@ from .residue import (
     poly_eval,
     poly_divmod,
     poly_gcd,
-    poly_sub,
 )
 
 _MAX_REFINE = 200  # hard stop against runaway refinement loops
@@ -179,17 +178,16 @@ class RootHandle:
 
     def expansion(self, num, den):
         """(a, b, e) at the current center c: the coefficient tuples of
-        a = num(c + t), b = den(c + t) and e = a - c*b.  Computed once per
-        center and pair, so every polynomial built from num and den reads
-        its own expansion off these three instead of shifting itself."""
+        a = num(c + t), b = den(c + t) and e = a - c*b (`epoly.translate`).
+        Computed once per center and pair, so every polynomial built from
+        num and den reads its own expansion off these three instead of
+        shifting itself."""
         cache = self._expansion
         if cache is None or cache[0] is not self.center \
                 or cache[1] is not num or cache[2] is not den:
-            ctx, c = self.ctx, self.center
-            a = poly_shift(ctx, num, c)
-            b = poly_shift(ctx, den, c)
-            e = poly_sub(ctx, a, tuple(c * x for x in b))
-            cache = self._expansion = (c, num, den, a, b, e)
+            c = self.center
+            cache = self._expansion = (c, num, den,
+                                       *translate(self.ctx, num, den, c))
         return cache[3:]
 
     def lead_at(self, q) -> Optional[Tuple[Fraction, rf.FqElement]]:
@@ -290,16 +288,13 @@ class RootHandle:
         (root - c) / pi^(n s)) or the infinity direction."""
         ctx = self.ctx
         c, s = x.center, Fraction(x.s)
-        diff_poly = epoly(ctx, [-c, 1])  # z - c, evaluated at the root
-        d = self.distance_to_point(c) if not self._is_point(c) else INF
-        if d is not INF and d < s:
+        d = INF if self._is_point(c) else self.distance_to_point(c)
+        if d < s:
             return INF_POINT
-        if d is INF:
-            return ctx.residue_field.zero
         if d > s:
             return ctx.residue_field.zero
-        # d == s: genuine nonzero residue digit
-        return self.lead_at(diff_poly)[1]
+        # d == s: genuine nonzero residue digit of z - c at the root
+        return self.lead_at(epoly(ctx, [-c, 1]))[1]
 
     def _is_point(self, c: FieldElement) -> bool:
         return self.is_exact and self.center == c
@@ -502,9 +497,6 @@ def _isolate_cluster(ctx: PrimeContext, g, c: FieldElement, floor: Fraction,
                           f"beyond the center, expected {expected}")
     placed_total = 0
     for v, count in sorted(levels.items()):
-        if count == 1 and len(levels) == 1 and exact is None:
-            # already isolated at this level
-            return [RootHandle(ctx, g, c, v, multiplicity)]
         if (v * ctx.n).denominator != 1:
             need = math.lcm(ctx.n, v.denominator)
             # a separation radius with p in its denominator means the

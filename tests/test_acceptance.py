@@ -254,7 +254,7 @@ def test_criterion_6_component_bounds(fixture_analyses, random_batch):
         # connectedness criterion, re-derived from the certificate: the
         # surplus sum over fixed vertices detects a single component
         sigma = sum(ld.local_degree - 1 - ld.n_cf
-                    for _, ld in fx._all_fixed_vertices(a)
+                    for c in a.components for _, ld in c.fixed_vertices
                     if ld.indifference_class != ID_INDIFFERENT)
         assert (sigma == d - 1) == (len(a.components) == 1), repr(f)
     # the public check agrees (it re-asserts the biconditional internally)

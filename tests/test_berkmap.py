@@ -148,28 +148,30 @@ def test_fractional_radius_needs_extension():
 
 
 def _zero_ray(f, s_lo, s_hi):
-    """The ray {zeta(0, s) : s in [s_lo, s_hi]}, annotated as a skeleton ray."""
+    """The ray {zeta(0, s) : s in [s_lo, s_hi]}, annotated as a skeleton
+    ray, and the reductions its breakpoints' ids index."""
     ray = fx.ScaffoldRay(0, f.ctx.zero, Fraction(s_lo), Fraction(s_hi),
                          leaf_idx=None, to_infinity=False)
-    fx._annotate_ray(f, ray, [], {})
-    return ray
+    vertex_points = []
+    fx._annotate_ray(f, ray, vertex_points, {})
+    return ray, [local for _, local in vertex_points]
 
 
-def _behavior_at(ray, s):
+def _behavior_at(ray, reductions, s):
     bp = next((bp for bp in ray.breakpoints if bp.s == s), None)
     if bp is not None:
-        return bp.local.indifference_class
+        return reductions[bp.cid].indifference_class
     return next(seg.behavior for seg in ray.segments
                 if seg.s_lo < s < seg.s_hi)
 
 
 def test_ray_analysis_segments_power_map():
     f = mk(5, [0, 0, 1], [1])
-    ra = _zero_ray(f, -3, 3)
+    ra, reductions = _zero_ray(f, -3, 3)
     # along the 0-ray of z^2: fixed only at s = 0 (the Gauss point)
-    assert _behavior_at(ra, Fraction(0)) == REPELLING
-    assert _behavior_at(ra, Fraction(1)) == NOT_FIXED
-    assert _behavior_at(ra, Fraction(-1)) == NOT_FIXED
+    assert _behavior_at(ra, reductions, Fraction(0)) == REPELLING
+    assert _behavior_at(ra, reductions, Fraction(1)) == NOT_FIXED
+    assert _behavior_at(ra, reductions, Fraction(-1)) == NOT_FIXED
     # sample five interior points of each constant-behavior interval
     for seg in ra.segments:
         lo = seg.s_lo if seg.s_lo > Fraction(-3) else Fraction(-3)
@@ -185,12 +187,12 @@ def test_ray_analysis_segments_power_map():
 
 def test_ray_analysis_scaling_map_everywhere_fixed():
     f = mk(5, [0, 2], [1])
-    ra = _zero_ray(f, -2, 2)
+    ra, reductions = _zero_ray(f, -2, 2)
     for seg in ra.segments:
         assert seg.behavior == MULT_INDIFFERENT
+    assert len(reductions) == len(ra.breakpoints) == 2
     for bp in ra.breakpoints:
-        if bp.local is not None:
-            assert bp.local.is_fixed
+        assert reductions[bp.cid].is_fixed
 
 
 def test_multiplier_reciprocity_on_arc(shared_point_analyses):
@@ -201,7 +203,8 @@ def test_multiplier_reciprocity_on_arc(shared_point_analyses):
     segments = reciprocity_segments(a)
     assert [seg.behavior for _, seg in segments] == [MULT_INDIFFERENT] * 2
     for ray, seg in segments:
-        ends = {bp.s: bp.local for bp in ray.breakpoints}
+        ends = {bp.s: a.skeleton.vertex_points[bp.cid][1]
+                for bp in ray.breakpoints}
         lo = fx._facing_multiplier(ends[seg.s_lo], seg.center)
         hi = fx._facing_multiplier(ends[seg.s_hi], None)
         assert lo == seg.multiplier and lo * hi == lo.field.one

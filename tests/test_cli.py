@@ -99,6 +99,28 @@ def test_reduce_at_gauss(square_map):
     assert doc["local"]["local_degree"] == 2
 
 
+def test_reduce_at_text(square_map):
+    code, text = run(["reduce-at", "--input", square_map,
+                      "--center", "0", "--s", "0", "--format", "text"])
+    assert code == 0
+    assert text.splitlines() == [
+        "point: zeta(0, s=0)",
+        "fixed: yes   class: repelling",
+        "local degree: 2",
+        "tangent map: (1*w^2)/(1)",
+        "fixed directions of the tangent map:",
+        "  at 0  orbit size 1  mult 1  multiplier 0  (critical)",
+        "  at 1  orbit size 1  mult 1  multiplier 2",
+        "  at oo  orbit size 1  mult 1  multiplier 0  (critical)"]
+    # a point that is not fixed has no tangent map and no directions
+    code, text = run(["reduce-at", "--input", square_map,
+                      "--center", "2", "--s", "1", "--format", "text"])
+    assert code == 0
+    assert text.splitlines() == ["point: zeta(2, s=1)",
+                                 "fixed: no   class: not-fixed",
+                                 "local degree: None"]
+
+
 def test_reduce_at_fractional_radius_exit_2(square_map):
     # a radius that needs a ramification index beyond --n-max (default 6)
     # is the budget code, for reduce-at and tangent alike
@@ -189,6 +211,17 @@ def test_weights_json(square_map):
     doc = json.loads(text)
     assert doc["total"] == 1 and doc["degree"] == 2
     assert sum(w["weight"] for w in doc["weights"]) == doc["total"]
+
+
+def test_weights_text(tmp_path, square_map):
+    code, text = run(["weights", "--input", square_map, "--format", "text"])
+    assert code == 0
+    assert text.splitlines() == ["  zeta(1, s=0)  weight 1",
+                                 "total: 1   degree - 1 = 1"]
+    code, text = run(["weights", "--input",
+                      write_fixture(tmp_path, fixture("power-2"))])
+    assert code == 0
+    assert text.splitlines()[-1] == "total: 1   degree - 1 = 1"
 
 
 def test_verify_passes(square_map):

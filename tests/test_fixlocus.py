@@ -13,9 +13,11 @@ from fractions import Fraction
 
 import pytest
 
+from berklocus import berkmap
 from berklocus import fixlocus as fx
 from berklocus import roots
-from berklocus.berkmap import ID_INDIFFERENT, TypeIIPoint, gauss_point
+from berklocus.berkmap import ADD_INDIFFERENT, ID_INDIFFERENT, \
+    MULT_INDIFFERENT, REPELLING, TypeIIPoint, gauss_point
 from berklocus.epoly import epoly, poly_shift
 from berklocus.errors import (
     CheckFailed,
@@ -209,21 +211,19 @@ def test_multiplier_reciprocity_fails_on_a_tampered_multiplier(
     checked segment, in a copy of the analysis, breaks the product."""
     a = shared_point_analyses["segment-p5-d6"]
     assert fx.multiplier_reciprocity_check(a)
+    vertex_points = list(a.skeleton.vertex_points)
     for ray, seg in reciprocity_segments(a):
-        i = next(i for i, bp in enumerate(ray.breakpoints) if bp.s == seg.s_hi)
-        if ray.breakpoints[i].local.directions:  # not id-indifferent
+        cid = next(bp.cid for bp in ray.breakpoints if bp.s == seg.s_hi)
+        pt, local = vertex_points[cid]
+        if local.directions:  # not id-indifferent
             break
-    breakpoints = list(ray.breakpoints)
-    local = breakpoints[i].local
     directions = [dataclasses.replace(t, multiplier=t.multiplier + t.field.one)
                   if isinstance(t.location, Infinity) else t
                   for t in local.directions]
-    breakpoints[i] = dataclasses.replace(
-        breakpoints[i], local=dataclasses.replace(local, directions=directions))
-    rays = [dataclasses.replace(r, breakpoints=breakpoints) if r is ray else r
-            for r in a.skeleton.rays]
-    tampered = dataclasses.replace(
-        a, skeleton=dataclasses.replace(a.skeleton, rays=rays))
+    vertex_points[cid] = (pt, dataclasses.replace(local,
+                                                  directions=directions))
+    tampered = dataclasses.replace(a, skeleton=dataclasses.replace(
+        a.skeleton, vertex_points=vertex_points))
     assert not fx.multiplier_reciprocity_check(tampered)
     assert fx.multiplier_reciprocity_check(a)
 
@@ -244,6 +244,103 @@ def test_multiplier_reciprocity_fails_on_a_tampered_classical_end():
             a.skeleton, leaves=leaves))
         assert not fx.multiplier_reciprocity_check(tampered), cp.describe()
     assert fx.multiplier_reciprocity_check(a)
+
+
+def test_multiplier_reciprocity_raises_on_a_tampered_segment_or_direction(
+        shared_point_analyses):
+    """In copies of the analysis: a checked segment whose multiplier is not
+    the one its shallower end faces it with, and a deeper end whose
+    infinity direction is no longer fixed, each raise CheckFailed."""
+    a = shared_point_analyses["segment-p5-d6"]
+    ray, seg = reciprocity_segments(a)[0]
+    segments = [dataclasses.replace(x, multiplier=x.multiplier +
+                                    x.multiplier.field.one) if x is seg else x
+                for x in ray.segments]
+    rays = [dataclasses.replace(r, segments=segments) if r is ray else r
+            for r in a.skeleton.rays]
+    with pytest.raises(CheckFailed, match="differs from the segment's"):
+        fx.multiplier_reciprocity_check(dataclasses.replace(
+            a, skeleton=dataclasses.replace(a.skeleton, rays=rays)))
+    cid = next(bp.cid for bp in ray.breakpoints if bp.s == seg.s_hi)
+    vertex_points = list(a.skeleton.vertex_points)
+    pt, local = vertex_points[cid]
+    vertex_points[cid] = (pt, dataclasses.replace(local, directions=[
+        t for t in local.directions if not isinstance(t.location, Infinity)]))
+    tampered = dataclasses.replace(a, skeleton=dataclasses.replace(
+        a.skeleton, vertex_points=vertex_points))
+    with pytest.raises(CheckFailed, match="is not fixed"):
+        fx.multiplier_reciprocity_check(tampered)
+    assert fx.multiplier_reciprocity_check(a)
+
+
+def test_hyperbolic_checks_fail_on_tampered_components(
+        shared_point_analyses):
+    """The hyperbolic component of segment-p5-d6 (repelling vertices of
+    degrees 4 and 2 joined through a multiplicatively indifferent vertex)
+    passes; each copy with one fact changed fails: a degree off the
+    congruence, a graph leaf that is not repelling, an id- or additively
+    indifferent vertex inside, an id-indifferent arc."""
+    (c,) = [c for c in shared_point_analyses["segment-p5-d6"].components
+            if c.kind == fx.KIND_HYPERBOLIC]
+    assert fx.hyperbolic_checks(c)
+    (pt, deg, ncf), rest = c.repelling_vertices[0], c.repelling_vertices[1:]
+    inner = next(b for b, cls in c.bp_class.items() if cls != REPELLING)
+    outer = next(b for b, cls in c.bp_class.items() if cls == REPELLING)
+    assert len(c.atom_adj[inner]) == 2 and len(c.atom_adj[outer]) == 1
+    tampered = [
+        dataclasses.replace(c, repelling_vertices=[(pt, deg + 1, ncf)] + rest),
+        dataclasses.replace(c, bp_class={**c.bp_class,
+                                         outer: MULT_INDIFFERENT}),
+        dataclasses.replace(c, bp_class={**c.bp_class, inner: ID_INDIFFERENT}),
+        dataclasses.replace(c, bp_class={**c.bp_class,
+                                         inner: ADD_INDIFFERENT}),
+        dataclasses.replace(c, arcs=[dataclasses.replace(
+            c.arcs[0], behavior=ID_INDIFFERENT)] + c.arcs[1:])]
+    assert [fx.hyperbolic_checks(t) for t in tampered] == [False] * 5
+
+
+def test_theorem_b_check_fails_on_a_tampered_component():
+    """p = 5 > d = 2 and no hyperbolic component: a copy in which one
+    component is called hyperbolic fails."""
+    a = fx.analyze(fixture("quadratic-repelling").build())
+    assert fx.theorem_b_check(a)
+    components = [dataclasses.replace(a.components[0],
+                                      kind=fx.KIND_HYPERBOLIC)]
+    assert not fx.theorem_b_check(
+        dataclasses.replace(a, components=components + a.components[1:]))
+
+
+def test_indifferent_checks_fail_on_tampered_components():
+    """The indifferent components of three Moebius maps over Q_5 pass; each
+    copy with one fact changed fails.  z -> 2z (multipliers 2 and 3 at 0
+    and oo, one multiplicatively indifferent arc): a classical point
+    dropped, a multiplier off the product 1, an id-indifferent arc, no arc
+    at all.  z -> 6z (multipliers
+    1): a multiplicatively indifferent arc.  z -> z + 1 (oo doubled): a
+    multiplicatively indifferent arc."""
+    def component(name):
+        (c,) = fx.analyze(fixture(name).build()).components
+        assert c.kind == fx.KIND_INDIFFERENT and fx.indifferent_checks(c)
+        return c
+
+    def with_arc(c, behavior):
+        return dataclasses.replace(c, arcs=[dataclasses.replace(
+            c.arcs[0], behavior=behavior)])
+    scaling = component("moebius-scaling-unit-nontrivial")
+    cp = scaling.classical_points[0]
+    doubled = dataclasses.replace(
+        cp, multiplier_residue=cp.multiplier_residue.field.from_int(2) *
+        cp.multiplier_residue)
+    tampered = [
+        dataclasses.replace(scaling,
+                            classical_points=scaling.classical_points[1:]),
+        dataclasses.replace(scaling, classical_points=[doubled] +
+                            scaling.classical_points[1:]),
+        with_arc(scaling, ID_INDIFFERENT),
+        dataclasses.replace(scaling, arcs=[]),
+        with_arc(component("moebius-scaling-unit-trivial"), MULT_INDIFFERENT),
+        with_arc(component("moebius-translation"), MULT_INDIFFERENT)]
+    assert [fx.indifferent_checks(t) for t in tampered] == [False] * 6
 
 
 def test_alpha_sum_check_fixtures():
@@ -309,7 +406,7 @@ def test_one_reduction_per_skeleton_point(shared_point_analyses, monkeypatch):
     for name, a in shared_point_analyses.items():
         calls.clear()
         sk = fx.gamma_fix(a.map, a.config)
-        shared = sum(bp.local is not None for ray in sk.rays
+        shared = sum(bp.cid is not None for ray in sk.rays
                      for bp in ray.breakpoints)
         assert shared > len(sk.vertex_points), name  # rays do share points
         assert len(calls) == len(sk.vertex_points), name
@@ -322,11 +419,11 @@ def test_breakpoints_hold_the_canonical_reduction(shared_point_analyses):
         sk = a.skeleton
         for ray in sk.rays:
             for bp in ray.breakpoints:
-                if bp.local is None:
-                    assert bp.cid is None
+                if bp.cid is None:
+                    assert (bp.s * a.map.ctx.n).denominator != 1, name
                     continue
                 pt, local = sk.vertex_points[bp.cid]
-                assert bp.local is local, name
+                assert local.point is pt, name
                 here = TypeIIPoint(ray.segments[0].center, bp.s)
                 assert pt.same_point(here), name
 
@@ -566,6 +663,33 @@ def test_theorem_checks_read_the_analysis_and_only_analyze_grows_the_field():
             assert not any({"extend", "embed_map"} & set(_called_names(n))
                            for n in body), module
     assert growers == {"fixlocus.in_tower"}
+
+
+def test_ray_ends_are_read_only_through_ray_stops():
+    """A ray's `leaf_idx` and `to_infinity` are read only in
+    `fixlocus.ray_stops`, the one reading of a ray's ends, and rays are
+    built only where the join tree builds them (`_emit_join_tree`, and
+    `gamma_fix` when there is no finite anchor).  The ray lines of a center
+    come from `epoly.translate`: `berkmap._ray_lines` is gone."""
+    readers, builders = set(), set()
+    for module in sorted(os.listdir(PACKAGE)):
+        if not module.endswith(".py"):
+            continue
+        with open(os.path.join(PACKAGE, module)) as fh:
+            tree = ast.parse(fh.read(), module)
+        units = list(_functions(tree)) + [
+            ("<module>", n) for n in tree.body
+            if not isinstance(n, (ast.FunctionDef, ast.ClassDef))]
+        for name, node in units:
+            if any(isinstance(n, ast.Attribute) and
+                   n.attr in ("leaf_idx", "to_infinity")
+                   for n in ast.walk(node)):
+                readers.add(f"{module[:-3]}.{name}")
+            if "ScaffoldRay" in _called_names(node):
+                builders.add(f"{module[:-3]}.{name}")
+    assert readers == {"fixlocus.ray_stops"}
+    assert builders == {"fixlocus._emit_join_tree", "fixlocus.gamma_fix"}
+    assert not hasattr(berkmap, "_ray_lines")
 
 
 def test_analyze_runs_each_attempt_through_the_module_attribute(monkeypatch):
