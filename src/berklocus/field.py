@@ -128,7 +128,8 @@ class PrimeContext:
         self.n = n
         self.k = k
         prime_field = rf.Fq(p)
-        if unram_min_poly is None:
+        searched = unram_min_poly is None
+        if searched:
             unram_min_poly = rf.find_irreducible(p, k) if k > 1 else (0, 1)
         unram_min_poly = tuple(int(c) for c in unram_min_poly)
         if len(unram_min_poly) != k + 1 or unram_min_poly[-1] != 1:
@@ -138,6 +139,9 @@ class PrimeContext:
             if rf.poly_deg(reduced) != k or not rf.is_irreducible(prime_field, reduced):
                 raise ValueError("unram_min_poly must be irreducible mod p")
             self.residue_field = rf.Fq(p, modulus=reduced, base=prime_field)
+            tables = rf.table_kernel(p, unram_min_poly, build=searched)
+            if tables is not None:
+                self.residue_field.kernel = tables
         else:
             self.residue_field = prime_field
         self.unram_min_poly = unram_min_poly

@@ -563,3 +563,44 @@ def test_exactness_checks_fail_under_optimize():
     assert proc.stdout.split() == ["residue", "unit", "norm", "solve",
                                     "norm-euclid", "shifted",
                                     "shifted-digits", "truncate"]
+
+
+def _tampered_residue():
+    e = PrimeContext(5).from_rational(1)
+    e.nums, e.den = (5,), 5  # not normalised: val 0 over den p
+    return e.residue
+
+
+def _tampered_nval(value, nv):
+    e = PrimeContext(5).from_rational(value)
+    e._nv = nv
+    return e.unit_residue
+
+
+def _tampered_modulus():
+    bad = PrimeContext(3, 1, 2)
+    bad.unram_min_poly = (-1, 0, 1)  # x^2 - 1: reducible, no field
+    return (bad.x_gen - bad.one).inverse
+
+
+@pytest.mark.parametrize("tamper,match", [
+    (_tampered_residue, "denominator divisible"),
+    (lambda: _tampered_nval(3, 1), "not divisible"),  # claims 5 | 3
+    (lambda: _tampered_nval(25, 1), "digits vanish"),  # 25 / 5 a unit
+    (_tampered_modulus, "singular"),
+    # a rational right-hand side: Cramer's rule has no integer quotient
+    (lambda: functools.partial(field._bareiss_solve,
+                               [[2, Fraction(1, 3)]]), "inexact"),
+])
+def test_exactness_checks_fail_on_tampered_elements(tamper, match):
+    """The checks of `test_exactness_checks_fail_under_optimize`, in this
+    process: each element or system contradicts one fact its reader
+    relies on, and the reader raises."""
+    with pytest.raises(CheckFailed, match=match):
+        tamper()()
+
+
+def test_truncation_with_a_wrong_inverse_fails_its_congruence(monkeypatch):
+    monkeypatch.setattr(field, "pow", lambda b, e, m: 0, raising=False)
+    with pytest.raises(CheckFailed, match="not congruent"):
+        PrimeContext(5).from_rational(3).truncate(2)

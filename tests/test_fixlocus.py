@@ -30,7 +30,8 @@ from berklocus.errors import (
 )
 from berklocus.field import INF, NEG_INF
 from berklocus.oracle import brute_is_fixed, fixture
-from berklocus.residue import Infinity, _trim, poly_deg, poly_mul, poly_sub
+from berklocus.residue import Infinity, _CoordKernel, _trim, poly_deg, \
+    poly_mul, poly_sub
 from berklocus.roots import RootHandle, isolate_roots
 
 from conftest import mk, random_wild_map, reciprocity_ends, \
@@ -372,6 +373,8 @@ def test_analysis_retries_with_a_large_residue_extension():
     f = mk(1031, [1, 0, 1], [1])
     a = fx.analyze(f, fx.ExploreConfig(k_max=2))
     assert (a.map.ctx.n, a.map.ctx.k) == (1, 2)
+    # a field above TABLE_MAX_ORDER keeps the convolution, with no tables
+    assert type(a.map.ctx.residue_field.kernel) is _CoordKernel
     assert a.complete_rigorous
     assert a.weight_total == f.degree - 1
 

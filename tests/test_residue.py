@@ -9,13 +9,21 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from berklocus.berkmap import gauss_point, reduce_at
 from berklocus.errors import CheckFailed, IdentityMap, MultiplierOne
+from berklocus.field import PrimeContext
 from berklocus.residue import (
+    TABLE_MAX_ORDER,
+    _TABLE_KERNELS,
     Fq,
     FqElement,
     FqRationalMap,
     INF_POINT,
+    _CoordKernel,
     _PrimeKernel,
+    _project_to_base,
+    _TableKernel,
+    _TowerKernel,
     factor,
     find_irreducible,
     is_irreducible,
@@ -29,6 +37,8 @@ from berklocus.residue import (
     poly_sub,
     trace_to_base,
 )
+
+from conftest import mk
 
 
 def ext_field(p, k):
@@ -197,6 +207,8 @@ def test_trace_to_base():
     assert tr == g + g.frobenius() or tr.field == F
     # trace of a base element is [ext : F] times itself
     assert trace_to_base(ext.from_int(3), F) == F.from_int(6)
+    with pytest.raises(CheckFailed):  # g lies outside the base
+        _project_to_base(g, F)
 
 
 def test_fixed_points_multiplicities_sum():
@@ -441,3 +453,167 @@ def test_factor_over_a_tower_raises():
     tower = Fq(3, modulus=poly(F, find_irreducible(3, 2)), base=F)
     with pytest.raises(ValueError):
         factor(tower, (tower.zero, tower.one))
+
+
+# -- Zech-log tables of the working residue fields ---------------------------
+
+TABLE_FIELDS = [(2, 2), (2, 3), (3, 2), (2, 4), (5, 2), (3, 3), (7, 2),
+                (11, 2), (5, 3)]  # every table field of at most 125 elements
+
+
+def table_field(p, k):
+    """The residue field of E(p, 1, k), with the convolution kernel of the
+    same modulus to compare against."""
+    F = PrimeContext(p, 1, k).residue_field
+    assert isinstance(F.kernel, _TableKernel)
+    return F, _CoordKernel(p, find_irreducible(p, k))
+
+
+@pytest.mark.parametrize("p,k", TABLE_FIELDS + [(11, 3), (7, 4)])
+def test_table_products_match_the_convolution(p, k):
+    """Every pair of elements up to 125 elements, sampled pairs above."""
+    F, C = table_field(p, k)
+    K = F.kernel
+    assert K.modulus == C.modulus
+    mul = functools.partial(schoolbook_mul, p, C.modulus)
+    if F.order <= 125:
+        reps = list(itertools.product(range(p), repeat=k))
+    else:
+        rng = random.Random(F.order)
+        reps = [K.zero, K.one, K.neg_one, F.gen.rep] + \
+            [tuple(rng.randrange(p) for _ in range(k)) for _ in range(60)]
+    for a in reps:
+        for b in reps:
+            assert K._mul(a, b) == C._mul(a, b) == mul(a, b)
+        if a != K.zero:
+            assert K._inv(a) == C._inv(a)
+            assert mul(a, K._inv(a)) == K.one
+
+
+@pytest.mark.parametrize("p,k", [(2, 3), (3, 2), (5, 2), (11, 3)])
+def test_table_axpy_and_powers_match_the_convolution(p, k):
+    F, C = table_field(p, k)
+    K = F.kernel
+    rng = random.Random(7 * p + k)
+    reps = [K.zero, K.one, K.neg_one, F.gen.rep] + \
+        [tuple(rng.randrange(p) for _ in range(k)) for _ in range(12)]
+    for c in reps:
+        # out[j] += c * b_j over zero and nonzero out[j], with zero entries
+        # b_j, and sums that cancel at every third j
+        terms = list(enumerate(reps))
+        out = [C._sub(K.zero, C._mul(c, b)) if j % 3 == 0 else
+               K.zero if j % 3 == 1 else reps[-j] for j, b in terms] + [K.one]
+        want = list(out)
+        K._axpy(out, 1, c, terms[:-1])
+        C._axpy(want, 1, c, terms[:-1])
+        assert out == want
+        for e in (0, 1, 2, p, F.order - 1, F.order, 3 * F.order + 2):
+            assert K._pow(c, e) == C._pow(c, e)
+    assert K._pow(K.zero, 0) == K.one and K._pow(K.zero, F.order) == K.zero
+    x = F.gen + F.one
+    assert x ** -3 == (x ** 3).inverse() and x ** -3 * x ** 3 == F.one
+    assert (x ** -1).rep == C._inv(x.rep)
+
+
+@pytest.mark.parametrize("p,k", [(3, 2), (2, 4)])
+def test_table_inverse_of_zero_raises_as_the_convolution(p, k):
+    F, C = table_field(p, k)
+    for K in (F.kernel, C):
+        with pytest.raises(CheckFailed):
+            K._inv(K.zero)
+    with pytest.raises(ZeroDivisionError):
+        F.zero.inverse()
+
+
+@pytest.mark.parametrize("p,k", [(2, 4), (3, 3), (5, 2), (11, 2)])
+def test_factor_over_a_table_field_matches_the_convolution(p, k):
+    F, _ = table_field(p, k)
+    G = ext_field(p, k)  # the same modulus, on the convolution
+    assert type(G.kernel) is _CoordKernel
+    rng = random.Random(1000 * p + k)
+    for f in inputs(F, rng):
+        g = tuple(FqElement(G, c.rep) for c in f)
+        assert [([c.rep for c in q], m) for q, m in factor(F, f)] == \
+            [([c.rep for c in q], m) for q, m in factor(G, g)]
+
+
+def test_tables_are_built_once_per_modulus():
+    K = PrimeContext(7, 1, 2).residue_field.kernel
+    assert PrimeContext(7, 3, 2).residue_field.kernel is K
+    assert PrimeContext(7, 1, 1).extend(k=2).extend(n=2) \
+        .residue_field.kernel is K
+    assert _TABLE_KERNELS[(7, find_irreducible(7, 2))] is K
+    # above the bound the residue field keeps the convolution
+    big = PrimeContext(11, 1, 4).residue_field
+    assert big.order > TABLE_MAX_ORDER and type(big.kernel) is _CoordKernel
+
+
+def test_orbit_fields_keep_the_convolution():
+    """The fixed points of a tangent map outside its field live in orbit
+    fields: F_5[w]/(w^2 - w + 2) for z^2 + 2 over Q_5, and a tower over the
+    table field F_9 for z^3 + 1 over E(3, 1, 2).  Neither builds tables,
+    so every table belongs to the residue field of a working context."""
+    for f, kind in ((mk(5, [2, 0, 1], [1]), _CoordKernel),
+                    (mk(3, [1, 0, 0, 1], [1], k=2), _TowerKernel)):
+        local = reduce_at(f, gauss_point(f.ctx))
+        (t,) = [t for t in local.fixed_directions() if t.orbit_size > 1]
+        assert type(t.field.kernel) is kind
+    assert t.field.base.kernel is f.ctx.residue_field.kernel
+    assert isinstance(t.field.base.kernel, _TableKernel)
+    for (p, m), K in _TABLE_KERNELS.items():
+        k = len(m) - 1
+        assert m == find_irreducible(p, k) and K.q == p ** k <= \
+            TABLE_MAX_ORDER
+
+
+@pytest.mark.parametrize("p,modulus,divisor", [(3, (2, 0, 1), (2, 1)),
+                                               (2, (1, 0, 1), (1, 1)),
+                                               (2, (0, 0, 1), (0, 1))])
+def test_tables_of_a_reducible_modulus_are_refused(p, modulus, divisor):
+    # w^2 - 1 over F_3 and (w + 1)^2 over F_2 have the zero divisors w - 1
+    # and w + 1, and w^2 over F_2 the nilpotent w: no element has q - 1
+    # distinct nonzero powers, and the convolution refuses the inverse
+    with pytest.raises(CheckFailed):
+        _TableKernel(p, modulus)
+    assert (p, modulus) not in _TABLE_KERNELS
+    base = Fq(p)
+    R = Fq(p, modulus=poly(base, modulus), base=base)
+    assert type(R.kernel) is _CoordKernel
+    with pytest.raises(CheckFailed):
+        FqElement(R, divisor).inverse()
+
+
+# -- the exactness checks of tangent maps, on tampered objects --------------
+
+def square_map():
+    F = Fq(5)
+    return F, FqRationalMap(F, poly(F, [0, 0, 1]), poly(F, [1]))  # w^2
+
+
+def test_a_tampered_denominator_puts_a_pole_at_a_fixed_point():
+    F, f = square_map()
+    f.den = (F.zero, F.one)  # w / ... : a pole at the fixed point 0
+    with pytest.raises(CheckFailed, match="fixed pole"):
+        f._multiplier_and_critical(F.zero, F, 1)
+
+
+def test_a_tampered_multiplier_fails_the_criticality_cross_check():
+    F, f = square_map()
+    lam, crit = f._multiplier_and_critical(F.one, F, 1)
+    assert lam == F.from_int(2) and not crit
+    with pytest.raises(CheckFailed, match="criticality"):
+        f._multiplier_and_critical(F.one, F, 1, (f.num, f.den, ()))
+
+
+def test_a_tampered_multiplicity_needs_multiplier_one():
+    F, f = square_map()
+    with pytest.raises(CheckFailed, match="multiplier 1"):
+        f._multiplier_and_critical(F.one, F, 2)
+
+
+def test_a_tampered_multiplicity_at_infinity_breaks_the_direction_count():
+    F, f = square_map()
+    assert sum(t.orbit_size * t.multiplicity for t in f.fixed_points()) == 3
+    f.infinity_multiplicity = lambda: 0
+    with pytest.raises(CheckFailed, match="fixes 2 directions"):
+        f.fixed_points()
