@@ -128,8 +128,7 @@ class PrimeContext:
         self.n = n
         self.k = k
         prime_field = rf.Fq(p)
-        searched = unram_min_poly is None
-        if searched:
+        if unram_min_poly is None:
             unram_min_poly = rf.find_irreducible(p, k) if k > 1 else (0, 1)
         unram_min_poly = tuple(int(c) for c in unram_min_poly)
         if len(unram_min_poly) != k + 1 or unram_min_poly[-1] != 1:
@@ -139,7 +138,7 @@ class PrimeContext:
             if rf.poly_deg(reduced) != k or not rf.is_irreducible(prime_field, reduced):
                 raise ValueError("unram_min_poly must be irreducible mod p")
             self.residue_field = rf.Fq(p, modulus=reduced, base=prime_field)
-            tables = rf.table_kernel(p, unram_min_poly, build=searched)
+            tables = rf.table_kernel(self.residue_field.kernel)
             if tables is not None:
                 self.residue_field.kernel = tables
         else:

@@ -35,14 +35,13 @@ accepts the prime field and its one-level extensions, which is what every
 `PrimeContext.residue_field` is; over a tower it raises ValueError.
 
 Tables are kept only for the residue field F_p[w]/(m) of a working context
-whose modulus m is `find_irreducible(p, k)` and which has at most
-TABLE_MAX_ORDER = 4096 elements: log, antilog and Zech tables of q - 1
-entries each, built once per (p, m) per process, by the first context that
-finds m (about 0.2 MB and 6 ms at 11^3).  Every other field, among them
-the Galois-orbit fields of tangent fixed points, moduli that the search did
-not return, reducible ones included, and fields of more than 4096
-elements, stores nothing per element and multiplies by the convolution, so
-every p^k is served.  Both kernels give the same reps.
+(`field.PrimeContext.residue_field`) that has at most TABLE_MAX_ORDER =
+4096 elements: log, antilog and Zech tables of q - 1 entries each, built
+once per (p, m) per process (about 0.2 MB and 6 ms at 11^3).  Every other
+field, among them the Galois-orbit fields of tangent fixed points, fields
+built directly as `Fq`, reducible moduli included, and fields of more than
+4096 elements, stores nothing per element and multiplies by the
+convolution, so every p^k is served.  Both kernels give the same reps.
 """
 
 from __future__ import annotations
@@ -672,9 +671,9 @@ class _CoordKernel(_Kernel):
     """F_p[w]/(modulus), for a monic integer `modulus` of degree k >= 2,
     irreducible mod p: an element is the tuple of its k coordinates in the
     basis 1, w, ..., w^(k-1), each in [0, p).  A product costs O(k^2) int
-    operations; this kernel stores nothing per field element, and the
-    `_TableKernel` of a small working residue field builds its tables
-    with it."""
+    operations; this kernel stores nothing per field element, and it
+    builds the tables of the `_TableKernel` of a small working residue
+    field."""
 
     def __init__(self, p: int, modulus: tuple):
         k = len(modulus) - 1
@@ -748,14 +747,14 @@ class _TableKernel(_CoordKernel):
     reduction), `_log` maps each nonzero tuple to its log, and `_zech[i]`
     is log(1 + g^i), None where 1 + g^i = 0.  A product, inverse or power is
     one lookup, and the fused multiply-add adds in log form,
-    g^a + g^b = g^(a + Z(b - a)).  The convolution `_CoordKernel._mul`
-    builds the tables, and the inverse of zero falls back to its Euclid,
-    which raises CheckFailed."""
+    g^a + g^b = g^(a + Z(b - a)).  The tables are built by `conv`, the
+    convolution kernel of the same field, and the inverse of zero falls
+    back to the convolution's Euclid, which raises CheckFailed."""
 
-    def __init__(self, p: int, modulus: tuple):
+    def __init__(self, conv: _CoordKernel):
+        p, modulus = conv.p, conv.modulus
         super().__init__(p, modulus)
         n = self._order = self.q - 1
-        conv = _CoordKernel(p, modulus)
         # g has order n iff g^(n/r) != 1 for each prime r | n; its walk then
         # checks that its n powers are distinct and nonzero, which also
         # certifies the modulus irreducible: every nonzero element is a
@@ -815,16 +814,17 @@ class _TableKernel(_CoordKernel):
                 out[i] = self.zero if z is None else exp[lo + z]
 
 
-def table_kernel(p: int, modulus: tuple, build: bool):
-    """The `_TableKernel` of F_p[w]/(modulus), made once per process, or
-    None.  A residue field that found its modulus by `find_irreducible`
-    asks with `build` set, and gets the kernel when it has at most
-    TABLE_MAX_ORDER elements; one given its modulus (as `extend` hands its
-    own to a ramified extension) only reads a kernel built before."""
-    key = (p, modulus)
+def table_kernel(conv: _CoordKernel):
+    """The `_TableKernel` of the field of the convolution kernel `conv`,
+    made from it once per (p, modulus) per process; None above
+    TABLE_MAX_ORDER elements.  Its build raises CheckFailed on a reducible
+    modulus."""
+    if conv.q > TABLE_MAX_ORDER:
+        return None
+    key = (conv.p, conv.modulus)
     K = _TABLE_KERNELS.get(key)
-    if K is None and build and p ** (len(modulus) - 1) <= TABLE_MAX_ORDER:
-        K = _TABLE_KERNELS[key] = _TableKernel(p, modulus)
+    if K is None:
+        K = _TABLE_KERNELS[key] = _TableKernel(conv)
     return K
 
 

@@ -35,6 +35,7 @@ from berklocus.residue import (
     poly_monic,
     poly_mul,
     poly_sub,
+    table_kernel,
     trace_to_base,
 )
 
@@ -543,6 +544,10 @@ def test_tables_are_built_once_per_modulus():
     assert PrimeContext(7, 1, 1).extend(k=2).extend(n=2) \
         .residue_field.kernel is K
     assert _TABLE_KERNELS[(7, find_irreducible(7, 2))] is K
+    # a given modulus is keyed by its reps mod p: w^2 - 2 is w^2 + 1 over F_3
+    K9 = PrimeContext(3, 1, 2, (-2, 0, 1)).residue_field.kernel
+    assert isinstance(K9, _TableKernel) and K9.modulus == (1, 0, 1)
+    assert PrimeContext(3, 2, 2, (1, 0, 1)).residue_field.kernel is K9
     # above the bound the residue field keeps the convolution
     big = PrimeContext(11, 1, 4).residue_field
     assert big.order > TABLE_MAX_ORDER and type(big.kernel) is _CoordKernel
@@ -553,17 +558,20 @@ def test_orbit_fields_keep_the_convolution():
     fields: F_5[w]/(w^2 - w + 2) for z^2 + 2 over Q_5, and a tower over the
     table field F_9 for z^3 + 1 over E(3, 1, 2).  Neither builds tables,
     so every table belongs to the residue field of a working context."""
+    fields = []
     for f, kind in ((mk(5, [2, 0, 1], [1]), _CoordKernel),
                     (mk(3, [1, 0, 0, 1], [1], k=2), _TowerKernel)):
         local = reduce_at(f, gauss_point(f.ctx))
         (t,) = [t for t in local.fixed_directions() if t.orbit_size > 1]
         assert type(t.field.kernel) is kind
+        fields.append(t.field)
     assert t.field.base.kernel is f.ctx.residue_field.kernel
     assert isinstance(t.field.base.kernel, _TableKernel)
-    for (p, m), K in _TABLE_KERNELS.items():
-        k = len(m) - 1
-        assert m == find_irreducible(p, k) and K.q == p ** k <= \
-            TABLE_MAX_ORDER
+    orbit, tower = fields
+    assert (5, orbit.kernel.modulus) not in _TABLE_KERNELS
+    assert all(K is not tower.kernel for K in _TABLE_KERNELS.values())
+    assert all(K.q == p ** (len(m) - 1) <= TABLE_MAX_ORDER
+               for (p, m), K in _TABLE_KERNELS.items())
 
 
 @pytest.mark.parametrize("p,modulus,divisor", [(3, (2, 0, 1), (2, 1)),
@@ -574,7 +582,7 @@ def test_tables_of_a_reducible_modulus_are_refused(p, modulus, divisor):
     # and w + 1, and w^2 over F_2 the nilpotent w: no element has q - 1
     # distinct nonzero powers, and the convolution refuses the inverse
     with pytest.raises(CheckFailed):
-        _TableKernel(p, modulus)
+        table_kernel(_CoordKernel(p, modulus))
     assert (p, modulus) not in _TABLE_KERNELS
     base = Fq(p)
     R = Fq(p, modulus=poly(base, modulus), base=base)
