@@ -17,15 +17,17 @@ through `fixlocus.in_tower`, so that a radius outside the input's value
 group is answered in the tower that holds it.  Each `cmd_*` function renders
 that result.  Every subcommand reads the budget: the defaults, the file
 named by the `BERKLOCUS_CONFIG` environment variable (`n_max`, `k_max`) and
-`--n-max`/`--k-max`.  The map file and that config file are read by one
+`--n-max`/`--k-max`, each value a decimal integer >= 1 in the file as on the
+command line.  The map file and that config file are read by one
 `key = value` reader.
 
-Exit codes: 0 success; 1 malformed input (including the identity map and a
-command-line usage error); 2 the exploration budget was not enough -- the
-computation needs a field extension beyond `--n-max`/`--k-max`, or
-`analyze`, `weights` or `verify` printed a certificate that is not complete
-(weight total below degree - 1), after printing it; 3 internal error, or a
-failed `verify` check on a complete certificate.
+Exit codes: 0 success; 1 malformed input (including the identity map, a
+budget below 1 and a command-line usage error); 2 the exploration budget
+was not enough -- the computation needs a field extension beyond
+`--n-max`/`--k-max`, or `analyze`, `tree`, `weights` or `verify` printed a
+certificate that is not complete (weight total below degree - 1), after
+printing it; 3 internal error, or a failed `verify` check on a complete
+certificate.
 """
 
 from __future__ import annotations
@@ -121,6 +123,16 @@ def parse_map_file(path: str):
         raise ParseError(str(e))
 
 
+def _budget(val: str) -> int:
+    """A budget value, `n_max` or `k_max`, read the same way from the
+    command line and the config file: a decimal int >= 1.  Anything else
+    raises ArgumentTypeError, which argparse reports as a usage error."""
+    if not val.strip().isdecimal() or int(val) < 1:
+        raise argparse.ArgumentTypeError(
+            f"not a budget (a decimal integer >= 1): {val!r}")
+    return int(val)
+
+
 def _config_from_args(args) -> fx.ExploreConfig:
     """The budget: the defaults, then the `BERKLOCUS_CONFIG` file, then the
     command line."""
@@ -130,10 +142,9 @@ def _config_from_args(args) -> fx.ExploreConfig:
         for key, (val, ln) in _read_entries(path, ("n_max", "k_max"),
                                             "config").items():
             try:
-                setattr(config, key, int(val, 0))
-            except ValueError:
-                raise ParseError(f"not an integer: {val!r}", line=ln,
-                                 field=key)
+                setattr(config, key, _budget(val))
+            except argparse.ArgumentTypeError as e:
+                raise ParseError(str(e), line=ln, field=key)
     for key in ("n_max", "k_max"):
         if getattr(args, key) is not None:
             setattr(config, key, getattr(args, key))
@@ -376,7 +387,9 @@ def cmd_tree(analysis: fx.Analysis, args, out) -> int:
         for a, b, lo, hi, bh in edges:
             tag = f" ({bh})" if bh else ""
             print(f"  edge {a} -- {b}: s in ({lo}, {hi}){tag}", file=out)
-    return 0
+        for d in analysis.diagnostics:
+            print(f"note: {d}", file=out)
+    return 0 if analysis.complete_rigorous else 2
 
 
 def cmd_weights(a: fx.Analysis, args, out) -> int:
@@ -472,8 +485,8 @@ def _build_parser() -> argparse.ArgumentParser:
     for name, (render, help_, formats, at_point) in SUBCOMMANDS.items():
         sp = sub.add_parser(name, help=help_)
         sp.add_argument("--input", required=True, help="map description file")
-        sp.add_argument("--n-max", type=int, dest="n_max")
-        sp.add_argument("--k-max", type=int, dest="k_max")
+        sp.add_argument("--n-max", type=_budget, dest="n_max")
+        sp.add_argument("--k-max", type=_budget, dest="k_max")
         if at_point:
             sp.add_argument("--center", required=True,
                             help="rational center of the disk point")

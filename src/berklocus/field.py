@@ -114,12 +114,14 @@ def vp(q: Fraction, p: int) -> Fraction:
 
 
 class PrimeContext:
-    """Defining data of the working field: prime p, ramification index n,
-    unramified degree k, and the monic integer minimal polynomial of the
-    unramified generator (irreducible mod p)."""
+    """The working field E(p, n, k), named by the prime p, the ramification
+    index n and the unramified degree k alone.  Its residue field F_{p^k} is
+    `residue.residue_field(p, k)`, one object shared by every context over
+    (p, k), and `unram_min_poly`, the monic integer minimal polynomial of
+    the unramified generator x, is read off that field's modulus (at k = 1,
+    x = 0 and its minimal polynomial is w)."""
 
-    def __init__(self, p: int, n: int = 1, k: int = 1,
-                 unram_min_poly: Optional[Sequence[int]] = None):
+    def __init__(self, p: int, n: int = 1, k: int = 1):
         if not _is_prime(p):
             raise ValueError(f"p = {p} is not prime")
         if n < 1 or k < 1:
@@ -127,23 +129,9 @@ class PrimeContext:
         self.p = p
         self.n = n
         self.k = k
-        prime_field = rf.Fq(p)
-        if unram_min_poly is None:
-            unram_min_poly = rf.find_irreducible(p, k) if k > 1 else (0, 1)
-        unram_min_poly = tuple(int(c) for c in unram_min_poly)
-        if len(unram_min_poly) != k + 1 or unram_min_poly[-1] != 1:
-            raise ValueError("unram_min_poly must be monic of degree k")
-        if k > 1:
-            reduced = rf.poly(prime_field, unram_min_poly)
-            if rf.poly_deg(reduced) != k or not rf.is_irreducible(prime_field, reduced):
-                raise ValueError("unram_min_poly must be irreducible mod p")
-            self.residue_field = rf.Fq(p, modulus=reduced, base=prime_field)
-            tables = rf.table_kernel(self.residue_field.kernel)
-            if tables is not None:
-                self.residue_field.kernel = tables
-        else:
-            self.residue_field = prime_field
-        self.unram_min_poly = unram_min_poly
+        F = self.residue_field = rf.residue_field(p, k)
+        self.unram_min_poly = (0, 1) if k == 1 else \
+            tuple(c.rep for c in F.modulus)
 
     # -- element constructors --------------------------------------------
 
@@ -162,10 +150,7 @@ class PrimeContext:
     @property
     def x_gen(self) -> "FieldElement":
         nums = [0] * (self.n * self.k)
-        if self.k == 1:
-            # the generator of a trivial extension is a root of w - c
-            nums[0] = -self.unram_min_poly[0]
-        else:
+        if self.k > 1:  # x = 0 at k = 1
             nums[self.n] = 1
         return FieldElement(self, nums)
 
@@ -214,11 +199,10 @@ class PrimeContext:
             return True
         if not isinstance(other, PrimeContext):
             return NotImplemented
-        return (self.p, self.n, self.k, self.unram_min_poly) == \
-            (other.p, other.n, other.k, other.unram_min_poly)
+        return (self.p, self.n, self.k) == (other.p, other.n, other.k)
 
     def __hash__(self):
-        return hash((self.p, self.n, self.k, self.unram_min_poly))
+        return hash((self.p, self.n, self.k))
 
     def __repr__(self):
         return f"E(p={self.p}, n={self.n}, k={self.k})"
@@ -228,8 +212,7 @@ class PrimeContext:
 
         The new n must be a multiple of the old.  Increasing k is supported
         only from a k = 1 base (a general relative embedding of unramified
-        parts is out of scope); the new minimal polynomial is chosen by the
-        deterministic search.
+        parts is out of scope).
         """
         new_n = n if n is not None else self.n
         new_k = k if k is not None else self.k
@@ -241,16 +224,14 @@ class PrimeContext:
             raise ValueError("new unramified degree must be a multiple")
         if new_n == self.n and new_k == self.k:
             return self
-        poly_arg = self.unram_min_poly if new_k == self.k else None
-        return PrimeContext(self.p, new_n, new_k, unram_min_poly=poly_arg)
+        return PrimeContext(self.p, new_n, new_k)
 
     def embed(self, e: "FieldElement") -> "FieldElement":
         """Embed an element of a sub-context (same shape rules as extend)."""
         src = e.ctx
         if src == self:
             return e
-        if self.n % src.n or not (src.k == 1 or src.k == self.k and
-                                  src.unram_min_poly == self.unram_min_poly):
+        if self.n % src.n or src.k not in (1, self.k):
             raise ValueError(f"{src!r} is not a sub-context of {self!r}")
         step = self.n // src.n
         nums = [0] * (self.n * self.k)

@@ -20,8 +20,8 @@ factorization (`factor`, Cantor-Zassenhaus) and the Ben-Or steps of
 
 - over F_p, an int in [0, p);
 - over F_p[w]/(m), the tuple of its k coordinates in [0, p), and a
-  product is a k x k convolution reduced by m, or, in the residue field of
-  a working context, one lookup in Zech-log tables (`_TableKernel`);
+  product is a k x k convolution reduced by m, or, in a small working
+  residue field, one lookup in Zech-log tables (`_TableKernel`);
 - over a tower (an extension of an extension), the tuple of its base reps,
   and a product is the base kernel's polynomial product reduced by the
   modulus.
@@ -34,14 +34,18 @@ behind a valuation of `field` is the gcd of F_p's kernel.  `factor`
 accepts the prime field and its one-level extensions, which is what every
 `PrimeContext.residue_field` is; over a tower it raises ValueError.
 
-Tables are kept only for the residue field F_p[w]/(m) of a working context
-(`field.PrimeContext.residue_field`) that has at most TABLE_MAX_ORDER =
-4096 elements: log, antilog and Zech tables of q - 1 entries each, built
-once per (p, m) per process (about 0.2 MB and 6 ms at 11^3).  Every other
-field, among them the Galois-orbit fields of tangent fixed points, fields
-built directly as `Fq`, reducible moduli included, and fields of more than
-4096 elements, stores nothing per element and multiplies by the
-convolution, so every p^k is served.  Both kernels give the same reps.
+`residue_field(p, k)` is the one builder of the residue field F_{p^k} of
+every working context E(p, n, k) (`field.PrimeContext.residue_field`): one
+object per (p, k) per process, F_p at k = 1 and otherwise
+F_p[w]/(find_irreducible(p, k)), the modulus that `find_irreducible`'s
+Ben-Or test proved irreducible.  It alone decides the kernel: log, antilog
+and Zech tables of q - 1 entries each when the field has at most
+TABLE_MAX_ORDER = 4096 elements (about 0.2 MB and 6 ms at 11^3), built with
+the field.  Every other field, among them the Galois-orbit fields of
+tangent fixed points, fields built directly as `Fq`, reducible moduli
+included, and fields of more than 4096 elements, stores nothing per element
+and multiplies by the convolution, so every p^k is served.  Both kernels
+give the same reps.
 """
 
 from __future__ import annotations
@@ -672,8 +676,7 @@ class _CoordKernel(_Kernel):
     irreducible mod p: an element is the tuple of its k coordinates in the
     basis 1, w, ..., w^(k-1), each in [0, p).  A product costs O(k^2) int
     operations; this kernel stores nothing per field element, and it
-    builds the tables of the `_TableKernel` of a small working residue
-    field."""
+    builds the tables of a `_TableKernel`."""
 
     def __init__(self, p: int, modulus: tuple):
         k = len(modulus) - 1
@@ -737,8 +740,6 @@ class _CoordKernel(_Kernel):
 # (tracemalloc and wall time, 2 vCPUs, Python 3.11.7).
 TABLE_MAX_ORDER = 4096
 
-_TABLE_KERNELS: dict = {}  # (p, modulus) -> _TableKernel, one per process
-
 
 class _TableKernel(_CoordKernel):
     """F_p[w]/(modulus) with Zech-log tables (K. Huber, IEEE Trans. Inf.
@@ -747,13 +748,15 @@ class _TableKernel(_CoordKernel):
     reduction), `_log` maps each nonzero tuple to its log, and `_zech[i]`
     is log(1 + g^i), None where 1 + g^i = 0.  A product, inverse or power is
     one lookup, and the fused multiply-add adds in log form,
-    g^a + g^b = g^(a + Z(b - a)).  The tables are built by `conv`, the
-    convolution kernel of the same field, and the inverse of zero falls
-    back to the convolution's Euclid, which raises CheckFailed."""
+    g^a + g^b = g^(a + Z(b - a)).  The tables are built by a convolution
+    kernel of the same modulus (not by this kernel's own `_pow` and
+    `_mul`, which would read the tables being built), and the inverse of
+    zero falls back to the convolution's Euclid, which raises
+    CheckFailed."""
 
-    def __init__(self, conv: _CoordKernel):
-        p, modulus = conv.p, conv.modulus
+    def __init__(self, p: int, modulus: tuple):
         super().__init__(p, modulus)
+        conv = _CoordKernel(p, modulus)
         n = self._order = self.q - 1
         # g has order n iff g^(n/r) != 1 for each prime r | n; its walk then
         # checks that its n powers are distinct and nonzero, which also
@@ -812,20 +815,6 @@ class _TableKernel(_CoordKernel):
             else:
                 z = zech[(lc + lb - lo) % n]
                 out[i] = self.zero if z is None else exp[lo + z]
-
-
-def table_kernel(conv: _CoordKernel):
-    """The `_TableKernel` of the field of the convolution kernel `conv`,
-    made from it once per (p, modulus) per process; None above
-    TABLE_MAX_ORDER elements.  Its build raises CheckFailed on a reducible
-    modulus."""
-    if conv.q > TABLE_MAX_ORDER:
-        return None
-    key = (conv.p, conv.modulus)
-    K = _TABLE_KERNELS.get(key)
-    if K is None:
-        K = _TABLE_KERNELS[key] = _TableKernel(conv)
-    return K
 
 
 class _TowerKernel(_Kernel):
@@ -891,8 +880,7 @@ def is_irreducible(field, f) -> bool:
 @functools.lru_cache(maxsize=None)
 def find_irreducible(p: int, k: int) -> tuple:
     """Smallest monic degree-k integer polynomial irreducible mod p
-    (deterministic search by coefficient order; memoized, since every tower
-    E(p, n, k) built during an analysis asks again for the same pair).
+    (deterministic search by coefficient order; memoized).
 
     Each candidate f is tested by Ben-Or's criterion (FOCS 1981): f is
     irreducible iff gcd(f, w^(p^i) - w) = 1 for every i <= k/2, i.e. it has
@@ -911,6 +899,22 @@ def find_irreducible(p: int, k: int) -> tuple:
         else:
             return tuple(tail) + (1,)
     raise CheckFailed(f"no monic irreducible of degree {k} mod {p} found")
+
+
+@functools.lru_cache(maxsize=None)
+def residue_field(p: int, k: int) -> Fq:
+    """F_{p^k}, the residue field of every working context E(p, n, k), one
+    object per (p, k) per process: F_p at k = 1, and otherwise
+    F_p[w]/(find_irreducible(p, k)), whose Ben-Or test is the proof that
+    the modulus is irreducible.  Its kernel is a `_TableKernel` when it has
+    at most TABLE_MAX_ORDER elements, and the convolution above."""
+    F = Fq(p)
+    if k == 1:
+        return F
+    E = Fq(p, modulus=poly(F, find_irreducible(p, k)), base=F)
+    if E.order <= TABLE_MAX_ORDER:
+        E.kernel = _TableKernel(p, E.kernel.modulus)
+    return E
 
 
 def trace_to_base(elem: FqElement, base: Fq) -> FqElement:

@@ -318,6 +318,45 @@ def test_exit_code_2_on_incomplete_certificate(tmp_path):
     assert code == 2 and json.loads(text)["total"] == 0
     code, text = run(["verify", "--input", path] + budget)
     assert code == 2 and "[FAIL] weight formula" in text
+    # tree prints the same analysis, and says so in its exit code; its text
+    # ends in the diagnostics, as analyze's does, and JSON and dot carry
+    # none of them
+    a = fx.analyze(parse_map_file(path)[1], fx.ExploreConfig(24, 4))
+    assert a.diagnostics
+    for fmt in ("text", "json", "dot"):
+        code, text = run(["tree", "--input", path, "--format", fmt] + budget)
+        assert code == 2, fmt
+        notes = [line for line in text.splitlines()
+                 if line.startswith("note: ")]
+        assert notes == ([f"note: {d}" for d in a.diagnostics]
+                         if fmt == "text" else []), fmt
+        if fmt == "json":
+            assert set(json.loads(text)) == {"schema", "nodes", "edges"}
+
+
+BAD_BUDGETS = ("0", "-3", "0x10", "1.5", "x", "")
+
+
+def test_budget_below_1_or_not_decimal_exits_1(tmp_path, square_map,
+                                               monkeypatch):
+    """A budget is a decimal integer >= 1, on the command line as in the
+    config file; anything else is malformed input, with nothing printed,
+    also on a map that needs no extension."""
+    for key in ("n-max", "k-max"):
+        for val in BAD_BUDGETS:
+            out = io.StringIO()
+            with pytest.raises(SystemExit) as exc:
+                main(["analyze", "--input", square_map, f"--{key}={val}"],
+                     out=out)
+            assert (exc.value.code, out.getvalue()) == (1, ""), (key, val)
+            cfg = write(tmp_path, "budget.cfg", f"{key} = {val}\n")
+            monkeypatch.setenv("BERKLOCUS_CONFIG", cfg)
+            assert run(["analyze", "--input", square_map]) == (1, ""), \
+                (key, val)
+            monkeypatch.delenv("BERKLOCUS_CONFIG")
+    cfg = write(tmp_path, "budget.cfg", "n_max = 1\nk_max = 1\n")
+    monkeypatch.setenv("BERKLOCUS_CONFIG", cfg)
+    assert run(["analyze", "--input", square_map, "--n-max", "1"])[0] == 0
 
 
 def test_usage_errors_exit_1(square_map):

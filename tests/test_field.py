@@ -15,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from berklocus import field
+from berklocus import residue as rf
 from berklocus import fixlocus as fx
 from berklocus.errors import CheckFailed, NegativeValuation
 from berklocus.field import INF, NEG_INF, FieldElement, PrimeContext, vp
@@ -90,6 +91,35 @@ def test_unramified_generator():
     # the residue lies in F_25 but outside the prime field
     assert r.frobenius() != r
     assert r.frobenius().frobenius() == r
+
+
+def test_a_retry_chain_builds_its_residue_field_once_without_factoring(
+        monkeypatch):
+    """E(7, 1, 1) -> E(7, 1, 2) -> E(7, 3, 2), as extension retries grow the
+    tower, and the same steps by `extend`: F_49 is built once, on the
+    modulus whose Ben-Or test proved it irreducible, and nothing is
+    factored."""
+    calls = []
+    factor = rf.factor
+    monkeypatch.setattr(rf, "factor",
+                        lambda *a: calls.append(a) or factor(*a))
+    # fresh caches, so that the chain builds its fields instead of reading
+    # them
+    for name in ("residue_field", "find_irreducible"):
+        monkeypatch.setattr(rf, name, functools.lru_cache(maxsize=None)(
+            getattr(rf, name).__wrapped__))
+    base = PrimeContext(7, 1, 1)
+    chain = [PrimeContext(7, 1, 2), PrimeContext(7, 3, 2),
+             base.extend(k=2), base.extend(k=2).extend(n=3),
+             base.extend(n=3, k=2)]
+    assert calls == []
+    assert rf.residue_field.cache_info().misses == 2  # (7, 1) and (7, 2)
+    F = rf.residue_field(7, 2)
+    assert all(ctx.residue_field is F for ctx in chain)
+    assert chain[0].unram_min_poly == rf.find_irreducible(7, 2) == \
+        tuple(c.rep for c in F.modulus)
+    assert chain[1] == chain[3] == chain[4] != chain[2]
+    assert len({chain[1], chain[3], chain[4]}) == 1
 
 
 def test_residue_of_negative_valuation_raises():

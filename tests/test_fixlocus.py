@@ -695,6 +695,25 @@ def test_ray_ends_are_read_only_through_ray_stops():
     assert not hasattr(berkmap, "_ray_lines")
 
 
+def test_only_residue_field_chooses_a_working_modulus_and_its_kernel():
+    """`residue.residue_field` is the one builder of working residue fields:
+    no other function, method or module body in the package calls
+    `find_irreducible` or builds a `_TableKernel`."""
+    callers = set()
+    for module in sorted(os.listdir(PACKAGE)):
+        if not module.endswith(".py"):
+            continue
+        with open(os.path.join(PACKAGE, module)) as fh:
+            tree = ast.parse(fh.read(), module)
+        units = list(_functions(tree)) + [
+            ("<module>", n) for n in tree.body
+            if not isinstance(n, (ast.FunctionDef, ast.ClassDef))]
+        for name, node in units:
+            if {"find_irreducible", "_TableKernel"} & set(_called_names(node)):
+                callers.add(f"{module[:-3]}.{name}")
+    assert callers == {"residue.residue_field"}
+
+
 def test_analyze_runs_each_attempt_through_the_module_attribute(monkeypatch):
     """`analyze` looks `_analyze_once` up per call, so a wrapper patched
     onto the module attribute sees every attempt, retries included."""

@@ -9,6 +9,8 @@ an extension beyond the budget stay in the batch, and the test asserts that
 outcome by index.
 """
 
+import importlib.util
+import os
 import random
 from fractions import Fraction
 
@@ -153,3 +155,20 @@ def test_critical_cluster_is_stubbed_only_where_analyze_refuses():
     assert b.complete_rigorous
     assert [repr(h) for h in b.skeleton.aux_leaves
             if isinstance(h, ClusterStub)] == ["cluster(~0, radius=0, count=4)"]
+
+
+def test_census_of_the_benchmark_wild_draw():
+    """scripts/census.py on the 60 maps of the benchmark's wild draw at the
+    acceptance budget: 42 certify, maps 17 and 35 return incomplete, 16
+    raise NeedsExtension, and the returned skeletons hold 33 stubs."""
+    path = os.path.join(os.path.dirname(__file__), "..", "scripts",
+                        "census.py")
+    spec = importlib.util.spec_from_file_location("census", path)
+    census = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(census)
+    rows = census.census(24, 4)
+    assert len(rows) == 60
+    assert census.totals(rows) == {"certified": 42, "incomplete": 2,
+                                   "NeedsExtension": 16, "stubs": 33}
+    assert [row[0] for row in rows if row[3] == "incomplete"] == \
+        ["wild:17", "wild:35"]
