@@ -40,14 +40,12 @@ from .epoly import poly_scale_arg, translate
 from .errors import CheckFailed, ConstantMap, NeedsExtension, ZeroDenominator
 from .field import INF, NEG_INF, FieldElement, PrimeContext
 from .residue import (
-    INF_POINT,
     FqElement,
     FqRationalMap,
     RationalMap,
     _trim,
     poly_deg,
     poly_divmod,
-    poly_eval,
     poly_gcd,
     poly_monic,
     poly_scale,
@@ -94,28 +92,6 @@ class RationalMapK(RationalMap):
             den = [c * scale for c in den]
         self.num, self.den = tuple(num), tuple(den)
 
-    def __eq__(self, other):
-        if not isinstance(other, RationalMapK):
-            return NotImplemented
-        if self.ctx != other.ctx:
-            return False
-        # normalized forms agree up to one unit scalar
-        if poly_deg(self.num) != poly_deg(other.num) or \
-                poly_deg(self.den) != poly_deg(other.den):
-            return False
-        ref = None
-        for a, b in zip(self.num + self.den, other.num + other.den):
-            if a.is_zero() != b.is_zero():
-                return False
-            if a.is_zero():
-                continue
-            r = a / b
-            if ref is None:
-                ref = r
-            elif r != ref:
-                return False
-        return True
-
     # -- coordinate changes ----------------------------------------------
 
     def conjugate_affine(self, u: FieldElement, a: FieldElement) -> "RationalMapK":
@@ -128,13 +104,6 @@ class RationalMapK(RationalMap):
         den_u = poly_scale(ctx, poly_scale_arg(ctx, den_s, u), u)
         # an invertible coordinate change of a reduced map stays reduced
         return RationalMapK(ctx, num_u, den_u, _coprime=True)
-
-    def eval_at(self, z: FieldElement):
-        nv = poly_eval(self.ctx, self.num, z)
-        dv = poly_eval(self.ctx, self.den, z)
-        if dv.is_zero():
-            return INF_POINT
-        return nv / dv
 
 
 def normalize(ctx: PrimeContext, raw_num, raw_den) -> RationalMapK:

@@ -38,10 +38,6 @@ class IdentityMap(BerklocusError):
     """Operation is undefined for the identity map."""
 
 
-class NotFixed(BerklocusError):
-    """Point or direction is not fixed."""
-
-
 class MultiplierOne(BerklocusError):
     """A fixed point has multiplier exactly 1 where that is disallowed."""
 

@@ -161,7 +161,7 @@ def classical_fixed_points(f: RationalMapK) -> List[ClassicalFixedPoint]:
     P = f.fixed_point_polynomial()
     if poly_deg(P) >= 1:
         for g, m in _squarefree_parts(ctx, P):
-            for h in isolate_roots(ctx, g, m):
+            for h in isolate_roots(ctx, g):
                 out.append(_finite_entry(f, h, m, N, D))
     inf_m = f.infinity_multiplicity()
     if inf_m:
@@ -181,8 +181,8 @@ def classical_fixed_points(f: RationalMapK) -> List[ClassicalFixedPoint]:
 def _finite_entry(f: RationalMapK, h: RootHandle, mult, N,
                   D) -> ClassicalFixedPoint:
     """The fixed point held by h, with its multiplier N/D at the root; the
-    point at infinity is the exact root 0 of f.flip().  A handle that is
-    not exact reads N(c + t) = a'b - ab' and D(c + t) = b^2 off its one
+    point at infinity is the exact root 0 of f.flip().  The handle, exact
+    or not, reads N(c + t) = a'b - ab' and D(c + t) = b^2 off its one
     expansion a = num(c + t), b = den(c + t) at its center c
     (`_multiplier_expansion`), instead of shifting N and D themselves."""
     ctx = f.ctx
@@ -192,8 +192,6 @@ def _finite_entry(f: RationalMapK, h: RootHandle, mult, N,
         return ClassicalFixedPoint(h, mult, Fraction(0), F.one, INDIFFERENT)
 
     def lead(q, which):
-        if h.is_exact:
-            return h.lead_at(q)
         return h.lead_of(functools.partial(_multiplier_expansion, f, h, which),
                          lambda: q)
 
@@ -417,13 +415,13 @@ def _critical_point_handles(f: RationalMapK,
     out: list = []
     if poly_deg(N) < 1:
         return out
-    for g, m in _squarefree_parts(ctx, N):
+    for g, _ in _squarefree_parts(ctx, N):
         if P and poly_deg(P) >= 1:
             common = poly_gcd(ctx, g, P)
             if poly_deg(common) >= 1:
                 g = poly_divmod(ctx, g, common)[0]
         if poly_deg(g) >= 1:
-            out += isolate_roots(ctx, g, m, budget=(config.n_max, config.k_max))
+            out += isolate_roots(ctx, g, budget=(config.n_max, config.k_max))
     return out
 
 

@@ -61,7 +61,6 @@ from .errors import (
     CheckFailed,
     IdentityMap,
     MultiplierOne,
-    NotFixed,
     ZeroPolynomial,
 )
 
@@ -1097,19 +1096,6 @@ class FqRationalMap(RationalMap):
         if mult >= 2 and not self.is_identity() and lam != F.one:
             raise CheckFailed("multiple fixed point must have multiplier 1")
         return lam, crit
-
-    def multiplier(self, fp) -> FqElement:
-        """Derivative at a fixed point (finite element or INF_POINT)."""
-        if isinstance(fp, Infinity):
-            if poly_deg(self.num) <= poly_deg(self.den):
-                raise NotFixed("oo is not fixed")
-            lam, _ = self.flip()._multiplier_and_critical(self.ctx.zero,
-                                                          self.ctx, 1)
-            return lam
-        if self.eval_at(fp) != fp:
-            raise NotFixed(f"{fp} is not fixed")
-        lam, _ = self._multiplier_and_critical(fp, fp.field, 1)
-        return lam
 
     def holomorphic_index_check(self) -> bool:
         """Verify sum of 1/(1 - lambda) over all fixed points equals 1.

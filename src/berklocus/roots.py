@@ -10,16 +10,19 @@ valuation or residue of a polynomial evaluated at it, the direction it
 occupies at a disk point -- reduces to a finite refinement followed by an
 exact computation, with a rigorous stopping criterion in each case.
 
-A polynomial q at a root takes one exact query, `RootHandle.lead_at`: the
+A polynomial q at a root takes one exact query, `RootHandle.lead_of`: the
 valuation and leading residue digit of q(root) together, or None when q
-vanishes there.  The perturbation bound from the Taylor expansion of q at the
-center decides; when it cannot, q vanishes at the root if the root's
-polynomial divides it, and the gcd with that polynomial runs only as the
-last fallback.  `RootHandle.lead_of` asks the same of a q given through its
-expansion: a handle keeps one Taylor shift of a map's numerator and
-denominator per center (`RootHandle.expansion`), and every polynomial the
-analysis derives from the map -- the ray lines' coefficients, the multiplier
--- reads its expansion off that one shift instead of shifting itself.
+vanishes there, read off the Taylor expansion of q at the center, for an
+exact handle as for an inexact one.  Once the handle is exact -- from the
+start, or after a refinement lands on the root -- the constant term of the
+expansion is q(root) itself.  Until then the perturbation bound decides;
+when it cannot, q vanishes at the root if the root's polynomial divides it,
+and the gcd with that polynomial runs only as the last fallback.  A handle
+keeps one Taylor shift of a map's numerator and denominator per center
+(`RootHandle.expansion`), and every polynomial the analysis derives from the
+map -- the ray lines' coefficients, the multiplier -- reads its expansion
+off that one shift instead of shifting itself; `RootHandle.lead_at` is the
+same query for a q given whole, shifted to each center.
 Isolation likewise shifts g once per candidate center and reads the root
 count, the initial precision and the next level off that one shift.
 
@@ -69,12 +72,11 @@ class RootHandle:
     center is the root itself)."""
 
     def __init__(self, ctx: PrimeContext, g, center: FieldElement,
-                 prec: Fraction, multiplicity: int = 1):
+                 prec: Fraction):
         self.ctx = ctx
         self.g = g
         self.center = center
         self.prec = prec
-        self.multiplicity = multiplicity
         self._dg = poly_deriv(ctx, g)
         # (center, num, den, a, b, e) of the last `expansion` call; stale,
         # and recomputed, once the center has moved
@@ -92,8 +94,8 @@ class RootHandle:
     # -- refinement -------------------------------------------------------
 
     def refine(self):
-        """One improvement step; raises NeedsExtension when the next digit
-        leaves the working field's residue/ramification class."""
+        """One improvement step: a Newton step when it converges, a digit
+        step otherwise."""
         if self.is_exact:
             return
         ctx = self.ctx
@@ -118,21 +120,21 @@ class RootHandle:
             self.center = self.center.truncate(self.prec + 1)
 
     def _digit_step(self):
+        """The next residue digit of the root.  It never asks for an
+        extension: a finite prec comes from `_initial_prec` as the one root
+        above a floor, so it is the slope of a Newton segment of length 1,
+        n*prec is an int, and the residual polynomial has exactly one
+        nonzero root, which lies in the residue field."""
         ctx = self.ctx
         v = self.prec
         if (v * ctx.n).denominator != 1:
-            need = math.lcm(ctx.n, v.denominator)
-            raise NeedsExtension(n=need, detail=f"root at ramified distance {v}")
+            raise CheckFailed(f"an isolated root at distance {v} outside "
+                              "the value group")
         u, factors = _residual_factors(
             ctx, poly_shift(ctx, self.g, self.center), v)
         # the nonzero roots of the residual polynomial in the residue field
         digits = [-q[0] for q, _ in factors
                   if poly_deg(q) == 1 and not q[0].is_zero()]
-        if not digits:
-            k = min((poly_deg(q) for q, _ in factors if poly_deg(q) > 1),
-                    default=1)
-            raise NeedsExtension(k=ctx.k * k,
-                                 detail="root digit in a residue extension")
         if len(digits) != 1:
             raise CheckFailed(f"an isolated root has {len(digits)} digits")
         self.center = self.center + u * ctx.lift(digits[0])
@@ -192,20 +194,18 @@ class RootHandle:
 
     def lead_at(self, q) -> Optional[Tuple[Fraction, rf.FqElement]]:
         """(val, unit residue) of q(root), exact; None when q vanishes at
-        the root.  The Taylor shift of q at each center feeds `lead_of`."""
-        ctx = self.ctx
+        the root.  `lead_of` on the Taylor shift of q at each center."""
         if not q:
             return None
-        if self.is_exact:
-            v = poly_eval(ctx, q, self.center)
-            return None if v.is_zero() else (v.val(), v.unit_residue())
         return self.lead_of(
-            lambda: [((1, c, None),) for c in poly_shift(ctx, q, self.center)],
+            lambda: [((1, c, None),)
+                     for c in poly_shift(self.ctx, q, self.center)],
             lambda: q)
 
     def lead_of(self, expand, build) -> Optional[Tuple[Fraction,
                                                        rf.FqElement]]:
-        """`lead_at` for a polynomial q given through its expansion at the
+        """(val, unit residue) of q(root), exact, or None when q vanishes
+        at the root, for a polynomial q given through its expansion at the
         current center.  `expand()` lists the Taylor coefficients q_0, q_1,
         ... of q there, each as its parts: (m, x, y) stands for m*x*y, with
         m a nonzero int, x and y field elements, and y None for 1.
@@ -219,10 +219,14 @@ class RootHandle:
         already clear q_0.  Only when the bound cannot decide does the
         vanishing test run, once, before the first refinement: q vanishes
         at the root when g divides q, and otherwise when gcd(g, q) has a
-        root in the handle's disk."""
+        root in the handle's disk.  Once the handle is exact, from the start
+        or after a refinement lands on the root, q_0 is q(root) itself and
+        decides alone."""
         for step in range(_MAX_REFINE):
             coeffs = expand()
             qc = self._sum(coeffs[0])
+            if self.is_exact:
+                return None if qc.is_zero() else (qc.val(), qc.unit_residue())
             if not qc.is_zero() and self._below_bound(qc.nval(), coeffs):
                 return qc.val(), qc.unit_residue()
             if step == 0 and self._vanishes(build()):
@@ -319,12 +323,9 @@ class ClusterStub:
     conjugate roots may generate a wildly ramified extension not contained in
     the completion of any pure uniformizer tower."""
 
-    ctx: PrimeContext
-    g: tuple
     center: FieldElement
     radius: Fraction
     count: int
-    multiplicity: int
 
     @property
     def is_exact(self) -> bool:
@@ -335,8 +336,7 @@ class ClusterStub:
                f"count={self.count})"
 
 
-def isolate_roots(ctx: PrimeContext, g, multiplicity: int = 1,
-                  budget=None) -> list:
+def isolate_roots(ctx: PrimeContext, g, budget=None) -> list:
     """Handles for every root of a squarefree polynomial g, each isolated in
     its own disk.  Rational-coefficient inputs are pre-split over the
     rationals so rational roots come out exact.  With budget = (n_max,
@@ -346,11 +346,10 @@ def isolate_roots(ctx: PrimeContext, g, multiplicity: int = 1,
     for factor_poly in _rational_split(ctx, g):
         if poly_deg(factor_poly) == 1:
             root = -factor_poly[0] / factor_poly[1]
-            handles.append(RootHandle(ctx, factor_poly, root, INF, multiplicity))
+            handles.append(RootHandle(ctx, factor_poly, root, INF))
         else:
             handles += _isolate_cluster(ctx, factor_poly, ctx.zero, NEG_INF,
-                                        poly_deg(factor_poly), multiplicity,
-                                        budget)
+                                        poly_deg(factor_poly), budget)
     return handles
 
 
@@ -466,8 +465,7 @@ def _residual_factors(ctx: PrimeContext, shifted, v: Fraction):
 
 
 def _isolate_cluster(ctx: PrimeContext, g, c: FieldElement, floor: Fraction,
-                     expected: int, multiplicity: int,
-                     budget=None, expansion=None) -> list:
+                     expected: int, budget=None, expansion=None) -> list:
     """Isolate the roots r of g with val(r - c) > floor; `expected` counts
     them.  When a split needs an extension beyond the budget, everything not
     yet placed is returned as a single ClusterStub (the stub's closed disk
@@ -486,7 +484,7 @@ def _isolate_cluster(ctx: PrimeContext, g, c: FieldElement, floor: Fraction,
     exact = None
     if shifted and shifted[0].is_zero():
         # c itself is a (simple) root
-        exact = RootHandle(ctx, g, c, INF, multiplicity)
+        exact = RootHandle(ctx, g, c, INF)
     levels = {}
     for slope, length in np_.segments:
         v = -slope
@@ -505,9 +503,7 @@ def _isolate_cluster(ctx: PrimeContext, g, c: FieldElement, floor: Fraction,
             # the tower would only burn time
             wild = v.denominator % ctx.p == 0
             if budget is not None and (wild or need > budget[0]):
-                handles.append(ClusterStub(ctx, g, c, v,
-                                           expected - placed_total,
-                                           multiplicity))
+                handles.append(ClusterStub(c, v, expected - placed_total))
                 return handles
             raise NeedsExtension(n=need,
                                  detail=f"root cluster at ramified radius {v}")
@@ -520,8 +516,7 @@ def _isolate_cluster(ctx: PrimeContext, g, c: FieldElement, floor: Fraction,
                 need_k = ctx.k * poly_deg(q)
                 if budget is not None and need_k > budget[1]:
                     handles.append(ClusterStub(
-                        ctx, g, c, v, expected - placed_total - placed,
-                        multiplicity))
+                        c, v, expected - placed_total - placed))
                     return handles
                 raise NeedsExtension(k=need_k,
                                      detail="root direction in a residue extension")
@@ -536,11 +531,10 @@ def _isolate_cluster(ctx: PrimeContext, g, c: FieldElement, floor: Fraction,
             placed += sub
             if sub == 1:
                 handles.append(RootHandle(
-                    ctx, g, c2,
-                    _initial_prec(ctx, g, c2, v, polygon=np2), multiplicity))
+                    ctx, g, c2, _initial_prec(ctx, g, c2, v, polygon=np2)))
             else:
-                handles += _isolate_cluster(ctx, g, c2, v, sub, multiplicity,
-                                            budget, (shifted2, np2))
+                handles += _isolate_cluster(ctx, g, c2, v, sub, budget,
+                                            (shifted2, np2))
         if placed != count:
             raise CheckFailed(f"placed {placed} roots at radius {v}, the "
                               f"Newton polygon counts {count}")

@@ -4,6 +4,7 @@ ray decomposition, and the direction-level identification, which
 fixed points the skeleton isolated against the surplus and tangent
 multiplicities of each reduction."""
 
+import dataclasses
 import random
 from fractions import Fraction
 
@@ -23,11 +24,14 @@ from berklocus.berkmap import (
     normalize,
     reduce_at,
 )
-from berklocus.errors import ConstantMap, NeedsExtension, ZeroDenominator
+from berklocus.errors import CheckFailed, ConstantMap, NeedsExtension, \
+    ZeroDenominator
 from berklocus.field import PrimeContext
+from berklocus.oracle import fixture
 from berklocus.residue import (
     INF_POINT,
     Fq,
+    FqRationalMap,
     _trim,
     direction_key,
     poly_gcd,
@@ -37,6 +41,13 @@ from berklocus.residue import (
 from conftest import mk, reciprocity_segments
 
 CONFIG = fx.ExploreConfig(n_max=24, k_max=4)
+
+
+def _scaled(f):
+    """The coefficients of f divided by its first nonzero one: a map's
+    normalized form is unique up to one unit scalar."""
+    u = next(c for c in f.num + f.den if not c.is_zero())
+    return tuple(c / u for c in f.num), tuple(c / u for c in f.den)
 
 
 def test_normalization_invariants():
@@ -50,7 +61,7 @@ def test_gcd_cancellation():
     # (z^2 - 1) / (z - 1) is the map z + 1
     f = mk(7, [-1, 0, 1], [-1, 1])
     assert f.degree == 1
-    assert f == mk(7, [1, 1], [1])
+    assert _scaled(f) == _scaled(mk(7, [1, 1], [1]))
 
 
 def test_degenerate_maps_rejected():
@@ -70,17 +81,19 @@ def test_conjugation_group_identities():
     a = ctx.from_rational(Fraction(2, 3))
     g = f.conjugate_affine(u, a)
     back = g.conjugate_affine(u.inverse(), -(a / u))
-    assert back == f
-    assert f.flip().flip() == f
+    assert _scaled(back) == _scaled(f)
+    assert _scaled(f.flip().flip()) == _scaled(f)
 
 
 def test_eval_and_fixed_point_polynomial():
     f = mk(5, [0, 0, 1], [1])
     ctx = f.ctx
-    assert f.eval_at(ctx.from_rational(3)) == ctx.from_rational(9)
+    from berklocus.residue import poly_eval
+    three = ctx.from_rational(3)
+    assert poly_eval(ctx, f.num, three) / poly_eval(ctx, f.den, three) == \
+        ctx.from_rational(9)
     P = f.fixed_point_polynomial()
     # roots 0 and 1
-    from berklocus.residue import poly_eval
     assert poly_eval(ctx, P, ctx.zero).is_zero()
     assert poly_eval(ctx, P, ctx.one).is_zero()
     assert f.infinity_multiplicity() == 1
@@ -476,3 +489,35 @@ def test_envelope_walk_matches_the_all_pairs_grid():
             seen |= {seg[2] for seg in got[0]}
     assert seen >= {"tie", "triple", "crossing", NOT_FIXED, ID_INDIFFERENT,
                     MULT_INDIFFERENT}
+
+
+def test_envelope_checks_fail_on_crafted_lines():
+    """An empty interval, and two numerator lines that coincide on one
+    piece of the envelope, each raise CheckFailed."""
+    F = Fq(5)
+    line = (Fraction(0), Fraction(0), ("n", 0), F.one)
+    for s_lo, s_hi in ((Fraction(1), Fraction(1)), (Fraction(1), Fraction(0))):
+        with pytest.raises(CheckFailed, match="empty envelope interval"):
+            berkmap.segments_from_lines(F.one, [line], s_lo, s_hi)
+    twin = (Fraction(0), Fraction(0), ("n", 1), F.one)
+    with pytest.raises(CheckFailed, match="two lines of one family"):
+        berkmap.segments_from_lines(F.one, [line, twin], Fraction(0),
+                                    Fraction(1))
+
+
+def test_reduction_checks_fail_on_tampered_residues(monkeypatch):
+    """A reduction to 0/0, and an additively indifferent tangent map whose
+    one fixed direction is given multiplicity 1 instead of 2, each raise
+    CheckFailed."""
+    f = fixture("moebius-translation").build()
+    x = gauss_point(f.ctx)
+    assert reduce_at(f, x).indifference_class == ADD_INDIFFERENT
+    fixed_points = FqRationalMap.fixed_points
+    with monkeypatch.context() as m:
+        m.setattr(FqRationalMap, "fixed_points", lambda g: [
+            dataclasses.replace(t, multiplicity=1) for t in fixed_points(g)])
+        with pytest.raises(CheckFailed, match="multiplicity 1, not 2"):
+            reduce_at(f, x)
+    monkeypatch.setattr(berkmap, "_residues", lambda g: ((), ()))
+    with pytest.raises(CheckFailed, match="0/0"):
+        reduce_at(f, x)

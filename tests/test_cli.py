@@ -334,6 +334,20 @@ def test_exit_code_2_on_incomplete_certificate(tmp_path):
             assert set(json.loads(text)) == {"schema", "nodes", "edges"}
 
 
+def test_analysing_subcommands_where_a_refinement_lands_on_a_root(tmp_path):
+    """(-8/3 - z^2)/(z - 4) over Q_3: a root handle that a query refines
+    onto the fixed point 1 + x*pi/3 exactly leaves every subcommand that
+    analyses at exit 0, with every verify check ok, at the default budget
+    and at the acceptance suite's."""
+    path = write(tmp_path, "exact.map",
+                 "p = 3\nnum = -8/3, 0, -1\nden = -4, 1\n")
+    for budget in ([], BUDGET):
+        for cmd in ("analyze", "tree", "weights", "verify"):
+            code, text = run([cmd, "--input", path] + budget)
+            assert code == 0, (cmd, budget)
+        assert "[FAIL]" not in text and text.count("[ok]") == 6
+
+
 BAD_BUDGETS = ("0", "-3", "0x10", "1.5", "x", "")
 
 

@@ -28,7 +28,7 @@ from berklocus.errors import (
     NotIndifferent,
     PreconditionViolated,
 )
-from berklocus.field import INF, NEG_INF
+from berklocus.field import INF, NEG_INF, PrimeContext
 from berklocus.oracle import brute_is_fixed, fixture
 from berklocus.residue import Infinity, _CoordKernel, _trim, poly_deg, \
     poly_mul, poly_sub
@@ -398,6 +398,52 @@ def test_analysis_with_three_nonlinear_rational_factors():
         assert brute_is_fixed(a.map, pt) == local.is_fixed, pt
 
 
+def test_analysis_where_a_refinement_lands_on_a_fixed_point():
+    """(-8/3 - z^2)/(z - 4) over Q_3 has the fixed points 1 +- x*pi/3 of
+    E(3, 2, 2), and the multiplier query at the handle of 1 + x*pi/3
+    refines it onto the root exactly.  The analysis certifies there, and
+    every vertex agrees with the brute-force oracle."""
+    for config in (fx.ExploreConfig(), fx.ExploreConfig(n_max=24, k_max=4)):
+        a = fx.analyze(mk(3, [Fraction(-8, 3), 0, -1], [-4, 1]), config)
+        assert (a.map.ctx.n, a.map.ctx.k) == (2, 2)
+        assert a.complete_rigorous and a.weight_total == 1
+        assert any(not cp.is_infinity() and cp.value.is_exact
+                   for cp in a.classical_points)
+        for pt, local in a.skeleton.vertex_points:
+            assert brute_is_fixed(a.map, pt) == local.is_fixed, pt
+
+
+def test_fixedness_meets_a_bare_breakpoint():
+    """On (6 - 2z + 4z^2 - 7z^3)/(5/3 + z + 8z^2) over Q_3 at budget
+    (6, 2), in E(3, 1, 2), one ray has an id-indifferent segment on
+    (-1, -1/2) and a not-fixed one on (-1/2, -1/3): they meet at a bare
+    breakpoint, a radius outside the value group with no reduction, where
+    the assembly links the two segments.  Each segment's behavior agrees
+    with the brute-force oracle at an interior radius, in a tower that
+    holds it; only the fixed one joins a component.  (In 50,980 random
+    maps no bare breakpoint had fixed segments on both sides.)"""
+    a = fx.analyze(mk(3, [6, -2, 4, -7], [Fraction(5, 3), 1, 8]),
+                   fx.ExploreConfig(n_max=6, k_max=2))
+    ctx = a.map.ctx
+    assert (ctx.n, ctx.k) == (1, 2)
+    ray = next(r for r in a.skeleton.rays
+               if any(bp.cid is None and bp.s == Fraction(-1, 2)
+                      for bp in r.breakpoints))
+    fixed, loose = ray.segments
+    assert (fixed.s_lo, fixed.s_hi, fixed.behavior) == \
+        (-1, Fraction(-1, 2), ID_INDIFFERENT)
+    assert (loose.s_lo, loose.s_hi, loose.behavior) == \
+        (Fraction(-1, 2), Fraction(-1, 3), berkmap.NOT_FIXED)
+    for seg, s in ((fixed, Fraction(-3, 4)), (loose, Fraction(-2, 5))):
+        big = PrimeContext(3, s.denominator, 2)
+        pt = TypeIIPoint(big.embed(seg.center), s)
+        assert brute_is_fixed(berkmap.embed_map(a.map, big), pt) == \
+            (seg is fixed)
+    arcs = [arc for c in a.components for arc in c.arcs]
+    assert any(arc is fixed for arc in arcs)
+    assert not any(arc is loose for arc in arcs)
+
+
 def test_one_reduction_per_skeleton_point(shared_point_analyses, monkeypatch):
     calls = []
     reduce_at = fx.reduce_at
@@ -547,8 +593,8 @@ def test_one_expansion_matches_a_shift_per_polynomial(certified_maps):
     for f in certified_maps:
         ctx = f.ctx
         N, D = f.multiplier_polys()
-        for g, m in fx._squarefree_parts(ctx, f.fixed_point_polynomial()):
-            for h in isolate_roots(ctx, g, m):
+        for g, _ in fx._squarefree_parts(ctx, f.fixed_point_polynomial()):
+            for h in isolate_roots(ctx, g):
                 if h.is_exact:
                     continue
                 checked += 1
@@ -588,9 +634,9 @@ def test_isolation_matches_a_shift_per_query(certified_maps, monkeypatch):
         out = []
         for f in certified_maps:
             ctx = f.ctx
-            anchors = [h for g, m in fx._squarefree_parts(
+            anchors = [h for g, _ in fx._squarefree_parts(
                 ctx, f.fixed_point_polynomial())
-                for h in isolate_roots(ctx, g, m)]
+                for h in isolate_roots(ctx, g)]
             anchors += fx._critical_point_handles(f, config)
             out.append([(h.center, h.prec) if isinstance(h, RootHandle)
                         else (h.center, h.radius, h.count) for h in anchors])

@@ -3,6 +3,7 @@ cluster stubs."""
 
 import ast
 import copy
+import itertools
 import math
 import os
 import subprocess
@@ -14,7 +15,8 @@ from hypothesis import given, strategies as st
 
 from berklocus import fixlocus as fx
 from berklocus import roots
-from berklocus.epoly import epoly
+from berklocus.berkmap import normalize
+from berklocus.epoly import count_roots_in_disk, epoly, poly_shift
 from berklocus.errors import CheckFailed, NeedsExtension
 from berklocus.field import INF, PrimeContext
 from berklocus.oracle import fixture
@@ -129,7 +131,7 @@ def test_cross_checks_fail_under_optimize():
         "    ('split', lambda: roots._rational_split(\n"
         "        ctx, epoly(ctx, [1, -2, 1]))),\n"
         "    ('cluster', lambda: roots._isolate_cluster(\n"
-        "        ctx, epoly(ctx, [-2, 0, 1]), ctx.zero, NEG_INF, 3, 1)),\n"
+        "        ctx, epoly(ctx, [-2, 0, 1]), ctx.zero, NEG_INF, 3)),\n"
         "    ('envelope', lambda: berkmap.segments_from_lines(\n"
         "        F.one, [], Fraction(1), Fraction(1))),\n"
         "    ('pole', lambda: FqRationalMap(F, (F.one,), (F.zero, F.one))\n"
@@ -300,13 +302,6 @@ def test_residue_extension_roots():
         assert poly_eval(ctx2, g2, h.center).val() >= h.prec
 
 
-def test_multiplicity_is_carried():
-    ctx = PrimeContext(5)
-    g = epoly(ctx, [-1, 1])
-    (h,) = isolate_roots(ctx, g, multiplicity=3)
-    assert h.multiplicity == 3
-
-
 def test_direction_at_separating_level():
     ctx = PrimeContext(7)
     g = epoly(ctx, [-2, 0, 1])
@@ -320,6 +315,70 @@ def test_direction_at_separating_level():
     assert {repr(d1), repr(d2)} == {"3", "4"}
 
 
+def test_roots_at_cluster_centers_come_out_exact():
+    """Over E(5, 2, 1), g = (z^2 - 5)((z - 5)^2 - 5) has the roots +-pi and
+    5 +- pi.  Isolation reaches pi and 5 + pi as the centers of their own
+    clusters and keeps them as exact handles; the other two are inexact.
+    g vanishes at the exact centers, each inexact disk holds one root, and
+    the four handles lie in four disjoint disks."""
+    ctx = PrimeContext(5, 2, 1)
+    g = poly_mul(ctx, epoly(ctx, [-5, 0, 1]), epoly(ctx, [20, -10, 1]))
+    handles = isolate_roots(ctx, g)
+    assert len(handles) == 4
+    pi = ctx.pi_pow(1)
+    exact = [h.center for h in handles if h.is_exact]
+    assert len(exact) == 2 and pi in exact and ctx.from_int(5) + pi in exact
+    assert all(poly_eval(ctx, g, c).is_zero() for c in exact)
+    for h in handles:
+        if not h.is_exact:
+            assert count_roots_in_disk(ctx, g, h.center, h.prec,
+                                       "closed") == 1
+    for h1, h2 in itertools.combinations(handles, 2):
+        assert roots._val_diff(h1.center, h2.center) < min(h1.prec, h2.prec)
+
+
+def test_lead_of_reads_q_at_the_root_once_a_refinement_lands_on_it():
+    """The fixed points of (-8/3 - z^2)/(z - 4) in E(3, 2, 2) are
+    1 +- x*pi/3, and isolation leaves the one of 1 + x*pi/3 as an inexact
+    handle at c = x*pi/3 with prec 0.  Asked for q = z - c, the bound
+    cannot decide at c and the handle refines; the digit step lands on the
+    root itself, and the next step reads q(root) = 1 off the expansion
+    there."""
+    ctx = PrimeContext(3, 2, 2)
+    f = normalize(ctx, [Fraction(-8, 3), 0, -1], [-4, 1])
+    (g, _), = fx._squarefree_parts(ctx, f.fixed_point_polynomial())
+    h = next(h for h in isolate_roots(ctx, g)
+             if poly_eval(ctx, g, h.center + ctx.one).is_zero())
+    c = h.center
+    assert not h.is_exact and h.prec == 0
+    q = epoly(ctx, [-c, 1])
+    seen = []
+
+    def expand():
+        seen.append((h.center, h.prec))
+        return [((1, t, None),) for t in poly_shift(ctx, q, h.center)]
+
+    assert h.lead_of(expand, lambda: q) == (Fraction(0),
+                                            ctx.residue_field.one)
+    assert seen == [(c, Fraction(0)), (c + ctx.one, INF)]
+
+def test_refinement_checks_fail_on_tampered_handles():
+    """A refinement never asks for an extension: a handle whose precision
+    lies outside the value group (the root of z^2 - 5 at distance 1/2 from
+    0, in Q_5), a disk with two root digits (1 and 2) and a disk whose one
+    digit 2 leads to two roots (7 and 12) each raise CheckFailed."""
+    ctx = PrimeContext(5)
+    with pytest.raises(CheckFailed, match="outside the value group"):
+        RootHandle(ctx, epoly(ctx, [-5, 0, 1]), ctx.zero,
+                   Fraction(1, 2)).refine()
+    with pytest.raises(CheckFailed, match="has 2 digits"):
+        RootHandle(ctx, epoly(ctx, [2, -3, 1]), ctx.zero,
+                   Fraction(0)).refine()
+    with pytest.raises(CheckFailed, match="2 roots in an isolating disk"):
+        RootHandle(ctx, epoly(ctx, [84, -19, 1]), ctx.zero,
+                   Fraction(0)).refine()
+
+
 # -- one exact query per polynomial at a root ---------------------------------
 
 @pytest.fixture(scope="module", params=["wild-p3-d4", "wild-p3-d6"])
@@ -329,8 +388,8 @@ def wild_handles(request):
     f = fx.analyze(fixture(request.param).build(),
                    fx.ExploreConfig(n_max=24, k_max=4)).map
     ctx = f.ctx
-    handles = [h for g, m in fx._squarefree_parts(
-        ctx, f.fixed_point_polynomial()) for h in isolate_roots(ctx, g, m)
+    handles = [h for g, _ in fx._squarefree_parts(
+        ctx, f.fixed_point_polynomial()) for h in isolate_roots(ctx, g)
         if not h.is_exact]
     assert handles
     return f, handles
