@@ -15,12 +15,14 @@ infinity is read off the degrees of the residues already taken.  This module
 holds no theorem check: `fixlocus.identification_check` compares the
 per-direction counts of a reduction with the classical fixed points that an
 `Analysis` isolated, and `embed_map` is called only by `fixlocus.in_tower`,
-the one place that grows the working field.
+the one place that grows the working field.  `LocalData.multiplier_at` is
+the one reading of whether, and with which multiplier, the tangent map fixes
+a direction.
 
 Along a ray of disk points with a fixed center, every conjugated coefficient
 valuation is an affine function of the radius parameter s
 (`_expansion_lines`, off the map translated to the center by
-`epoly.translate` or a root handle's expansion), so the reduction's support
+`epoly.translate`; at a root, `fixlocus._tail_lines`), so the reduction's support
 -- hence fixedness and the indifference class -- is constant between
 breakpoints of a lower envelope of finitely many lines
 (`segments_from_lines`).  `fixlocus._annotate_ray` is the one place that
@@ -174,21 +176,30 @@ class LocalData:
     def fixed_directions(self):
         return self.directions or []
 
-
-def _require_integral_s(ctx: PrimeContext, s: Fraction):
-    s = Fraction(s)
-    if (s * ctx.n).denominator != 1:
-        raise NeedsExtension(n=math.lcm(ctx.n, s.denominator),
-                             detail=f"radius parameter s = {s}")
-    return s
+    def multiplier_at(self, key: DirectionKey) -> Optional[FqElement]:
+        """The tangent multiplier in the direction named by `key`
+        (`residue.direction_key` of a point of P^1 over the residue field):
+        that of the fixed direction of orbit size 1 there, 1 in every
+        direction of an id-indifferent point, and None when the direction
+        is not fixed.  The one reading of whether the tangent map fixes a
+        direction, off the fixed directions the reduction listed."""
+        if self.indifference_class == ID_INDIFFERENT:
+            return self.reduced_map.ctx.one
+        for t in self.fixed_directions():
+            if t.orbit_size == 1 and t.key() == key:
+                return t.multiplier
+        return None
 
 
 def _conjugate_to_gauss(f: RationalMapK, x: TypeIIPoint) -> RationalMapK:
     """f in the coordinate w with z = center + pi^(s n) w, in which the disk
     point x is the Gauss point."""
     ctx = f.ctx
-    s = _require_integral_s(ctx, x.s)
-    return f.conjugate_affine(ctx.pi_pow(int(s * ctx.n)), x.center)
+    ns = ctx.nval_of(x.s)
+    if ns is None:
+        raise NeedsExtension(n=math.lcm(ctx.n, x.s.denominator),
+                             detail=f"radius parameter s = {x.s}")
+    return f.conjugate_affine(ctx.pi_pow(ns), x.center)
 
 
 def reduce_at(f: RationalMapK, x: TypeIIPoint) -> LocalData:

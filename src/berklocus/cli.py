@@ -15,11 +15,9 @@ renders: `fixlocus.analyze` for `analyze`, `tree`, `weights` and `verify`
 analysis), and `reduce_at` at one point for `reduce-at` and `tangent`, run
 through `fixlocus.in_tower`, so that a radius outside the input's value
 group is answered in the tower that holds it.  Each `cmd_*` function renders
-that result.  Every subcommand reads the budget: the defaults, the file
-named by the `BERKLOCUS_CONFIG` environment variable (`n_max`, `k_max`) and
-`--n-max`/`--k-max`, each value a decimal integer >= 1 in the file as on the
-command line.  The map file and that config file are read by one
-`key = value` reader.
+that result.  Every subcommand reads the budget from the defaults of
+`fixlocus.ExploreConfig` and `--n-max`/`--k-max` alone, each value a
+decimal integer >= 1.
 
 Exit codes: 0 success; 1 malformed input (including the identity map, a
 budget below 1 and a command-line usage error); 2 the exploration budget
@@ -34,7 +32,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from fractions import Fraction
 
@@ -65,16 +62,17 @@ def _parse_rational(tok: str, line=None, field=None) -> Fraction:
                          line=line, field=field)
 
 
-def _read_entries(path: str, keys, what: str) -> dict:
-    """The `key = value` lines of the file at path, as {key: (value, line)};
-    text after `#` and blank lines are skipped, and a `-` in a key reads as
-    `_`.  A key outside `keys`, or given twice, is a ParseError."""
+def parse_map_file(path: str):
+    """Read a map description file; returns (PrimeContext, RationalMapK).
+    Text after `#` and blank lines are skipped; every other line is
+    `key = value`, and a key outside p, n, k, num and den, or given twice,
+    is a ParseError."""
     try:
         with open(path) as fh:
             raw = fh.readlines()
     except OSError as e:
-        raise ParseError(f"cannot read {what} {path}: {e.strerror}")
-    entries = {}
+        raise ParseError(f"cannot read map {path}: {e.strerror}")
+    entries = {}  # key -> (value, line number)
     for ln, text in enumerate(raw, start=1):
         text = text.split("#", 1)[0].strip()
         if not text:
@@ -82,18 +80,11 @@ def _read_entries(path: str, keys, what: str) -> dict:
         if "=" not in text:
             raise ParseError("expected 'key = value'", line=ln)
         key, val = (part.strip() for part in text.split("=", 1))
-        key = key.replace("-", "_")
-        if key not in keys:
-            raise ParseError(f"unknown {what} key {key!r}", line=ln)
+        if key not in ("p", "n", "k", "num", "den"):
+            raise ParseError(f"unknown map key {key!r}", line=ln)
         if key in entries:
-            raise ParseError(f"duplicate {what} key {key!r}", line=ln)
+            raise ParseError(f"duplicate map key {key!r}", line=ln)
         entries[key] = (val, ln)
-    return entries
-
-
-def parse_map_file(path: str):
-    """Read a map description file; returns (PrimeContext, RationalMapK)."""
-    entries = _read_entries(path, ("p", "n", "k", "num", "den"), "map")
     for req in ("p", "num", "den"):
         if req not in entries:
             raise ParseError(f"missing required key {req!r}")
@@ -124,31 +115,13 @@ def parse_map_file(path: str):
 
 
 def _budget(val: str) -> int:
-    """A budget value, `n_max` or `k_max`, read the same way from the
-    command line and the config file: a decimal int >= 1.  Anything else
-    raises ArgumentTypeError, which argparse reports as a usage error."""
+    """A budget value of `--n-max` or `--k-max`: a decimal int >= 1.
+    Anything else raises ArgumentTypeError, which argparse reports as a
+    usage error."""
     if not val.strip().isdecimal() or int(val) < 1:
         raise argparse.ArgumentTypeError(
             f"not a budget (a decimal integer >= 1): {val!r}")
     return int(val)
-
-
-def _config_from_args(args) -> fx.ExploreConfig:
-    """The budget: the defaults, then the `BERKLOCUS_CONFIG` file, then the
-    command line."""
-    config = fx.ExploreConfig()
-    path = os.environ.get("BERKLOCUS_CONFIG")
-    if path:
-        for key, (val, ln) in _read_entries(path, ("n_max", "k_max"),
-                                            "config").items():
-            try:
-                setattr(config, key, _budget(val))
-            except argparse.ArgumentTypeError as e:
-                raise ParseError(str(e), line=ln, field=key)
-    for key in ("n_max", "k_max"):
-        if getattr(args, key) is not None:
-            setattr(config, key, getattr(args, key))
-    return config
 
 
 # ---------------------------------------------------------------------------
@@ -482,11 +455,14 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Exact fixed-locus certificates for rational maps over "
                     "p-adic fields on the Berkovich projective line.")
     sub = parser.add_subparsers(dest="command", required=True)
+    budget = fx.ExploreConfig()
     for name, (render, help_, formats, at_point) in SUBCOMMANDS.items():
         sp = sub.add_parser(name, help=help_)
         sp.add_argument("--input", required=True, help="map description file")
-        sp.add_argument("--n-max", type=_budget, dest="n_max")
-        sp.add_argument("--k-max", type=_budget, dest="k_max")
+        sp.add_argument("--n-max", type=_budget, dest="n_max",
+                        default=budget.n_max)
+        sp.add_argument("--k-max", type=_budget, dest="k_max",
+                        default=budget.k_max)
         if at_point:
             sp.add_argument("--center", required=True,
                             help="rational center of the disk point")
@@ -503,7 +479,7 @@ def main(argv=None, out=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         _, f = parse_map_file(args.input)
-        config = _config_from_args(args)
+        config = fx.ExploreConfig(args.n_max, args.k_max)
         if args.at_point:
             result = fx.in_tower(f, config, lambda g, _: reduce_at(
                 g, _point_from_args(g.ctx, args)))

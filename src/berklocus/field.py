@@ -172,6 +172,13 @@ class PrimeContext:
         nums[r] = self.p ** max(q, 0)
         return FieldElement(self, nums, self.p ** max(-q, 0))
 
+    def nval_of(self, s) -> Optional[int]:
+        """n*s as an int when the rational s lies in the value group (1/n)Z
+        of the working field, None otherwise: the one test of membership,
+        and the one move from a valuation to a power of pi."""
+        ns = s * self.n
+        return ns.numerator if ns.denominator == 1 else None
+
     def element(self, coeffs) -> "FieldElement":
         """Build from coeffs[i][j] (rationals), i < k indexing x, j < n
         indexing pi."""

@@ -351,18 +351,15 @@ def _tail_poly(f: RationalMapK, i: int, which: int):
 
 
 def _ray_lines_at(f: RationalMapK, anchor):
-    """Lines for a ray anchored at an exact element, a handle, or a cluster
-    stub; non-exact handles get exact lines through the true root, an exact
-    handle reads them off its one expansion, and a stub's exact center
-    serves verbatim (its rays stop at the radius, above which every disk
-    element is an equivalent center)."""
+    """Lines for a ray anchored at an element, a handle, or a cluster stub.
+    A handle, exact or not, gets exact lines through the true root
+    (`_tail_lines`); an element, or a stub's center, serves verbatim (a
+    stub's rays stop at the radius, above which every disk element is an
+    equivalent center)."""
     if isinstance(anchor, RootHandle):
-        if not anchor.is_exact:
-            return _tail_lines(f, anchor)
-        _, b, e = anchor.expansion(f.num, f.den)
-    else:
-        a = anchor.center if isinstance(anchor, ClusterStub) else anchor
-        _, b, e = translate(f.ctx, f.num, f.den, a)
+        return _tail_lines(f, anchor)
+    a = anchor.center if isinstance(anchor, ClusterStub) else anchor
+    _, b, e = translate(f.ctx, f.num, f.den, a)
     return bk._expansion_lines(e, b)
 
 
@@ -387,7 +384,7 @@ def _annotate_ray(f: RationalMapK, ray: ScaffoldRay,
     ray.segments = [RaySegment(center, *seg) for seg in segments]
     ray.breakpoints = []
     for s in breaks:
-        if (s * ctx.n).denominator != 1:
+        if ctx.nval_of(s) is None:
             # the radius lies outside the value group of E(p, n, k): no
             # reduction is taken there, and the breakpoint is recorded bare
             # (no stop of the ray), so the assembly passes fixedness
@@ -565,7 +562,6 @@ class Analysis:
     """Full certificate for one map."""
 
     map: RationalMapK
-    config: ExploreConfig
     classical_points: List[ClassicalFixedPoint]
     skeleton: SkeletonGraph
     components: List[Component]
@@ -669,24 +665,14 @@ def _leaf_directions(skeleton: SkeletonGraph, pt: TypeIIPoint):
     return out
 
 
-def _tangent_fixes_direction(local: LocalData, d) -> bool:
-    if local.indifference_class == ID_INDIFFERENT:
-        return True
-    m = local.reduced_map
-    F = m.ctx
-    if isinstance(d, Infinity):
-        return m.flip().eval_at(F.zero) == F.zero
-    return m.eval_at(d) == d
-
-
 def crucial_weights_from(
         skeleton: SkeletonGraph) -> Tuple[List[CrucialPoint], int]:
     out = []
     for pt, local in skeleton.vertex_points:
         dirs = _leaf_directions(skeleton, pt)
         if local.is_fixed:
-            n_shear = sum(1 for d, _ in dirs.values()
-                          if not _tangent_fixes_direction(local, d))
+            # the leaf directions the tangent map does not fix
+            n_shear = sum(local.multiplier_at(key) is None for key in dirs)
             w = local.local_degree - 1 + n_shear
             if w > 0:
                 out.append(CrucialPoint(pt, w, True,
@@ -756,7 +742,7 @@ def _analyze_once(f: RationalMapK, config: ExploreConfig) -> Analysis:
         diagnostics.append(
             f"weight total {total} != degree - 1 = {d - 1}: "
             "exploration incomplete or inconsistent")
-    return Analysis(map=f, config=config, classical_points=skeleton.leaves,
+    return Analysis(map=f, classical_points=skeleton.leaves,
                     skeleton=skeleton, components=components,
                     crucial_points=crucial, weight_total=total,
                     complete_rigorous=complete, diagnostics=diagnostics)
@@ -926,19 +912,15 @@ def _facing_multiplier(local: LocalData, center) -> FqElement:
     """The tangent multiplier at `local.point` = zeta(c', s) of the direction
     holding `center` (the residue of (center - c')/pi^(ns), read in the
     coordinate of that reduction), or of the infinity direction when center
-    is None; 1 on an id-indifferent point."""
+    is None; 1 on an id-indifferent point (`LocalData.multiplier_at`)."""
     pt = local.point
-    ctx = pt.center.ctx
-    if local.indifference_class == ID_INDIFFERENT:
-        return ctx.residue_field.one
     d = INF_POINT if center is None else \
-        (center - pt.center).residue_shifted(int(pt.s * ctx.n))
-    key = rf.direction_key(d)
-    for t in local.fixed_directions():
-        if t.orbit_size == 1 and rf.direction_key(t.location) == key:
-            return t.multiplier
-    raise CheckFailed(f"the direction {d} at {pt!r} facing along a fixed "
-                      "segment is not fixed")
+        (center - pt.center).residue_shifted(pt.center.ctx.nval_of(pt.s))
+    lam = local.multiplier_at(rf.direction_key(d))
+    if lam is None:
+        raise CheckFailed(f"the direction {d} at {pt!r} facing along a fixed "
+                          "segment is not fixed")
+    return lam
 
 
 def totally_ramified_fixed_point(a: Analysis):

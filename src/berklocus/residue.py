@@ -1019,15 +1019,6 @@ class FqRationalMap(RationalMap):
         return (isinstance(other, FqRationalMap) and self.ctx == other.ctx
                 and self.num == other.num and self.den == other.den)
 
-    def eval_at(self, x: FqElement):
-        """Value at a finite point; returns INF_POINT when the denominator
-        vanishes."""
-        nv = poly_eval(x.field, poly_shift_coeffs(self.ctx, self.num, x.field), x)
-        dv = poly_eval(x.field, poly_shift_coeffs(self.ctx, self.den, x.field), x)
-        if dv.is_zero():
-            return INF_POINT
-        return nv / dv
-
     # -- fixed-point analysis --------------------------------------------
 
     def fixed_points(self):

@@ -21,8 +21,12 @@ and the gcd with that polynomial runs only as the last fallback.  A handle
 keeps one Taylor shift of a map's numerator and denominator per center
 (`RootHandle.expansion`), and every polynomial the analysis derives from the
 map -- the ray lines' coefficients, the multiplier -- reads its expansion
-off that one shift instead of shifting itself; `RootHandle.lead_at` is the
-same query for a q given whole, shifted to each center.
+off that one shift instead of shifting itself.  `RootHandle.lead_at`, the
+same query for a q given whole and shifted to each center, is the tests'
+reference for `lead_of`; the engine does not call it.  The direction of a
+root at a disk point zeta(c, s) needs no query: once `distance_to_point`
+has refined the handle to prec > s, the leading digit of center - c is that
+of root - c.
 Isolation likewise shifts g once per candidate center and reads the root
 count, the initial precision and the next level off that one shift.
 
@@ -96,8 +100,6 @@ class RootHandle:
     def refine(self):
         """One improvement step: a Newton step when it converges, a digit
         step otherwise."""
-        if self.is_exact:
-            return
         ctx = self.ctx
         gc = poly_eval(ctx, self.g, self.center)
         if gc.is_zero():
@@ -126,20 +128,26 @@ class RootHandle:
         n*prec is an int, and the residual polynomial has exactly one
         nonzero root, which lies in the residue field."""
         ctx = self.ctx
-        v = self.prec
-        if (v * ctx.n).denominator != 1:
-            raise CheckFailed(f"an isolated root at distance {v} outside "
-                              "the value group")
         u, factors = _residual_factors(
-            ctx, poly_shift(ctx, self.g, self.center), v)
+            ctx, poly_shift(ctx, self.g, self.center), self._nprec())
         # the nonzero roots of the residual polynomial in the residue field
         digits = [-q[0] for q, _ in factors
                   if poly_deg(q) == 1 and not q[0].is_zero()]
         if len(digits) != 1:
             raise CheckFailed(f"an isolated root has {len(digits)} digits")
         self.center = self.center + u * ctx.lift(digits[0])
-        self.prec = _initial_prec(ctx, self.g, self.center, v)
+        self.prec = _initial_prec(ctx, self.g, self.center, self.prec)
         self._compress()
+
+    def _nprec(self) -> int:
+        """n*prec for a finite prec, an int by the argument of
+        `_digit_step`; CheckFailed when prec lies outside the value
+        group."""
+        nprec = self.ctx.nval_of(self.prec)
+        if nprec is None:
+            raise CheckFailed(f"an isolated root at distance {self.prec} "
+                              "outside the value group")
+        return nprec
 
     def ensure(self, target: Fraction):
         """Refine until prec > target."""
@@ -161,10 +169,8 @@ class RootHandle:
                 return d
             if self.prec <= other.prec and not self.is_exact:
                 self.refine()
-            elif not other.is_exact:
+            else:  # other is inexact: two exact handles returned d < INF
                 other.refine()
-            else:
-                self.refine()
         raise CheckFailed("distance computation did not stabilize")
 
     def distance_to_point(self, c: FieldElement) -> Fraction:
@@ -194,7 +200,8 @@ class RootHandle:
 
     def lead_at(self, q) -> Optional[Tuple[Fraction, rf.FqElement]]:
         """(val, unit residue) of q(root), exact; None when q vanishes at
-        the root.  `lead_of` on the Taylor shift of q at each center."""
+        the root.  `lead_of` on the Taylor shift of q at each center: the
+        tests' reference for the expansions the engine hands `lead_of`."""
         if not q:
             return None
         return self.lead_of(
@@ -246,12 +253,10 @@ class RootHandle:
     def _below_bound(self, nv0: int, coeffs) -> bool:
         """Whether v0 < val(q_j) + j*prec for every nonzero Taylor
         coefficient q_j, j >= 1: v0 below the perturbation bound.  Compared
-        in units of 1/n: nv0 = n*v0 and the part valuations are ints, and
-        n*prec is an int unless prec lies outside the value group."""
+        in units of 1/n: nv0 = n*v0, the part valuations and n*prec are
+        ints."""
         n, p = self.ctx.n, self.ctx.p
-        nprec = self.prec * n
-        if nprec.denominator == 1:
-            nprec = nprec.numerator
+        nprec = self._nprec()
         for j in range(1, len(coeffs)):
             least, ties = None, 0
             for m, x, y in coeffs[j]:
@@ -290,15 +295,15 @@ class RootHandle:
         """The tangent direction at the disk point x = zeta(c, s) that
         contains this root: a residue-field element (residue of
         (root - c) / pi^(n s)) or the infinity direction."""
-        ctx = self.ctx
-        c, s = x.center, Fraction(x.s)
+        c, s = x.center, x.s
         d = INF if self._is_point(c) else self.distance_to_point(c)
         if d < s:
             return INF_POINT
         if d > s:
-            return ctx.residue_field.zero
-        # d == s: genuine nonzero residue digit of z - c at the root
-        return self.lead_at(epoly(ctx, [-c, 1]))[1]
+            return self.ctx.residue_field.zero
+        # d = s < prec, as `distance_to_point` ensures: root - c and
+        # center - c, both of valuation s, share their leading digit
+        return (self.center - c).unit_residue()
 
     def _is_point(self, c: FieldElement) -> bool:
         return self.is_exact and self.center == c
@@ -326,10 +331,6 @@ class ClusterStub:
     center: FieldElement
     radius: Fraction
     count: int
-
-    @property
-    def is_exact(self) -> bool:
-        return False
 
     def __repr__(self):
         return f"cluster(~{self.center!r}, radius={self.radius}, " \
@@ -451,13 +452,13 @@ def _divide_linear(f: list, a: int, b: int) -> list:
     return quo
 
 
-def _residual_factors(ctx: PrimeContext, shifted, v: Fraction):
-    """(u, factors) for the roots at distance exactly v from a center c,
-    given shifted = g(c + z): u = pi^(n v), and `rf.factor` of the residual
+def _residual_factors(ctx: PrimeContext, shifted, nv: int):
+    """(u, factors) for the roots at distance exactly v = nv/n from a center
+    c, given shifted = g(c + z): u = pi^nv, and `rf.factor` of the residual
     polynomial, the residue of g(c + u z) scaled to valuation 0.  The
     nonzero roots of a factor are the residue digits of those roots, and
     the root 0 stands for the roots deeper than v."""
-    u = ctx.pi_pow(int(v * ctx.n))
+    u = ctx.pi_pow(nv)
     h = poly_scale_arg(ctx, shifted, u)
     shift = min(c.nval() for c in h if not c.is_zero())
     hred = _trim([c.residue_shifted(shift) for c in h])
@@ -495,7 +496,8 @@ def _isolate_cluster(ctx: PrimeContext, g, c: FieldElement, floor: Fraction,
                           f"beyond the center, expected {expected}")
     placed_total = 0
     for v, count in sorted(levels.items()):
-        if (v * ctx.n).denominator != 1:
+        nv = ctx.nval_of(v)
+        if nv is None:
             need = math.lcm(ctx.n, v.denominator)
             # a separation radius with p in its denominator means the
             # conjugates generate a wildly ramified extension; a pure
@@ -507,7 +509,7 @@ def _isolate_cluster(ctx: PrimeContext, g, c: FieldElement, floor: Fraction,
                 return handles
             raise NeedsExtension(n=need,
                                  detail=f"root cluster at ramified radius {v}")
-        u, factors = _residual_factors(ctx, shifted, v)
+        u, factors = _residual_factors(ctx, shifted, nv)
         placed = 0
         for q, mult_dir in factors:
             if poly_deg(q) == 1 and (-q[0]).is_zero():

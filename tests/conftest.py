@@ -10,7 +10,7 @@ from berklocus import fixlocus as fx
 from berklocus.berkmap import NOT_FIXED, RationalMapK, normalize
 from berklocus.errors import BerklocusError
 from berklocus.field import INF, NEG_INF, PrimeContext
-from berklocus.oracle import fixture
+from berklocus.oracle import fixture, fixtures
 
 settings.register_profile("default", deadline=None)
 settings.load_profile("default")
@@ -81,6 +81,16 @@ def random_wild_map(rng: random.Random) -> RationalMapK:
             continue
         if f.degree == d and not f.is_identity():
             return f
+
+
+@pytest.fixture(scope="session")
+def fixture_analyses():
+    """Analysis (acceptance budget) of every named fixture map, as
+    (map, analysis) by name (the identity has no analysis)."""
+    config = fx.ExploreConfig(n_max=24, k_max=4)
+    maps = {fxt.name: fxt.build() for fxt in fixtures()
+            if fxt.name != "moebius-identity"}
+    return {name: (f, fx.analyze(f, config)) for name, f in maps.items()}
 
 
 @pytest.fixture(scope="session")

@@ -52,18 +52,6 @@ BATCH_P = 11
 
 
 @pytest.fixture(scope="session")
-def fixture_analyses():
-    """Analysis of every named fixture map (the identity has no analysis)."""
-    out = {}
-    for fxt in fixtures():
-        if fxt.name == "moebius-identity":
-            continue
-        f = fxt.build()
-        out[fxt.name] = (f, fx.analyze(f, CONFIG))
-    return out
-
-
-@pytest.fixture(scope="session")
 def random_batch():
     """200 random maps over Q_11 with rational classical fixed points,
     analyzed once; degrees are all below the residue characteristic."""

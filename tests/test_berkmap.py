@@ -32,13 +32,17 @@ from berklocus.residue import (
     INF_POINT,
     Fq,
     FqRationalMap,
+    Infinity,
     _trim,
     direction_key,
+    poly_deg,
+    poly_deriv,
+    poly_eval,
     poly_gcd,
     poly_monic,
 )
 
-from conftest import mk, reciprocity_segments
+from conftest import mk, random_wild_map, reciprocity_segments
 
 CONFIG = fx.ExploreConfig(n_max=24, k_max=4)
 
@@ -222,6 +226,59 @@ def test_multiplier_reciprocity_on_arc(shared_point_analyses):
         hi = fx._facing_multiplier(ends[seg.s_hi], None)
         assert lo == seg.multiplier and lo * hi == lo.field.one
     assert fx.multiplier_reciprocity_check(a)
+
+
+def _tangent_reference(m, d):
+    """(whether the reduced map m = num/den fixes d, its multiplier there)
+    at a point d of P^1 over m's field, by `poly_eval`.  m fixes oo when
+    deg num > deg den, with the multiplier lc(den)/lc(num) when the degrees
+    differ by 1 and 0 otherwise; it fixes a finite d when den(d) != 0 and
+    num(d) = d den(d), with the multiplier m'(d)."""
+    F, num, den = m.ctx, m.num, m.den
+    if isinstance(d, Infinity):
+        if poly_deg(num) <= poly_deg(den):
+            return False, None
+        if poly_deg(num) > poly_deg(den) + 1:
+            return True, F.zero
+        return True, den[-1] / num[-1]
+    dv = poly_eval(F, den, d)
+    if dv.is_zero() or poly_eval(F, num, d) != d * dv:
+        return False, None
+    slope = poly_eval(F, poly_deriv(F, num), d) * dv - \
+        poly_eval(F, num, d) * poly_eval(F, poly_deriv(F, den), d)
+    return True, slope / (dv * dv)
+
+
+def test_multiplier_at_agrees_with_the_reduced_map(fixture_analyses):
+    """At every skeleton vertex of the fixture analyses and of a seeded
+    wild sample, `multiplier_at` is None in a leaf direction exactly when
+    the reduced map does not fix it, and is m'(d) where it does; at a fixed
+    vertex over a field of at most 32 elements, in every direction of
+    P^1."""
+    analyses = [a for _, a in fixture_analyses.values()]
+    rng = random.Random(28)
+    while len(analyses) < len(fixture_analyses) + 10:
+        try:
+            analyses.append(fx.analyze(random_wild_map(rng), CONFIG))
+        except NeedsExtension:
+            continue
+    checked = {True: 0, False: 0}
+    for a in analyses:
+        sk = a.skeleton
+        for pt, local in sk.vertex_points:
+            dirs = [d for d, _ in fx._leaf_directions(sk, pt).values()]
+            if not local.is_fixed:
+                assert all(local.multiplier_at(direction_key(d)) is None
+                           for d in dirs)
+                continue
+            F = local.reduced_map.ctx
+            if F.order <= 32:
+                dirs += [INF_POINT, *F.elements()]
+            for d in dirs:
+                fixes, lam = _tangent_reference(local.reduced_map, d)
+                assert local.multiplier_at(direction_key(d)) == lam, (pt, d)
+                checked[fixes] += 1
+    assert checked[True] > 100 and checked[False] > 100, checked
 
 
 def test_classical_count_in_direction_power_map():

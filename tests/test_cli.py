@@ -252,9 +252,17 @@ def test_verify_reports_a_failed_reciprocity_or_identification(
 
 
 def test_exit_code_1_on_bad_input(tmp_path):
-    bad = write(tmp_path, "bad.map", "p = 4\nnum = 0, 1\nden = 1\n")
-    code, _ = run(["analyze", "--input", bad])
-    assert code == 1
+    # p not prime, a line with no '=', an unknown key, a key given twice,
+    # p not an integer, a constant map and a zero denominator
+    for text in ("p = 4\nnum = 0, 1\nden = 1\n",
+                 "p = 5\nnum 0, 1\nden = 1\n",
+                 "p = 5\nq = 3\nnum = 0, 1\nden = 1\n",
+                 "p = 5\nnum = 0, 1\nnum = 0, 1\nden = 1\n",
+                 "p = five\nnum = 0, 1\nden = 1\n",
+                 "p = 5\nnum = 0\nden = 1\n",
+                 "p = 5\nnum = 0, 1\nden = 0\n"):
+        bad = write(tmp_path, "bad.map", text)
+        assert run(["analyze", "--input", bad]) == (1, ""), text
     code, _ = run(["analyze", "--input", str(tmp_path / "missing.map")])
     assert code == 1
 
@@ -265,30 +273,15 @@ def test_exit_code_1_on_identity_map(tmp_path):
     assert code == 1
 
 
-def test_env_config_pickup(tmp_path, square_map, monkeypatch):
-    # power-4 needs E(5, 1, 2): the file's k_max = 1 stops it at exit 2, and
-    # the command line overrides the file
+def test_k_max_flag_sets_the_budget(tmp_path):
+    # power-4 needs E(5, 1, 2): --k-max 1 stops it at exit 2 with nothing
+    # printed, and --k-max 2 lets it certify
     path = write_fixture(tmp_path, fixture("power-4"))
-    cfg = write(tmp_path, "berklocus.cfg", "n_max = 8\nk_max = 1\n")
-    monkeypatch.setenv("BERKLOCUS_CONFIG", cfg)
-    code, text = run(["analyze", "--input", path])
+    code, text = run(["analyze", "--input", path, "--k-max", "1"])
     assert (code, text) == (2, "")
     code, text = run(["analyze", "--input", path, "--k-max", "2"])
     assert code == 0
     assert "weight total: 3" in text
-    bad = write(tmp_path, "bad.cfg", "nonsense = 1\n")
-    monkeypatch.setenv("BERKLOCUS_CONFIG", bad)
-    code, _ = run(["analyze", "--input", square_map])
-    assert code == 1
-
-
-def test_unreadable_env_config_exits_1(tmp_path, square_map, monkeypatch):
-    # a config path that names no file, or a directory, is bad input like an
-    # unreadable --input, not an internal error
-    for path in (tmp_path / "missing.cfg", tmp_path):
-        monkeypatch.setenv("BERKLOCUS_CONFIG", str(path))
-        code, text = run(["analyze", "--input", square_map])
-        assert (code, text) == (1, ""), path
 
 
 def test_tower_parameters_from_file(tmp_path):
@@ -351,11 +344,9 @@ def test_analysing_subcommands_where_a_refinement_lands_on_a_root(tmp_path):
 BAD_BUDGETS = ("0", "-3", "0x10", "1.5", "x", "")
 
 
-def test_budget_below_1_or_not_decimal_exits_1(tmp_path, square_map,
-                                               monkeypatch):
-    """A budget is a decimal integer >= 1, on the command line as in the
-    config file; anything else is malformed input, with nothing printed,
-    also on a map that needs no extension."""
+def test_budget_below_1_or_not_decimal_exits_1(square_map):
+    """A budget is a decimal integer >= 1; anything else is malformed input,
+    with nothing printed, also on a map that needs no extension."""
     for key in ("n-max", "k-max"):
         for val in BAD_BUDGETS:
             out = io.StringIO()
@@ -363,14 +354,8 @@ def test_budget_below_1_or_not_decimal_exits_1(tmp_path, square_map,
                 main(["analyze", "--input", square_map, f"--{key}={val}"],
                      out=out)
             assert (exc.value.code, out.getvalue()) == (1, ""), (key, val)
-            cfg = write(tmp_path, "budget.cfg", f"{key} = {val}\n")
-            monkeypatch.setenv("BERKLOCUS_CONFIG", cfg)
-            assert run(["analyze", "--input", square_map]) == (1, ""), \
-                (key, val)
-            monkeypatch.delenv("BERKLOCUS_CONFIG")
-    cfg = write(tmp_path, "budget.cfg", "n_max = 1\nk_max = 1\n")
-    monkeypatch.setenv("BERKLOCUS_CONFIG", cfg)
-    assert run(["analyze", "--input", square_map, "--n-max", "1"])[0] == 0
+    assert run(["analyze", "--input", square_map, "--n-max", "1",
+                "--k-max", "1"])[0] == 0
 
 
 def test_usage_errors_exit_1(square_map):

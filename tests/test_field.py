@@ -634,3 +634,17 @@ def test_truncation_with_a_wrong_inverse_fails_its_congruence(monkeypatch):
     monkeypatch.setattr(field, "pow", lambda b, e, m: 0, raising=False)
     with pytest.raises(CheckFailed, match="not congruent"):
         PrimeContext(5).from_rational(3).truncate(2)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 6])
+def test_nval_of_tests_the_value_group(n):
+    """n*s as an int on (1/n)Z, None off it."""
+    ctx = PrimeContext(3, n)
+    big = 10 ** 40 + 1
+    assert ctx.nval_of(Fraction(0)) == 0 and ctx.nval_of(0) == 0
+    assert ctx.nval_of(Fraction(1, n)) == 1
+    assert ctx.nval_of(Fraction(-1, n)) == -1
+    assert ctx.nval_of(Fraction(1, 2 * n)) is None
+    assert ctx.nval_of(Fraction(big, n)) == big
+    assert ctx.nval_of(Fraction(-big, 2 * n)) is None
+    assert ctx.nval_of(5) == 5 * n

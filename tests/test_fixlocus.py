@@ -18,7 +18,7 @@ from berklocus import fixlocus as fx
 from berklocus import roots
 from berklocus.berkmap import ADD_INDIFFERENT, ID_INDIFFERENT, \
     MULT_INDIFFERENT, REPELLING, TypeIIPoint, gauss_point
-from berklocus.epoly import epoly, poly_shift
+from berklocus.epoly import epoly, poly_shift, translate
 from berklocus.errors import (
     CheckFailed,
     ClassicalComponent,
@@ -454,7 +454,7 @@ def test_one_reduction_per_skeleton_point(shared_point_analyses, monkeypatch):
     monkeypatch.setattr(fx, "reduce_at", counting)
     for name, a in shared_point_analyses.items():
         calls.clear()
-        sk = fx.gamma_fix(a.map, a.config)
+        sk = fx.gamma_fix(a.map, fx.ExploreConfig(n_max=24, k_max=4))
         shared = sum(bp.cid is not None for ray in sk.rays
                      for bp in ray.breakpoints)
         assert shared > len(sk.vertex_points), name  # rays do share points
@@ -657,6 +657,25 @@ def test_isolation_matches_a_shift_per_query(certified_maps, monkeypatch):
     assert isolate_all() == shared
 
 
+def test_ray_lines_at_an_exact_handle_match_its_expansion(fixture_analyses):
+    """At the exact classical handles of the tame fixtures (p > degree),
+    `_ray_lines_at` reads through the handle the lines that
+    `berkmap._expansion_lines` reads off the map translated to the root."""
+    checked = 0
+    for _, a in fixture_analyses.values():
+        g = a.map
+        if g.ctx.p <= g.degree:
+            continue
+        for cp in a.classical_points:
+            if cp.is_infinity() or not cp.value.is_exact:
+                continue
+            _, b, e = translate(g.ctx, g.num, g.den, cp.value.center)
+            assert set(fx._ray_lines_at(g, cp.value)) == \
+                set(berkmap._expansion_lines(e, b))
+            checked += 1
+    assert checked >= 10
+
+
 # -- where the pipeline runs -------------------------------------------------
 
 PACKAGE = os.path.join(os.path.dirname(__file__), "..", "src", "berklocus")
@@ -775,3 +794,43 @@ def test_analyze_runs_each_attempt_through_the_module_attribute(monkeypatch):
     a = fx.analyze(mk(5, [-5, 0, 2], [0, 1]))
     assert attempts == [(1, 1), (2, 1), (2, 2)]
     assert (a.map.ctx.n, a.map.ctx.k) == (2, 2)
+
+
+def _value_group_casts(tree):
+    """The line numbers of `(... ctx.n ...).denominator` and
+    `int(... ctx.n ...)`: a product with ctx.n tested or cast by hand."""
+    def on_n(node):
+        return any(isinstance(x, ast.Attribute) and x.attr == "n" and
+                   (isinstance(x.value, ast.Name) and x.value.id == "ctx" or
+                    isinstance(x.value, ast.Attribute) and
+                    x.value.attr == "ctx")
+                   for x in ast.walk(node))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and node.attr == "denominator" \
+                and isinstance(node.value, ast.BinOp) and on_n(node.value):
+            yield node.lineno
+        elif isinstance(node, ast.Call) and isinstance(node.func, ast.Name) \
+                and node.func.id == "int" and node.args \
+                and isinstance(node.args[0], ast.BinOp) and on_n(node.args[0]):
+            yield node.lineno
+
+
+def test_one_budget_channel_and_one_value_group_test():
+    """No module of the package reads the environment: the budget comes
+    from the defaults and the command line.  Outside `field`, whose
+    `PrimeContext.nval_of` is the one test of the value group, and
+    `oracle`, which stays independent of the engine, no module tests or
+    casts a product with ctx.n by hand."""
+    environ, casts = [], []
+    for module in sorted(os.listdir(PACKAGE)):
+        if not module.endswith(".py"):
+            continue
+        with open(os.path.join(PACKAGE, module)) as fh:
+            tree = ast.parse(fh.read(), module)
+        environ += [(module, n.lineno) for n in ast.walk(tree)
+                    if isinstance(n, ast.Attribute)
+                    and n.attr in ("environ", "getenv")]
+        casts += [(module, ln) for ln in _value_group_casts(tree)]
+    assert environ == []
+    # oracle's own test is seen, so the search is not blind
+    assert {module for module, _ in casts} == {"oracle.py"}

@@ -153,6 +153,15 @@ def test_elements_enumeration():
     assert len(set(map(repr, elems))) == 8
 
 
+def test_a_field_element_is_never_the_infinity_direction():
+    # a direction is a field element or oo: the two never compare equal,
+    # from either side
+    for F in (Fq(5), ext_field(2, 3)):
+        for e in F.elements():
+            assert e != INF_POINT and INF_POINT != e
+            assert e == FqElement(F, e.rep)
+
+
 @given(st.integers(min_value=0, max_value=7 ** 4 - 1))
 def test_factor_roundtrip(seed_poly):
     F = Fq(7)

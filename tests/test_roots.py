@@ -75,7 +75,8 @@ def test_rational_split_of_large_height_roots(roots_, zero, cofactor, scale):
         assert f[1].den == 1 and f[1].nums[0] > 0
         assert math.gcd(f[0].nums[0], f[1].nums[0]) == 1
     handles = isolate_roots(ctx, epoly(ctx, g), budget=(1, 1))
-    exact = [h.center for h in handles if h.is_exact]
+    exact = [h.center for h in handles
+             if isinstance(h, RootHandle) and h.is_exact]
     assert exact == [ctx.from_rational(Fraction(a, b)) for a, b in linear]
 
 
@@ -278,11 +279,9 @@ def test_wild_cluster_stub_under_budget():
     # cluster is returned whole instead of raising
     g = epoly(ctx, [-3, 0, 0, 1])
     handles = isolate_roots(ctx, g, budget=(6, 3))
-    stubs = [h for h in handles if isinstance(h, ClusterStub)]
-    assert len(stubs) == 1
-    assert stubs[0].count == 3
-    assert stubs[0].radius == Fraction(1, 3)
-    assert not stubs[0].is_exact
+    assert len(handles) == 1 and type(handles[0]) is ClusterStub
+    assert handles[0].count == 3
+    assert handles[0].radius == Fraction(1, 3)
 
 
 def test_residue_extension_roots():
@@ -366,11 +365,15 @@ def test_refinement_checks_fail_on_tampered_handles():
     """A refinement never asks for an extension: a handle whose precision
     lies outside the value group (the root of z^2 - 5 at distance 1/2 from
     0, in Q_5), a disk with two root digits (1 and 2) and a disk whose one
-    digit 2 leads to two roots (7 and 12) each raise CheckFailed."""
+    digit 2 leads to two roots (7 and 12) each raise CheckFailed.  So does
+    the perturbation bound of a query at the first of them."""
     ctx = PrimeContext(5)
     with pytest.raises(CheckFailed, match="outside the value group"):
         RootHandle(ctx, epoly(ctx, [-5, 0, 1]), ctx.zero,
                    Fraction(1, 2)).refine()
+    with pytest.raises(CheckFailed, match="outside the value group"):
+        RootHandle(ctx, epoly(ctx, [-5, 0, 1]), ctx.zero,
+                   Fraction(1, 2)).lead_at(epoly(ctx, [1, 1]))
     with pytest.raises(CheckFailed, match="has 2 digits"):
         RootHandle(ctx, epoly(ctx, [2, -3, 1]), ctx.zero,
                    Fraction(0)).refine()
@@ -383,16 +386,18 @@ def test_refinement_checks_fail_on_tampered_handles():
 
 @pytest.fixture(scope="module", params=["wild-p3-d4", "wild-p3-d6"])
 def wild_handles(request):
-    """A fixture's map in the tower that certifies it, with fresh handles of
-    its non-exact classical fixed points."""
-    f = fx.analyze(fixture(request.param).build(),
-                   fx.ExploreConfig(n_max=24, k_max=4)).map
+    """A fixture's map in the tower that certifies it, fresh handles of its
+    non-exact classical fixed points, and the skeleton vertices of that
+    certificate."""
+    a = fx.analyze(fixture(request.param).build(),
+                   fx.ExploreConfig(n_max=24, k_max=4))
+    f = a.map
     ctx = f.ctx
     handles = [h for g, _ in fx._squarefree_parts(
         ctx, f.fixed_point_polynomial()) for h in isolate_roots(ctx, g)
         if not h.is_exact]
     assert handles
-    return f, handles
+    return f, handles, [pt for pt, _ in a.skeleton.vertex_points]
 
 
 @pytest.fixture
@@ -427,7 +432,7 @@ def recorded_lead_at(monkeypatch):
 
 def test_lead_at_is_none_on_a_multiple_of_the_root_polynomial(
         wild_handles, recorded_lead_at):
-    f, handles = wild_handles
+    f, handles, _ = wild_handles
     ctx = f.ctx
     r = epoly(ctx, [1, 1])
     for h in handles:
@@ -459,7 +464,7 @@ def test_lead_at_runs_the_gcd_when_q_shares_one_factor_of_g(
 
 
 def test_lead_at_agrees_with_a_deeper_center(wild_handles, recorded_lead_at):
-    f, handles = wild_handles
+    f, handles, _ = wild_handles
     ctx = f.ctx
     for h in handles:
         fx._tail_lines(f, h)
@@ -477,3 +482,19 @@ def test_lead_at_agrees_with_a_deeper_center(wild_handles, recorded_lead_at):
         qc = poly_eval(ctx, q, deep.center)
         assert qc.val() == val
         assert qc.unit_residue() == residue
+
+
+def test_direction_at_reads_the_center_at_the_distance(wild_handles):
+    """At every skeleton vertex zeta(c, s) at distance s from a fresh wild
+    handle, `direction_at` gives the leading digit of z - c at the root, as
+    `lead_at` reads it: the digit of center - c once prec > s."""
+    f, handles, points = wild_handles
+    met = 0
+    for h, pt in itertools.product(handles, points):
+        fast, ref = copy.copy(h), copy.copy(h)
+        d = fast.direction_at(pt)
+        if fast.distance_to_point(pt.center) != pt.s:
+            continue
+        met += 1
+        assert d == ref.lead_at(epoly(f.ctx, [-pt.center, 1]))[1]
+    assert met
