@@ -101,7 +101,7 @@ class RationalMapK(RationalMap):
         if u.is_zero():
             raise ValueError("conjugation by a zero scale")
         ctx = self.ctx
-        _, den_s, num_s = translate(ctx, self.num, self.den, a)
+        den_s, num_s = translate(ctx, self.num, self.den, a)
         num_u = poly_scale_arg(ctx, num_s, u)
         den_u = poly_scale(ctx, poly_scale_arg(ctx, den_s, u), u)
         # an invertible coordinate change of a reduced map stays reduced

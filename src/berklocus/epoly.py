@@ -109,12 +109,12 @@ def poly_shift(ctx: PrimeContext, f, c: FieldElement):
 
 def translate(ctx: PrimeContext, num, den, c: FieldElement):
     """The map num/den moved to the center c: the coefficient tuples of
-    num(c + t), den(c + t) and num(c + t) - c*den(c + t), the numerator of
+    b = den(c + t) and e = num(c + t) - c*den(c + t), the numerator of
     f(c + t) - c.  The one place a map is shifted to a center: affine
     conjugation, the ray lines and a root handle's expansion all read it."""
     a = poly_shift(ctx, num, c)
     b = poly_shift(ctx, den, c)
-    return a, b, poly_sub(ctx, a, poly_scale(ctx, b, c))
+    return b, poly_sub(ctx, a, poly_scale(ctx, b, c))
 
 
 def poly_scale_arg(ctx: PrimeContext, f, u: FieldElement):

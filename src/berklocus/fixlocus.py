@@ -156,21 +156,18 @@ def classical_fixed_points(f: RationalMapK) -> List[ClassicalFixedPoint]:
     if f.is_identity():
         raise IdentityMap("every point is fixed")
     ctx = f.ctx
-    N, D = f.multiplier_polys()
     out: List[ClassicalFixedPoint] = []
     P = f.fixed_point_polynomial()
     if poly_deg(P) >= 1:
         for g, m in _squarefree_parts(ctx, P):
             for h in isolate_roots(ctx, g):
-                out.append(_finite_entry(f, h, m, N, D))
+                out.append(_finite_entry(f, h, m))
     inf_m = f.infinity_multiplicity()
     if inf_m:
         # infinity is the fixed point 0 of the flipped map 1/f(1/z)
         g = f.flip()
         at_zero = RootHandle(ctx, (ctx.zero, ctx.one), ctx.zero, INF)
-        out.append(replace(_finite_entry(g, at_zero, inf_m,
-                                         *g.multiplier_polys()),
-                           value=INF_POINT))
+        out.append(replace(_finite_entry(g, at_zero, inf_m), value=INF_POINT))
     total = sum(cp.multiplicity for cp in out)
     if total != f.degree + 1:
         raise CheckFailed(f"classical fixed points total {total}, expected "
@@ -178,55 +175,26 @@ def classical_fixed_points(f: RationalMapK) -> List[ClassicalFixedPoint]:
     return out
 
 
-def _finite_entry(f: RationalMapK, h: RootHandle, mult, N,
-                  D) -> ClassicalFixedPoint:
-    """The fixed point held by h, with its multiplier N/D at the root; the
-    point at infinity is the exact root 0 of f.flip().  The handle, exact
-    or not, reads N(c + t) = a'b - ab' and D(c + t) = b^2 off its one
-    expansion a = num(c + t), b = den(c + t) at its center c
-    (`_multiplier_expansion`), instead of shifting N and D themselves."""
+def _finite_entry(f: RationalMapK, h: RootHandle,
+                  mult) -> ClassicalFixedPoint:
+    """The fixed point held by h, with its multiplier; the point at infinity
+    is the exact root 0 of f.flip().  The multiplier is the ratio
+    A_1(w) / DS_0(w) of two ray lines into the leaf (`_tail_lines`) at the
+    root w: f' = N / den^2 with N = num' den - num den' = den A_1 - den' P,
+    and the fixed-point polynomial P vanishes at w."""
     ctx = f.ctx
     F = ctx.residue_field
     if mult >= 2:
         # multiple fixed point forces multiplier exactly 1
         return ClassicalFixedPoint(h, mult, Fraction(0), F.one, INDIFFERENT)
-
-    def lead(q, which):
-        return h.lead_of(functools.partial(_multiplier_expansion, f, h, which),
-                         lambda: q)
-
-    lead_n = lead(N, 0)
-    if lead_n is None:
+    lead_a = _tail_lead(f, h, 1, 0)
+    if lead_a is None:
         return ClassicalFixedPoint(h, mult, INF, None, ATTRACTING)
-    lead_d = lead(D, 1)
-    v = lead_n[0] - lead_d[0]
-    res = lead_n[1] / lead_d[1] if v == 0 else None
+    lead_d = _tail_lead(f, h, 0, 1)
+    v = lead_a[0] - lead_d[0]
+    res = lead_a[1] / lead_d[1] if v == 0 else None
     klass = ATTRACTING if v > 0 else (REPELLING_CLASS if v < 0 else INDIFFERENT)
     return ClassicalFixedPoint(h, mult, v, res, klass)
-
-
-def _multiplier_expansion(f: RationalMapK, h: RootHandle, which: int):
-    """The Taylor coefficients, as `RootHandle.lead_of` parts, of
-    N(c + t) = a'b - ab' (which = 0) or D(c + t) = b^2 (which = 1) off the
-    handle's expansion a, b at its center c.  Coefficient j of N is the sum
-    over k < l, k + l = j + 1, of (l - k)(a_l b_k - a_k b_l); of D, the sum
-    over k <= l, k + l = j, of b_k b_l, twice when k < l."""
-    a, b, _ = h.expansion(f.num, f.den)
-    if which:
-        return [[(2 if k < j - k else 1, b[k], b[j - k])
-                 for k in range(j // 2 + 1) if j - k < len(b)]
-                for j in range(2 * len(b) - 1)]
-    coeffs = []
-    for j in range(len(a) + len(b) - 2):
-        parts = []
-        for k in range(j // 2 + 1):
-            l = j + 1 - k
-            if l < len(a) and k < len(b):
-                parts.append((l - k, a[l], b[k]))
-            if k < len(a) and l < len(b):
-                parts.append((k - l, a[k], b[l]))
-        coeffs.append(parts)
-    return coeffs
 
 
 # ---------------------------------------------------------------------------
@@ -298,8 +266,8 @@ def _tail_lines(f: RationalMapK, h: RootHandle):
     handle, and vanishing ones drop out, in particular A_0, the fixed-point
     polynomial itself.
 
-    Every A_i and DS_i is read off the handle's one expansion a, b, e of
-    num, den and num - c*den at its center c (`RootHandle.expansion`), by
+    Every A_i and DS_i is read off the handle's one expansion b, e of
+    den and num - c*den at its center c (`RootHandle.expansion`), by
     integer rescaling: [DS_i]_j = C(i+j, i) b_(i+j), [A_i]_0 = e_i and
     [A_i]_j = C(i+j, i) e_(i+j) - C(i+j-1, i) b_(i+j-1) for j >= 1.  The
     perturbation bound needs valuations only, val(C x) = v_p(C) + val(x),
@@ -312,28 +280,34 @@ def _tail_lines(f: RationalMapK, h: RootHandle):
         if i <= dd:
             queries.append((Fraction(i + 1), ("d", i), 1))
         for slope, key, which in queries:
-            lead = h.lead_of(
-                functools.partial(_tail_expansion, f, h, i, which),
-                functools.partial(_tail_poly, f, i, which))
+            lead = _tail_lead(f, h, i, which)
             if lead is not None:
                 lines.append((slope, lead[0], key, lead[1]))
     return lines
+
+
+def _tail_lead(f: RationalMapK, h: RootHandle, i: int, which: int):
+    """(val, unit residue) of A_i (which = 0) or DS_i (which = 1) at the
+    root held by h, or None when it vanishes there: the one query at a
+    root, for the ray lines and the multiplier alike."""
+    return h.lead_of(functools.partial(_tail_expansion, f, h, i, which),
+                     functools.partial(_tail_poly, f, i, which))
 
 
 def _tail_expansion(f: RationalMapK, h: RootHandle, i: int, which: int):
     """The Taylor coefficients, as `RootHandle.lead_of` parts, of A_i
     (which = 0) or DS_i (which = 1) at the handle's center, off its
     expansion b, e."""
-    _, b, e = h.expansion(f.num, f.den)
+    b, e = h.expansion(f.num, f.den)
     if which:
-        return [((math.comb(k, i), b[k], None),) for k in range(i, len(b))]
-    coeffs = [((1, e[i], None),) if i < len(e) else ()]
+        return [((math.comb(k, i), b[k]),) for k in range(i, len(b))]
+    coeffs = [((1, e[i]),) if i < len(e) else ()]
     for k in range(i + 1, max(len(e), len(b) + 1)):
         parts = []
         if k < len(e):
-            parts.append((math.comb(k, i), e[k], None))
+            parts.append((math.comb(k, i), e[k]))
         if k <= len(b):
-            parts.append((-math.comb(k - 1, i), b[k - 1], None))
+            parts.append((-math.comb(k - 1, i), b[k - 1]))
         coeffs.append(parts)
     return coeffs
 
@@ -359,21 +333,21 @@ def _ray_lines_at(f: RationalMapK, anchor):
     if isinstance(anchor, RootHandle):
         return _tail_lines(f, anchor)
     a = anchor.center if isinstance(anchor, ClusterStub) else anchor
-    _, b, e = translate(f.ctx, f.num, f.den, a)
+    b, e = translate(f.ctx, f.num, f.den, a)
     return bk._expansion_lines(e, b)
 
 
-def _annotate_ray(f: RationalMapK, ray: ScaffoldRay,
+def _annotate_ray(f: RationalMapK, ray: ScaffoldRay, lines,
                   vertex_points: List[Tuple[TypeIIPoint, LocalData]],
                   cids: Dict[tuple, int]):
-    """Decompose the ray into segments and breakpoints: the one path from
-    valuation lines to segments and reduced breakpoints, for skeleton rays.
-    An integral breakpoint already in `vertex_points` (the same disk point
-    under any center, found by its `TypeIIPoint.key` in `cids`, which maps
-    each key to its index there) reuses that reduction; a new one is reduced
-    and appended."""
+    """Decompose the ray into segments and breakpoints, given the valuation
+    lines of its anchor (`_ray_lines_at`): the one path from valuation lines
+    to segments and reduced breakpoints, for skeleton rays.  An integral
+    breakpoint already in `vertex_points` (the same disk point under any
+    center, found by its `TypeIIPoint.key` in `cids`, which maps each key to
+    its index there) reuses that reduction; a new one is reduced and
+    appended."""
     ctx = f.ctx
-    lines = _ray_lines_at(f, ray.anchor)
     one = ctx.residue_field.one
     # center element used for segment records and reductions
     max_s = ray.s_hi if ray.s_hi is not INF else Fraction(0)
@@ -407,7 +381,7 @@ def _critical_point_handles(f: RationalMapK,
     positive weight can hide below an unsplit cluster without breaking the
     global weight total."""
     ctx = f.ctx
-    N, _ = f.multiplier_polys()
+    N = f.derivative_numerator()
     P = f.fixed_point_polynomial()
     out: list = []
     if poly_deg(N) < 1:
@@ -502,8 +476,12 @@ def gamma_fix(f: RationalMapK,
 
     vertex_points: List[Tuple[TypeIIPoint, LocalData]] = []
     cids: Dict[tuple, int] = {}
+    lines = {}  # the ray lines of each anchor, by its id, read once
     for ray in rays:
-        _annotate_ray(f, ray, vertex_points, cids)
+        key = id(ray.anchor)
+        if key not in lines:
+            lines[key] = _ray_lines_at(f, ray.anchor)
+        _annotate_ray(f, ray, lines[key], vertex_points, cids)
     return SkeletonGraph(leaves=leaves, aux_leaves=aux, rays=rays,
                          vertex_points=vertex_points)
 
@@ -935,7 +913,7 @@ def totally_ramified_fixed_point(a: Analysis):
     for cp in a.classical_points:
         if cp.is_infinity() or not cp.value.is_exact:
             continue
-        e = cp.value.expansion(f.num, f.den)[2]
+        e = cp.value.expansion(f.num, f.den)[1]
         if next((i for i, c in enumerate(e) if not c.is_zero()), None) == d:
             return cp.value.center
     return None

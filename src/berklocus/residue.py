@@ -423,12 +423,12 @@ class RationalMap:
             return 0
         return self.degree + 1 - poly_deg(self.fixed_point_polynomial())
 
-    def multiplier_polys(self):
-        """(N, D) with f' = N / D, by the quotient rule."""
+    def derivative_numerator(self):
+        """N = num' den - num den', the numerator of f' = N / den^2 by the
+        quotient rule."""
         ctx = self.ctx
-        N = poly_sub(ctx, poly_mul(ctx, poly_deriv(ctx, self.num), self.den),
-                     poly_mul(ctx, self.num, poly_deriv(ctx, self.den)))
-        return N, poly_mul(ctx, self.den, self.den)
+        return poly_sub(ctx, poly_mul(ctx, poly_deriv(ctx, self.num), self.den),
+                        poly_mul(ctx, self.num, poly_deriv(ctx, self.den)))
 
 
 # ---------------------------------------------------------------------------
@@ -1028,7 +1028,7 @@ class FqRationalMap(RationalMap):
             raise IdentityMap("the identity fixes everything")
         F = self.ctx
         P = self.fixed_point_polynomial()
-        polys = (self.num, self.den, self.multiplier_polys()[0])
+        polys = (self.num, self.den, self.derivative_numerator())
         out = []
         if P:
             for q, mult in factor(F, P):
@@ -1061,13 +1061,13 @@ class FqRationalMap(RationalMap):
                                  mult: int, polys=None):
         """(multiplier, critical flag) at the fixed point loc of loc_field,
         an extension of the map's field into which the coefficients embed.
-        `polys` is (num, den, N) over the map's field, N the numerator of
-        `multiplier_polys`, when the caller computed it once for all its
+        `polys` is (num, den, N) over the map's field, N the
+        `derivative_numerator`, when the caller computed it once for all its
         fixed points; they are embedded only when loc_field is a proper
         extension."""
         F = loc_field
         num, den, N = polys or (self.num, self.den,
-                                self.multiplier_polys()[0])
+                                self.derivative_numerator())
         if F != self.ctx:
             num, den, N = (poly_shift_coeffs(self.ctx, f, F)
                            for f in (num, den, N))

@@ -13,20 +13,22 @@ exact computation, with a rigorous stopping criterion in each case.
 A polynomial q at a root takes one exact query, `RootHandle.lead_of`: the
 valuation and leading residue digit of q(root) together, or None when q
 vanishes there, read off the Taylor expansion of q at the center, for an
-exact handle as for an inexact one.  Once the handle is exact -- from the
-start, or after a refinement lands on the root -- the constant term of the
-expansion is q(root) itself.  Until then the perturbation bound decides;
-when it cannot, q vanishes at the root if the root's polynomial divides it,
-and the gcd with that polynomial runs only as the last fallback.  A handle
-keeps one Taylor shift of a map's numerator and denominator per center
-(`RootHandle.expansion`), and every polynomial the analysis derives from the
-map -- the ray lines' coefficients, the multiplier -- reads its expansion
-off that one shift instead of shifting itself.  `RootHandle.lead_at`, the
-same query for a q given whole and shifted to each center, is the tests'
-reference for `lead_of`; the engine does not call it.  The direction of a
-root at a disk point zeta(c, s) needs no query: once `distance_to_point`
-has refined the handle to prec > s, the leading digit of center - c is that
-of root - c.
+exact handle as for an inexact one.  Each Taylor coefficient comes as a
+list of parts (m, x), an int times a field element, summed only when the
+valuations cannot decide.  Once the handle is exact -- from the start, or
+after a refinement lands on the root -- the constant term of the expansion
+is q(root) itself.  Until then the perturbation bound decides; when it
+cannot, q vanishes at the root if the root's polynomial divides it, and the
+gcd with that polynomial runs only as the last fallback.  A handle keeps one
+Taylor shift of a map's denominator and of its fixed-point numerator per
+center (`RootHandle.expansion`), and every polynomial the analysis reads at
+a root -- the ray lines' coefficients, two of which give the multiplier --
+takes its expansion off that one shift instead of shifting itself.
+`RootHandle.lead_at`, the same query for a q given whole and shifted to
+each center, is the tests' reference for `lead_of`; the engine does not
+call it.  The direction of a root at a disk point zeta(c, s) needs no
+query: once `distance_to_point` has refined the handle to prec > s, the
+leading digit of center - c is that of root - c.
 Isolation likewise shifts g once per candidate center and reads the root
 count, the initial precision and the next level off that one shift.
 
@@ -82,7 +84,7 @@ class RootHandle:
         self.center = center
         self.prec = prec
         self._dg = poly_deriv(ctx, g)
-        # (center, num, den, a, b, e) of the last `expansion` call; stale,
+        # (center, num, den, b, e) of the last `expansion` call; stale,
         # and recomputed, once the center has moved
         self._expansion = None
 
@@ -185,10 +187,10 @@ class RootHandle:
         raise CheckFailed("distance to point did not stabilize")
 
     def expansion(self, num, den):
-        """(a, b, e) at the current center c: the coefficient tuples of
-        a = num(c + t), b = den(c + t) and e = a - c*b (`epoly.translate`).
+        """(b, e) at the current center c: the coefficient tuples of
+        b = den(c + t) and e = num(c + t) - c*b (`epoly.translate`).
         Computed once per center and pair, so every polynomial built from
-        num and den reads its own expansion off these three instead of
+        num and den reads its own expansion off these two instead of
         shifting itself."""
         cache = self._expansion
         if cache is None or cache[0] is not self.center \
@@ -205,8 +207,7 @@ class RootHandle:
         if not q:
             return None
         return self.lead_of(
-            lambda: [((1, c, None),)
-                     for c in poly_shift(self.ctx, q, self.center)],
+            lambda: [((1, c),) for c in poly_shift(self.ctx, q, self.center)],
             lambda: q)
 
     def lead_of(self, expand, build) -> Optional[Tuple[Fraction,
@@ -214,14 +215,14 @@ class RootHandle:
         """(val, unit residue) of q(root), exact, or None when q vanishes
         at the root, for a polynomial q given through its expansion at the
         current center.  `expand()` lists the Taylor coefficients q_0, q_1,
-        ... of q there, each as its parts: (m, x, y) stands for m*x*y, with
-        m a nonzero int, x and y field elements, and y None for 1.
-        `build()` returns q itself; it runs only for the vanishing test.
+        ... of q there, each as its parts: (m, x) stands for m*x, with m a
+        nonzero int and x a field element.  `build()` returns q itself; it
+        runs only for the vanishing test.
 
         A nonzero q(center) = q_0 of valuation below the perturbation bound
         min over j >= 1 of val(q_j) + j*prec on val(q(root) - q(center))
         decides both values.  The bound reads valuations only,
-        val(m x y) = v_p(m) + val(x) + val(y), and a coefficient is summed
+        val(m x) = v_p(m) + val(x), and a coefficient is summed
         only when its least part valuation is reached twice and does not
         already clear q_0.  Only when the bound cannot decide does the
         vanishing test run, once, before the first refinement: q vanishes
@@ -243,10 +244,8 @@ class RootHandle:
 
     def _sum(self, parts) -> FieldElement:
         total = None
-        for m, x, y in parts:
-            t = x if y is None else x * y
-            if m != 1:
-                t = t.scale(m)
+        for m, x in parts:
+            t = x if m == 1 else x.scale(m)
             total = t if total is None else total + t
         return self.ctx.zero if total is None else total
 
@@ -259,11 +258,8 @@ class RootHandle:
         nprec = self._nprec()
         for j in range(1, len(coeffs)):
             least, ties = None, 0
-            for m, x, y in coeffs[j]:
+            for m, x in coeffs[j]:
                 v = x.nval()
-                if y is not None and v is not INF:
-                    vy = y.nval()
-                    v = INF if vy is INF else v + vy
                 if v is INF:
                     continue  # a zero factor
                 if m != 1 and m != -1:

@@ -170,7 +170,8 @@ def _zero_ray(f, s_lo, s_hi):
     ray = fx.ScaffoldRay(0, f.ctx.zero, Fraction(s_lo), Fraction(s_hi),
                          leaf_idx=None, to_infinity=False)
     vertex_points = []
-    fx._annotate_ray(f, ray, vertex_points, {})
+    fx._annotate_ray(f, ray, fx._ray_lines_at(f, ray.anchor), vertex_points,
+                     {})
     return ray, [local for _, local in vertex_points]
 
 

@@ -70,6 +70,42 @@ def test_classical_classification_quadratic(expected):
     assert by_val["4/3"].multiplier_valuation == Fraction(-2)
 
 
+def test_classical_multipliers_match_the_derived_tables(fixture_analyses,
+                                                        expected):
+    """The classical fixed points of each fixture with a `multipliers` table
+    in scripts/expected_values.json (the quadratic ones, oo included) have
+    the multiplicity, multiplier valuation and multiplier residue that
+    scripts/derive_expected.py computes in rational arithmetic."""
+    tables = {name: e["multipliers"] for name, e in expected.items()
+              if "multipliers" in e}
+    assert len(tables) >= 3
+    for name, table in tables.items():
+        a = fixture_analyses[name][1]
+        ctx = a.map.ctx
+        F = ctx.residue_field
+        want = {}
+        for row in table:
+            if "multiplier" in row:  # a multiple point: multiplier 1
+                assert row["multiplier"] == "1", name
+                lam = (Fraction(0), F.one)
+            elif row["multiplier_valuation"] == "inf":
+                lam = (INF, None)
+            else:
+                res = row.get("multiplier_residue")
+                lam = (Fraction(row["multiplier_valuation"]),
+                       None if res is None else F.from_int(res))
+            point = "inf" if row["point"] == "inf" else \
+                ctx.from_rational(Fraction(row["point"]))
+            want[point] = (row["multiplicity"], *lam)
+        got = {}
+        for cp in a.classical_points:
+            assert cp.is_infinity() or cp.value.is_exact, name
+            point = "inf" if cp.is_infinity() else cp.value.center
+            got[point] = (cp.multiplicity, cp.multiplier_valuation,
+                          cp.multiplier_residue)
+        assert got == want, name
+
+
 def test_analysis_power2_structure():
     f = fixture("power-2").build()
     a = fx.analyze(f)
@@ -463,6 +499,27 @@ def test_one_reduction_per_skeleton_point(shared_point_analyses, monkeypatch):
             assert not any(pt.same_point(q) for q, _ in sk.vertex_points[:i])
 
 
+def test_ray_lines_once_per_anchor(fixture_analyses, monkeypatch):
+    """`gamma_fix` reads the ray lines of each distinct anchor (a handle, a
+    cluster stub or an element) once, however many rays start there."""
+    calls = []
+    ray_lines_at = fx._ray_lines_at
+
+    def counting(f, anchor):
+        calls.append(anchor)
+        return ray_lines_at(f, anchor)
+    monkeypatch.setattr(fx, "_ray_lines_at", counting)
+    config = fx.ExploreConfig(n_max=24, k_max=4)
+    shared = 0
+    for name, (_, a) in fixture_analyses.items():
+        calls.clear()
+        sk = fx.gamma_fix(a.map, config)
+        anchors = {id(ray.anchor) for ray in sk.rays}
+        assert sorted(map(id, calls)) == sorted(anchors), name
+        shared += len(sk.rays) > len(anchors)
+    assert shared  # some anchor starts more than one ray
+
+
 def test_breakpoints_hold_the_canonical_reduction(shared_point_analyses):
     for name, a in shared_point_analyses.items():
         sk = a.skeleton
@@ -577,13 +634,12 @@ def _multiplier_reference(h, N, D):
 
 def _summed(ctx, coeffs):
     """A polynomial from `RootHandle.lead_of` parts: coefficient j is the
-    sum of m*x*y over the parts (m, x, y) of coeffs[j]."""
+    sum of m*x over the parts (m, x) of coeffs[j]."""
     out = []
     for parts in coeffs:
         total = ctx.zero
-        for m, x, y in parts:
-            total = total + x * (ctx.one if y is None else y) * \
-                ctx.from_rational(m)
+        for m, x in parts:
+            total = total + x * ctx.from_rational(m)
         out.append(total)
     return _trim(out)
 
@@ -592,7 +648,9 @@ def test_one_expansion_matches_a_shift_per_polynomial(certified_maps):
     checked = 0
     for f in certified_maps:
         ctx = f.ctx
-        N, D = f.multiplier_polys()
+        # the quotient rule's f' = N / D, the multiplier's reference
+        N, D = f.derivative_numerator(), poly_mul(ctx, f.den, f.den)
+        A1, DS0 = fx._tail_poly(f, 1, 0), fx._tail_poly(f, 0, 1)
         for g, _ in fx._squarefree_parts(ctx, f.fixed_point_polynomial()):
             for h in isolate_roots(ctx, g):
                 if h.is_exact:
@@ -601,9 +659,6 @@ def test_one_expansion_matches_a_shift_per_polynomial(certified_maps):
                 # every expansion read off the handle's one shift is the
                 # shift of its own polynomial
                 c = h.center
-                for which, q in enumerate((N, D)):
-                    assert _summed(ctx, fx._multiplier_expansion(
-                        f, h, which)) == poly_shift(ctx, q, c)
                 for i in range(f.degree + 1):
                     for which in (0, 1):
                         q = fx._tail_poly(f, i, which)
@@ -616,9 +671,13 @@ def test_one_expansion_matches_a_shift_per_polynomial(certified_maps):
                 # the same refinements, down to the same center
                 assert (fast.center, fast.prec) == (ref.center, ref.prec)
                 fast, ref = copy.copy(h), copy.copy(h)
-                cp = fx._finite_entry(f, fast, 1, N, D)
+                cp = fx._finite_entry(f, fast, 1)
                 assert (cp.multiplier_valuation, cp.multiplier_residue) == \
-                    _multiplier_reference(ref, N, D)
+                    _multiplier_reference(copy.copy(h), N, D)
+                # the refinements of A_1 at the root, then of DS_0 when A_1
+                # does not vanish there
+                if ref.lead_at(A1) is not None:
+                    ref.lead_at(DS0)
                 assert (fast.center, fast.prec) == (ref.center, ref.prec)
     assert checked >= 10
 
@@ -669,7 +728,7 @@ def test_ray_lines_at_an_exact_handle_match_its_expansion(fixture_analyses):
         for cp in a.classical_points:
             if cp.is_infinity() or not cp.value.is_exact:
                 continue
-            _, b, e = translate(g.ctx, g.num, g.den, cp.value.center)
+            b, e = translate(g.ctx, g.num, g.den, cp.value.center)
             assert set(fx._ray_lines_at(g, cp.value)) == \
                 set(berkmap._expansion_lines(e, b))
             checked += 1

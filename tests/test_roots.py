@@ -88,6 +88,25 @@ def test_rational_split_returns_irrational_coefficients_whole():
     assert roots._rational_split(ctx, g) == [g]
 
 
+def test_a_nonzero_constant_has_no_roots():
+    """A nonzero constant has no roots, whether it is rational (the split's
+    constant case) or not (isolated whole, with an empty Newton polygon)."""
+    ctx = PrimeContext(3, n=2, k=2)
+    assert isolate_roots(ctx, epoly(ctx, [Fraction(2, 3)])) == []
+    assert isolate_roots(ctx, (ctx.pi_pow(1),)) == []
+
+
+def test_handle_repr_shows_the_center_and_the_precision():
+    """An exact handle prints as root(c), an inexact one as
+    root(~c, prec=s): z - 2 and the two square roots of 2 in Q_7, whose
+    residues are 4 and 3."""
+    ctx = PrimeContext(7)
+    assert [repr(h) for h in isolate_roots(ctx, epoly(ctx, [-2, 1]))] == \
+        ["root(2)"]
+    assert [repr(h) for h in isolate_roots(ctx, epoly(ctx, [-2, 0, 1]))] == \
+        ["root(~4, prec=1)", "root(~3, prec=1)"]
+
+
 @pytest.mark.parametrize("g", [
     _mul(_mul([-1, 1], [-1, 1]), [1, 0, 1]),  # (z - 1)^2 (z^2 + 1)
     _mul([0, 0, 3], [2, 5]),                  # 3 z^2 (5 z + 2)
@@ -355,7 +374,7 @@ def test_lead_of_reads_q_at_the_root_once_a_refinement_lands_on_it():
 
     def expand():
         seen.append((h.center, h.prec))
-        return [((1, t, None),) for t in poly_shift(ctx, q, h.center)]
+        return [((1, t),) for t in poly_shift(ctx, q, h.center)]
 
     assert h.lead_of(expand, lambda: q) == (Fraction(0),
                                             ctx.residue_field.one)
