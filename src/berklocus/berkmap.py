@@ -17,7 +17,9 @@ per-direction counts of a reduction with the classical fixed points that an
 `Analysis` isolated, and `embed_map` is called only by `fixlocus.in_tower`,
 the one place that grows the working field.  `LocalData.multiplier_at` is
 the one reading of whether, and with which multiplier, the tangent map fixes
-a direction.
+a direction, and `TypeIIPoint.direction_of` the one reading of the direction
+at a disk point that holds a given element, in the coordinate of
+`reduce_at`.
 
 Along a ray of disk points with a fixed center, every conjugated coefficient
 valuation is an affine function of the radius parameter s
@@ -144,6 +146,20 @@ class TypeIIPoint:
         exactly when `same_point` holds, since `truncate` is canonical on
         the classes of congruence at its level."""
         return self.s, self.center.truncate(self.s)
+
+    def direction_of(self, y: FieldElement):
+        """The tangent direction at this point that holds the element y, in
+        the coordinate of `reduce_at` (z = center + pi^(ns) w): the infinity
+        direction when val(y - center) < s, and otherwise the residue of
+        (y - center) / pi^(ns).  The one reading of a direction at a disk
+        point; CheckFailed when s lies outside the value group."""
+        ns = self.center.ctx.nval_of(self.s)
+        if ns is None:
+            raise CheckFailed(f"a direction at {self!r}, off the value group")
+        d = y - self.center
+        if d.nval() < ns:
+            return rf.INF_POINT
+        return d.residue_shifted(ns)
 
     def __repr__(self):
         return f"zeta({self.center!r}, s={self.s})"

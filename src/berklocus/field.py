@@ -227,8 +227,6 @@ class PrimeContext:
             raise ValueError("new ramification index must be a multiple")
         if new_k != self.k and self.k != 1:
             raise ValueError("unramified extension supported only from k = 1")
-        if new_k % self.k != 0:
-            raise ValueError("new unramified degree must be a multiple")
         if new_n == self.n and new_k == self.k:
             return self
         return PrimeContext(self.p, new_n, new_k)

@@ -19,7 +19,9 @@ leaves and the point oo -- and every reader of the tree (components,
 multiplier reciprocity, the `tree` subcommand) finds a segment's ends there
 alone.  Components of the fixed locus are the connected groups of fixed atoms
 (vertices, edge segments, classical leaves) in the adjacency the assembly
-builds.
+builds.  A classical fixed point is a leaf built off the valuation lines of
+the ray into it, which it keeps: its multiplier, its class and its local
+degree are read off them, and the rays into it reuse them.
 
 Completeness of the certificate rests on a structural fact: at a fixed point
 whose tangent map is not the identity, every fixed tangent direction has
@@ -105,13 +107,17 @@ class ExploreConfig:
 
 @dataclass
 class ClassicalFixedPoint:
-    """One classical fixed point: exact, realized-to-precision, or infinity."""
+    """One classical fixed point: exact, realized-to-precision, or infinity,
+    with the valuation lines of the ray into it (`_ray_lines_at`; at
+    infinity, those of the point 0 of `f.flip()`), off which its multiplier
+    and its local degree are read."""
 
     value: Union[RootHandle, Infinity]
     multiplicity: int
     multiplier_valuation: Fraction  # INF encodes multiplier exactly 0
     multiplier_residue: Optional[FqElement]  # present iff valuation == 0
     klass: str
+    lines: list
 
     def is_infinity(self) -> bool:
         return isinstance(self.value, Infinity)
@@ -153,21 +159,21 @@ def _squarefree_parts(ctx, P):
 
 
 def classical_fixed_points(f: RationalMapK) -> List[ClassicalFixedPoint]:
+    """The classical fixed points, each a leaf built off the lines of the
+    ray into it: every handle is isolated first, then each reads its
+    lines, and infinity reads those of the point 0 of the flipped map
+    1/f(1/z), its coefficients."""
     if f.is_identity():
         raise IdentityMap("every point is fixed")
     ctx = f.ctx
-    out: List[ClassicalFixedPoint] = []
-    P = f.fixed_point_polynomial()
-    if poly_deg(P) >= 1:
-        for g, m in _squarefree_parts(ctx, P):
-            for h in isolate_roots(ctx, g):
-                out.append(_finite_entry(f, h, m))
+    # a constant P has no squarefree parts: every fixed point is at oo
+    handles = [(h, m) for g, m in _squarefree_parts(
+        ctx, f.fixed_point_polynomial()) for h in isolate_roots(ctx, g)]
+    out = [_leaf(h, m, _ray_lines_at(f, h)) for h, m in handles]
     inf_m = f.infinity_multiplicity()
     if inf_m:
-        # infinity is the fixed point 0 of the flipped map 1/f(1/z)
         g = f.flip()
-        at_zero = RootHandle(ctx, (ctx.zero, ctx.one), ctx.zero, INF)
-        out.append(replace(_finite_entry(g, at_zero, inf_m), value=INF_POINT))
+        out.append(_leaf(INF_POINT, inf_m, bk._expansion_lines(g.num, g.den)))
     total = sum(cp.multiplicity for cp in out)
     if total != f.degree + 1:
         raise CheckFailed(f"classical fixed points total {total}, expected "
@@ -175,26 +181,25 @@ def classical_fixed_points(f: RationalMapK) -> List[ClassicalFixedPoint]:
     return out
 
 
-def _finite_entry(f: RationalMapK, h: RootHandle,
-                  mult) -> ClassicalFixedPoint:
-    """The fixed point held by h, with its multiplier; the point at infinity
-    is the exact root 0 of f.flip().  The multiplier is the ratio
-    A_1(w) / DS_0(w) of two ray lines into the leaf (`_tail_lines`) at the
-    root w: f' = N / den^2 with N = num' den - num den' = den A_1 - den' P,
-    and the fixed-point polynomial P vanishes at w."""
-    ctx = f.ctx
-    F = ctx.residue_field
-    if mult >= 2:
-        # multiple fixed point forces multiplier exactly 1
-        return ClassicalFixedPoint(h, mult, Fraction(0), F.one, INDIFFERENT)
-    lead_a = _tail_lead(f, h, 1, 0)
-    if lead_a is None:
-        return ClassicalFixedPoint(h, mult, INF, None, ATTRACTING)
-    lead_d = _tail_lead(f, h, 0, 1)
-    v = lead_a[0] - lead_d[0]
-    res = lead_a[1] / lead_d[1] if v == 0 else None
+def _leaf(value, mult: int, lines) -> ClassicalFixedPoint:
+    """The fixed point `value` of multiplicity `mult`, off the lines of the
+    ray into it.  Its multiplier is A_1(w) / DS_0(w), the ratio of the
+    lines ("n", 1) and ("d", 0) (`_tail_lines`): f' = N / den^2 with
+    N = num' den - num den' = den A_1 - den' P, and the fixed-point
+    polynomial P vanishes at w; it is 0 when ("n", 1) is absent.  At a
+    multiple root P'(w) = 0 too, so A_1(w) = P'(w) + den(w) = DS_0(w) and
+    the lines give the multiplier 1; CheckFailed when they do not."""
+    lead = {key: (v, res) for _, v, key, res in lines}
+    v_d, res_d = lead[("d", 0)]
+    v_a, res_a = lead.get(("n", 1), (INF, None))
+    v = INF if v_a is INF else v_a - v_d
+    res = res_a / res_d if v == 0 else None
+    if mult >= 2 and res != res_d.field.one:
+        raise CheckFailed(f"a fixed point of multiplicity {mult} has the "
+                          f"multiplier valuation {v} and residue {res}, "
+                          "not the multiplier 1")
     klass = ATTRACTING if v > 0 else (REPELLING_CLASS if v < 0 else INDIFFERENT)
-    return ClassicalFixedPoint(h, mult, v, res, klass)
+    return ClassicalFixedPoint(value, mult, v, res, klass, lines)
 
 
 # ---------------------------------------------------------------------------
@@ -263,8 +268,8 @@ def _tail_lines(f: RationalMapK, h: RootHandle):
     map's numerator and denominator have the coefficients
     A_i(w) = NS_i(w) - w*DS_i(w) and DS_i(w), where NS_i = num^(i)/i! and
     DS_i = den^(i)/i!; each is evaluated exactly at the root through the
-    handle, and vanishing ones drop out, in particular A_0, the fixed-point
-    polynomial itself.
+    handle, one `RootHandle.lead_of` query per coefficient, and vanishing
+    ones drop out, in particular A_0, the fixed-point polynomial itself.
 
     Every A_i and DS_i is read off the handle's one expansion b, e of
     den and num - c*den at its center c (`RootHandle.expansion`), by
@@ -280,36 +285,31 @@ def _tail_lines(f: RationalMapK, h: RootHandle):
         if i <= dd:
             queries.append((Fraction(i + 1), ("d", i), 1))
         for slope, key, which in queries:
-            lead = _tail_lead(f, h, i, which)
+            lead = h.lead_of(functools.partial(_tail_expansion, f, h, i, which),
+                             functools.partial(_tail_poly, f, i, which))
             if lead is not None:
                 lines.append((slope, lead[0], key, lead[1]))
     return lines
 
 
-def _tail_lead(f: RationalMapK, h: RootHandle, i: int, which: int):
-    """(val, unit residue) of A_i (which = 0) or DS_i (which = 1) at the
-    root held by h, or None when it vanishes there: the one query at a
-    root, for the ray lines and the multiplier alike."""
-    return h.lead_of(functools.partial(_tail_expansion, f, h, i, which),
-                     functools.partial(_tail_poly, f, i, which))
-
-
 def _tail_expansion(f: RationalMapK, h: RootHandle, i: int, which: int):
     """The Taylor coefficients, as `RootHandle.lead_of` parts, of A_i
     (which = 0) or DS_i (which = 1) at the handle's center, off its
-    expansion b, e."""
+    expansion b, e, yielded one at a time: a coefficient is built only when
+    `lead_of` reads it."""
     b, e = h.expansion(f.num, f.den)
     if which:
-        return [((math.comb(k, i), b[k]),) for k in range(i, len(b))]
-    coeffs = [((1, e[i]),) if i < len(e) else ()]
+        for k in range(i, len(b)):
+            yield ((math.comb(k, i), b[k]),)
+        return
+    yield ((1, e[i]),) if i < len(e) else ()
     for k in range(i + 1, max(len(e), len(b) + 1)):
         parts = []
         if k < len(e):
             parts.append((math.comb(k, i), e[k]))
         if k <= len(b):
             parts.append((-math.comb(k - 1, i), b[k - 1]))
-        coeffs.append(parts)
-    return coeffs
+        yield parts
 
 
 def _tail_poly(f: RationalMapK, i: int, which: int):
@@ -476,7 +476,9 @@ def gamma_fix(f: RationalMapK,
 
     vertex_points: List[Tuple[TypeIIPoint, LocalData]] = []
     cids: Dict[tuple, int] = {}
-    lines = {}  # the ray lines of each anchor, by its id, read once
+    # the ray lines of each anchor, by its id, read once: a leaf's are the
+    # lines it was built from
+    lines = {id(cp.value): cp.lines for cp in leaves}
     for ray in rays:
         key = id(ray.anchor)
         if key not in lines:
@@ -857,7 +859,10 @@ def multiplier_reciprocity_check(a: Analysis) -> bool:
     infinity.  The classical ends are checked too: a fixed segment running
     into a classical leaf carries that leaf's multiplier residue, and the
     fixed upward segment's multiplier times that of the fixed point at
-    infinity is 1.  False when one of these fails; CheckFailed, whatever
+    infinity is 1.  A leaf's multiplier and the last segment into it are
+    read off the same lines ("n", 1) and ("d", 0) of the ray into the leaf,
+    so that end compares two readings of the same lines, not two
+    computations.  False when one of these fails; CheckFailed, whatever
     else fails, when a facing direction is not fixed or the shallower
     multiplier is not the segment's."""
     sk = a.skeleton
@@ -887,13 +892,12 @@ def multiplier_reciprocity_check(a: Analysis) -> bool:
 
 
 def _facing_multiplier(local: LocalData, center) -> FqElement:
-    """The tangent multiplier at `local.point` = zeta(c', s) of the direction
-    holding `center` (the residue of (center - c')/pi^(ns), read in the
-    coordinate of that reduction), or of the infinity direction when center
-    is None; 1 on an id-indifferent point (`LocalData.multiplier_at`)."""
+    """The tangent multiplier at `local.point` of the direction holding
+    `center` (`TypeIIPoint.direction_of`, in the coordinate of that
+    reduction), or of the infinity direction when center is None; 1 on an
+    id-indifferent point (`LocalData.multiplier_at`)."""
     pt = local.point
-    d = INF_POINT if center is None else \
-        (center - pt.center).residue_shifted(pt.center.ctx.nval_of(pt.s))
+    d = INF_POINT if center is None else pt.direction_of(center)
     lam = local.multiplier_at(rf.direction_key(d))
     if lam is None:
         raise CheckFailed(f"the direction {d} at {pt!r} facing along a fixed "
@@ -902,20 +906,15 @@ def _facing_multiplier(local: LocalData, center) -> FqElement:
 
 
 def totally_ramified_fixed_point(a: Analysis):
-    """A totally ramified classical fixed point, when one is visible:
-    infinity for a polynomial, or an exact finite fixed point c where the
-    map has local degree equal to its degree, the order at t = 0 of
-    num(c + t) - c*den(c + t), which the root handle's expansion holds."""
-    f = a.map
-    d = f.degree
-    if poly_deg(f.den) == 0 and poly_deg(f.num) == d:
-        return INF_POINT
+    """A totally ramified classical fixed point, when one is visible: the
+    leaf where the map has local degree equal to its degree.  The local
+    degree at a fixed point w is the order at t = 0 of
+    num(w + t) - w*den(w + t), the least i of a ("n", i) line of the ray
+    into the leaf; at infinity, the lines of the point 0 of `f.flip()`."""
+    d = a.map.degree
     for cp in a.classical_points:
-        if cp.is_infinity() or not cp.value.is_exact:
-            continue
-        e = cp.value.expansion(f.num, f.den)[1]
-        if next((i for i, c in enumerate(e) if not c.is_zero()), None) == d:
-            return cp.value.center
+        if min(key[1] for _, _, key, _ in cp.lines if key[0] == "n") == d:
+            return cp
     return None
 
 

@@ -13,22 +13,28 @@ exact computation, with a rigorous stopping criterion in each case.
 A polynomial q at a root takes one exact query, `RootHandle.lead_of`: the
 valuation and leading residue digit of q(root) together, or None when q
 vanishes there, read off the Taylor expansion of q at the center, for an
-exact handle as for an inexact one.  Each Taylor coefficient comes as a
-list of parts (m, x), an int times a field element, summed only when the
-valuations cannot decide.  Once the handle is exact -- from the start, or
-after a refinement lands on the root -- the constant term of the expansion
-is q(root) itself.  Until then the perturbation bound decides; when it
+exact handle as for an inexact one.  The Taylor coefficients come as an
+iterable, each one a list of parts (m, x), an int times a field element,
+summed only when the valuations cannot decide; q_0 is read first, and the
+others only until one decides, so an expansion that builds each
+coefficient when it is read builds no more than the query needs.  Once the
+handle is exact -- from the start, or after a refinement lands on the
+root -- the constant term of the expansion is q(root) itself and no other
+coefficient is read.  Until then the perturbation bound decides; when it
 cannot, q vanishes at the root if the root's polynomial divides it, and the
 gcd with that polynomial runs only as the last fallback.  A handle keeps one
 Taylor shift of a map's denominator and of its fixed-point numerator per
 center (`RootHandle.expansion`), and every polynomial the analysis reads at
-a root -- the ray lines' coefficients, two of which give the multiplier --
-takes its expansion off that one shift instead of shifting itself.
+a root -- the coefficients of the ray lines into a leaf, off which the
+leaf reads its multiplier and local degree -- takes its expansion off that
+one shift instead of shifting itself.
 `RootHandle.lead_at`, the same query for a q given whole and shifted to
 each center, is the tests' reference for `lead_of`; the engine does not
 call it.  The direction of a root at a disk point zeta(c, s) needs no
-query: once `distance_to_point` has refined the handle to prec > s, the
-leading digit of center - c is that of root - c.
+query: once `distance_to_point` has refined the handle to
+prec > val(root - c), the center lies in the root's direction there, and
+`berkmap.TypeIIPoint.direction_of`, the one reading of a direction at a
+disk point, reads it off the center.
 Isolation likewise shifts g once per candidate center and reads the root
 count, the initial precision and the next level off that one shift.
 
@@ -59,7 +65,6 @@ from .epoly import count_roots_in_disk, epoly, newton_polygon, poly_shift, \
 from .errors import CheckFailed, NeedsExtension
 from .field import INF, NEG_INF, FieldElement, PrimeContext, _is_prime, _vp
 from .residue import (
-    INF_POINT,
     Infinity,
     _trim,
     poly_deg,
@@ -176,13 +181,14 @@ class RootHandle:
         raise CheckFailed("distance computation did not stabilize")
 
     def distance_to_point(self, c: FieldElement) -> Fraction:
-        """val(root - c) for a working-field element c != root."""
+        """val(root - c) for a working-field element c; INF when the handle
+        is exact at c."""
         for _ in range(_MAX_REFINE):
             d = _val_diff(self.center, c)
             if d < self.prec:
                 return d
             if self.is_exact:
-                return d  # c == center would have given INF; handled by caller
+                return d
             self.refine()
         raise CheckFailed("distance to point did not stabilize")
 
@@ -207,17 +213,20 @@ class RootHandle:
         if not q:
             return None
         return self.lead_of(
-            lambda: [((1, c),) for c in poly_shift(self.ctx, q, self.center)],
+            lambda: (((1, c),) for c in poly_shift(self.ctx, q, self.center)),
             lambda: q)
 
     def lead_of(self, expand, build) -> Optional[Tuple[Fraction,
                                                        rf.FqElement]]:
         """(val, unit residue) of q(root), exact, or None when q vanishes
         at the root, for a polynomial q given through its expansion at the
-        current center.  `expand()` lists the Taylor coefficients q_0, q_1,
-        ... of q there, each as its parts: (m, x) stands for m*x, with m a
-        nonzero int and x a field element.  `build()` returns q itself; it
-        runs only for the vanishing test.
+        current center.  `expand()` returns an iterable of the Taylor
+        coefficients q_0, q_1, ... of q there, each as its parts: (m, x)
+        stands for m*x, with m a nonzero int and x a field element.  q_0 is
+        read first, and the others only as long as the bound needs them, so
+        an iterable that builds each coefficient when it is read builds none
+        past the one that decides.  `build()` returns q itself; it runs
+        only for the vanishing test.
 
         A nonzero q(center) = q_0 of valuation below the perturbation bound
         min over j >= 1 of val(q_j) + j*prec on val(q(root) - q(center))
@@ -231,8 +240,8 @@ class RootHandle:
         or after a refinement lands on the root, q_0 is q(root) itself and
         decides alone."""
         for step in range(_MAX_REFINE):
-            coeffs = expand()
-            qc = self._sum(coeffs[0])
+            coeffs = iter(expand())
+            qc = self._sum(next(coeffs))
             if self.is_exact:
                 return None if qc.is_zero() else (qc.val(), qc.unit_residue())
             if not qc.is_zero() and self._below_bound(qc.nval(), coeffs):
@@ -251,14 +260,15 @@ class RootHandle:
 
     def _below_bound(self, nv0: int, coeffs) -> bool:
         """Whether v0 < val(q_j) + j*prec for every nonzero Taylor
-        coefficient q_j, j >= 1: v0 below the perturbation bound.  Compared
-        in units of 1/n: nv0 = n*v0, the part valuations and n*prec are
-        ints."""
+        coefficient q_j, j >= 1, read from the iterator `coeffs` of q_1,
+        q_2, ... until one decides: v0 below the perturbation bound.
+        Compared in units of 1/n: nv0 = n*v0, the part valuations and
+        n*prec are ints."""
         n, p = self.ctx.n, self.ctx.p
         nprec = self._nprec()
-        for j in range(1, len(coeffs)):
+        for j, parts in enumerate(coeffs, 1):
             least, ties = None, 0
-            for m, x in coeffs[j]:
+            for m, x in parts:
                 v = x.nval()
                 if v is INF:
                     continue  # a zero factor
@@ -272,7 +282,7 @@ class RootHandle:
                 continue
             if ties == 1:
                 return False  # a unique least part is val(q_j)
-            c = self._sum(coeffs[j])
+            c = self._sum(parts)
             if not c.is_zero() and c.nval() + j * nprec <= nv0:
                 return False
         return True
@@ -289,20 +299,11 @@ class RootHandle:
 
     def direction_at(self, x) -> Union[rf.FqElement, Infinity]:
         """The tangent direction at the disk point x = zeta(c, s) that
-        contains this root: a residue-field element (residue of
-        (root - c) / pi^(n s)) or the infinity direction."""
-        c, s = x.center, x.s
-        d = INF if self._is_point(c) else self.distance_to_point(c)
-        if d < s:
-            return INF_POINT
-        if d > s:
-            return self.ctx.residue_field.zero
-        # d = s < prec, as `distance_to_point` ensures: root - c and
-        # center - c, both of valuation s, share their leading digit
-        return (self.center - c).unit_residue()
-
-    def _is_point(self, c: FieldElement) -> bool:
-        return self.is_exact and self.center == c
+        contains this root.  Once `distance_to_point` has refined the handle
+        to prec > val(root - c), the center lies in the root's direction,
+        so `TypeIIPoint.direction_of` reads it off the center."""
+        self.distance_to_point(x.center)
+        return x.direction_of(self.center)
 
 
 def _val_diff(a: FieldElement, b: FieldElement) -> Fraction:

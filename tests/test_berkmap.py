@@ -579,3 +579,26 @@ def test_reduction_checks_fail_on_tampered_residues(monkeypatch):
     monkeypatch.setattr(berkmap, "_residues", lambda g: ((), ()))
     with pytest.raises(CheckFailed, match="0/0"):
         reduce_at(f, x)
+
+
+def test_direction_of_reads_the_direction_in_the_reduction_coordinate():
+    """At zeta(3, 1) over Q_5, y lies in the direction of the residue of
+    (y - 3)/5 and outside the closed disk in the infinity direction.  The
+    affine map 2z - 13 fixes 13, and the tangent map of its reduction there
+    fixes the direction that `direction_of` gives for 13.  A radius off the
+    value group has no direction."""
+    f = mk(5, [-13, 2], [1])
+    ctx = f.ctx
+    F = ctx.residue_field
+    pt = TypeIIPoint(ctx.from_rational(3), Fraction(1))
+    assert pt.direction_of(ctx.from_rational(13)) == F.from_int(2)
+    assert pt.direction_of(ctx.from_rational(28)) == F.zero
+    assert pt.direction_of(ctx.from_rational(3)) == F.zero
+    assert pt.direction_of(ctx.from_rational(4)) is INF_POINT
+    assert pt.direction_of(ctx.from_rational(Fraction(16, 5))) is INF_POINT
+    assert TypeIIPoint(ctx.zero, Fraction(-1)).direction_of(
+        ctx.from_rational(Fraction(2, 5))) == F.from_int(2)
+    fixed = [t.location for t in reduce_at(f, pt).fixed_directions()]
+    assert pt.direction_of(ctx.from_rational(13)) in fixed
+    with pytest.raises(CheckFailed, match="off the value group"):
+        TypeIIPoint(ctx.zero, Fraction(1, 2)).direction_of(ctx.one)

@@ -15,6 +15,7 @@ from berklocus.epoly import (
     poly_shift,
     root_valuations,
 )
+from berklocus.errors import ZeroPolynomial
 from berklocus.field import INF, PrimeContext
 from berklocus.residue import poly_add, poly_eval, poly_mul, poly_reverse
 
@@ -121,3 +122,16 @@ def test_newton_polygon_in_ramified_tower():
     f = epoly(ctx, [2, 0, 1])  # roots of valuation 1/2 live at tower level
     vals = root_valuations(ctx, f)
     assert vals == [Fraction(1, 2), Fraction(1, 2)]
+
+
+def test_root_counting_guards():
+    """The zero polynomial has no Newton polygon and no root count, and a
+    disk is open or closed."""
+    ctx = PrimeContext(5)
+    with pytest.raises(ZeroPolynomial):
+        newton_polygon(ctx, ())
+    with pytest.raises(ZeroPolynomial):
+        count_roots_in_disk(ctx, (), ctx.zero, Fraction(0))
+    with pytest.raises(ValueError, match="neither open nor closed"):
+        count_roots_in_disk(ctx, epoly(ctx, [1, 1]), ctx.zero, Fraction(0),
+                            mode="half")

@@ -648,3 +648,33 @@ def test_nval_of_tests_the_value_group(n):
     assert ctx.nval_of(Fraction(big, n)) == big
     assert ctx.nval_of(Fraction(-big, 2 * n)) is None
     assert ctx.nval_of(5) == 5 * n
+
+
+def test_context_guards_and_shortcuts():
+    """PrimeContext refuses a p that is not prime and an n or k below 1;
+    `extend` refuses an n that is not a multiple and a k step from k > 1,
+    and returns the context itself when nothing grows; `embed` returns an
+    element of the context itself and refuses one from a context it does
+    not contain; `lift` refuses a residue of another field."""
+    assert not field._is_prime(1) and not field._is_prime(0)
+    with pytest.raises(ValueError, match="not prime"):
+        PrimeContext(1)
+    with pytest.raises(ValueError, match=">= 1"):
+        PrimeContext(5, 0)
+    ctx = PrimeContext(5, 2)
+    assert repr(ctx) == "E(p=5, n=2, k=1)"
+    assert ctx != (5, 2, 1) and ctx == PrimeContext(5, 2)
+    assert ctx.extend() is ctx and ctx.extend(n=2, k=1) is ctx
+    assert ctx.extend(n=4, k=3) == PrimeContext(5, 4, 3)
+    with pytest.raises(ValueError, match="multiple"):
+        ctx.extend(n=3)
+    unram = PrimeContext(5, 1, 2)
+    assert unram.extend(k=2) is unram
+    with pytest.raises(ValueError, match="only from k = 1"):
+        unram.extend(k=4)
+    x = ctx.pi
+    assert ctx.embed(x) is x
+    with pytest.raises(ValueError, match="not a sub-context"):
+        ctx.embed(PrimeContext(5, 3).pi)
+    with pytest.raises(ValueError, match="not in the residue field"):
+        ctx.lift(unram.residue_field.one)

@@ -29,7 +29,7 @@ from berklocus.errors import (
     PreconditionViolated,
 )
 from berklocus.field import INF, NEG_INF, PrimeContext
-from berklocus.oracle import brute_is_fixed, fixture
+from berklocus.oracle import brute_is_fixed, fixture, fixtures
 from berklocus.residue import Infinity, _CoordKernel, _trim, poly_deg, \
     poly_mul, poly_sub
 from berklocus.roots import RootHandle, isolate_roots
@@ -195,17 +195,17 @@ def test_totally_ramified_corollary():
 
 def test_totally_ramified_finite_fixed_point():
     # z^2/(1 + z) over Q_5: oo is a simple fixed point of a non-polynomial,
-    # and 0 is fixed with local degree 2, read off the root's expansion
+    # and 0 is fixed with local degree 2, read off the ray lines into it
     f = mk(5, [0, 0, 1], [1, 1])
     a = fx.analyze(f)
     point = fx.totally_ramified_fixed_point(a)
-    assert point == f.ctx.zero
+    assert point.value.center == f.ctx.zero
     assert fx.totally_ramified_corollary_check(a)
 
 
 def test_totally_ramified_reads_the_skeleton_expansion(monkeypatch):
-    """The skeleton reads an exact anchor's ray lines off the handle's
-    expansion, so the check finds it cached and shifts nothing again."""
+    """The local degree is read off the lines each leaf was built from, so
+    the check shifts nothing again."""
     maps = [mk(5, [0, 0, 1], [1, 1])]
     maps += [fixture(name).build() for name in (
         "moebius-inversion", "quadratic-repelling", "quadratic-indifferent",
@@ -220,7 +220,59 @@ def test_totally_ramified_reads_the_skeleton_expansion(monkeypatch):
         raise AssertionError("the expansion was computed again")
     monkeypatch.setattr(roots, "poly_shift", shift)
     points = [fx.totally_ramified_fixed_point(a) for a in analyses]
-    assert points[0] == maps[0].ctx.zero
+    assert points[0].value.center == maps[0].ctx.zero
+
+
+def test_totally_ramified_inexact_fixed_point():
+    """Newton's map for sqrt(2) over Q_7, (z^2 + 2)/(2z): its finite fixed
+    points +-sqrt(2) are irrational, so their handles stay inexact, and at
+    each f(w + t) - w = t^2 / (2(w + t)) has order 2 = d, the least i of an
+    ("n", i) line.  The leaf found is the root = 235 mod 7^4
+    (235^2 = 2 + 23 * 7^4)."""
+    f = mk(7, [2, 0, 1], [0, 2])
+    a = fx.analyze(f)
+    assert [c.kind for c in a.components] == [
+        fx.KIND_CLASSICAL, fx.KIND_CLASSICAL, fx.KIND_PEAKED]
+    leaf = fx.totally_ramified_fixed_point(a)
+    assert not leaf.is_infinity() and not leaf.value.is_exact
+    assert leaf.value.distance_to_point(f.ctx.from_rational(235)) >= 4
+    assert fx.totally_ramified_corollary_check(a)
+
+
+def test_an_attempt_asks_each_root_query_once(monkeypatch):
+    """Every A_i and DS_i at a root is asked of `RootHandle.lead_of` once
+    per attempt: the leaf's multiplier and local degree and the skeleton's
+    rays all read the lines the leaf was built from.  A handle belongs to
+    one attempt, so (handle, i, which) names a query within its attempt."""
+    asked = []
+    lead_of = RootHandle.lead_of
+
+    def recorded(self, expand, build):
+        asked.append((self, *expand.args[2:]))  # (f, h, i, which)
+        return lead_of(self, expand, build)
+
+    monkeypatch.setattr(RootHandle, "lead_of", recorded)
+    config = fx.ExploreConfig(n_max=24, k_max=4)
+    for fxt in fixtures():
+        if fxt.name != "moebius-identity":
+            fx.analyze(fxt.build(), config)
+    assert any(h.is_exact for h, _, _ in asked)
+    assert any(not h.is_exact for h, _, _ in asked)
+    assert len(set(asked)) == len(asked)
+
+
+def test_a_multiple_point_off_multiplier_one_fails(fixture_analyses):
+    """At quadratic-doubled's doubled fixed point A_1(w) = DS_0(w), so the
+    lines ("n", 1) and ("d", 0) give the multiplier 1; with the residue of
+    ("n", 1) altered they do not, and the leaf is refused."""
+    _, a = fixture_analyses["quadratic-doubled"]
+    cp = next(cp for cp in a.classical_points if cp.multiplicity == 2)
+    one = cp.multiplier_residue.field.one
+    assert (cp.multiplier_valuation, cp.multiplier_residue) == (0, one)
+    lines = [(m, b, key, res + one if key == ("n", 1) else res)
+             for m, b, key, res in cp.lines]
+    with pytest.raises(CheckFailed, match="multiplicity 2"):
+        fx._leaf(cp.value, cp.multiplicity, lines)
 
 
 def test_identification_check_fails_on_a_tampered_surplus():
@@ -650,8 +702,7 @@ def test_one_expansion_matches_a_shift_per_polynomial(certified_maps):
         ctx = f.ctx
         # the quotient rule's f' = N / D, the multiplier's reference
         N, D = f.derivative_numerator(), poly_mul(ctx, f.den, f.den)
-        A1, DS0 = fx._tail_poly(f, 1, 0), fx._tail_poly(f, 0, 1)
-        for g, _ in fx._squarefree_parts(ctx, f.fixed_point_polynomial()):
+        for g, m in fx._squarefree_parts(ctx, f.fixed_point_polynomial()):
             for h in isolate_roots(ctx, g):
                 if h.is_exact:
                     continue
@@ -670,15 +721,11 @@ def test_one_expansion_matches_a_shift_per_polynomial(certified_maps):
                 assert lines and lines == _tail_lines_reference(f, ref)
                 # the same refinements, down to the same center
                 assert (fast.center, fast.prec) == (ref.center, ref.prec)
-                fast, ref = copy.copy(h), copy.copy(h)
-                cp = fx._finite_entry(f, fast, 1)
+                # the leaf's multiplier off those lines is the quotient
+                # rule's
+                cp = fx._leaf(fast, m, lines)
                 assert (cp.multiplier_valuation, cp.multiplier_residue) == \
                     _multiplier_reference(copy.copy(h), N, D)
-                # the refinements of A_1 at the root, then of DS_0 when A_1
-                # does not vanish there
-                if ref.lead_at(A1) is not None:
-                    ref.lead_at(DS0)
-                assert (fast.center, fast.prec) == (ref.center, ref.prec)
     assert checked >= 10
 
 

@@ -20,7 +20,7 @@ from berklocus.epoly import count_roots_in_disk, epoly, poly_shift
 from berklocus.errors import CheckFailed, NeedsExtension
 from berklocus.field import INF, PrimeContext
 from berklocus.oracle import fixture
-from berklocus.residue import poly_eval, poly_mul
+from berklocus.residue import INF_POINT, poly_eval, poly_mul
 from berklocus.roots import ClusterStub, RootHandle, isolate_roots
 
 
@@ -517,3 +517,29 @@ def test_direction_at_reads_the_center_at_the_distance(wild_handles):
         met += 1
         assert d == ref.lead_at(epoly(f.ctx, [-pt.center, 1]))[1]
     assert met
+
+
+def test_direction_at_follows_the_three_way_rule(fixture_analyses):
+    """At every skeleton vertex zeta(c, s) of the fixture analyses and for
+    each finite leaf, the direction of the root is the infinity direction
+    when d = val(root - c) < s, 0 when d > s, and the leading digit of
+    center - c when d = s, read once the handle is refined past d (d = INF
+    when the handle is exactly c)."""
+    met = set()
+    for _, a in fixture_analyses.values():
+        for pt, _ in a.skeleton.vertex_points:
+            for cp in a.classical_points:
+                if cp.is_infinity():
+                    continue
+                fast, ref = copy.copy(cp.value), copy.copy(cp.value)
+                d = INF if ref.is_exact and ref.center == pt.center \
+                    else ref.distance_to_point(pt.center)
+                if d < pt.s:
+                    want, branch = INF_POINT, "<"
+                elif d > pt.s:
+                    want, branch = pt.center.ctx.residue_field.zero, ">"
+                else:
+                    want, branch = (ref.center - pt.center).unit_residue(), "="
+                assert fast.direction_at(pt) == want
+                met.add(branch)
+    assert met == {"<", ">", "="}
