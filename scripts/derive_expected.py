@@ -33,8 +33,6 @@ from berklocus.residue import (
     FqRationalMap,
     Infinity,
     poly_deg,
-    poly_mul,
-    poly_sub,
 )
 
 OUT = os.path.join(os.path.dirname(os.path.abspath(__file__)),
@@ -132,8 +130,7 @@ def valuation_profile(p, num, den):
     ctx = PrimeContext(p, 1, 1)
     n = epoly(ctx, [frac(c) for c in num])
     d = epoly(ctx, [frac(c) for c in den])
-    z = epoly(ctx, [0, 1])
-    P = poly_sub(ctx, n, poly_mul(ctx, z, d))
+    P = epoly(ctx, fixed_point_poly_q(num, den))
     vals = root_valuations(ctx, P)
     profile = {}
     for v in vals:

@@ -49,9 +49,6 @@ from .residue import (
     RationalMap,
     _trim,
     poly_deg,
-    poly_divmod,
-    poly_gcd,
-    poly_monic,
     poly_scale,
 )
 
@@ -82,10 +79,11 @@ class RationalMapK(RationalMap):
         if not num:
             raise ConstantMap("the zero map is constant")
         if not _coprime:
-            g = poly_gcd(ctx, num, den)
+            R = ctx.ring
+            g = R.gcd(num, den)
             if poly_deg(g) > 0:
-                num = poly_divmod(ctx, num, g)[0]
-                den = poly_divmod(ctx, den, g)[0]
+                num = R.divmod(num, g)[0]
+                den = R.divmod(den, g)[0]
         if max(poly_deg(num), poly_deg(den)) < 1:
             raise ConstantMap("map is constant after cancellation")
         shift = min(c.nval() for c in num + den if not c.is_zero())
@@ -226,12 +224,13 @@ def reduce_at(f: RationalMapK, x: TypeIIPoint) -> LocalData:
     if not (rnum or rden):
         raise CheckFailed("normalized map cannot reduce to 0/0")
     # cancelled common factor
+    R = F.ring
     if rnum and rden:
-        gcd_poly = poly_gcd(F, rnum, rden)
+        gcd_poly = R.gcd(rnum, rden)
     else:
-        gcd_poly = poly_monic(F, rnum or rden)
-    cnum = poly_divmod(F, rnum, gcd_poly)[0] if rnum else ()
-    cden = poly_divmod(F, rden, gcd_poly)[0] if rden else ()
+        gcd_poly = R.monic(rnum or rden)
+    cnum = R.divmod(rnum, gcd_poly)[0] if rnum else ()
+    cden = R.divmod(rden, gcd_poly)[0] if rden else ()
     surplus = _surplus_table(F, gcd_poly, _infinity_surplus(g, rnum, rden))
     # None: constant 0 or constant infinity
     reduced = FqRationalMap(F, cnum, cden, _coprime=True) \

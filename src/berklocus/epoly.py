@@ -1,12 +1,12 @@
 """Polynomials over the working field: Newton polygons, disk-localized root
 counting, Taylor shifts, and the translation of a map to a center.
 
-Polynomials reuse the tuple-of-coefficients convention (low degree first,
-trimmed); the generic ring helpers from the residue module work verbatim
-because a PrimeContext exposes the same zero/one/from_int handles as a finite
-field.  The Newton polygon turns coefficient valuations into exact root
-valuations, which is how every disk question is answered without ever
-realizing a root.
+Polynomials reuse the coefficient-sequence convention of the residue module
+(low degree first, trimmed), and their arithmetic is the context's `ring`,
+the same polynomial algorithms that serve the finite fields
+(`residue._PolyRing`).  The Newton polygon turns coefficient valuations
+into exact root valuations, which is how every disk question is answered
+without ever realizing a root.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from typing import List, Tuple
 
 from .errors import CheckFailed, ZeroPolynomial
 from .field import INF, FieldElement, PrimeContext
-from .residue import _trim, poly_scale, poly_sub
+from .residue import _trim
 
 __all__ = [
     "NewtonPolygon", "epoly", "newton_polygon", "count_roots_in_disk",
@@ -108,13 +108,13 @@ def poly_shift(ctx: PrimeContext, f, c: FieldElement):
 
 
 def translate(ctx: PrimeContext, num, den, c: FieldElement):
-    """The map num/den moved to the center c: the coefficient tuples of
+    """The map num/den moved to the center c: the coefficients of
     b = den(c + t) and e = num(c + t) - c*den(c + t), the numerator of
     f(c + t) - c.  The one place a map is shifted to a center: affine
     conjugation, the ray lines and a root handle's expansion all read it."""
     a = poly_shift(ctx, num, c)
     b = poly_shift(ctx, den, c)
-    return b, poly_sub(ctx, a, poly_scale(ctx, b, c))
+    return b, ctx.ring.add(a, b, -c)
 
 
 def poly_scale_arg(ctx: PrimeContext, f, u: FieldElement):

@@ -119,7 +119,8 @@ class PrimeContext:
     `residue.residue_field(p, k)`, one object shared by every context over
     (p, k), and `unram_min_poly`, the monic integer minimal polynomial of
     the unramified generator x, is read off that field's modulus (at k = 1,
-    x = 0 and its minimal polynomial is w)."""
+    x = 0 and its minimal polynomial is w).  `ring` is the polynomial
+    arithmetic over its elements (`residue._Elements`)."""
 
     def __init__(self, p: int, n: int = 1, k: int = 1):
         if not _is_prime(p):
@@ -132,6 +133,7 @@ class PrimeContext:
         F = self.residue_field = rf.residue_field(p, k)
         self.unram_min_poly = (0, 1) if k == 1 else \
             tuple(c.rep for c in F.modulus)
+        self.ring = rf._Elements(self)
 
     # -- element constructors --------------------------------------------
 
@@ -160,8 +162,7 @@ class PrimeContext:
         nums[0] = q.numerator
         return FieldElement(self, nums, q.denominator)
 
-    # alias so the generic polynomial helpers accept a PrimeContext wherever
-    # they accept a finite field
+    # named as in a finite field, for the ring's derivative
     def from_int(self, c: int) -> "FieldElement":
         return self.from_rational(c)
 

@@ -82,10 +82,6 @@ from .residue import (
     FqElement,
     Infinity,
     poly_deg,
-    poly_deriv,
-    poly_divmod,
-    poly_gcd,
-    poly_sub,
 )
 from .roots import ClusterStub, RootHandle, isolate_roots
 
@@ -138,57 +134,61 @@ class ClassicalFixedPoint:
 def _squarefree_parts(ctx, P):
     """Yun decomposition over a characteristic-zero field: [(g, m)] with the
     g monic squarefree pairwise coprime and P = lc * prod g^m."""
-    from .residue import poly_monic
-    P = poly_monic(ctx, P)
+    R = ctx.ring
+    P = R.monic(P)
     out = []
-    dP = poly_deriv(ctx, P)
-    a = poly_gcd(ctx, P, dP)
-    b = poly_divmod(ctx, P, a)[0]
-    c = poly_divmod(ctx, dP, a)[0]
+    dP = R.deriv(P)
+    a = R.gcd(P, dP)
+    b = R.divmod(P, a)[0]
+    c = R.divmod(dP, a)[0]
     i = 1
     while poly_deg(b) > 0:
-        d = poly_sub(ctx, c, poly_deriv(ctx, b))
-        g = poly_gcd(ctx, b, d)
+        d = R.sub(c, R.deriv(b))
+        g = R.gcd(b, d)
         if poly_deg(g) > 0:
             out.append((g, i))
-        b2 = poly_divmod(ctx, b, g)[0]
-        c = poly_divmod(ctx, d, g)[0]
-        b = b2
+        b = R.divmod(b, g)[0]
+        c = R.divmod(d, g)[0]
         i += 1
     return out
 
 
-def classical_fixed_points(f: RationalMapK) -> List[ClassicalFixedPoint]:
-    """The classical fixed points, each a leaf built off the lines of the
-    ray into it: every handle is isolated first, then each reads its
-    lines, and infinity reads those of the point 0 of the flipped map
-    1/f(1/z), its coefficients."""
+def classical_fixed_points(f: RationalMapK) -> list:
+    """The classical fixed points, isolated and not yet read: (value,
+    multiplicity) for a handle of each root of the fixed-point polynomial,
+    then for INF_POINT when infinity is fixed.  `_leaf` builds each one's
+    leaf."""
     if f.is_identity():
         raise IdentityMap("every point is fixed")
     ctx = f.ctx
     # a constant P has no squarefree parts: every fixed point is at oo
-    handles = [(h, m) for g, m in _squarefree_parts(
+    out = [(h, m) for g, m in _squarefree_parts(
         ctx, f.fixed_point_polynomial()) for h in isolate_roots(ctx, g)]
-    out = [_leaf(h, m, _ray_lines_at(f, h)) for h, m in handles]
     inf_m = f.infinity_multiplicity()
     if inf_m:
-        g = f.flip()
-        out.append(_leaf(INF_POINT, inf_m, bk._expansion_lines(g.num, g.den)))
-    total = sum(cp.multiplicity for cp in out)
+        out.append((INF_POINT, inf_m))
+    total = sum(m for _, m in out)
     if total != f.degree + 1:
         raise CheckFailed(f"classical fixed points total {total}, expected "
                           f"{f.degree + 1}")
     return out
 
 
-def _leaf(value, mult: int, lines) -> ClassicalFixedPoint:
-    """The fixed point `value` of multiplicity `mult`, off the lines of the
-    ray into it.  Its multiplier is A_1(w) / DS_0(w), the ratio of the
+def _leaf(f: RationalMapK, value, mult: int) -> ClassicalFixedPoint:
+    """The leaf of the fixed point `value` of f, of multiplicity `mult`,
+    built off the lines of the ray into it: `_ray_lines_at` at a handle,
+    and at infinity those of the point 0 of the flipped map 1/f(1/z), its
+    coefficients.  Its multiplier is A_1(w) / DS_0(w), the ratio of the
     lines ("n", 1) and ("d", 0) (`_tail_lines`): f' = N / den^2 with
     N = num' den - num den' = den A_1 - den' P, and the fixed-point
     polynomial P vanishes at w; it is 0 when ("n", 1) is absent.  At a
     multiple root P'(w) = 0 too, so A_1(w) = P'(w) + den(w) = DS_0(w) and
     the lines give the multiplier 1; CheckFailed when they do not."""
+    if value is INF_POINT:
+        g = f.flip()
+        lines = bk._expansion_lines(g.num, g.den)
+    else:
+        lines = _ray_lines_at(f, value)
     lead = {key: (v, res) for _, v, key, res in lines}
     v_d, res_d = lead[("d", 0)]
     v_a, res_a = lead.get(("n", 1), (INF, None))
@@ -321,7 +321,7 @@ def _tail_poly(f: RationalMapK, i: int, which: int):
                         for j in range(i, len(c))]) for c in (f.num, f.den))
     if which:
         return ds
-    return poly_sub(ctx, ns, (ctx.zero,) + ds if ds else ())
+    return ctx.ring.sub(ns, [ctx.zero, *ds] if ds else [])
 
 
 def _ray_lines_at(f: RationalMapK, anchor):
@@ -388,9 +388,9 @@ def _critical_point_handles(f: RationalMapK,
         return out
     for g, _ in _squarefree_parts(ctx, N):
         if P and poly_deg(P) >= 1:
-            common = poly_gcd(ctx, g, P)
+            common = ctx.ring.gcd(g, P)
             if poly_deg(common) >= 1:
-                g = poly_divmod(ctx, g, common)[0]
+                g = ctx.ring.divmod(g, common)[0]
         if poly_deg(g) >= 1:
             out += isolate_roots(ctx, g, budget=(config.n_max, config.k_max))
     return out
@@ -455,10 +455,18 @@ def _emit_join_tree(rays: List[ScaffoldRay], anchors, dist, group: List[int],
 def gamma_fix(f: RationalMapK,
               config: Optional[ExploreConfig] = None) -> SkeletonGraph:
     """The annotated connected hull of the classical fixed points, the finite
-    critical points, and the ray toward infinity."""
+    critical points, and the ray toward infinity.
+
+    Both kinds of point are isolated before any ray line is read, so an
+    attempt that asks for an extension is thrown away before it reads one.
+    The classical ones come first, and the order matters: a classical
+    request beyond the budget ends the analysis, while a critical one is
+    stubbed (`ClusterStub`), and granting the critical requests first grows
+    (n, k), which can push a later classical request past the budget."""
     config = config or ExploreConfig()
-    leaves = classical_fixed_points(f)
+    fixed = classical_fixed_points(f)
     aux = _critical_point_handles(f, config)
+    leaves = [_leaf(f, value, m) for value, m in fixed]
     # anchors: (handle, index into leaves or None for a critical point)
     anchors: List[Tuple[RootHandle, Optional[int]]] = \
         [(cp.value, i) for i, cp in enumerate(leaves)

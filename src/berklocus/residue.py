@@ -6,13 +6,19 @@ F_{q^m} = F_q[w]/(modulus) on top, so that a root of an irreducible polynomial
 over F_q is directly representable as the generator of the extension it
 defines.  Elements are immutable; all operations are pure.
 
-Polynomials over a field are tuples of elements, low degree first, with no
-trailing zeros (the zero polynomial is the empty tuple).  Their helpers are
-duck-typed: they need only the zero/one/from_int handles of the field, which
-a `field.PrimeContext` has too.  `RationalMap` builds on them the one core
-of the maps over both fields (`berkmap.RationalMapK` over the working field
-and `FqRationalMap` here): degree, identity test, flip, fixed-point
-polynomial, multiplicity at infinity, quotient-rule multiplier and printer.
+Polynomials over a field are sequences of elements, low degree first, with
+no trailing zeros (the zero polynomial is empty).  Their arithmetic is
+written once, in `_PolyRing`: add, sub, mul, divmod, rem, monic, gcd,
+deriv, inverse_mod and powmod, over any encoding of a field's elements.  A
+`_Kernel` runs them on the int encodings below, for factorization; an
+`_Elements` runs them on element objects, and each `Fq` and each
+`field.PrimeContext` holds one as `ring`.  They return lists, and a
+polynomial that is stored is made a tuple.  The few helpers with no ring
+twin (`poly`, `poly_deg`, `poly_scale`, `poly_eval`, `poly_reverse`, ...)
+take tuples or lists alike.  `RationalMap` builds on `ring` the one core of
+the maps over both fields (`berkmap.RationalMapK` over the working field and
+`FqRationalMap` here): degree, identity test, flip, fixed-point polynomial,
+multiplicity at infinity, quotient-rule multiplier and printer.
 
 Every field computes with one flat kernel of ints, which is also what
 factorization (`factor`, Cantor-Zassenhaus) and the Ben-Or steps of
@@ -96,7 +102,10 @@ class Fq:
     base reps.  A base that is itself a tower raises ValueError, since a
     tower's kernel has element operations only.  A reducible modulus is not
     refused, since testing it costs a factorization; in the ring it
-    defines, the inverse of a zero divisor raises CheckFailed.
+    defines, the inverse of a zero divisor raises CheckFailed.  Polynomials
+    over the field have two rings on the same algorithms (`_PolyRing`): the
+    kernel, on reps, which `factor` uses, and `ring`, on elements, which the
+    tangent maps use.
     """
 
     def __init__(self, p: int, modulus=None, base: Optional["Fq"] = None):
@@ -122,6 +131,7 @@ class Fq:
                 else _TowerKernel(base.kernel, reps)
         self.degree = self.kernel.k
         self.order = self.kernel.q
+        self.ring = _Elements(self)
 
     # -- construction -----------------------------------------------------
 
@@ -261,74 +271,8 @@ def poly_deg(f) -> int:
     return len(f) - 1  # -1 for the zero polynomial
 
 
-def poly_add(field, f, g):
-    n = max(len(f), len(g))
-    out = []
-    for i in range(n):
-        a = f[i] if i < len(f) else field.zero
-        b = g[i] if i < len(g) else field.zero
-        out.append(a + b)
-    return _trim(out)
-
-
-def poly_neg(field, f):
-    return tuple(-c for c in f)
-
-
-def poly_sub(field, f, g):
-    return poly_add(field, f, poly_neg(field, g))
-
-
-def poly_mul(field, f, g):
-    if not f or not g:
-        return ()
-    out = [field.zero] * (len(f) + len(g) - 1)
-    for i, a in enumerate(f):
-        if a.is_zero():
-            continue
-        for j, b in enumerate(g):
-            out[i + j] = out[i + j] + a * b
-    return _trim(out)
-
-
 def poly_scale(field, f, c):
     return _trim(tuple(a * c for a in f))
-
-
-def poly_divmod(field, f, g):
-    if not g:
-        raise ZeroDivisionError("polynomial division by zero")
-    f = list(f)
-    q = [field.zero] * max(0, len(f) - len(g) + 1)
-    inv_lead = g[-1].inverse()
-    while len(f) >= len(g) and _trim(f):
-        f = list(_trim(f))
-        if len(f) < len(g):
-            break
-        coef = f[-1] * inv_lead
-        shift = len(f) - len(g)
-        q[shift] = coef
-        for i, b in enumerate(g):
-            f[shift + i] = f[shift + i] - coef * b
-        f.pop()
-    return _trim(q), _trim(f)
-
-
-def poly_mod(field, f, g):
-    return poly_divmod(field, f, g)[1]
-
-
-def poly_monic(field, f):
-    if not f:
-        return f
-    inv = f[-1].inverse()
-    return poly_scale(field, f, inv)
-
-
-def poly_gcd(field, f, g):
-    while g:
-        f, g = g, poly_mod(field, f, g)
-    return poly_monic(field, f)
 
 
 def poly_eval(field, f, x: FqElement) -> FqElement:
@@ -336,13 +280,6 @@ def poly_eval(field, f, x: FqElement) -> FqElement:
     for c in reversed(f):
         result = result * x + c
     return result
-
-
-def poly_deriv(field, f):
-    out = []
-    for i in range(1, len(f)):
-        out.append(f[i] * field.from_int(i))
-    return _trim(out)
 
 
 def poly_shift_coeffs(field, f, new_field: Fq):
@@ -379,8 +316,8 @@ def poly_str(f, var: str, paren: bool) -> str:
 
 class RationalMap:
     """The field-agnostic half of a rational map num/den over `ctx`, a
-    finite field or a PrimeContext: both expose the zero/one/from_int
-    handles the polynomial helpers above need.  A subclass fixes the normal
+    finite field or a PrimeContext: both hold a polynomial ring `ring` over
+    their own elements (`_Elements`).  A subclass fixes the normal
     form in its constructor `(ctx, num, den, _coprime=False)`, where
     `_coprime` says the pair is already coprime and skips the gcd, and the
     printing style `_PRINT`: (variable, parenthesised coefficients, slash)."""
@@ -412,9 +349,8 @@ class RationalMap:
     def fixed_point_polynomial(self):
         """P(z) = numerator - z * denominator; its roots are the finite
         classical fixed points."""
-        ctx = self.ctx
-        return poly_sub(ctx, self.num,
-                        poly_mul(ctx, (ctx.zero, ctx.one), self.den))
+        R = self.ctx.ring
+        return R.sub(self.num, [R.zero, *self.den])
 
     def infinity_multiplicity(self) -> int:
         """Fixed-point multiplicity of the point at infinity: d + 1 - deg P
@@ -426,52 +362,33 @@ class RationalMap:
     def derivative_numerator(self):
         """N = num' den - num den', the numerator of f' = N / den^2 by the
         quotient rule."""
-        ctx = self.ctx
-        return poly_sub(ctx, poly_mul(ctx, poly_deriv(ctx, self.num), self.den),
-                        poly_mul(ctx, self.num, poly_deriv(ctx, self.den)))
+        R = self.ctx.ring
+        return R.sub(R.mul(R.deriv(self.num), self.den),
+                     R.mul(self.num, R.deriv(self.den)))
 
 
 # ---------------------------------------------------------------------------
-# The kernels: element and polynomial arithmetic on ints
+# Polynomial rings: one polynomial arithmetic over any field
 # ---------------------------------------------------------------------------
 
-class _Kernel:
-    """Arithmetic over one field F_q, q = p^k, on the encodings that are the
-    reps of its elements; and polynomial arithmetic and factorization on
-    lists of encodings, low degree first, with no trailing zero.
+class _PolyRing:
+    """Polynomial arithmetic over one field, on lists of encodings of its
+    elements, low degree first, with no trailing zero: the one copy of
+    division with remainder, Euclid's algorithm and their kin in the package
+    (von zur Gathen & Gerhard, Modern Computer Algebra, ch. 2-3).  Results
+    are lists.
 
-    A subclass fixes the encoding: its attributes p, k, q, zero, one and
-    neg_one, and the element operations `_add`, `_sub` and `_mul`.  The
-    prime field defines `_inv` (of a nonzero element) and `_from_int` (the
-    image of an int) itself; an extension F[w]/(m) names instead `base`,
-    the kernel of F, and `modulus`, the base encodings of m, low degree
-    first, and inherits both: an inverse is the base kernel's
-    `inverse_mod` modulo m.  For factorization a subclass adds `_random`
-    and the fused `_axpy(out, off, c, terms)`: out[off + j] += c * b for
-    every (j, b) in terms, in place."""
-
-    def _inv(self, a):
-        r = self.base.inverse_mod(a, self.modulus)
-        return tuple(r) + self.zero[len(r):]
-
-    def _from_int(self, i):
-        return (self.base._from_int(i),) + self.zero[1:]
-
-    def _pow(self, a, e: int):
-        result = self.one
-        while e:
-            if e & 1:
-                result = self._mul(result, a)
-            a = self._mul(a, a)
-            e >>= 1
-        return result
+    A subclass fixes the encoding: the attributes zero, one and neg_one, the
+    product `_mul`, `_inv` (of a nonzero encoding), `_from_int` (the image of
+    an int) and the fused `_axpy(out, off, c, terms)`: out[off + j] += c * b
+    for every (j, b) in terms, in place.  Zero is tested with ==.  The int
+    encodings of a `_Kernel` and the element objects of `_Elements` are the
+    two kinds."""
 
     def _trim(self, f: list) -> list:
         while f and f[-1] == self.zero:
             f.pop()
         return f
-
-    # -- polynomial arithmetic --------------------------------------------
 
     def add(self, f, g, c) -> list:
         """f + c * g (c = neg_one subtracts)."""
@@ -519,7 +436,7 @@ class _Kernel:
 
     def monic(self, f) -> list:
         if not f:
-            return f
+            return []
         inv = self._inv(f[-1])
         return [self._mul(a, inv) for a in f]
 
@@ -559,6 +476,56 @@ class _Kernel:
     def deriv(self, f) -> list:
         return self._trim([self._mul(a, self._from_int(i))
                            for i, a in enumerate(f)][1:])
+
+
+class _Elements(_PolyRing):
+    """The polynomial ring over a field whose encodings are the field's own
+    element objects; each `PrimeContext` and each `Fq` holds one as
+    `ring`, on which the maps over both fields compute."""
+
+    _mul = operator.mul
+
+    def __init__(self, field):
+        self.zero, self.one = field.zero, field.one
+        self.neg_one = -self.one
+        self._from_int = field.from_int
+
+    def _inv(self, a):
+        return a.inverse()
+
+    def _axpy(self, out, off, c, terms):
+        for j, b in terms:
+            out[off + j] = out[off + j] + c * b
+
+
+class _Kernel(_PolyRing):
+    """Arithmetic over one field F_q, q = p^k, on the int encodings that are
+    the reps of its elements, and factorization of polynomials over it on
+    the algorithms of `_PolyRing`.
+
+    A subclass fixes the encoding: its attributes p, k, q, zero, one and
+    neg_one, and the element operations `_add`, `_sub` and `_mul`.  The
+    prime field defines `_inv` and `_from_int` itself; an extension
+    F[w]/(m) names instead `base`, the kernel of F, and `modulus`, the base
+    encodings of m, low degree first, and inherits both: an inverse is the
+    base kernel's `inverse_mod` modulo m.  For polynomial arithmetic and
+    factorization a subclass adds `_axpy` and `_random`."""
+
+    def _inv(self, a):
+        r = self.base.inverse_mod(a, self.modulus)
+        return tuple(r) + self.zero[len(r):]
+
+    def _from_int(self, i):
+        return (self.base._from_int(i),) + self.zero[1:]
+
+    def _pow(self, a, e: int):
+        result = self.one
+        while e:
+            if e & 1:
+                result = self._mul(result, a)
+            a = self._mul(a, a)
+            e >>= 1
+        return result
 
     # -- factorization ----------------------------------------------------
 
@@ -1002,10 +969,11 @@ class FqRationalMap(RationalMap):
         elif not den:
             num = (ctx.one,)
         elif not _coprime:
-            g = poly_gcd(ctx, num, den)
+            R = ctx.ring
+            g = R.gcd(num, den)
             if poly_deg(g) > 0:
-                num = poly_divmod(ctx, num, g)[0]
-                den = poly_divmod(ctx, den, g)[0]
+                num = R.divmod(num, g)[0]
+                den = R.divmod(den, g)[0]
         # scale so the denominator (or numerator if den == 0) is monic
         scale = (den[-1] if den else num[-1]).inverse()
         self.ctx = ctx
@@ -1081,8 +1049,8 @@ class FqRationalMap(RationalMap):
         # order >= 2; writing diff = (w - loc) q, that is q(loc) = diff'(loc)
         # = 0, in every characteristic
         val_here = poly_eval(F, num, loc) / dv
-        diff = poly_sub(F, num, poly_scale(F, den, val_here))
-        if poly_eval(F, poly_deriv(F, diff), loc).is_zero() != crit:
+        diff = F.ring.add(num, den, -val_here)
+        if poly_eval(F, F.ring.deriv(diff), loc).is_zero() != crit:
             raise CheckFailed("criticality cross-check failed")
         if mult >= 2 and not self.is_identity() and lam != F.one:
             raise CheckFailed("multiple fixed point must have multiplier 1")

@@ -68,10 +68,7 @@ from .residue import (
     Infinity,
     _trim,
     poly_deg,
-    poly_deriv,
     poly_eval,
-    poly_divmod,
-    poly_gcd,
 )
 
 _MAX_REFINE = 200  # hard stop against runaway refinement loops
@@ -88,7 +85,7 @@ class RootHandle:
         self.g = g
         self.center = center
         self.prec = prec
-        self._dg = poly_deriv(ctx, g)
+        self._dg = ctx.ring.deriv(g)
         # (center, num, den, b, e) of the last `expansion` call; stale,
         # and recomputed, once the center has moved
         self._expansion = None
@@ -193,7 +190,7 @@ class RootHandle:
         raise CheckFailed("distance to point did not stabilize")
 
     def expansion(self, num, den):
-        """(b, e) at the current center c: the coefficient tuples of
+        """(b, e) at the current center c: the coefficients of
         b = den(c + t) and e = num(c + t) - c*b (`epoly.translate`).
         Computed once per center and pair, so every polynomial built from
         num and den reads its own expansion off these two instead of
@@ -290,10 +287,11 @@ class RootHandle:
     def _vanishes(self, q) -> bool:
         """Whether q(root) = 0: g divides q, or a common factor of g and q
         has a root in the handle's isolating disk."""
-        rem = poly_divmod(self.ctx, q, self.g)[1]
+        R = self.ctx.ring
+        rem = R.rem(q, self.g)
         if not rem:
             return True
-        G = poly_gcd(self.ctx, self.g, rem)  # = gcd(g, q)
+        G = R.gcd(self.g, rem)  # = gcd(g, q)
         return poly_deg(G) > 0 and count_roots_in_disk(
             self.ctx, G, self.center, self.prec, "closed") >= 1
 

@@ -36,10 +36,7 @@ from berklocus.residue import (
     _trim,
     direction_key,
     poly_deg,
-    poly_deriv,
     poly_eval,
-    poly_gcd,
-    poly_monic,
 )
 
 from conftest import mk, random_wild_map, reciprocity_segments
@@ -87,6 +84,12 @@ def test_conjugation_group_identities():
     back = g.conjugate_affine(u.inverse(), -(a / u))
     assert _scaled(back) == _scaled(f)
     assert _scaled(f.flip().flip()) == _scaled(f)
+
+
+def test_conjugation_by_a_zero_scale_is_refused():
+    f = mk(5, [1, 2, 1], [3, 0, 1])
+    with pytest.raises(ValueError, match="zero scale"):
+        f.conjugate_affine(f.ctx.zero, f.ctx.one)
 
 
 def test_eval_and_fixed_point_polynomial():
@@ -245,8 +248,8 @@ def _tangent_reference(m, d):
     dv = poly_eval(F, den, d)
     if dv.is_zero() or poly_eval(F, num, d) != d * dv:
         return False, None
-    slope = poly_eval(F, poly_deriv(F, num), d) * dv - \
-        poly_eval(F, num, d) * poly_eval(F, poly_deriv(F, den), d)
+    slope = poly_eval(F, F.ring.deriv(num), d) * dv - \
+        poly_eval(F, num, d) * poly_eval(F, F.ring.deriv(den), d)
     return True, slope / (dv * dv)
 
 
@@ -380,8 +383,8 @@ def _flip_surplus_reference(g):
     scale = ctx.pi_pow(-int(shift * ctx.n))
     rnum, rden = (_trim([(c * scale).residue() for c in f])
                   for f in (num, den))
-    common = poly_gcd(F, rnum, rden) if rnum and rden \
-        else poly_monic(F, rnum or rden)
+    common = F.ring.gcd(rnum, rden) if rnum and rden \
+        else F.ring.monic(rnum or rden)
     return next(i for i, c in enumerate(common) if not c.is_zero())
 
 

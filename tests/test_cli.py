@@ -443,6 +443,17 @@ def test_exit_code_3_on_a_failed_exactness_check(square_map, monkeypatch):
     assert run(["analyze", "--input", square_map]) == (3, "")
 
 
+def test_exit_code_3_on_an_internal_bug(square_map, monkeypatch, capsys):
+    # any other exception from the engine is a bug: exit 3, and the error
+    # on standard error
+    def crash(*args, **kwargs):
+        raise RuntimeError("an engine bug")
+    monkeypatch.setattr(fx, "analyze", crash)
+    assert run(["analyze", "--input", square_map]) == (3, "")
+    assert capsys.readouterr().err == \
+        "internal error: RuntimeError('an engine bug')\n"
+
+
 def test_analyze_imports_no_third_party_algebra(tmp_path):
     # the CLI cold start loads the engine and the standard library only
     path = write_fixture(tmp_path, fixture("power-2"))

@@ -17,13 +17,13 @@ from berklocus.epoly import (
 )
 from berklocus.errors import ZeroPolynomial
 from berklocus.field import INF, PrimeContext
-from berklocus.residue import poly_add, poly_eval, poly_mul, poly_reverse
+from berklocus.residue import poly_eval, poly_reverse
 
 
 def _prod_linear(ctx, roots):
     f = epoly(ctx, [1])
     for r in roots:
-        f = poly_mul(ctx, f, epoly(ctx, [-Fraction(r), 1]))
+        f = ctx.ring.mul(f, epoly(ctx, [-Fraction(r), 1]))
     return f
 
 
@@ -94,8 +94,9 @@ def _horner_shift(ctx, f, c):
     """f(z + c) by Horner composition with the linear polynomial (c, 1)."""
     out = ()
     for coeff in reversed(f):
-        out = poly_add(ctx, poly_mul(ctx, out, (c, ctx.one)), (coeff,))
-    return out
+        out = ctx.ring.add(ctx.ring.mul(out, (c, ctx.one)), (coeff,),
+                           ctx.one)
+    return tuple(out)
 
 
 _small = st.fractions(min_value=-4, max_value=4, max_denominator=3)

@@ -60,6 +60,24 @@ def test_infinities_refuse_arithmetic():
             op()
 
 
+def test_element_guards():
+    """The inverse and the unit residue of zero are refused, operands of two
+    working fields do not mix, and an element compared with a non-element
+    leaves the answer to the other operand."""
+    ctx = PrimeContext(5)
+    with pytest.raises(ZeroDivisionError, match="inverse of zero"):
+        ctx.zero.inverse()
+    with pytest.raises(ValueError, match="unit residue of zero"):
+        ctx.zero.unit_residue()
+    for other in (PrimeContext(5, 2).one, PrimeContext(7).one, 1):
+        for op in (lambda a, b: a + b, lambda a, b: a - b,
+                   lambda a, b: a * b):
+            with pytest.raises(TypeError, match="different working fields"):
+                op(ctx.one, other)
+    assert ctx.one.__eq__(1) is NotImplemented
+    assert ctx.one != 1 and ctx.one == ctx.from_rational(Fraction(5, 5))
+
+
 def test_infinities_survive_copies():
     assert copy.deepcopy([INF, NEG_INF]) == [INF, NEG_INF]
     assert copy.deepcopy(INF) is INF

@@ -30,8 +30,7 @@ from berklocus.errors import (
 )
 from berklocus.field import INF, NEG_INF, PrimeContext
 from berklocus.oracle import brute_is_fixed, fixture, fixtures
-from berklocus.residue import Infinity, _CoordKernel, _trim, poly_deg, \
-    poly_mul, poly_sub
+from berklocus.residue import Infinity, _CoordKernel, _trim, poly_deg
 from berklocus.roots import RootHandle, isolate_roots
 
 from conftest import mk, random_wild_map, reciprocity_ends, \
@@ -43,7 +42,7 @@ def test_classical_fixed_points_multiplicities_sum():
                  "quadratic-doubled"):
         f = fixture(name).build()
         pts = fx.classical_fixed_points(f)
-        assert sum(cp.multiplicity for cp in pts) == f.degree + 1
+        assert sum(m for _, m in pts) == f.degree + 1
     # z^3 over Q_3 needs the quadratic residue extension for its direction
     # data; analyze() performs the retry
     a = fx.analyze(fixture("wild-p3-d3").build())
@@ -56,9 +55,86 @@ def test_classical_fixed_points_identity_raises():
         fx.classical_fixed_points(f)
 
 
+def test_a_lost_fixed_point_fails_the_total(monkeypatch):
+    """With one root of the fixed-point polynomial dropped by isolation,
+    the multiplicities no longer add up to d + 1."""
+    f = fixture("quadratic-repelling").build()
+    monkeypatch.setattr(fx, "isolate_roots",
+                        lambda ctx, g: isolate_roots(ctx, g)[1:])
+    with pytest.raises(CheckFailed, match="classical fixed points total 2"):
+        fx.classical_fixed_points(f)
+
+
+@pytest.fixture
+def recorded_attempts(monkeypatch):
+    """The steps of each analysis attempt, in order: "classical" and
+    "critical" for the two isolations, "lines" for each `_ray_lines_at`
+    and "lead" for each `RootHandle.lead_of`, with the attempt's outcome
+    last ("ok" or the exception's class name)."""
+    attempts = []
+
+    def recorded(name, fn):
+        def wrapper(*a, **kw):
+            attempts[-1].append(name)
+            return fn(*a, **kw)
+        return wrapper
+
+    once = fx._analyze_once
+
+    def attempt(f, config):
+        attempts.append([])
+        try:
+            out = once(f, config)
+        except Exception as e:
+            attempts[-1].append(type(e).__name__)
+            raise
+        attempts[-1].append("ok")
+        return out
+
+    monkeypatch.setattr(fx, "_analyze_once", attempt)
+    for attr, name in (("classical_fixed_points", "classical"),
+                       ("_critical_point_handles", "critical"),
+                       ("_ray_lines_at", "lines")):
+        monkeypatch.setattr(fx, attr, recorded(name, getattr(fx, attr)))
+    monkeypatch.setattr(RootHandle, "lead_of",
+                        recorded("lead", RootHandle.lead_of))
+    return attempts
+
+
+def test_an_attempt_that_asks_for_an_extension_reads_no_line(
+        recorded_attempts):
+    """(z^2 + 6z) / (z^2 + 2z + 4) over Q_11 asks for the residue field
+    F_121 at its first attempt; both isolations run, and no ray line is
+    read, before the attempt is thrown away."""
+    a = fx.analyze(mk(11, [0, 6, 1], [4, 2, 1]))
+    assert a.map.ctx.k == 2
+    failed, done = recorded_attempts
+    assert failed == ["classical", "critical", "NeedsExtension"]
+    assert done[:2] == ["classical", "critical"] and done[-1] == "ok"
+    assert "lines" in done and "lead" in done
+
+
+def test_the_classical_points_are_isolated_before_the_critical_ones(
+        recorded_attempts):
+    """Every attempt isolates the classical fixed points, then the critical
+    points, and only then reads a ray line: the classical requests reach
+    `in_tower` first, since granting a critical one first can push a later
+    classical request past the budget."""
+    config = fx.ExploreConfig(n_max=24, k_max=4)
+    for name in ("quadratic-repelling", "wild-p3-d3", "segment-p5-d6"):
+        fx.analyze(fixture(name).build(), config)
+    fx.analyze(mk(11, [0, 6, 1], [4, 2, 1]), config)
+    assert len(recorded_attempts) >= 5
+    for steps in recorded_attempts:
+        isolations = [s for s in steps if s in ("classical", "critical")]
+        assert isolations in (["classical"], ["classical", "critical"])
+        if "lines" in steps or steps[-1] == "ok":
+            assert steps[:2] == ["classical", "critical"]
+
+
 def test_classical_classification_quadratic(expected):
     f = fixture("quadratic-repelling").build()
-    pts = fx.classical_fixed_points(f)
+    pts = [fx._leaf(f, value, m) for value, m in fx.classical_fixed_points(f)]
     by_val = {}
     for cp in pts:
         key = "inf" if cp.is_infinity() else repr(cp.value.center)
@@ -261,18 +337,20 @@ def test_an_attempt_asks_each_root_query_once(monkeypatch):
     assert len(set(asked)) == len(asked)
 
 
-def test_a_multiple_point_off_multiplier_one_fails(fixture_analyses):
+def test_a_multiple_point_off_multiplier_one_fails(fixture_analyses,
+                                                   monkeypatch):
     """At quadratic-doubled's doubled fixed point A_1(w) = DS_0(w), so the
     lines ("n", 1) and ("d", 0) give the multiplier 1; with the residue of
     ("n", 1) altered they do not, and the leaf is refused."""
-    _, a = fixture_analyses["quadratic-doubled"]
+    f, a = fixture_analyses["quadratic-doubled"]
     cp = next(cp for cp in a.classical_points if cp.multiplicity == 2)
     one = cp.multiplier_residue.field.one
     assert (cp.multiplier_valuation, cp.multiplier_residue) == (0, one)
     lines = [(m, b, key, res + one if key == ("n", 1) else res)
              for m, b, key, res in cp.lines]
+    monkeypatch.setattr(fx, "_ray_lines_at", lambda f, h: lines)
     with pytest.raises(CheckFailed, match="multiplicity 2"):
-        fx._leaf(cp.value, cp.multiplicity, lines)
+        fx._leaf(f, cp.value, cp.multiplicity)
 
 
 def test_identification_check_fails_on_a_tampered_surplus():
@@ -666,7 +744,7 @@ def _tail_lines_reference(f, h):
                     for j in range(i, dn + 1)])
         ds = _trim([den[j] * ctx.from_rational(math.comb(j, i))
                     for j in range(i, dd + 1)])
-        ai = poly_sub(ctx, ns, poly_mul(ctx, (ctx.zero, ctx.one), ds))
+        ai = ctx.ring.sub(ns, ctx.ring.mul([ctx.zero, ctx.one], ds))
         for slope, key, q in ((Fraction(i), ("n", i), ai),
                               (Fraction(i + 1), ("d", i), ds)):
             lead = h.lead_at(q)
@@ -701,7 +779,7 @@ def test_one_expansion_matches_a_shift_per_polynomial(certified_maps):
     for f in certified_maps:
         ctx = f.ctx
         # the quotient rule's f' = N / D, the multiplier's reference
-        N, D = f.derivative_numerator(), poly_mul(ctx, f.den, f.den)
+        N, D = f.derivative_numerator(), ctx.ring.mul(f.den, f.den)
         for g, m in fx._squarefree_parts(ctx, f.fixed_point_polynomial()):
             for h in isolate_roots(ctx, g):
                 if h.is_exact:
@@ -714,16 +792,19 @@ def test_one_expansion_matches_a_shift_per_polynomial(certified_maps):
                     for which in (0, 1):
                         q = fx._tail_poly(f, i, which)
                         if q:
+                            # poly_shift returns q itself at c = 0
                             assert _summed(ctx, fx._tail_expansion(
-                                f, h, i, which)) == poly_shift(ctx, q, c)
+                                f, h, i, which)) == \
+                                tuple(poly_shift(ctx, q, c))
                 fast, ref = copy.copy(h), copy.copy(h)
                 lines = fx._tail_lines(f, fast)
                 assert lines and lines == _tail_lines_reference(f, ref)
                 # the same refinements, down to the same center
                 assert (fast.center, fast.prec) == (ref.center, ref.prec)
-                # the leaf's multiplier off those lines is the quotient
-                # rule's
-                cp = fx._leaf(fast, m, lines)
+                # the leaf is built off those lines, and its multiplier
+                # is the quotient rule's
+                cp = fx._leaf(f, fast, m)
+                assert cp.lines == lines
                 assert (cp.multiplier_valuation, cp.multiplier_residue) == \
                     _multiplier_reference(copy.copy(h), N, D)
     assert checked >= 10

@@ -4,13 +4,15 @@ rational maps over residue fields."""
 import functools
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from berklocus.berkmap import gauss_point, reduce_at
-from berklocus.errors import CheckFailed, IdentityMap, MultiplierOne
+from berklocus.errors import CheckFailed, IdentityMap, MultiplierOne, \
+    ZeroPolynomial
 from berklocus.field import PrimeContext
 from berklocus.residue import (
     TABLE_MAX_ORDER,
@@ -30,11 +32,6 @@ from berklocus.residue import (
     poly,
     poly_deg,
     poly_eval,
-    poly_gcd,
-    poly_mod,
-    poly_monic,
-    poly_mul,
-    poly_sub,
     residue_field,
     trace_to_base,
 )
@@ -110,6 +107,31 @@ def test_tower_inverse_over_f81():
             assert y.rep == K._pow(x.rep, K.q - 2)
 
 
+def test_field_guards():
+    """A prime field takes no modulus and has no generator, an extension
+    needs a monic modulus of degree >= 2, an element embeds only from a
+    subfield, and the trace goes down only to one; equal fields hash
+    alike, and neither the zero polynomial nor a constant is irreducible."""
+    F = Fq(5)
+    F25 = residue_field(5, 2)
+    with pytest.raises(ValueError, match="takes no modulus"):
+        Fq(5, modulus=poly(F, [2, 0, 1]))
+    with pytest.raises(ValueError, match="monic modulus"):
+        Fq(5, modulus=poly(F, [2, 1]), base=F)
+    with pytest.raises(ValueError, match="no generator"):
+        F.gen
+    with pytest.raises(ValueError, match="not in a subfield"):
+        F.embed(F25.gen)
+    with pytest.raises(ValueError, match="F_25 is not a subfield of F_125"):
+        trace_to_base(residue_field(5, 3).gen, F25)
+    with pytest.raises(ValueError, match="F_25 is not a subfield of F_5"):
+        _project_to_base(F.one, F25)
+    assert hash(Fq(5, modulus=F25.modulus, base=F)) == hash(F25)
+    with pytest.raises(ZeroPolynomial):
+        factor(F, ())
+    assert not is_irreducible(F, poly(F, [3]))
+
+
 def test_a_tower_over_a_tower_is_refused():
     # F_9 -> F_81 builds and computes; an extension of F_81 would need the
     # polynomial arithmetic of a tower's kernel, which has none
@@ -176,8 +198,8 @@ def test_factor_roundtrip(seed_poly):
     for q, mult in parts:
         assert is_irreducible(F, q)
         for _ in range(mult):
-            prod = poly_mul(F, prod, q)
-    assert poly_monic(F, prod) == poly_monic(F, f)
+            prod = F.ring.mul(prod, q)
+    assert F.ring.monic(prod) == F.ring.monic(f)
 
 
 def test_find_irreducible():
@@ -289,12 +311,12 @@ def test_gcd_normalization():
     F = Fq(5)
     a = poly(F, [1, 1])
     b = poly(F, [1, 1, 1])
-    g = poly_gcd(F, poly_mul(F, a, b), poly_mul(F, a, a))
-    assert poly_monic(F, g) == poly_monic(F, a)
+    g = F.ring.gcd(F.ring.mul(a, b), F.ring.mul(a, a))
+    assert F.ring.monic(g) == F.ring.monic(a)
     assert poly_eval(F, g, F.from_int(4)).is_zero()
 
 
-# -- factorization against the generic FqElement helpers --------------------
+# -- factorization on ints against the element ring `Fq.ring` --------------
 
 FIELDS = [(p, k) for p in (2, 3, 5, 7, 11, 13) for k in (1, 2, 3, 4)]
 
@@ -318,7 +340,7 @@ def random_poly(F, rng, deg):
 def poly_pow(F, f, e):
     out = (F.one,)
     for _ in range(e):
-        out = poly_mul(F, out, f)
+        out = F.ring.mul(out, f)
     return out
 
 
@@ -331,10 +353,10 @@ def ben_or_irreducible(F, f):
         e, base, h = F.order, h, (F.one,)
         while e:  # h <- base^q mod f
             if e & 1:
-                h = poly_mod(F, poly_mul(F, h, base), f)
-            base = poly_mod(F, poly_mul(F, base, base), f)
+                h = F.ring.rem(F.ring.mul(h, base), f)
+            base = F.ring.rem(F.ring.mul(base, base), f)
             e >>= 1
-        if poly_deg(poly_gcd(F, f, poly_sub(F, h, w))) > 0:
+        if poly_deg(F.ring.gcd(f, F.ring.sub(h, w))) > 0:
             return False
     return True
 
@@ -349,14 +371,14 @@ def inputs(F, rng):
     p = F.p
     g, h, u = (random_poly(F, rng, rng.randint(1, 2)) for _ in range(3))
     yield random_poly(F, rng, rng.randint(1, 6))
-    yield poly_mul(F, poly_mul(F, poly_pow(F, g, 2), poly_pow(F, h, 3)),
-                   poly_pow(F, u, p) if p <= 5 else u)
+    yield F.ring.mul(F.ring.mul(poly_pow(F, g, 2), poly_pow(F, h, 3)),
+                     poly_pow(F, u, p) if p <= 5 else u)
     stretched = [F.zero] * (p * poly_deg(h) + 1)
     for i, c in enumerate(h):
         stretched[p * i] = c
     yield tuple(stretched)
     if F.order <= 16:
-        yield poly_sub(F, (F.zero,) * F.order + (F.one,), (F.zero, F.one))
+        yield F.ring.sub((F.zero,) * F.order + (F.one,), (F.zero, F.one))
 
 
 @pytest.mark.parametrize("p,k", FIELDS)
@@ -369,8 +391,8 @@ def test_factor_against_generic_helpers(p, k):
         for q, mult in parts:
             assert q[-1] == F.one
             assert ben_or_irreducible(F, q)
-            prod = poly_mul(F, prod, poly_pow(F, q, mult))
-        assert prod == poly_monic(F, f)
+            prod = F.ring.mul(prod, poly_pow(F, q, mult))
+        assert prod == F.ring.monic(f)
         keys = [(poly_deg(q), tuple(rep_key(c) for c in q)) for q, _ in parts]
         assert keys == sorted(set(keys))
         if F.order <= 729:
@@ -384,8 +406,8 @@ def test_factor_against_generic_helpers(p, k):
 
 def test_factor_over_a_large_prime_field():
     F = Fq(2 ** 31 - 1)
-    f = poly_mul(F, poly(F, [-1, 1]), poly_mul(F, poly(F, [1, 0, 1]),
-                                               poly(F, [-2, 1])))
+    f = F.ring.mul(poly(F, [-1, 1]), F.ring.mul(poly(F, [1, 0, 1]),
+                                                poly(F, [-2, 1])))
     assert [q for q, _ in factor(F, f)] == \
         [poly(F, [-2, 1]), poly(F, [-1, 1]), poly(F, [1, 0, 1])]
 
@@ -396,14 +418,14 @@ def test_factor_over_a_large_extension_field():
     F = ext_field(1031, 2)
     rng = random.Random(1031)
     a, b, c = (random_poly(F, rng, d) for d in (1, 1, 2))
-    f = poly_mul(F, poly_mul(F, a, a), poly_mul(F, b, c))
+    f = F.ring.mul(F.ring.mul(a, a), F.ring.mul(b, c))
     parts = factor(F, f)
     prod = (F.one,)
     for q, mult in parts:
         assert ben_or_irreducible(F, q)
-        prod = poly_mul(F, prod, poly_pow(F, q, mult))
-    assert prod == poly_monic(F, f)
-    assert (poly_monic(F, a), 2) in parts
+        prod = F.ring.mul(prod, poly_pow(F, q, mult))
+    assert prod == F.ring.monic(f)
+    assert (tuple(F.ring.monic(a)), 2) in parts
 
 
 def schoolbook_mul(p, m, a, b):
@@ -625,3 +647,69 @@ def test_a_tampered_multiplicity_at_infinity_breaks_the_direction_count():
     f.infinity_multiplicity = lambda: 0
     with pytest.raises(CheckFailed, match="fixes 2 directions"):
         f.fixed_points()
+
+
+# -- the polynomial ring, on element objects and on ints ---------------------
+
+def ring_fields():
+    """Three working fields, F_5, F_9 and the tower F_81 over F_9."""
+    F3 = Fq(3)
+    F9 = Fq(3, modulus=poly(F3, [1, 0, 1]), base=F3)
+    g = next(a for a in F9.elements() if not a.is_zero() and a ** 4 != F9.one)
+    return [PrimeContext(5), PrimeContext(3, 2), PrimeContext(2, 1, 2),
+            Fq(5), residue_field(3, 2),
+            Fq(3, modulus=(-g, F9.zero, F9.one), base=F9)]
+
+
+def random_element(field, rng):
+    if isinstance(field, PrimeContext):
+        return field.element([[Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+                               for _ in range(field.n)]
+                              for _ in range(field.k)])
+    return rng.choice(list(field.elements()))
+
+
+def random_ring_poly(field, rng, deg):
+    """A polynomial of degree exactly deg (the zero polynomial at -1)."""
+    f = [random_element(field, rng) for _ in range(deg + 1)]
+    while f and f[-1].is_zero():
+        f[-1] = random_element(field, rng)
+    return f
+
+
+@pytest.mark.parametrize("field", ring_fields(), ids=repr)
+def test_the_ring_divides_takes_gcds_and_differentiates(field):
+    """Over each field, `ring` (on elements) gives f = q g + r with
+    deg r < deg g; a monic gcd that divides both inputs and is divided by
+    a known common factor; and a product and derivative that agree with
+    evaluation at random points, the derivative by the product rule."""
+    R, rng = field.ring, random.Random(repr(field))
+    for _ in range(12):
+        f, g, h = (random_ring_poly(field, rng, rng.randint(lo, hi))
+                   for lo, hi in ((-1, 5), (0, 3), (1, 2)))
+        q, r = R.divmod(f, g)
+        assert R.add(R.mul(q, g), r, R.one) == f
+        assert poly_deg(r) < poly_deg(g)
+        fh, gh = R.mul(f, h), R.mul(g, h)
+        d = R.gcd(fh, gh)
+        assert d[-1] == field.one
+        assert R.rem(fh, d) == [] and R.rem(gh, d) == []
+        assert R.rem(d, h) == []
+        x = random_element(field, rng)
+
+        def at(p):
+            return poly_eval(field, p, x)
+        assert at(R.mul(f, g)) == at(f) * at(g)
+        assert at(R.deriv(R.mul(f, g))) == \
+            at(R.deriv(f)) * at(g) + at(f) * at(R.deriv(g))
+    c = random_element(field, rng)
+    assert R.deriv([c]) == [] and R.deriv([c, field.one]) == [field.one]
+
+
+def test_the_ring_refuses_division_by_zero_and_keeps_zero_monic():
+    R = PrimeContext(5).ring
+    f = [R.one, R.one]
+    with pytest.raises(ZeroDivisionError, match="polynomial division by zero"):
+        R.divmod(f, [])
+    assert R.monic([]) == [] and R.gcd([], []) == []
+    assert R.monic([R.neg_one, R.neg_one]) == f

@@ -20,7 +20,7 @@ from berklocus.epoly import count_roots_in_disk, epoly, poly_shift
 from berklocus.errors import CheckFailed, NeedsExtension
 from berklocus.field import INF, PrimeContext
 from berklocus.oracle import fixture
-from berklocus.residue import INF_POINT, poly_eval, poly_mul
+from berklocus.residue import INF_POINT, _Elements, poly_eval
 from berklocus.roots import ClusterStub, RootHandle, isolate_roots
 
 
@@ -340,7 +340,7 @@ def test_roots_at_cluster_centers_come_out_exact():
     g vanishes at the exact centers, each inexact disk holds one root, and
     the four handles lie in four disjoint disks."""
     ctx = PrimeContext(5, 2, 1)
-    g = poly_mul(ctx, epoly(ctx, [-5, 0, 1]), epoly(ctx, [20, -10, 1]))
+    g = ctx.ring.mul(epoly(ctx, [-5, 0, 1]), epoly(ctx, [20, -10, 1]))
     handles = isolate_roots(ctx, g)
     assert len(handles) == 4
     pi = ctx.pi_pow(1)
@@ -419,19 +419,40 @@ def wild_handles(request):
     return f, handles, [pt for pt, _ in a.skeleton.vertex_points]
 
 
+def test_refinement_loops_raise_once_their_steps_run_out(monkeypatch):
+    """Each loop that refines a handle takes at most `_MAX_REFINE` steps
+    and then raises CheckFailed rather than answer unproved: with one step,
+    `ensure` cannot reach a depth far below the handle's, and with none, no
+    distance and no value at the root is read."""
+    ctx = PrimeContext(7)
+    g = epoly(ctx, [-2, 0, 1])  # the square roots of 2, residues 3 and 4
+    h, other = isolate_roots(ctx, g)
+    assert not h.is_exact and not other.is_exact
+    monkeypatch.setattr(roots, "_MAX_REFINE", 1)
+    with pytest.raises(CheckFailed, match="the requested precision"):
+        h.ensure(Fraction(100))
+    monkeypatch.setattr(roots, "_MAX_REFINE", 0)
+    for query, match in (
+            (lambda: h.distance_to(other), "distance computation"),
+            (lambda: h.distance_to_point(ctx.zero), "distance to point"),
+            (lambda: h.lead_at(epoly(ctx, [1, 1])), "value at root")):
+        with pytest.raises(CheckFailed, match=match):
+            query()
+
+
 @pytest.fixture
 def recorded_lead_at(monkeypatch):
     """Every exact query of a polynomial q at a root, `lead_of` (which
-    `lead_at` and `fx._tail_lines` both make), as (handle, q, result, gcd
-    runs, refinements)."""
+    `lead_at` and `fx._tail_lines` both make), as (handle, q, result, runs
+    of the element ring's gcd, refinements)."""
     calls = []
     gcds = []
     refines = []
-    lead_of, gcd, refine = RootHandle.lead_of, roots.poly_gcd, RootHandle.refine
+    lead_of, gcd, refine = RootHandle.lead_of, _Elements.gcd, RootHandle.refine
 
-    def counted_gcd(*a):
+    def counted_gcd(self, f, g):
         gcds.append(1)
-        return gcd(*a)
+        return gcd(self, f, g)
 
     def counted_refine(self):
         refines.append(1)
@@ -443,7 +464,7 @@ def recorded_lead_at(monkeypatch):
         calls.append((self, build(), out, len(gcds) - g0, len(refines) - r0))
         return out
 
-    monkeypatch.setattr(roots, "poly_gcd", counted_gcd)
+    monkeypatch.setattr(_Elements, "gcd", counted_gcd)
     monkeypatch.setattr(RootHandle, "refine", counted_refine)
     monkeypatch.setattr(RootHandle, "lead_of", recorded)
     return calls
@@ -455,7 +476,7 @@ def test_lead_at_is_none_on_a_multiple_of_the_root_polynomial(
     ctx = f.ctx
     r = epoly(ctx, [1, 1])
     for h in handles:
-        assert h.lead_at(poly_mul(ctx, h.g, r)) is None
+        assert h.lead_at(ctx.ring.mul(h.g, r)) is None
     # the perturbation bound never decides a vanishing value; g divides q,
     # so the division decides it, with no gcd and no refinement
     assert [c[3:] for c in recorded_lead_at] == [(0, 0)] * len(handles)
@@ -468,10 +489,10 @@ def test_lead_at_runs_the_gcd_when_q_shares_one_factor_of_g(
     # first factor only, so g does not divide it
     ctx = PrimeContext(7)
     shared = epoly(ctx, [-2, 0, 1])
-    g = poly_mul(ctx, shared, epoly(ctx, [-11, 0, 1]))
+    g = ctx.ring.mul(shared, epoly(ctx, [-11, 0, 1]))
     handles = isolate_roots(ctx, g)
     assert len(handles) == 4 and not any(h.is_exact for h in handles)
-    q = poly_mul(ctx, shared, epoly(ctx, [1, 1]))
+    q = ctx.ring.mul(shared, epoly(ctx, [1, 1]))
     on_shared = [poly_eval(ctx, shared, h.center).val() > 0 for h in handles]
     assert sorted(on_shared) == [False, False, True, True]
     for h, vanishes in zip(handles, on_shared):
