@@ -31,7 +31,6 @@ from berklocus.oracle import fixtures
 from berklocus.residue import (
     Fq,
     FqRationalMap,
-    Infinity,
     poly_deg,
 )
 

@@ -40,7 +40,7 @@ from fractions import Fraction
 from typing import Dict, List, Optional
 
 from . import residue as rf
-from .epoly import poly_scale_arg, translate
+from .epoly import lower_hull, poly_scale_arg, translate
 from .errors import CheckFailed, ConstantMap, NeedsExtension, ZeroDenominator
 from .field import INF, NEG_INF, FieldElement, PrimeContext
 from .residue import (
@@ -79,11 +79,7 @@ class RationalMapK(RationalMap):
         if not num:
             raise ConstantMap("the zero map is constant")
         if not _coprime:
-            R = ctx.ring
-            g = R.gcd(num, den)
-            if poly_deg(g) > 0:
-                num = R.divmod(num, g)[0]
-                den = R.divmod(den, g)[0]
+            _, num, den = ctx.ring.lowest_terms(num, den)
         if max(poly_deg(num), poly_deg(den)) < 1:
             raise ConstantMap("map is constant after cancellation")
         shift = min(c.nval() for c in num + den if not c.is_zero())
@@ -224,13 +220,7 @@ def reduce_at(f: RationalMapK, x: TypeIIPoint) -> LocalData:
     if not (rnum or rden):
         raise CheckFailed("normalized map cannot reduce to 0/0")
     # cancelled common factor
-    R = F.ring
-    if rnum and rden:
-        gcd_poly = R.gcd(rnum, rden)
-    else:
-        gcd_poly = R.monic(rnum or rden)
-    cnum = R.divmod(rnum, gcd_poly)[0] if rnum else ()
-    cden = R.divmod(rden, gcd_poly)[0] if rden else ()
+    gcd_poly, cnum, cden = F.ring.lowest_terms(rnum, rden)
     surplus = _surplus_table(F, gcd_poly, _infinity_surplus(g, rnum, rden))
     # None: constant 0 or constant infinity
     reduced = FqRationalMap(F, cnum, cden, _coprime=True) \
@@ -343,12 +333,15 @@ def segments_from_lines(one: FqElement, lines, s_lo, s_hi):
     and the sorted finite breakpoint values (support changes plus finite
     endpoints).
 
-    The envelope is walked along its hull.  Of the lines of one slope only
-    the least intercept can be on it, with every key that attains it as
-    its support.  The walk starts from the lowest line just above s_lo (the
-    steepest when s_lo is NEG_INF, the smallest slope on a tie) and steps
-    to the nearest crossing with a smaller slope, the smallest slope on a
-    tie, until the crossing reaches s_hi.
+    The envelope is the dual of a lower hull (Baker-Rumely, Potential
+    Theory and Dynamics on the Berkovich Projective Line, AMS 2010).  Of
+    the lines of one slope only the least intercept can be on it, with
+    every key that attains it as its support.  At s the envelope is the
+    line whose point (slope, least intercept) minimises s * slope +
+    intercept: a vertex of the lower hull of those points, `lower_hull`.
+    Read steepest vertex first, each vertex holds the envelope from its
+    crossing with the previous one to its crossing with the next, and the
+    pieces are clipped to [s_lo, s_hi].
     """
     if s_lo is not NEG_INF and s_hi is not INF and not s_lo < s_hi:
         raise CheckFailed(f"empty envelope interval [{s_lo}, {s_hi}]")
@@ -359,25 +352,14 @@ def segments_from_lines(one: FqElement, lines, s_lo, s_hi):
             least[m] = (b, [key])
         elif b == seen[0]:
             seen[1].append(key)
-    if s_lo is NEG_INF:
-        m = max(least)
-    else:
-        m = min(least, key=lambda m: (m * s_lo + least[m][0], m))
+    hull = lower_hull(sorted((m, b) for m, (b, _) in least.items()))[::-1]
     pieces = []  # (lo, hi, support) of each envelope piece
-    lo = s_lo
-    while True:
-        b = least[m][0]
-        step = None  # (crossing, slope) of the next piece
-        for m2, (b2, _) in least.items():
-            if m2 < m:
-                cross = ((b2 - b) / (m - m2), m2)
-                if step is None or cross < step:
-                    step = cross
-        if step is None or s_hi is not INF and step[0] >= s_hi:
-            pieces.append((lo, s_hi, least[m][1]))
-            break
-        pieces.append((lo, step[0], least[m][1]))
-        lo, m = step
+    lo = NEG_INF
+    for (m, b), nxt in zip(hull, hull[1:] + [None]):
+        hi = INF if nxt is None else (nxt[1] - b) / (m - nxt[0])
+        if hi > s_lo and lo < s_hi:
+            pieces.append((max(lo, s_lo), min(hi, s_hi), least[m][1]))
+        lo = hi
     line_res = {key: res for _, _, key, res in lines}
     segments = []
     breaks = set()

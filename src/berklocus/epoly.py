@@ -20,7 +20,8 @@ from .field import INF, FieldElement, PrimeContext
 from .residue import _trim
 
 __all__ = [
-    "NewtonPolygon", "epoly", "newton_polygon", "count_roots_in_disk",
+    "NewtonPolygon", "epoly", "lower_hull", "newton_polygon",
+    "count_roots_in_disk",
     "root_valuations", "poly_shift", "poly_scale_arg", "translate",
 ]
 
@@ -51,17 +52,12 @@ class NewtonPolygon:
     vanishing_order: int
 
 
-def newton_polygon(ctx: PrimeContext, f) -> NewtonPolygon:
-    """The hull is built on the int points (i, n * val(f_i)); a slope
-    becomes a Fraction only at a segment's ends."""
-    if not f:
-        raise ZeroPolynomial("Newton polygon of the zero polynomial")
-    pts = [(i, c.nval()) for i, c in enumerate(f) if not c.is_zero()]
-    ord0 = pts[0][0]
-    # lower convex hull, left to right (monotone chain); popping on >= also
-    # drops the middle one of three collinear points
-    hull: List[Tuple[int, int]] = []
-    for x, y in pts:
+def lower_hull(points) -> list:
+    """The vertices of the lower convex hull of `points`, sorted by their
+    first coordinate, all distinct (Andrew's monotone chain); popping on >=
+    also drops the middle one of three collinear points."""
+    hull = []
+    for x, y in points:
         while len(hull) >= 2:
             (x1, y1), (x2, y2) = hull[-2], hull[-1]
             if (y2 - y1) * (x - x2) >= (y - y2) * (x2 - x1):
@@ -69,13 +65,23 @@ def newton_polygon(ctx: PrimeContext, f) -> NewtonPolygon:
             else:
                 break
         hull.append((x, y))
+    return hull
+
+
+def newton_polygon(ctx: PrimeContext, f) -> NewtonPolygon:
+    """The hull is built on the int points (i, n * val(f_i)); a slope
+    becomes a Fraction only at a segment's ends."""
+    if not f:
+        raise ZeroPolynomial("Newton polygon of the zero polynomial")
+    hull = lower_hull((i, c.nval()) for i, c in enumerate(f)
+                      if not c.is_zero())
     n = ctx.n
     segments = tuple((Fraction(y2 - y1, (x2 - x1) * n), x2 - x1)
                      for (x1, y1), (x2, y2) in zip(hull, hull[1:]))
     if any(a[0] >= b[0] for a, b in zip(segments, segments[1:])):
         raise CheckFailed(f"Newton polygon slopes {list(segments)} do not "
                           "increase")
-    return NewtonPolygon(segments=segments, vanishing_order=ord0)
+    return NewtonPolygon(segments=segments, vanishing_order=hull[0][0])
 
 
 def root_valuations(ctx: PrimeContext, f) -> List[Fraction]:

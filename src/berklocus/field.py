@@ -37,6 +37,7 @@ from typing import Optional, Sequence
 
 from . import residue as rf
 from .errors import CheckFailed, NegativeValuation
+from .residue import _is_prime
 
 
 class _Infinity:
@@ -83,17 +84,6 @@ class _Infinity:
 
 INF = _Infinity(1, "INF")  # val(0); compared with `is`
 NEG_INF = _Infinity(-1, "NEG_INF")  # the unbounded ray end toward infinity
-
-
-def _is_prime(m: int) -> bool:
-    if m < 2:
-        return False
-    d = 2
-    while d * d <= m:
-        if m % d == 0:
-            return False
-        d += 1
-    return True
 
 
 def _vp(c: int, p: int) -> int:

@@ -83,7 +83,7 @@ from .residue import (
     Infinity,
     poly_deg,
 )
-from .roots import ClusterStub, RootHandle, isolate_roots
+from .roots import ClusterStub, RootHandle, _val_diff, isolate_roots
 
 ATTRACTING = "attracting"
 REPELLING_CLASS = "repelling"
@@ -131,28 +131,6 @@ class ClassicalFixedPoint:
 # Classical fixed points
 # ---------------------------------------------------------------------------
 
-def _squarefree_parts(ctx, P):
-    """Yun decomposition over a characteristic-zero field: [(g, m)] with the
-    g monic squarefree pairwise coprime and P = lc * prod g^m."""
-    R = ctx.ring
-    P = R.monic(P)
-    out = []
-    dP = R.deriv(P)
-    a = R.gcd(P, dP)
-    b = R.divmod(P, a)[0]
-    c = R.divmod(dP, a)[0]
-    i = 1
-    while poly_deg(b) > 0:
-        d = R.sub(c, R.deriv(b))
-        g = R.gcd(b, d)
-        if poly_deg(g) > 0:
-            out.append((g, i))
-        b = R.divmod(b, g)[0]
-        c = R.divmod(d, g)[0]
-        i += 1
-    return out
-
-
 def classical_fixed_points(f: RationalMapK) -> list:
     """The classical fixed points, isolated and not yet read: (value,
     multiplicity) for a handle of each root of the fixed-point polynomial,
@@ -162,8 +140,8 @@ def classical_fixed_points(f: RationalMapK) -> list:
         raise IdentityMap("every point is fixed")
     ctx = f.ctx
     # a constant P has no squarefree parts: every fixed point is at oo
-    out = [(h, m) for g, m in _squarefree_parts(
-        ctx, f.fixed_point_polynomial()) for h in isolate_roots(ctx, g)]
+    out = [(h, m) for g, m in ctx.ring.squarefree(f.fixed_point_polynomial())
+           for h in isolate_roots(ctx, g)]
     inf_m = f.infinity_multiplicity()
     if inf_m:
         out.append((INF_POINT, inf_m))
@@ -381,16 +359,12 @@ def _critical_point_handles(f: RationalMapK,
     positive weight can hide below an unsplit cluster without breaking the
     global weight total."""
     ctx = f.ctx
-    N = f.derivative_numerator()
     P = f.fixed_point_polynomial()
     out: list = []
-    if poly_deg(N) < 1:
-        return out
-    for g, _ in _squarefree_parts(ctx, N):
-        if P and poly_deg(P) >= 1:
-            common = ctx.ring.gcd(g, P)
-            if poly_deg(common) >= 1:
-                g = ctx.ring.divmod(g, common)[0]
+    for g, _ in ctx.ring.squarefree(f.derivative_numerator()):
+        common = ctx.ring.gcd(g, P)
+        if poly_deg(common) >= 1:
+            g = ctx.ring.divmod(g, common)[0]
         if poly_deg(g) >= 1:
             out += isolate_roots(ctx, g, budget=(config.n_max, config.k_max))
     return out
@@ -402,8 +376,7 @@ def _anchor_distance(a, b) -> Fraction:
     values still satisfy the ultrametric inequality."""
     if isinstance(a, ClusterStub) or isinstance(b, ClusterStub):
         if isinstance(a, ClusterStub) and isinstance(b, ClusterStub):
-            diff = a.center - b.center
-            raw = INF if diff.is_zero() else diff.val()
+            raw = _val_diff(a.center, b.center)
         else:
             h, stub = (a, b) if isinstance(b, ClusterStub) else (b, a)
             raw = h.distance_to_point(stub.center)

@@ -82,10 +82,9 @@ def _transport(pt: TypeIIPoint, chain) -> TypeIIPoint:
 def _exact_quadratic_roots(ctx: PrimeContext, P):
     """Roots (value, multiplicity) of a degree-<=2 polynomial, required to be
     exactly representable in the working field."""
-    from .fixlocus import _squarefree_parts
     from .roots import isolate_roots
     out = []
-    for g, m in _squarefree_parts(ctx, P):
+    for g, m in ctx.ring.squarefree(P):
         for h in isolate_roots(ctx, g):
             if not h.is_exact:
                 raise NeedsExtension(

@@ -9,16 +9,19 @@ defines.  Elements are immutable; all operations are pure.
 Polynomials over a field are sequences of elements, low degree first, with
 no trailing zeros (the zero polynomial is empty).  Their arithmetic is
 written once, in `_PolyRing`: add, sub, mul, divmod, rem, monic, gcd,
-deriv, inverse_mod and powmod, over any encoding of a field's elements.  A
-`_Kernel` runs them on the int encodings below, for factorization; an
-`_Elements` runs them on element objects, and each `Fq` and each
-`field.PrimeContext` holds one as `ring`.  They return lists, and a
-polynomial that is stored is made a tuple.  The few helpers with no ring
-twin (`poly`, `poly_deg`, `poly_scale`, `poly_eval`, `poly_reverse`, ...)
-take tuples or lists alike.  `RationalMap` builds on `ring` the one core of
-the maps over both fields (`berkmap.RationalMapK` over the working field and
-`FqRationalMap` here): degree, identity test, flip, fixed-point polynomial,
-multiplicity at infinity, quotient-rule multiplier and printer.
+lowest_terms (the one reduction of a fraction), squarefree (the one
+squarefree decomposition), deriv, inverse_mod and powmod, over any encoding
+of a field's elements.  A `_Kernel` runs them on the int encodings below,
+for factorization; an `_Elements` runs them on element objects, and each
+`Fq` and each `field.PrimeContext` holds one as `ring`, which serves the
+tangent maps and the squarefree parts that root isolation starts from.
+They return lists, and a polynomial that is stored is made a tuple.  The
+few helpers with no ring twin (`poly`, `poly_deg`, `poly_scale`,
+`poly_eval`, `poly_reverse`, ...) take tuples or lists alike.
+`RationalMap` builds on `ring` the one core of the maps over both fields
+(`berkmap.RationalMapK` over the working field and `FqRationalMap` here):
+degree, identity test, flip, fixed-point polynomial, multiplicity at
+infinity, quotient-rule multiplier and printer.
 
 Every field computes with one flat kernel of ints, which is also what
 factorization (`factor`, Cantor-Zassenhaus) and the Ben-Or steps of
@@ -86,6 +89,17 @@ class Infinity:
 
 
 INF_POINT = Infinity()
+
+
+def _is_prime(m: int) -> bool:
+    if m < 2:
+        return False
+    d = 2
+    while d * d <= m:
+        if m % d == 0:
+            return False
+        d += 1
+    return True
 
 
 # ---------------------------------------------------------------------------
@@ -473,6 +487,53 @@ class _PolyRing:
                 base = self.rem(self.mul(base, base), m)
         return result
 
+    def lowest_terms(self, f, g):
+        """(c, f / c, g / c) with c = gcd(f, g) monic: the one reduction of
+        a fraction to lowest terms; f and g themselves when c is
+        constant."""
+        c = self.gcd(f, g)
+        if len(c) < 2:
+            return c, f, g
+        return c, self.divmod(f, c)[0], self.divmod(g, c)[0]
+
+    def squarefree(self, f):
+        """The squarefree decomposition of a nonzero f: [(g, m)] with
+        f = lc(f) * prod g^m, each g monic squarefree, pairwise coprime, the
+        m distinct and ascending; [] for a constant (von zur Gathen &
+        Gerhard, Modern Computer Algebra, section 14.6)."""
+        out = {}
+
+        def decompose(f, scale):
+            df = self.deriv(f)
+            if not df:
+                # only over F_q, since f is not constant: f = h(w^p) = (h
+                # with p-th roots of its coefficients)(w)^p, and Frobenius
+                # is an automorphism: a^(1/p) = a^(q/p)
+                p = self.p
+                decompose([self._pow(a, self.q // p) for a in f[::p]],
+                          scale * p)
+                return
+            c = self.gcd(f, df)
+            w = self.divmod(f, c)[0]
+            i = 1
+            while len(w) > 1:
+                y = self.gcd(w, c)
+                fac = self.divmod(w, y)[0]
+                if len(fac) > 1:
+                    # i is prime to p, and the recursion finds multiples of
+                    # p * scale only: each multiplicity is found once
+                    out[i * scale] = fac
+                w = y
+                c = self.divmod(c, y)[0]
+                i += 1
+            if len(c) > 1:
+                decompose(c, scale)
+
+        f = self.monic(f)
+        if len(f) > 1:
+            decompose(f, 1)
+        return sorted(((g, m) for m, g in out.items()), key=lambda t: t[1])
+
     def deriv(self, f) -> list:
         return self._trim([self._mul(a, self._from_int(i))
                            for i, a in enumerate(f)][1:])
@@ -481,7 +542,9 @@ class _PolyRing:
 class _Elements(_PolyRing):
     """The polynomial ring over a field whose encodings are the field's own
     element objects; each `PrimeContext` and each `Fq` holds one as
-    `ring`, on which the maps over both fields compute."""
+    `ring`, on which the maps over both fields compute.  Over an `Fq` it
+    also names p, q and `_pow`, which the p-th roots of `squarefree` read;
+    over the characteristic-0 working field nothing reads them."""
 
     _mul = operator.mul
 
@@ -489,6 +552,8 @@ class _Elements(_PolyRing):
         self.zero, self.one = field.zero, field.one
         self.neg_one = -self.one
         self._from_int = field.from_int
+        if isinstance(field, Fq):
+            self.p, self.q, self._pow = field.p, field.order, operator.pow
 
     def _inv(self, a):
         return a.inverse()
@@ -508,8 +573,9 @@ class _Kernel(_PolyRing):
     prime field defines `_inv` and `_from_int` itself; an extension
     F[w]/(m) names instead `base`, the kernel of F, and `modulus`, the base
     encodings of m, low degree first, and inherits both: an inverse is the
-    base kernel's `inverse_mod` modulo m.  For polynomial arithmetic and
-    factorization a subclass adds `_axpy` and `_random`."""
+    base kernel's `inverse_mod` modulo m.  `_pow` serves the element powers
+    and the p-th roots a^(q/p) of `squarefree`.  For polynomial arithmetic
+    and factorization a subclass adds `_axpy` and `_random`."""
 
     def _inv(self, a):
         r = self.base.inverse_mod(a, self.modulus)
@@ -528,37 +594,6 @@ class _Kernel(_PolyRing):
         return result
 
     # -- factorization ----------------------------------------------------
-
-    def squarefree(self, f):
-        """f monic of degree >= 1 -> [(g, m)], f = prod g^m, each g monic
-        squarefree, pairwise coprime, m distinct, sorted by m."""
-        p, root = self.p, self.q // self.p
-        out = {}
-
-        def decompose(f, scale):
-            df = self.deriv(f)
-            if not df:
-                # f = h(w^p) = (h with p-th roots of its coefficients)(w)^p,
-                # and Frobenius is an automorphism: a^(1/p) = a^(q/p)
-                decompose([self._pow(a, root) for a in f[::p]], scale * p)
-                return
-            c = self.gcd(f, df)
-            w = self.divmod(f, c)[0]
-            i = 1
-            while len(w) > 1:
-                y = self.gcd(w, c)
-                fac = self.divmod(w, y)[0]
-                if len(fac) > 1:
-                    out[i * scale] = self.mul(out.get(i * scale, [self.one]),
-                                              fac)
-                w = y
-                c = self.divmod(c, y)[0]
-                i += 1
-            if len(c) > 1:
-                decompose(c, scale)
-
-        decompose(f, 1)
-        return sorted(((g, m) for m, g in out.items()), key=lambda t: t[1])
 
     def distinct_degree(self, f):
         """f monic squarefree -> [(product of its irreducible factors of
@@ -729,7 +764,7 @@ class _TableKernel(_CoordKernel):
         # certifies the modulus irreducible: every nonzero element is a
         # power of g, so a unit
         cofactors = [n // r for r in range(2, n + 1)
-                     if n % r == 0 and all(r % s for s in range(2, r))]
+                     if n % r == 0 and _is_prime(r)]
         for g in itertools.product(range(p), repeat=self.k):
             if any(conv._pow(g, c) == self.one for c in cofactors):
                 continue
@@ -827,10 +862,9 @@ def factor(field, f):
         raise ZeroPolynomial("cannot factor the zero polynomial")
     rng = random.Random(0x5eed)
     parts = []
-    if len(g) > 1:
-        for h, mult in K.squarefree(K.monic(g)):
-            for part, d in K.distinct_degree(h):
-                parts += [(irr, mult) for irr in K.equal_degree(part, d, rng)]
+    for h, mult in K.squarefree(g):
+        for part, d in K.distinct_degree(h):
+            parts += [(irr, mult) for irr in K.equal_degree(part, d, rng)]
     parts.sort(key=lambda t: (len(t[0]), t[0]))
     return [(tuple(FqElement(field, a) for a in irr), mult)
             for irr, mult in parts]
@@ -969,11 +1003,7 @@ class FqRationalMap(RationalMap):
         elif not den:
             num = (ctx.one,)
         elif not _coprime:
-            R = ctx.ring
-            g = R.gcd(num, den)
-            if poly_deg(g) > 0:
-                num = R.divmod(num, g)[0]
-                den = R.divmod(den, g)[0]
+            _, num, den = ctx.ring.lowest_terms(num, den)
         # scale so the denominator (or numerator if den == 0) is monic
         scale = (den[-1] if den else num[-1]).inverse()
         self.ctx = ctx

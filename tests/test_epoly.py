@@ -1,6 +1,7 @@
 """Newton polygons, disk root counting, and Taylor shifts over the working
 field."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 from berklocus.epoly import (
     count_roots_in_disk,
     epoly,
+    lower_hull,
     newton_polygon,
     poly_scale_arg,
     poly_shift,
@@ -136,3 +138,30 @@ def test_root_counting_guards():
     with pytest.raises(ValueError, match="neither open nor closed"):
         count_roots_in_disk(ctx, epoly(ctx, [1, 1]), ctx.zero, Fraction(0),
                             mode="half")
+
+
+def _below_every_chord(pt, left, right) -> bool:
+    """pt lies strictly below the chord of every pair of points around
+    it."""
+    x, y = pt
+    return all((y - y1) * (x2 - x1) < (y2 - y1) * (x - x1)
+               for x1, y1 in left for x2, y2 in right)
+
+
+def test_lower_hull_against_brute_force():
+    """`lower_hull` against the brute-force rule on seeded point sets: a
+    point is a vertex exactly when it is an end or lies strictly below the
+    chord of every two points around it, so no input point lies below the
+    chain and the middle point of a collinear triple is dropped."""
+    rng = random.Random(32)
+    for _ in range(300):
+        xs = sorted(rng.sample(range(-8, 9), rng.randint(1, 8)))
+        pts = [(x, Fraction(rng.randint(-4, 4), rng.choice((1, 2))))
+               for x in xs]
+        want = [pt for i, pt in enumerate(pts)
+                if i in (0, len(pts) - 1)
+                or _below_every_chord(pt, pts[:i], pts[i + 1:])]
+        assert lower_hull(pts) == want
+    assert lower_hull([(0, 0), (1, 1), (2, 2)]) == [(0, 0), (2, 2)]
+    assert lower_hull([(0, 2), (1, 1), (2, 0), (3, 1)]) == \
+        [(0, 2), (2, 0), (3, 1)]

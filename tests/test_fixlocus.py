@@ -29,7 +29,8 @@ from berklocus.errors import (
     PreconditionViolated,
 )
 from berklocus.field import INF, NEG_INF, PrimeContext
-from berklocus.oracle import brute_is_fixed, fixture, fixtures
+from berklocus.oracle import brute_is_fixed, classify_moebius, fixture, \
+    fixtures
 from berklocus.residue import Infinity, _CoordKernel, _trim, poly_deg
 from berklocus.roots import RootHandle, isolate_roots
 
@@ -236,6 +237,20 @@ def test_connectedness_criterion_matches_component_count():
     # the doubled quadratic branch is connected
     assert fx.connectedness_check(
         fx.analyze(fixture("quadratic-doubled").build())) is True
+
+
+@pytest.mark.parametrize("check", [fx.connectedness_check,
+                                   fx.totally_ramified_corollary_check],
+                         ids=lambda c: c.__name__)
+def test_degree_two_checks_refuse_a_moebius_map(check):
+    """The closed-form oracle classifies the degree-1 translation fixture,
+    and the checks that need degree >= 2 refuse its analysis."""
+    fix = fixture("moebius-translation")
+    f = fix.build()
+    assert f.degree == fix.expected["degree"] == 1
+    assert classify_moebius(f).case == fix.expected["case"]
+    with pytest.raises(PreconditionViolated, match="degree >= 2 required"):
+        check(fx.analyze(f))
 
 
 def test_weight_formula_on_segment_fixture():
@@ -780,7 +795,7 @@ def test_one_expansion_matches_a_shift_per_polynomial(certified_maps):
         ctx = f.ctx
         # the quotient rule's f' = N / D, the multiplier's reference
         N, D = f.derivative_numerator(), ctx.ring.mul(f.den, f.den)
-        for g, m in fx._squarefree_parts(ctx, f.fixed_point_polynomial()):
+        for g, m in ctx.ring.squarefree(f.fixed_point_polynomial()):
             for h in isolate_roots(ctx, g):
                 if h.is_exact:
                     continue
@@ -821,8 +836,8 @@ def test_isolation_matches_a_shift_per_query(certified_maps, monkeypatch):
         out = []
         for f in certified_maps:
             ctx = f.ctx
-            anchors = [h for g, _ in fx._squarefree_parts(
-                ctx, f.fixed_point_polynomial())
+            anchors = [h for g, _ in ctx.ring.squarefree(
+                f.fixed_point_polynomial())
                 for h in isolate_roots(ctx, g)]
             anchors += fx._critical_point_handles(f, config)
             out.append([(h.center, h.prec) if isinstance(h, RootHandle)

@@ -14,6 +14,7 @@ from berklocus.berkmap import gauss_point, reduce_at
 from berklocus.errors import CheckFailed, IdentityMap, MultiplierOne, \
     ZeroPolynomial
 from berklocus.field import PrimeContext
+from berklocus.oracle import MOEBIUS_IDENTITY, classify_moebius, fixture
 from berklocus.residue import (
     TABLE_MAX_ORDER,
     Fq,
@@ -286,6 +287,36 @@ def test_holomorphic_index_rejects_multiplier_one():
     m = FqRationalMap(F, poly(F, [0, 1, 1]), poly(F, [1]))
     with pytest.raises(MultiplierOne):
         m.holomorphic_index_check()
+
+
+def test_the_index_check_refuses_the_identity():
+    """The closed-form oracle calls the identity fixture the identity; its
+    reduction at the Gauss point is the identity tangent map, on which the
+    index sum is undefined: IdentityMap."""
+    f = fixture("moebius-identity").build()
+    assert classify_moebius(f).case == MOEBIUS_IDENTITY
+    m = reduce_at(f, gauss_point(f.ctx)).reduced_map
+    assert m.is_identity()
+    with pytest.raises(IdentityMap, match="undefined for the identity"):
+        m.holomorphic_index_check()
+
+
+def test_a_constant_map_over_a_finite_field_fixes_its_value_once():
+    """0/0 is refused.  A zero denominator collapses the numerator to 1, so
+    every constant-infinity map has the one normal form 1/0, and like every
+    constant map it fixes its value once, superattracting: infinity with
+    multiplier 0.  The constant 0 fixes 0 the same way."""
+    F = Fq(5)
+    with pytest.raises(ZeroPolynomial, match="0/0"):
+        FqRationalMap(F, (), ())
+    inf = FqRationalMap(F, poly(F, [3, 2]), ())
+    assert (inf.num, inf.den) == ((F.one,), ())
+    assert inf == FqRationalMap(F, poly(F, [4]), ()) and inf.is_constant()
+    for m, value in ((inf, INF_POINT), (FqRationalMap(F, (), poly(F, [2, 1])),
+                                        F.zero)):
+        t, = m.fixed_points()
+        assert (t.key(), t.multiplicity, t.multiplier, t.critically_fixed) \
+            == (direction_key(value), 1, F.zero, True)
 
 
 def test_fixed_points_multiple_at_infinity():
@@ -713,3 +744,78 @@ def test_the_ring_refuses_division_by_zero_and_keeps_zero_monic():
         R.divmod(f, [])
     assert R.monic([]) == [] and R.gcd([], []) == []
     assert R.monic([R.neg_one, R.neg_one]) == f
+
+
+def nonzero_element(field, rng):
+    c = random_element(field, rng)
+    while c.is_zero():
+        c = random_element(field, rng)
+    return c
+
+
+def ring_power(R, g, m):
+    out = [R.one]
+    for _ in range(m):
+        out = R.mul(out, g)
+    return out
+
+
+def assert_squarefree_parts(R, f, parts):
+    """f = lc(f) * prod g^m over `parts`, each g monic, nonconstant and
+    squarefree, the g pairwise coprime, the m distinct and ascending."""
+    prod = [f[-1]]
+    for g, m in parts:
+        assert len(g) > 1 and g[-1] == R.one
+        assert R.gcd(g, R.deriv(g)) == [R.one]
+        prod = R.mul(prod, ring_power(R, g, m))
+    assert prod == f
+    ms = [m for _, m in parts]
+    assert ms == sorted(set(ms))
+    for (g, _), (h, _) in itertools.combinations(parts, 2):
+        assert R.gcd(g, h) == [R.one]
+
+
+@pytest.mark.parametrize("field", ring_fields()[:5], ids=repr)
+def test_the_ring_splits_squarefree_parts_and_lowest_terms(field):
+    """Over each field, `ring.squarefree` of a product of random factors to
+    random powers (so repeated, shared and, over F_9, p-th power factors
+    occur) gives the squarefree parts, and [] for a constant; and
+    `ring.lowest_terms(f, g)` gives a monic c with f = c f', g = c g' and
+    gcd(f', g') = 1, returning f and g themselves when c is constant."""
+    R, rng = field.ring, random.Random(repr(field))
+    for _ in range(8):
+        f = [nonzero_element(field, rng)]
+        for _ in range(rng.randint(1, 3)):
+            g = random_ring_poly(field, rng, rng.randint(1, 2))
+            f = R.mul(f, ring_power(R, g, rng.randint(1, 3)))
+        assert_squarefree_parts(R, f, R.squarefree(f))
+        a, b, h = (random_ring_poly(field, rng, rng.randint(0, 2))
+                   for _ in range(3))
+        fa, fb = R.mul(a, h), R.mul(b, h)
+        c, a2, b2 = R.lowest_terms(fa, fb)
+        assert c[-1] == R.one and R.rem(c, h) == []
+        assert R.mul(c, a2) == fa and R.mul(c, b2) == fb
+        assert R.gcd(a2, b2) == [R.one]
+        if len(c) == 1:
+            assert a2 is fa and b2 is fb
+    assert R.squarefree([nonzero_element(field, rng)]) == []
+    f, g = [R.one, R.one], [R.zero, R.one]  # w + 1 and w: coprime
+    assert R.lowest_terms(f, g) == ([R.one], f, g)
+    assert R.lowest_terms(f, g)[1] is f
+
+
+@pytest.mark.parametrize("field", [Fq(5), residue_field(3, 2)], ids=repr)
+def test_the_kernel_splits_an_inseparable_polynomial(field):
+    """f = h(w^p) has f' = 0, so `squarefree` takes p-th roots of the
+    coefficients: on the kernel's reps every multiplicity is a multiple of
+    p, and the parts still multiply back to f."""
+    K, rng, p = field.kernel, random.Random(7), field.p
+    for _ in range(6):
+        h = [nonzero_element(field, rng).rep
+             for _ in range(rng.randint(2, 4))]
+        f = [K.zero] * (p * (len(h) - 1) + 1)
+        f[::p] = h
+        assert K.deriv(f) == []
+        parts = K.squarefree(f)
+        assert parts and all(m % p == 0 for _, m in parts)
+        assert_squarefree_parts(K, f, parts)

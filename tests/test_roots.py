@@ -364,7 +364,7 @@ def test_lead_of_reads_q_at_the_root_once_a_refinement_lands_on_it():
     there."""
     ctx = PrimeContext(3, 2, 2)
     f = normalize(ctx, [Fraction(-8, 3), 0, -1], [-4, 1])
-    (g, _), = fx._squarefree_parts(ctx, f.fixed_point_polynomial())
+    (g, _), = ctx.ring.squarefree(f.fixed_point_polynomial())
     h = next(h for h in isolate_roots(ctx, g)
              if poly_eval(ctx, g, h.center + ctx.one).is_zero())
     c = h.center
@@ -412,8 +412,8 @@ def wild_handles(request):
                    fx.ExploreConfig(n_max=24, k_max=4))
     f = a.map
     ctx = f.ctx
-    handles = [h for g, _ in fx._squarefree_parts(
-        ctx, f.fixed_point_polynomial()) for h in isolate_roots(ctx, g)
+    handles = [h for g, _ in ctx.ring.squarefree(
+        f.fixed_point_polynomial()) for h in isolate_roots(ctx, g)
         if not h.is_exact]
     assert handles
     return f, handles, [pt for pt, _ in a.skeleton.vertex_points]
