@@ -25,7 +25,7 @@ from fractions import Fraction
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
-from berklocus.epoly import epoly, root_valuations
+from berklocus.epoly import epoly, newton_polygon
 from berklocus.field import INF, PrimeContext, vp
 from berklocus.oracle import fixtures
 from berklocus.residue import (
@@ -130,7 +130,7 @@ def valuation_profile(p, num, den):
     n = epoly(ctx, [frac(c) for c in num])
     d = epoly(ctx, [frac(c) for c in den])
     P = epoly(ctx, fixed_point_poly_q(num, den))
-    vals = root_valuations(ctx, P)
+    vals = newton_polygon(ctx, P)
     profile = {}
     for v in vals:
         key = "inf" if v == INF else str(v)

@@ -4,25 +4,24 @@ counting, Taylor shifts, and the translation of a map to a center.
 Polynomials reuse the coefficient-sequence convention of the residue module
 (low degree first, trimmed), and their arithmetic is the context's `ring`,
 the same polynomial algorithms that serve the finite fields
-(`residue._PolyRing`).  The Newton polygon turns coefficient valuations
-into exact root valuations, which is how every disk question is answered
-without ever realizing a root.
+(`residue._PolyRing`).  `newton_polygon` turns coefficient valuations
+into exact root valuations, and that tuple is the one reading of a
+polygon: the count of roots in a disk about c reads the valuations of
+f(c + z), which is how every disk question is answered without ever
+realizing a root.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Tuple
 
-from .errors import CheckFailed, ZeroPolynomial
+from .errors import ZeroPolynomial
 from .field import INF, FieldElement, PrimeContext
 from .residue import _trim
 
 __all__ = [
-    "NewtonPolygon", "epoly", "lower_hull", "newton_polygon",
-    "count_roots_in_disk",
-    "root_valuations", "poly_shift", "poly_scale_arg", "translate",
+    "epoly", "lower_hull", "newton_polygon", "count_roots_in_disk",
+    "poly_shift", "poly_scale_arg", "translate",
 ]
 
 
@@ -37,20 +36,6 @@ def epoly(ctx: PrimeContext, entries) -> tuple:
 # ---------------------------------------------------------------------------
 # Newton polygon
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class NewtonPolygon:
-    """Lower convex hull data of a nonzero polynomial.
-
-    `segments` lists (slope, horizontal length) with strictly increasing
-    slopes, so collinear points never split a segment; each segment
-    accounts for `length` roots of valuation equal to the negated slope.
-    `vanishing_order` counts the roots at 0 itself.
-    """
-
-    segments: Tuple[Tuple[Fraction, int], ...]
-    vanishing_order: int
-
 
 def lower_hull(points) -> list:
     """The vertices of the lower convex hull of `points`, sorted by their
@@ -68,30 +53,21 @@ def lower_hull(points) -> list:
     return hull
 
 
-def newton_polygon(ctx: PrimeContext, f) -> NewtonPolygon:
-    """The hull is built on the int points (i, n * val(f_i)); a slope
-    becomes a Fraction only at a segment's ends."""
+def newton_polygon(ctx: PrimeContext, f) -> tuple:
+    """The valuations of the roots of f in an algebraic closure, with
+    multiplicity, in hull order: INF once per root at 0, then the negated
+    slope of each hull edge, once per unit of its length.  The hull is built
+    on the int points (i, n * val(f_i)); a slope becomes a Fraction only at
+    an edge's ends.  `lower_hull` drops collinear points, so the slopes
+    strictly increase and the valuations decrease edge by edge."""
     if not f:
         raise ZeroPolynomial("Newton polygon of the zero polynomial")
     hull = lower_hull((i, c.nval()) for i, c in enumerate(f)
                       if not c.is_zero())
-    n = ctx.n
-    segments = tuple((Fraction(y2 - y1, (x2 - x1) * n), x2 - x1)
-                     for (x1, y1), (x2, y2) in zip(hull, hull[1:]))
-    if any(a[0] >= b[0] for a, b in zip(segments, segments[1:])):
-        raise CheckFailed(f"Newton polygon slopes {list(segments)} do not "
-                          "increase")
-    return NewtonPolygon(segments=segments, vanishing_order=hull[0][0])
-
-
-def root_valuations(ctx: PrimeContext, f) -> List[Fraction]:
-    """Valuations of all roots in an algebraic closure, with multiplicity;
-    roots at 0 are reported with the INF sentinel."""
-    np_ = newton_polygon(ctx, f)
-    out = [INF] * np_.vanishing_order
-    for slope, length in np_.segments:
-        out += [-slope] * length
-    return out
+    vals = [INF] * hull[0][0]
+    for (x1, y1), (x2, y2) in zip(hull, hull[1:]):
+        vals += [Fraction(y1 - y2, (x2 - x1) * ctx.n)] * (x2 - x1)
+    return tuple(vals)
 
 
 def poly_shift(ctx: PrimeContext, f, c: FieldElement):
@@ -133,21 +109,10 @@ def poly_scale_arg(ctx: PrimeContext, f, u: FieldElement):
     return _trim(out)
 
 
-def count_roots_in_disk(ctx: PrimeContext, f, center: FieldElement,
-                        s: Fraction, mode: str = "open",
-                        polygon: NewtonPolygon = None) -> int:
+def count_roots_in_disk(vals, s: Fraction, mode: str = "open") -> int:
     """Number of roots x (with multiplicity, in an algebraic closure) with
-    val(x - center) > s (open) or >= s (closed).  `polygon`, when given, is
-    the Newton polygon of f(center + z) the caller already holds."""
+    val(x - c) > s (open) or >= s (closed), read off `vals`, the root
+    valuations `newton_polygon` gives for f(c + z)."""
     if mode not in ("open", "closed"):
         raise ValueError(f"disk mode {mode!r} is neither open nor closed")
-    if polygon is None:
-        if not f:
-            raise ZeroPolynomial("root counting needs a nonzero polynomial")
-        polygon = newton_polygon(ctx, poly_shift(ctx, f, center))
-    count = polygon.vanishing_order  # the center itself, val = INF
-    for slope, length in polygon.segments:
-        v = -slope
-        if v > s or (mode == "closed" and v == s):
-            count += length
-    return count
+    return sum(1 for v in vals if v > s or (mode == "closed" and v == s))

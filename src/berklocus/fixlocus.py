@@ -425,8 +425,7 @@ def _emit_join_tree(rays: List[ScaffoldRay], anchors, dist, group: List[int],
                                 leaf_idx=None, to_infinity=True))
 
 
-def gamma_fix(f: RationalMapK,
-              config: Optional[ExploreConfig] = None) -> SkeletonGraph:
+def gamma_fix(f: RationalMapK, config: ExploreConfig) -> SkeletonGraph:
     """The annotated connected hull of the classical fixed points, the finite
     critical points, and the ray toward infinity.
 
@@ -436,7 +435,6 @@ def gamma_fix(f: RationalMapK,
     request beyond the budget ends the analysis, while a critical one is
     stubbed (`ClusterStub`), and granting the critical requests first grows
     (n, k), which can push a later classical request past the budget."""
-    config = config or ExploreConfig()
     fixed = classical_fixed_points(f)
     aux = _critical_point_handles(f, config)
     leaves = [_leaf(f, value, m) for value, m in fixed]
@@ -501,9 +499,9 @@ class Component:
     arcs: List[RaySegment]
     fixed_vertices: List[Tuple[TypeIIPoint, LocalData]]
     alpha: int
-    residue_field: object = None
-    atom_adj: Dict[tuple, List[tuple]] = dc_field(default_factory=dict)
-    bp_class: Dict[tuple, str] = dc_field(default_factory=dict)
+    residue_field: object
+    atom_adj: Dict[tuple, List[tuple]]
+    bp_class: Dict[tuple, str]
 
     @property
     def classical_multiplicity(self) -> int:

@@ -1045,7 +1045,9 @@ class FqRationalMap(RationalMap):
                     multiplier=lam, critically_fixed=crit))
         inf_mult = self.infinity_multiplicity()
         if inf_mult:
-            lam, crit = self.flip()._multiplier_and_critical(F.zero, F, inf_mult)
+            g = self.flip()
+            lam, crit = g._multiplier_and_critical(
+                F.zero, F, inf_mult, (g.num, g.den, g.derivative_numerator()))
             out.append(TangentFixedDirection(
                 location=INF_POINT, field=F, minpoly=None, orbit_size=1,
                 multiplicity=inf_mult, multiplier=lam, critically_fixed=crit))
@@ -1056,16 +1058,15 @@ class FqRationalMap(RationalMap):
         return out
 
     def _multiplier_and_critical(self, loc: FqElement, loc_field: Fq,
-                                 mult: int, polys=None):
+                                 mult: int, polys):
         """(multiplier, critical flag) at the fixed point loc of loc_field,
         an extension of the map's field into which the coefficients embed.
         `polys` is (num, den, N) over the map's field, N the
-        `derivative_numerator`, when the caller computed it once for all its
+        `derivative_numerator`, which the caller computes once for all its
         fixed points; they are embedded only when loc_field is a proper
         extension."""
         F = loc_field
-        num, den, N = polys or (self.num, self.den,
-                                self.derivative_numerator())
+        num, den, N = polys
         if F != self.ctx:
             num, den, N = (poly_shift_coeffs(self.ctx, f, F)
                            for f in (num, den, N))

@@ -36,7 +36,9 @@ prec > val(root - c), the center lies in the root's direction there, and
 `berkmap.TypeIIPoint.direction_of`, the one reading of a direction at a
 disk point, reads it off the center.
 Isolation likewise shifts g once per candidate center and reads the root
-count, the initial precision and the next level off that one shift.
+count, the initial precision and the next level off the root valuations of
+that one shift, as a refinement reads the new precision off those at its new
+center.
 
 Rational-coefficient polynomials are pre-split over the rationals so rational
 roots come out exact; everything else stays a handle.  The split finds the
@@ -55,6 +57,7 @@ factorization over Q would give.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Tuple, Union
@@ -106,24 +109,26 @@ class RootHandle:
         step otherwise."""
         ctx = self.ctx
         gc = poly_eval(ctx, self.g, self.center)
-        if gc.is_zero():
-            self.prec = INF
-            return
         dgc = poly_eval(ctx, self._dg, self.center)
         if not dgc.is_zero() and gc.nval() > 2 * dgc.nval():
             # Newton step, quadratic convergence
-            self.center = self.center - gc / dgc
-            self.prec = _initial_prec(ctx, self.g, self.center, self.prec)
-            self._compress()
-            return
-        self._digit_step()
+            self._move(self.center - gc / dgc)
+        else:
+            self._digit_step()
 
-    def _compress(self):
-        """Drop digits of the center beyond the known precision; any
-        representative agreeing with the root to depth prec is as good, and
-        the small one keeps later exact arithmetic affordable."""
-        if self.prec is not INF:
-            self.center = self.center.truncate(self.prec + 1)
+    def _move(self, center: FieldElement):
+        """Move to a center nearer the root: prec is read off the root
+        valuations of g there (`_initial_prec`), and digits of the center
+        beyond it are dropped; any representative agreeing with the root to
+        depth prec is as good, and the small one keeps later exact
+        arithmetic affordable.  Truncating at prec + 1 keeps
+        val(root - center) = prec, so a finite prec never meets a center
+        at which g vanishes."""
+        ctx = self.ctx
+        vals = newton_polygon(ctx, poly_shift(ctx, self.g, center))
+        self.prec = _initial_prec(vals, self.prec)
+        self.center = center if self.prec is INF \
+            else center.truncate(self.prec + 1)
 
     def _digit_step(self):
         """The next residue digit of the root.  It never asks for an
@@ -139,9 +144,7 @@ class RootHandle:
                   if poly_deg(q) == 1 and not q[0].is_zero()]
         if len(digits) != 1:
             raise CheckFailed(f"an isolated root has {len(digits)} digits")
-        self.center = self.center + u * ctx.lift(digits[0])
-        self.prec = _initial_prec(ctx, self.g, self.center, self.prec)
-        self._compress()
+        self._move(self.center + u * ctx.lift(digits[0]))
 
     def _nprec(self) -> int:
         """n*prec for a finite prec, an int by the argument of
@@ -287,13 +290,14 @@ class RootHandle:
     def _vanishes(self, q) -> bool:
         """Whether q(root) = 0: g divides q, or a common factor of g and q
         has a root in the handle's isolating disk."""
-        R = self.ctx.ring
-        rem = R.rem(q, self.g)
+        ctx = self.ctx
+        rem = ctx.ring.rem(q, self.g)
         if not rem:
             return True
-        G = R.gcd(self.g, rem)  # = gcd(g, q)
+        G = ctx.ring.gcd(self.g, rem)  # = gcd(g, q)
         return poly_deg(G) > 0 and count_roots_in_disk(
-            self.ctx, G, self.center, self.prec, "closed") >= 1
+            newton_polygon(ctx, poly_shift(ctx, G, self.center)), self.prec,
+            "closed") >= 1
 
     def direction_at(self, x) -> Union[rf.FqElement, Infinity]:
         """The tangent direction at the disk point x = zeta(c, s) that
@@ -344,8 +348,10 @@ def isolate_roots(ctx: PrimeContext, g, budget=None) -> list:
             root = -factor_poly[0] / factor_poly[1]
             handles.append(RootHandle(ctx, factor_poly, root, INF))
         else:
-            handles += _isolate_cluster(ctx, factor_poly, ctx.zero, NEG_INF,
-                                        poly_deg(factor_poly), budget)
+            # poly_shift at the center 0 is factor_poly itself
+            handles += _isolate_cluster(
+                ctx, factor_poly, ctx.zero, NEG_INF, budget,
+                (factor_poly, newton_polygon(ctx, factor_poly)))
     return handles
 
 
@@ -461,34 +467,20 @@ def _residual_factors(ctx: PrimeContext, shifted, nv: int):
 
 
 def _isolate_cluster(ctx: PrimeContext, g, c: FieldElement, floor: Fraction,
-                     expected: int, budget=None, expansion=None) -> list:
-    """Isolate the roots r of g with val(r - c) > floor; `expected` counts
-    them.  When a split needs an extension beyond the budget, everything not
-    yet placed is returned as a single ClusterStub (the stub's closed disk
-    swallows the deeper levels and the exact center, so anchors never
-    overlap).
+                     budget, expansion) -> list:
+    """Isolate the roots r of g with val(r - c) > floor.  When a split needs
+    an extension beyond the budget, everything not yet placed is returned
+    as a single ClusterStub (the stub's closed disk swallows the deeper
+    levels and the exact center, so anchors never overlap).
 
-    g is shifted to each center once: `expansion`, when given, is the pair
-    (g(c + z), its Newton polygon) the caller already holds, and at every
-    child center one shift and one polygon serve the root count, the
-    initial precision of an isolated root and the next level down."""
+    g is shifted to each center once: `expansion` is the pair
+    (g(c + z), its root valuations `newton_polygon`), and at every child
+    center one shift and its valuations serve the root count, the initial
+    precision of an isolated root and the next level down."""
     handles: list = []
-    if expansion is None:
-        shifted = poly_shift(ctx, g, c)
-        expansion = shifted, newton_polygon(ctx, shifted)
-    shifted, np_ = expansion
-    exact = None
-    if shifted and shifted[0].is_zero():
-        # c itself is a (simple) root
-        exact = RootHandle(ctx, g, c, INF)
-    levels = {}
-    for slope, length in np_.segments:
-        v = -slope
-        if v > floor:
-            levels[v] = levels.get(v, 0) + length
-    if sum(levels.values()) + (1 if exact else 0) != expected:
-        raise CheckFailed(f"cluster holds {sum(levels.values())} roots "
-                          f"beyond the center, expected {expected}")
+    shifted, vals = expansion
+    above = [v for v in vals if v > floor]
+    levels = Counter(v for v in above if v is not INF)
     placed_total = 0
     for v, count in sorted(levels.items()):
         nv = ctx.nval_of(v)
@@ -500,7 +492,7 @@ def _isolate_cluster(ctx: PrimeContext, g, c: FieldElement, floor: Fraction,
             # the tower would only burn time
             wild = v.denominator % ctx.p == 0
             if budget is not None and (wild or need > budget[0]):
-                handles.append(ClusterStub(c, v, expected - placed_total))
+                handles.append(ClusterStub(c, v, len(above) - placed_total))
                 return handles
             raise NeedsExtension(n=need,
                                  detail=f"root cluster at ramified radius {v}")
@@ -513,47 +505,36 @@ def _isolate_cluster(ctx: PrimeContext, g, c: FieldElement, floor: Fraction,
                 need_k = ctx.k * poly_deg(q)
                 if budget is not None and need_k > budget[1]:
                     handles.append(ClusterStub(
-                        c, v, expected - placed_total - placed))
+                        c, v, len(above) - placed_total - placed))
                     return handles
                 raise NeedsExtension(k=need_k,
                                      detail="root direction in a residue extension")
             b = -q[0]
             c2 = c + u * ctx.lift(b)
             shifted2 = poly_shift(ctx, g, c2)
-            np2 = newton_polygon(ctx, shifted2)
-            sub = count_roots_in_disk(ctx, g, c2, v, "open", polygon=np2)
+            vals2 = newton_polygon(ctx, shifted2)
+            sub = count_roots_in_disk(vals2, v)
             if sub != mult_dir:
                 raise CheckFailed(f"direction holds {sub} roots, its residue "
                                   f"factor has multiplicity {mult_dir}")
             placed += sub
             if sub == 1:
-                handles.append(RootHandle(
-                    ctx, g, c2, _initial_prec(ctx, g, c2, v, polygon=np2)))
+                handles.append(RootHandle(ctx, g, c2, _initial_prec(vals2, v)))
             else:
-                handles += _isolate_cluster(ctx, g, c2, v, sub, budget,
-                                            (shifted2, np2))
+                handles += _isolate_cluster(ctx, g, c2, v, budget,
+                                            (shifted2, vals2))
         if placed != count:
             raise CheckFailed(f"placed {placed} roots at radius {v}, the "
                               f"Newton polygon counts {count}")
         placed_total += placed
-    if exact is not None:
-        handles.append(exact)
+    if INF in vals:  # c itself is a (simple) root
+        handles.append(RootHandle(ctx, g, c, INF))
     return handles
 
 
-def _initial_prec(ctx, g, c, floor, polygon=None) -> Fraction:
-    """val(root - c) for the one root of g with val(root - c) > floor, read
-    off the Newton polygon of g(c + z); `polygon` is that polygon when the
-    caller already holds it."""
-    if polygon is None:
-        shifted = poly_shift(ctx, g, c)
-        if not shifted or shifted[0].is_zero():
-            return INF
-        polygon = newton_polygon(ctx, shifted)
-    elif polygon.vanishing_order:  # c is the root
-        return INF
-    vals = [-slope for slope, length in polygon.segments
-            for _ in range(length)]
+def _initial_prec(vals, floor) -> Fraction:
+    """val(root - c) for the one root with val(root - c) > floor, read off
+    `vals`, the root valuations of g(c + z): INF when c is the root."""
     above = [v for v in vals if v > floor]
     if len(above) != 1:
         raise CheckFailed(f"{len(above)} roots in an isolating disk")

@@ -15,7 +15,6 @@ from berklocus.epoly import (
     newton_polygon,
     poly_scale_arg,
     poly_shift,
-    root_valuations,
 )
 from berklocus.errors import ZeroPolynomial
 from berklocus.field import INF, PrimeContext
@@ -33,18 +32,14 @@ def test_newton_polygon_known():
     ctx = PrimeContext(5)
     # (z - 5)(z - 1/5) = z^2 - (26/5) z + 1: slopes -1 and 1
     f = _prod_linear(ctx, [5, Fraction(1, 5)])
-    np_ = newton_polygon(ctx, f)
-    assert np_.segments == ((Fraction(-1), 1), (Fraction(1), 1))
-    assert np_.vanishing_order == 0
-    assert sorted(root_valuations(ctx, f)) == [Fraction(-1), Fraction(1)]
+    # in hull order: the edge of slope -1 first, so valuation 1 first
+    assert newton_polygon(ctx, f) == (Fraction(1), Fraction(-1))
 
 
 def test_root_valuations_with_zero_root():
     ctx = PrimeContext(3)
     f = epoly(ctx, [0, 0, 9, 1])  # z^2 (z + 9)
-    vals = root_valuations(ctx, f)
-    assert vals.count(INF) == 2
-    assert Fraction(2) in vals
+    assert newton_polygon(ctx, f) == (INF, INF, Fraction(2))
 
 
 @given(st.lists(st.sampled_from(
@@ -58,23 +53,23 @@ def test_count_roots_matches_construction(roots):
         from berklocus.field import vp
         expect_open = sum(1 for r in roots
                           if (r == 0 and True) or (r != 0 and vp(Fraction(r), 3) > s))
-        got = count_roots_in_disk(ctx, f, ctx.zero, s, mode="open")
+        vals = newton_polygon(ctx, poly_shift(ctx, f, ctx.zero))
+        got = count_roots_in_disk(vals, s, mode="open")
         assert got == expect_open
         expect_closed = sum(1 for r in roots
                             if r == 0 or vp(Fraction(r), 3) >= s)
-        assert count_roots_in_disk(ctx, f, ctx.zero, s, mode="closed") == \
-            expect_closed
+        assert count_roots_in_disk(vals, s, mode="closed") == expect_closed
 
 
 def test_count_roots_shifted_center():
     ctx = PrimeContext(5)
     f = _prod_linear(ctx, [1, 6, 26])  # roots at distance 1, 5^-1, 5^-2 of 1
-    c = ctx.from_rational(1)
-    assert count_roots_in_disk(ctx, f, c, Fraction(0), "closed") == 3
-    assert count_roots_in_disk(ctx, f, c, Fraction(1), "closed") == 3
-    assert count_roots_in_disk(ctx, f, c, Fraction(2), "closed") == 2
-    assert count_roots_in_disk(ctx, f, c, Fraction(3), "closed") == 1
-    assert count_roots_in_disk(ctx, f, c, Fraction(2), "open") == 1
+    vals = newton_polygon(ctx, poly_shift(ctx, f, ctx.from_rational(1)))
+    assert count_roots_in_disk(vals, Fraction(0), "closed") == 3
+    assert count_roots_in_disk(vals, Fraction(1), "closed") == 3
+    assert count_roots_in_disk(vals, Fraction(2), "closed") == 2
+    assert count_roots_in_disk(vals, Fraction(3), "closed") == 1
+    assert count_roots_in_disk(vals, Fraction(2), "open") == 1
 
 
 def test_poly_shift_and_reverse():
@@ -123,21 +118,18 @@ def test_poly_shift_is_horner_composition(p, n, k, coeffs, c):
 def test_newton_polygon_in_ramified_tower():
     ctx = PrimeContext(2, n=2)
     f = epoly(ctx, [2, 0, 1])  # roots of valuation 1/2 live at tower level
-    vals = root_valuations(ctx, f)
-    assert vals == [Fraction(1, 2), Fraction(1, 2)]
+    assert newton_polygon(ctx, f) == (Fraction(1, 2), Fraction(1, 2))
 
 
 def test_root_counting_guards():
-    """The zero polynomial has no Newton polygon and no root count, and a
+    """The zero polynomial has no Newton polygon, so no root count, and a
     disk is open or closed."""
     ctx = PrimeContext(5)
     with pytest.raises(ZeroPolynomial):
         newton_polygon(ctx, ())
-    with pytest.raises(ZeroPolynomial):
-        count_roots_in_disk(ctx, (), ctx.zero, Fraction(0))
     with pytest.raises(ValueError, match="neither open nor closed"):
-        count_roots_in_disk(ctx, epoly(ctx, [1, 1]), ctx.zero, Fraction(0),
-                            mode="half")
+        count_roots_in_disk(newton_polygon(ctx, epoly(ctx, [1, 1])),
+                            Fraction(0), mode="half")
 
 
 def _below_every_chord(pt, left, right) -> bool:

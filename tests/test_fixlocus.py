@@ -18,7 +18,8 @@ from berklocus import fixlocus as fx
 from berklocus import roots
 from berklocus.berkmap import ADD_INDIFFERENT, ID_INDIFFERENT, \
     MULT_INDIFFERENT, REPELLING, TypeIIPoint, gauss_point
-from berklocus.epoly import epoly, poly_shift, translate
+from berklocus.epoly import count_roots_in_disk, epoly, newton_polygon, \
+    poly_shift, translate
 from berklocus.errors import (
     CheckFailed,
     ClassicalComponent,
@@ -31,7 +32,8 @@ from berklocus.errors import (
 from berklocus.field import INF, NEG_INF, PrimeContext
 from berklocus.oracle import brute_is_fixed, classify_moebius, fixture, \
     fixtures
-from berklocus.residue import Infinity, _CoordKernel, _trim, poly_deg
+from berklocus.residue import Infinity, _CoordKernel, _trim, poly_deg, \
+    poly_eval
 from berklocus.roots import RootHandle, isolate_roots
 
 from conftest import mk, random_wild_map, reciprocity_ends, \
@@ -533,7 +535,7 @@ def test_alpha_sum_check_fixtures():
 
 def test_gamma_fix_contains_classical_points():
     f = fixture("power-3").build()
-    skel = fx.gamma_fix(f)
+    skel = fx.gamma_fix(f, fx.ExploreConfig())
     assert sum(cp.multiplicity for cp in skel.leaves) == f.degree + 1
     assert any(cp.is_infinity() for cp in skel.leaves)
 
@@ -826,37 +828,39 @@ def test_one_expansion_matches_a_shift_per_polynomial(certified_maps):
 
 
 def test_isolation_matches_a_shift_per_query(certified_maps, monkeypatch):
-    """Isolation shares one shift of g and its Newton polygon per center
-    between the root count, the initial precision and the next level; the
-    same isolation with every one of them recomputed at its center gives
-    the same anchors."""
+    """Isolation shifts g once per center: one shift and its root
+    valuations serve the root count, the initial precision and the next
+    level, so no (g, center) pair is shifted twice in one isolation.  Each
+    inexact anchor's closed disk holds its one root, and g vanishes at each
+    exact anchor."""
     config = fx.ExploreConfig(n_max=24, k_max=4)
+    shift = roots.poly_shift
+    shifts = []
 
-    def isolate_all():
-        out = []
-        for f in certified_maps:
-            ctx = f.ctx
-            anchors = [h for g, _ in ctx.ring.squarefree(
-                f.fixed_point_polynomial())
-                for h in isolate_roots(ctx, g)]
-            anchors += fx._critical_point_handles(f, config)
-            out.append([(h.center, h.prec) if isinstance(h, RootHandle)
-                        else (h.center, h.radius, h.count) for h in anchors])
-        return out
+    def recording(ctx, f, c):
+        shifts.append((f, c))
+        return shift(ctx, f, c)
 
-    shared = isolate_all()
-    assert any(len(a) > 1 for a in shared)
-    cluster, initial, count = roots._isolate_cluster, roots._initial_prec, \
-        roots.count_roots_in_disk
-    monkeypatch.setattr(roots, "_isolate_cluster",
-                        lambda *a: cluster(*a[:7]))
-    monkeypatch.setattr(roots, "_initial_prec",
-                        lambda ctx, g, c, floor, polygon=None:
-                        initial(ctx, g, c, floor))
-    monkeypatch.setattr(roots, "count_roots_in_disk",
-                        lambda ctx, f, c, s, mode="open", polygon=None:
-                        count(ctx, f, c, s, mode))
-    assert isolate_all() == shared
+    monkeypatch.setattr(roots, "poly_shift", recording)
+    handles = []
+    for f in certified_maps:
+        ctx = f.ctx
+        calls = [lambda g=g: isolate_roots(ctx, g) for g, _ in
+                 ctx.ring.squarefree(f.fixed_point_polynomial())]
+        calls.append(lambda: fx._critical_point_handles(f, config))
+        for call in calls:
+            shifts.clear()
+            anchors = call()
+            assert len(set(shifts)) == len(shifts)
+            handles += [(ctx, h) for h in anchors
+                        if isinstance(h, RootHandle)]
+    assert sum(not h.is_exact for _, h in handles) >= 10
+    for ctx, h in handles:
+        if h.is_exact:
+            assert poly_eval(ctx, h.g, h.center).is_zero()
+        else:
+            vals = newton_polygon(ctx, shift(ctx, h.g, h.center))
+            assert count_roots_in_disk(vals, h.prec, "closed") == 1
 
 
 def test_ray_lines_at_an_exact_handle_match_its_expansion(fixture_analyses):

@@ -651,16 +651,20 @@ def square_map():
     return F, FqRationalMap(F, poly(F, [0, 0, 1]), poly(F, [1]))  # w^2
 
 
+def _polys(f):
+    return f.num, f.den, f.derivative_numerator()
+
+
 def test_a_tampered_denominator_puts_a_pole_at_a_fixed_point():
     F, f = square_map()
     f.den = (F.zero, F.one)  # w / ... : a pole at the fixed point 0
     with pytest.raises(CheckFailed, match="fixed pole"):
-        f._multiplier_and_critical(F.zero, F, 1)
+        f._multiplier_and_critical(F.zero, F, 1, _polys(f))
 
 
 def test_a_tampered_multiplier_fails_the_criticality_cross_check():
     F, f = square_map()
-    lam, crit = f._multiplier_and_critical(F.one, F, 1)
+    lam, crit = f._multiplier_and_critical(F.one, F, 1, _polys(f))
     assert lam == F.from_int(2) and not crit
     with pytest.raises(CheckFailed, match="criticality"):
         f._multiplier_and_critical(F.one, F, 1, (f.num, f.den, ()))
@@ -669,7 +673,7 @@ def test_a_tampered_multiplier_fails_the_criticality_cross_check():
 def test_a_tampered_multiplicity_needs_multiplier_one():
     F, f = square_map()
     with pytest.raises(CheckFailed, match="multiplier 1"):
-        f._multiplier_and_critical(F.one, F, 2)
+        f._multiplier_and_critical(F.one, F, 2, _polys(f))
 
 
 def test_a_tampered_multiplicity_at_infinity_breaks_the_direction_count():

@@ -16,7 +16,8 @@ from hypothesis import given, strategies as st
 from berklocus import fixlocus as fx
 from berklocus import roots
 from berklocus.berkmap import normalize
-from berklocus.epoly import count_roots_in_disk, epoly, poly_shift
+from berklocus.epoly import count_roots_in_disk, epoly, newton_polygon, \
+    poly_shift
 from berklocus.errors import CheckFailed, NeedsExtension
 from berklocus.field import INF, PrimeContext
 from berklocus.oracle import fixture
@@ -119,7 +120,7 @@ def test_rational_split_rejects_a_doubled_factor(g):
 
 
 def test_cross_checks_fail_under_optimize():
-    """Doctored inputs to the split, to root isolation and refinement, to
+    """Doctored inputs to the split, to root refinement, to
     the classical fixed-point total, to the tangent map's multiplier and
     its criticality cross-check, to the valuation envelope, to a reduction
     and to a skeleton segment's multiplier: each check raises CheckFailed
@@ -130,9 +131,10 @@ def test_cross_checks_fail_under_optimize():
         "import dataclasses\n"
         "from fractions import Fraction\n"
         "from berklocus import berkmap, fixlocus as fx, roots\n"
-        "from berklocus.epoly import count_roots_in_disk, epoly\n"
+        "from berklocus.epoly import count_roots_in_disk, epoly, "
+        "newton_polygon\n"
         "from berklocus.errors import CheckFailed\n"
-        "from berklocus.field import NEG_INF, PrimeContext\n"
+        "from berklocus.field import PrimeContext\n"
         "from berklocus.oracle import fixture\n"
         "from berklocus.residue import Fq, FqRationalMap\n"
         "assert False, 'asserts must be off'\n"
@@ -140,6 +142,7 @@ def test_cross_checks_fail_under_optimize():
         "f = fixture('power-2').build()\n"
         "F = Fq(5)\n"
         "isolate, conjugate = fx.isolate_roots, berkmap._conjugate_to_gauss\n"
+        "pole = FqRationalMap(F, (F.one,), (F.zero, F.one))\n"
         "def short(*a, **k):\n"
         "    return isolate(*a, **k)[:-1]\n"
         "def doubled(f, x):\n"
@@ -150,12 +153,10 @@ def test_cross_checks_fail_under_optimize():
         "checks = [\n"
         "    ('split', lambda: roots._rational_split(\n"
         "        ctx, epoly(ctx, [1, -2, 1]))),\n"
-        "    ('cluster', lambda: roots._isolate_cluster(\n"
-        "        ctx, epoly(ctx, [-2, 0, 1]), ctx.zero, NEG_INF, 3)),\n"
         "    ('envelope', lambda: berkmap.segments_from_lines(\n"
         "        F.one, [], Fraction(1), Fraction(1))),\n"
-        "    ('pole', lambda: FqRationalMap(F, (F.one,), (F.zero, F.one))\n"
-        "        ._multiplier_and_critical(F.zero, F, 1)),\n"
+        "    ('pole', lambda: pole._multiplier_and_critical(F.zero, F, 1, (\n"
+        "        pole.num, pole.den, pole.derivative_numerator()))),\n"
         # roots 7 and 12 share the digit 2 and the disk of radius 1 about it
         "    ('isolation', lambda: roots.RootHandle(\n"
         "        ctx, epoly(ctx, [84, -19, 1]), ctx.zero, Fraction(0)).refine()),\n"
@@ -196,7 +197,7 @@ def test_cross_checks_fail_under_optimize():
         "except CheckFailed:\n"
         "    print('additive')\n"
         "try:\n"
-        "    count_roots_in_disk(ctx, epoly(ctx, [-1, 1]), ctx.zero,\n"
+        "    count_roots_in_disk(newton_polygon(ctx, epoly(ctx, [-1, 1])),\n"
         "                        Fraction(0), 'half-open')\n"
         "except ValueError:\n"
         "    print('mode')\n"
@@ -228,7 +229,7 @@ def test_cross_checks_fail_under_optimize():
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == [
-        "split", "cluster", "envelope", "pole", "isolation", "digit",
+        "split", "envelope", "pole", "isolation", "digit",
         "critical", "family", "total", "reduction", "additive", "mode",
         "mixed", "modulus", "reciprocity"]
 
@@ -349,10 +350,26 @@ def test_roots_at_cluster_centers_come_out_exact():
     assert all(poly_eval(ctx, g, c).is_zero() for c in exact)
     for h in handles:
         if not h.is_exact:
-            assert count_roots_in_disk(ctx, g, h.center, h.prec,
-                                       "closed") == 1
+            vals = newton_polygon(ctx, poly_shift(ctx, g, h.center))
+            assert count_roots_in_disk(vals, h.prec, "closed") == 1
     for h1, h2 in itertools.combinations(handles, 2):
         assert roots._val_diff(h1.center, h2.center) < min(h1.prec, h2.prec)
+
+
+def test_refine_lands_on_a_root_at_the_center():
+    """A handle whose center is its root while prec is finite -- a state
+    refinement never makes, since `_move` truncates the center at prec + 1
+    and so keeps val(root - center) = prec -- lands exactly in one step.
+    Over E(5, 2, 1) with g = (z^2 - 5)((z - 5)^2 - 5), take the root pi with
+    prec 1: g(pi) = 0 passes the Newton test, the center stays, and of the
+    root valuations of g(pi + z), only INF lies above 1 (5 + pi is at
+    distance exactly 1, -pi and 5 - pi at 1/2)."""
+    ctx = PrimeContext(5, 2, 1)
+    g = ctx.ring.mul(epoly(ctx, [-5, 0, 1]), epoly(ctx, [20, -10, 1]))
+    pi = ctx.pi_pow(1)
+    h = RootHandle(ctx, g, pi, Fraction(1))
+    h.refine()
+    assert h.is_exact and h.center == pi
 
 
 def test_lead_of_reads_q_at_the_root_once_a_refinement_lands_on_it():
